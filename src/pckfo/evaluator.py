@@ -8,6 +8,13 @@ stabilizes within |S| rounds on finite models.  Measurability of an event is
 checked at each probability-operator application and NotMeasurable reports
 the offending formula, agent and state.
 
+Measurement is strict and canonical: a probability operator measures every
+(agent, state) space it consults, once, in sorted (agent, state) order,
+before it decides any state, and the first space that cannot measure the
+event raises NotMeasurable.  Everything else is evaluated in a fixed order
+too (conjunction left first, quantifiers over the sorted domain), so whether
+and where NotMeasurable is raised never depends on the hash seed.
+
 Evaluators over a shared validated Model are safe to use from several
 threads: the memo table only ever gains entries, so concurrent calls behave
 as if serialized.
@@ -177,20 +184,18 @@ class Evaluator:
             raise NotMeasurable(agent, state, exc.atom, formula=origin) from None
 
     def _everyone_prob(self, origin, members, bound, event) -> frozenset:
+        """States where every member gives the event at least `bound` at
+        every successor.  Strict: every (member, successor) space is
+        measured once, in sorted (agent, state) order, before any state is
+        decided."""
         m = self.model
-        out = set()
-        for s in m.states:
-            ok = True
-            for i in members:
-                for t in m.successors(i, s):
-                    if self._measure(origin, i, t, event) < bound:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add(s)
-        return frozenset(out)
+        succ = {(i, s): m.successors(i, s) for i in members for s in m.states}
+        spaces = sorted({(i, t) for (i, _), ts in succ.items() for t in ts})
+        good = {(i, t): self._measure(origin, i, t, event) >= bound
+                for (i, t) in spaces}
+        return frozenset(s for s in m.states
+                         if all(good[(i, t)] for i in members
+                                for t in succ[(i, s)]))
 
     def _group_edges(self, members):
         key = tuple(members)
@@ -231,7 +236,7 @@ class Evaluator:
             if nxt == stages[-2]:
                 return stages
             if len(stages) > len(self.model.states) + 2:
-                raise AssertionError(
+                raise EvalError(
                     "stage chain failed to stabilize within |S| rounds")
 
     def prob_common(self, members, bound, event, origin=None) -> frozenset:

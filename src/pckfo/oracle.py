@@ -186,6 +186,11 @@ def enumerate_models(budget: SearchBudget):
         raise BudgetError(
             f"enumeration space has {size} models, over the cap of"
             f" {budget.max_models}; shrink the budget")
+    yield from _all_models(budget)
+
+
+def _all_models(budget: SearchBudget):
+    """enumerate_models without the cap, for callers that take a prefix."""
     for n in range(1, budget.max_states + 1):
         states = [f"s{i}" for i in range(n)]
         rel_slots = _relation_options(states, budget)
@@ -197,9 +202,8 @@ def enumerate_models(budget: SearchBudget):
             for access_choice in itertools.product(
                     access_opts, repeat=budget.max_agents):
                 for spaces in itertools.product(space_opts, repeat=n_spaces):
-                    m = _assemble(budget, states, rel_choice, rel_slots,
-                                  access_choice, spaces)
-                    yield m
+                    yield _assemble(budget, states, rel_choice, rel_slots,
+                                    access_choice, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,8 @@ def random_model(budget: SearchBudget, rng: random.Random) -> Model:
     m = Model(states=tuple(states), domain=budget.domain, agents=budget.agents,
               functions={}, relations=relations, access=access, prob=prob,
               groups={"G": tuple(budget.agents)})
-    assert validate(m).passed
+    if not validate(m).passed:
+        raise EvalError("generated model failed validation")
     return m
 
 
@@ -289,7 +294,8 @@ def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
             m = replace(m, prob=prob)
         else:
             raise BudgetError(f"unknown class flag {flag!r}")
-        assert validate(m).passed and flag in classify(m)
+        if not (validate(m).passed and flag in classify(m)):
+            raise EvalError(f"generated model is invalid or not {flag}")
         out.append(m)
     return out
 
@@ -327,23 +333,20 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
             f" {sorted(funcs)} or evaluate against a written model file")
     checked = 0
     for m in enumerate_models(budget):
-        ev = Evaluator(m)
         checked += 1
-        for s in m.states:
-            try:
-                hit = ev.satisfies(s, f)
-            except NotMeasurable:
-                continue
-            except EvalError:
-                break  # symbols beyond this model's signature
-            if hit:
-                rep = CheckReport(SAT)
-                rep.add(formula=print_formula(f), state=s,
-                        models_checked=checked)
-                rep.artifacts["witness-model"] = model_to_doc(m)
-                rep.artifacts["witness-state"] = s
-                assert satisfies(m, s, f)
-                return rep
+        try:
+            ext = Evaluator(m).extension(f)
+        except (NotMeasurable, EvalError):
+            continue  # EvalError: symbols beyond this model's signature
+        s = next((s for s in m.states if s in ext), None)
+        if s is not None:
+            if not satisfies(m, s, f):
+                raise EvalError(f"witness state {s!r} fails to re-verify")
+            rep = CheckReport(SAT)
+            rep.add(formula=print_formula(f), state=s, models_checked=checked)
+            rep.artifacts["witness-model"] = model_to_doc(m)
+            rep.artifacts["witness-state"] = s
+            return rep
     rep = CheckReport(NOT_FOUND)
     rep.add(formula=print_formula(f), models_checked=checked,
             note="not an unsatisfiability verdict: the search budget is"
@@ -487,8 +490,7 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     hold at every state of its model.  A failure would point at an evaluator
     or schema bug and ships a replayable counterexample."""
     if models is None:
-        pool = list(itertools.islice(enumerate_models(
-            replace(budget, max_models=10 ** 9)), 100))
+        pool = list(itertools.islice(_all_models(budget), 100))
         pool += random_models(budget, max(0, 200 - len(pool)), tag="fuzz-pool")
     else:
         pool = list(models)
@@ -729,19 +731,19 @@ def expected_invalid_counterexample(budget=None) -> CheckReport:
     checked = 0
     for m in enumerate_models(budget):
         checked += 1
-        ev = Evaluator(m)
-        for s in m.states:
-            try:
-                if not ev.satisfies(s, schema):
-                    rep.verdict = VALID_IN_SUITE
-                    rep.add(expected_invalid=print_formula(schema),
-                            state=s, models_checked=checked,
-                            note="counterexample found, as required")
-                    rep.artifacts["counterexample-model"] = model_to_doc(m)
-                    rep.artifacts["counterexample-state"] = s
-                    return rep
-            except NotMeasurable:
-                continue
+        try:
+            ext = Evaluator(m).extension(schema)
+        except NotMeasurable:
+            continue
+        s = next((s for s in m.states if s not in ext), None)
+        if s is not None:
+            rep.verdict = VALID_IN_SUITE
+            rep.add(expected_invalid=print_formula(schema),
+                    state=s, models_checked=checked,
+                    note="counterexample found, as required")
+            rep.artifacts["counterexample-model"] = model_to_doc(m)
+            rep.artifacts["counterexample-state"] = s
+            return rep
     rep.add(expected_invalid=print_formula(schema), models_checked=checked,
             problem="no counterexample found within the default budget")
     return rep

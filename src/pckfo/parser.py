@@ -411,12 +411,21 @@ def print_formula(f) -> str:
 
 
 def _need(doc, key, cls, where):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: must be an object")
     if key not in doc:
         raise SchemaError(f"{where}: missing {key!r}")
     value = doc[key]
     if not isinstance(value, cls):
         raise SchemaError(f"{where}: {key!r} must be {cls.__name__}")
     return value
+
+
+def _int(raw, where) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: bad integer {raw!r}") from None
 
 
 def _fraction(text, where) -> Fraction:
@@ -589,7 +598,7 @@ def _load_params(doc, where) -> dict:
         elif key in ("r", "t"):
             out[key] = _fraction(raw, where)
         elif key == "m":
-            out[key] = int(raw)
+            out[key] = _int(raw, where)
         elif key == "group":
             out[key] = tuple(raw)
         elif key in ("i", "j", "x"):
@@ -641,14 +650,14 @@ def _dump_spec(spec) -> dict:
 def _load_premise_map(doc, where) -> tuple:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: premises must map members to steps")
-    return tuple(sorted((str(k), int(v)) for k, v in doc.items()))
+    return tuple(sorted((str(k), _int(v, where)) for k, v in doc.items()))
 
 
 def _load_certificate(doc, where) -> pc.Certificate:
     bound = _need(doc, "bound", int, where)
     premises = _need(doc, "premises", dict, where)
-    return pc.Certificate(
-        bound, tuple(sorted((int(k), int(v)) for k, v in premises.items())))
+    return pc.Certificate(bound, tuple(sorted(
+        (_int(k, where), _int(v, where)) for k, v in premises.items())))
 
 
 def _dump_certificate(cert) -> dict:

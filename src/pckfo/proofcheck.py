@@ -12,7 +12,7 @@ full derivability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import axioms as ax
@@ -20,7 +20,7 @@ from .errors import ProofTransformError
 from .report import ACCEPTED, ACCEPTED_BOUNDED, REJECTED, CheckReport
 from .syntax import (
     And, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall, Guard,
-    GUARD_KNOWS, Knows, NestedImplicationSpec, Not, ProbAtLeast, implies,
+    GUARD_KNOWS, Knows, NestedImplicationSpec, ProbAtLeast, implies,
     is_sentence, iterate_everyone, knows_prob, nested_implication, peel_nested,
     prob_common_stage, top,
 )
@@ -132,6 +132,67 @@ class Proof:
 
 
 # ---------------------------------------------------------------------------
+# the premise table of the five nested-implication rules
+
+
+@dataclass(frozen=True)
+class _NestedRule:
+    head: type             # class of tau, the formula under the tower
+    head_name: str         # tau as rejection messages name it
+    body: object           # (tau, member or index) -> that premise's body
+    cited: tuple = ()      # fields of tau the justification repeats
+    first: object = None   # bounded rules: tau -> first certificate index
+
+
+def _archimedean_first(tau):
+    """ceil(1/r) for the family r - 1/m; None when r is 0."""
+    return math.ceil(1 / tau.bound) if tau.bound else None
+
+
+_NESTED = {
+    REJust: _NestedRule(
+        EveryoneKnows, "a group-knowledge formula",
+        lambda tau, i: Knows(i, tau.body)),
+    RPEJust: _NestedRule(
+        EveryoneProb, "a group-probability formula",
+        lambda tau, i: knows_prob(i, tau.bound, tau.body), cited=("bound",)),
+    RCJust: _NestedRule(
+        CommonKnows, "a common-knowledge formula",
+        lambda tau, m: iterate_everyone(tau.group, m, tau.body),
+        first=lambda tau: 1),
+    RPCJust: _NestedRule(
+        CommonProb, "a probabilistic-common-knowledge formula",
+        lambda tau, m: prob_common_stage(tau.group, tau.bound, m, tau.body),
+        cited=("bound",), first=lambda tau: 1),
+    RAJust: _NestedRule(
+        ProbAtLeast, "a probability formula",
+        lambda tau, m: ProbAtLeast(tau.agent, tau.bound - Fraction(1, m),
+                                   tau.body),
+        cited=("agent", "bound"), first=_archimedean_first),
+}
+
+_CITED_MISMATCH = {
+    ("bound",): "cited threshold differs from the conclusion's",
+    ("agent", "bound"): "cited agent/threshold differ from the conclusion's",
+}
+
+
+def _premises(just) -> tuple:
+    """((member or index, step), ...) of a nested rule."""
+    if isinstance(just, BOUNDED_RULES):
+        return just.certificate.premises
+    return just.premises
+
+
+def _with_premises(just, spec, premises):
+    """The same nested rule over another spec and premise steps."""
+    if isinstance(just, BOUNDED_RULES):
+        return replace(just, spec=spec,
+                       certificate=replace(just.certificate, premises=premises))
+    return replace(just, spec=spec, premises=premises)
+
+
+# ---------------------------------------------------------------------------
 # checking
 
 
@@ -192,10 +253,8 @@ def _refs(just) -> list:
         return [just.premise, just.implication]
     if isinstance(just, (FORJust, RKJust, RPJust)):
         return [just.premise]
-    if isinstance(just, (REJust, RPEJust)):
-        return [s for (_, s) in just.premises]
-    if isinstance(just, BOUNDED_RULES):
-        return [s for (_, s) in just.certificate.premises]
+    if type(just) in _NESTED:
+        return [s for (_, s) in _premises(just)]
     return []
 
 
@@ -266,64 +325,22 @@ def _check_step(proof, ix, step, flags, axiom_names):
             return ("formula is not the probability-one-wrapped premise", False)
         return (None, True)
 
-    if isinstance(just, REJust):
+    rule = _NESTED.get(type(just))
+    if rule is not None:
         tau = peel_nested(just.spec, f)
-        if tau is None or not isinstance(tau, EveryoneKnows):
+        if tau is None or not isinstance(tau, rule.head):
             return ("conclusion does not have the nested-implication shape"
-                    " around a group-knowledge formula", False)
-        return _check_group_rule(
-            proof, just, tau.group, flags,
-            lambda i: nested_implication(just.spec, Knows(i, tau.body)))
-
-    if isinstance(just, RPEJust):
-        tau = peel_nested(just.spec, f)
-        if tau is None or not isinstance(tau, EveryoneProb):
-            return ("conclusion does not have the nested-implication shape"
-                    " around a group-probability formula", False)
-        if tau.bound != just.bound:
-            return ("cited threshold differs from the conclusion's", False)
-        return _check_group_rule(
-            proof, just, tau.group, flags,
-            lambda i: nested_implication(just.spec, knows_prob(i, tau.bound, tau.body)))
-
-    if isinstance(just, RCJust):
-        tau = peel_nested(just.spec, f)
-        if tau is None or not isinstance(tau, CommonKnows):
-            return ("conclusion does not have the nested-implication shape"
-                    " around a common-knowledge formula", False)
-        return _check_certificate(
-            proof, just.certificate, flags, start=1,
-            expect=lambda m: nested_implication(
-                just.spec, iterate_everyone(tau.group, m, tau.body)))
-
-    if isinstance(just, RPCJust):
-        tau = peel_nested(just.spec, f)
-        if tau is None or not isinstance(tau, CommonProb):
-            return ("conclusion does not have the nested-implication shape"
-                    " around a probabilistic-common-knowledge formula", False)
-        if tau.bound != just.bound:
-            return ("cited threshold differs from the conclusion's", False)
-        return _check_certificate(
-            proof, just.certificate, flags, start=1,
-            expect=lambda m: nested_implication(
-                just.spec, prob_common_stage(tau.group, tau.bound, m, tau.body)))
-
-    if isinstance(just, RAJust):
-        tau = peel_nested(just.spec, f)
-        if tau is None or not isinstance(tau, ProbAtLeast):
-            return ("conclusion does not have the nested-implication shape"
-                    " around a probability formula", False)
-        if tau.agent != just.agent or tau.bound != just.bound:
-            return ("cited agent/threshold differ from the conclusion's", False)
-        r = tau.bound
-        if r == 0:
+                    f" around {rule.head_name}", False)
+        if any(getattr(just, a) != getattr(tau, a) for a in rule.cited):
+            return (_CITED_MISMATCH[rule.cited], False)
+        expect = lambda key: nested_implication(just.spec, rule.body(tau, key))
+        if not isinstance(just, BOUNDED_RULES):
+            return _check_group_rule(proof, just, tau.group, flags, expect)
+        start = rule.first(tau)
+        if start is None:
             return ("the Archimedean rule requires a strictly positive"
                     " threshold", False)
-        start = math.ceil(1 / r)
-        return _check_certificate(
-            proof, just.certificate, flags, start=start,
-            expect=lambda m: nested_implication(
-                just.spec, ProbAtLeast(tau.agent, r - Fraction(1, m), tau.body)))
+        return _check_certificate(proof, just.certificate, flags, start, expect)
 
     return (f"unknown justification {type(just).__name__}", False)
 
@@ -392,13 +409,6 @@ class ProofBuilder:
         body = imp.body.right.body  # consequent of the implication expansion
         return self.add(body, MPJust(premise, implication))
 
-    def imp_chain(self, a: int, b_formula) -> int:
-        """From step a proving phi, derive phi-weakening b -> a? No: derive
-        (b_formula -> step_a)."""
-        fa = self.steps[a].formula
-        taut = self.prop(implies(fa, implies(b_formula, fa)))
-        return self.mp(a, taut)
-
     def build(self) -> Proof:
         return Proof(self.hypotheses, tuple(self.steps), self.mode)
 
@@ -407,11 +417,10 @@ class ProofBuilder:
 # the deduction-theorem transformation
 
 
-def _ensure_accepted(proof: Proof) -> list:
+def _ensure_accepted(proof: Proof) -> None:
     rep = check(proof)
     if not rep.passed:
         raise ProofTransformError(f"input proof rejected: {rep.details}")
-    return theorem_flags(proof)
 
 
 def _fresh_guarded_spec(spec: NestedImplicationSpec, extra) -> NestedImplicationSpec:
@@ -444,29 +453,12 @@ class _SubtreeCopier:
 def _remap_just(just, mapping):
     if isinstance(just, MPJust):
         return MPJust(mapping[just.premise], mapping[just.implication])
-    if isinstance(just, FORJust):
-        return FORJust(mapping[just.premise], just.var)
-    if isinstance(just, RKJust):
-        return RKJust(mapping[just.premise], just.agent)
-    if isinstance(just, RPJust):
-        return RPJust(mapping[just.premise], just.agent)
-    if isinstance(just, REJust):
-        return REJust(just.spec, tuple((a, mapping[s]) for a, s in just.premises))
-    if isinstance(just, RPEJust):
-        return RPEJust(just.spec, just.bound,
-                       tuple((a, mapping[s]) for a, s in just.premises))
-    if isinstance(just, RCJust):
-        return RCJust(just.spec, _remap_cert(just.certificate, mapping))
-    if isinstance(just, RPCJust):
-        return RPCJust(just.spec, just.bound, _remap_cert(just.certificate, mapping))
-    if isinstance(just, RAJust):
-        return RAJust(just.spec, just.agent, just.bound,
-                      _remap_cert(just.certificate, mapping))
+    if isinstance(just, (FORJust, RKJust, RPJust)):
+        return replace(just, premise=mapping[just.premise])
+    if type(just) in _NESTED:
+        return _with_premises(just, just.spec, tuple(
+            (key, mapping[s]) for key, s in _premises(just)))
     return just  # axioms and hypotheses carry no references
-
-
-def _remap_cert(cert, mapping):
-    return Certificate(cert.bound, tuple((m, mapping[s]) for m, s in cert.premises))
 
 
 def deduction_transform(proof: Proof, phi) -> Proof:
@@ -476,7 +468,7 @@ def deduction_transform(proof: Proof, phi) -> Proof:
     outermost antecedent; necessitation steps copy their hypothesis-free
     subtrees verbatim.
     """
-    flags = _ensure_accepted(proof)
+    _ensure_accepted(proof)
     if phi not in proof.hypotheses:
         raise ProofTransformError("phi is not among the hypotheses")
     if not is_sentence(phi):
@@ -494,7 +486,8 @@ def deduction_transform(proof: Proof, phi) -> Proof:
 
     def weaken_over_phi(new_ix) -> int:
         """From a step proving g, derive phi -> g."""
-        return out.imp_chain(new_ix, phi)
+        g = out.steps[new_ix].formula
+        return out.mp(new_ix, out.prop(implies(g, implies(phi, g))))
 
     for ix, step in enumerate(proof.steps):
         f, just = step.formula, step.just
@@ -531,13 +524,12 @@ def deduction_transform(proof: Proof, phi) -> Proof:
             # The premise is a theorem: replay its subtree, re-apply the rule,
             # then weaken over phi.
             base = copier.copy(just.premise)
-            cls = RKJust if isinstance(just, RKJust) else RPJust
-            wrapped = out.add(f, cls(base, just.agent))
+            wrapped = out.add(f, replace(just, premise=base))
             done[ix] = weaken_over_phi(wrapped)
             continue
 
-        if isinstance(just, (REJust, RPEJust, RCJust, RPCJust, RAJust)):
-            done[ix] = _deduction_nested(out, proof, ix, just, done, phi, flags)
+        if type(just) in _NESTED:
+            done[ix] = _deduction_nested(out, proof, ix, done, phi)
             continue
 
         raise ProofTransformError(f"unsupported justification {just!r}")
@@ -545,59 +537,34 @@ def deduction_transform(proof: Proof, phi) -> Proof:
     return out.build()
 
 
-def _bridge_in(out, phi, spec, body) -> int:
-    """phi -> Phi_spec(body) implies Phi_specbar(body); both directions are
-    propositional over the tower's opaque head."""
-    src = implies(phi, nested_implication(spec, body))
-    dst = nested_implication(_fresh_guarded_spec(spec, phi), body)
-    return out.prop(implies(src, dst))
+def _rebuild_nested(out, proof, ix, done, spec, lift):
+    """Re-apply the nested rule of step ix over `spec`; lift(body, step)
+    turns the new step proving the image of an old premise into one proving
+    Phi_spec(body).  Returns the rebuilt step and tau."""
+    just = proof.steps[ix].just
+    tau = peel_nested(just.spec, proof.steps[ix].formula)
+    body = _NESTED[type(just)].body
+    premises = tuple((key, lift(body(tau, key), done[s]))
+                     for key, s in _premises(just))
+    rebuilt = out.add(nested_implication(spec, tau),
+                      _with_premises(just, spec, premises))
+    return rebuilt, tau
 
 
-def _bridge_out(out, phi, spec, body) -> int:
-    src = nested_implication(_fresh_guarded_spec(spec, phi), body)
-    dst = implies(phi, nested_implication(spec, body))
-    return out.prop(implies(src, dst))
-
-
-def _deduction_nested(out, proof, ix, just, done, phi, flags):
-    spec = just.spec
+def _deduction_nested(out, proof, ix, done, phi):
+    spec = proof.steps[ix].just.spec
     spec_bar = _fresh_guarded_spec(spec, phi)
-    conclusion = proof.steps[ix].formula
-    tau = peel_nested(spec, conclusion)
 
-    def premise_in(body, old_step) -> int:
-        bridged = _bridge_in(out, phi, spec, body)
-        return out.mp(done[old_step], bridged)
+    def premise_in(body, step) -> int:
+        # phi -> Phi(body) and Phi_bar(body) imply each other propositionally
+        # over the tower's opaque head.
+        src = implies(phi, nested_implication(spec, body))
+        taut = out.prop(implies(src, nested_implication(spec_bar, body)))
+        return out.mp(step, taut)
 
-    if isinstance(just, REJust):
-        new_premises = tuple(
-            (agent, premise_in(Knows(agent, tau.body), s))
-            for agent, s in just.premises)
-        new_just = REJust(spec_bar, new_premises)
-    elif isinstance(just, RPEJust):
-        new_premises = tuple(
-            (agent, premise_in(knows_prob(agent, tau.bound, tau.body), s))
-            for agent, s in just.premises)
-        new_just = RPEJust(spec_bar, just.bound, new_premises)
-    elif isinstance(just, RCJust):
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_in(iterate_everyone(tau.group, m, tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RCJust(spec_bar, cert)
-    elif isinstance(just, RPCJust):
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_in(prob_common_stage(tau.group, tau.bound, m, tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RPCJust(spec_bar, just.bound, cert)
-    else:
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_in(ProbAtLeast(tau.agent, tau.bound - Fraction(1, m),
-                                       tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RAJust(spec_bar, just.agent, just.bound, cert)
-
-    rebuilt = out.add(nested_implication(spec_bar, tau), new_just)
-    back = _bridge_out(out, phi, spec, tau)
+    rebuilt, tau = _rebuild_nested(out, proof, ix, done, spec_bar, premise_in)
+    back = out.prop(implies(nested_implication(spec_bar, tau),
+                            implies(phi, nested_implication(spec, tau))))
     return out.mp(rebuilt, back)
 
 
@@ -653,13 +620,12 @@ def strong_necessitation_transform(proof: Proof, agent: str) -> Proof:
 
         if isinstance(just, (RKJust, RPJust)):
             base = copier.copy(just.premise)
-            cls = RKJust if isinstance(just, RKJust) else RPJust
-            inner = out.add(f, cls(base, just.agent))
+            inner = out.add(f, replace(just, premise=base))
             done[ix] = out.add(Knows(agent, f), RKJust(inner, agent))
             continue
 
-        if isinstance(just, (REJust, RPEJust, RCJust, RPCJust, RAJust)):
-            done[ix] = _necessitation_nested(out, proof, ix, just, done, agent)
+        if type(just) in _NESTED:
+            done[ix] = _necessitation_nested(out, proof, ix, done, agent)
             continue
 
         raise ProofTransformError(f"unsupported justification {just!r}")
@@ -674,46 +640,18 @@ def _extended_spec(spec: NestedImplicationSpec, agent) -> NestedImplicationSpec:
         spec.guards + (Guard(GUARD_KNOWS, agent),))
 
 
-def _necessitation_nested(out, proof, ix, just, done, agent):
-    spec = just.spec
+def _necessitation_nested(out, proof, ix, done, agent):
+    spec = proof.steps[ix].just.spec
     spec_ext = _extended_spec(spec, agent)
-    conclusion = proof.steps[ix].formula
-    tau = peel_nested(spec, conclusion)
 
-    def premise_ext(body, old_step) -> int:
+    def premise_ext(body, step) -> int:
         # K_i Phi(body)  propositionally yields  top -> K_i Phi(body),
         # which is Phi_ext(body).
         src = Knows(agent, nested_implication(spec, body))
         taut = out.prop(implies(src, nested_implication(spec_ext, body)))
-        return out.mp(done[old_step], taut)
+        return out.mp(step, taut)
 
-    if isinstance(just, REJust):
-        new_premises = tuple(
-            (a, premise_ext(Knows(a, tau.body), s)) for a, s in just.premises)
-        new_just = REJust(spec_ext, new_premises)
-    elif isinstance(just, RPEJust):
-        new_premises = tuple(
-            (a, premise_ext(knows_prob(a, tau.bound, tau.body), s))
-            for a, s in just.premises)
-        new_just = RPEJust(spec_ext, just.bound, new_premises)
-    elif isinstance(just, RCJust):
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_ext(iterate_everyone(tau.group, m, tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RCJust(spec_ext, cert)
-    elif isinstance(just, RPCJust):
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_ext(prob_common_stage(tau.group, tau.bound, m, tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RPCJust(spec_ext, just.bound, cert)
-    else:
-        cert = Certificate(just.certificate.bound, tuple(
-            (m, premise_ext(ProbAtLeast(tau.agent, tau.bound - Fraction(1, m),
-                                        tau.body), s))
-            for m, s in just.certificate.premises))
-        new_just = RAJust(spec_ext, just.agent, just.bound, cert)
-
-    rebuilt = out.add(nested_implication(spec_ext, tau), new_just)
+    rebuilt, tau = _rebuild_nested(out, proof, ix, done, spec_ext, premise_ext)
     peel = out.prop(implies(nested_implication(spec_ext, tau),
                             Knows(agent, nested_implication(spec, tau))))
     return out.mp(rebuilt, peel)

@@ -10,7 +10,7 @@ structural equality of dataclasses is the one and only formula identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -321,23 +321,11 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
             return g
         if isinstance(g, Atom):
             return Atom(g.rel, tuple(substitute_term(a, x, t) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
         if isinstance(g, And):
             return And(walk(g.left), walk(g.right))
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body))  # g.var != x since x free below
-        if isinstance(g, Knows):
-            return Knows(g.agent, walk(g.body))
-        if isinstance(g, EveryoneKnows):
-            return EveryoneKnows(g.group, walk(g.body))
-        if isinstance(g, CommonKnows):
-            return CommonKnows(g.group, walk(g.body))
-        if isinstance(g, ProbAtLeast):
-            return ProbAtLeast(g.agent, g.bound, walk(g.body))
-        if isinstance(g, EveryoneProb):
-            return EveryoneProb(g.group, g.bound, walk(g.body))
-        return CommonProb(g.group, g.bound, walk(g.body))
+        # Every other node has one body; a Forall here binds a variable
+        # other than x, since x occurs free below it.
+        return replace(g, body=walk(g.body))
 
     return walk(f)
 

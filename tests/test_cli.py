@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pckfo
 from pckfo.cli import main
 from pckfo.evaluator import satisfies
 from pckfo.model import validate
@@ -118,6 +123,19 @@ class TestCheckProof:
         assert code == 6
         assert "accepted-with-bounded-certificates" in out
 
+    @pytest.mark.parametrize("doc", [
+        {"steps": [1]},
+        {"steps": [{"formula": "p", "just": {
+            "kind": "axiom", "name": "AC", "params": {"m": "x"}}}]},
+        {"steps": [{"formula": "p", "just": {
+            "kind": "RE", "spec": {"k": 0, "thetas": ["p"], "guards": []},
+            "premises": {"a": "zz"}}}]},
+    ], ids=["step-not-object", "axiom-param-m", "premise-step"])
+    def test_malformed_document_is_schema_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("check-proof", "--proof", str(path))[0] == 3
+
     def test_rp_rejected_in_con_mode(self, tmp_path):
         doc = {
             "hypotheses": [],
@@ -159,6 +177,33 @@ class TestFindFuzzDemo:
         code2, out2 = run(*args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_fuzz_bytes_independent_of_hash_seed(self):
+        src = str(Path(pckfo.__file__).resolve().parents[1])
+        outs = set()
+        for seed in ("0", "1", "3", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "pckfo.cli", "fuzz", "--n", "200",
+                 "--seed", "7", "--json"],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+
+    def test_fuzz_at_criterion_1_shape(self):
+        code, out = run("fuzz", "--budget-states", "3", "--budget-domain", "2",
+                        "--budget-agents", "2", "--atom-mode", "singleton",
+                        "--grid", "0,1/2,1", "--n", "200", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "valid-in-suite"
+
+    def test_find_miss_outside_signature(self):
+        code, out = run("find", "--formula", "K[b] p", "--json")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["verdict"] == "not-found-within-budget"
+        assert rep["details"][0]["models_checked"] == 25608
 
     def test_fuzz_class_restricted(self):
         code, out = run("fuzz", "--n", "30", "--class", "CON",

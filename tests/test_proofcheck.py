@@ -7,8 +7,8 @@ from pckfo.errors import ProofTransformError
 from pckfo.parser import parse_proof, proof_to_json
 from pckfo.proofcheck import (
     AxiomJust, Certificate, FORJust, HypJust, MODE_CON, MPJust, Proof,
-    ProofBuilder, RAJust, RCJust, REJust, RKJust, RPJust, Step,
-    _SubtreeCopier, check, deduction_transform,
+    ProofBuilder, RAJust, RCJust, REJust, RKJust, RPCJust, RPEJust, RPJust,
+    Step, _SubtreeCopier, check, deduction_transform,
     strong_necessitation_transform, theorem_flags,
 )
 from pckfo.prooflib import (
@@ -17,9 +17,9 @@ from pckfo.prooflib import (
 )
 from pckfo.report import ACCEPTED, ACCEPTED_BOUNDED, REJECTED
 from pckfo.syntax import (
-    And, Atom, CommonKnows, CommonProb, EveryoneKnows, Guard, Knows,
-    NestedImplicationSpec, Not, ProbAtLeast, bot, implies, iterate_everyone,
-    nested_implication, prob_common_stage, top,
+    And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Guard,
+    Knows, NestedImplicationSpec, Not, ProbAtLeast, bot, implies,
+    iterate_everyone, nested_implication, prob_common_stage, top,
 )
 
 F = Fraction
@@ -166,6 +166,42 @@ class TestCertificates:
         rep = check(out.build())
         assert rep.verdict == REJECTED
         assert "strictly positive" in problems(rep)[0]["problem"]
+
+
+_TOP_SPEC = NestedImplicationSpec(0, (top(),), ())
+_CERT = Certificate(1, ())
+
+
+@pytest.mark.parametrize("just,tau,message", [
+    (REJust(_TOP_SPEC, ()), p,
+     "conclusion does not have the nested-implication shape around a"
+     " group-knowledge formula"),
+    (RPEJust(_TOP_SPEC, F(1, 2), ()), p,
+     "conclusion does not have the nested-implication shape around a"
+     " group-probability formula"),
+    (RCJust(_TOP_SPEC, _CERT), p,
+     "conclusion does not have the nested-implication shape around a"
+     " common-knowledge formula"),
+    (RPCJust(_TOP_SPEC, F(1, 2), _CERT), p,
+     "conclusion does not have the nested-implication shape around a"
+     " probabilistic-common-knowledge formula"),
+    (RAJust(_TOP_SPEC, "a", F(1, 2), _CERT), p,
+     "conclusion does not have the nested-implication shape around a"
+     " probability formula"),
+    (RPEJust(_TOP_SPEC, F(1, 3), ()), EveryoneProb(("a",), F(1, 2), p),
+     "cited threshold differs from the conclusion's"),
+    (RPCJust(_TOP_SPEC, F(1, 3), _CERT), CommonProb(("a",), F(1, 2), p),
+     "cited threshold differs from the conclusion's"),
+    (RAJust(_TOP_SPEC, "b", F(1, 2), _CERT), ProbAtLeast("a", F(1, 2), p),
+     "cited agent/threshold differ from the conclusion's"),
+    (RAJust(_TOP_SPEC, "a", F(1, 3), _CERT), ProbAtLeast("a", F(1, 2), p),
+     "cited agent/threshold differ from the conclusion's"),
+])
+def test_nested_rule_rejection_messages(just, tau, message):
+    proof = Proof((), (Step(nested_implication(_TOP_SPEC, tau), just),))
+    rep = check(proof)
+    assert rep.verdict == REJECTED
+    assert problems(rep) == [{"step": 0, "problem": message}]
 
 
 class TestTheoremFlags:
