@@ -149,14 +149,11 @@ def cmd_eval(args) -> int:
         report.add(state=args.state, holds=truth, formula=args.formula)
         _emit(report, args)
         return EXIT_TRUE if truth else EXIT_FALSE
-    all_true = True
-    report = CheckReport(SAT)
+    ext = ev.extension(f, valuation)
+    all_true = ext.issuperset(m.states)
+    report = CheckReport(SAT if all_true else UNSAT_AT_STATE)
     for s in m.states:
-        truth = ev.satisfies(s, f, valuation)
-        report.add(state=s, holds=truth)
-        all_true = all_true and truth
-    if not all_true:
-        report.verdict = UNSAT_AT_STATE
+        report.add(state=s, holds=s in ext)
     _emit(report, args)
     return EXIT_TRUE if all_true else EXIT_FALSE
 

@@ -71,7 +71,6 @@ class Evaluator:
         self.model = model
         self._all = frozenset(model.states)
         self._memo = {}
-        self._edges = {}
 
     # -- public API
 
@@ -197,32 +196,22 @@ class Evaluator:
                          if all(good[(i, t)] for i in members
                                 for t in succ[(i, s)]))
 
-    def _group_edges(self, members):
-        key = tuple(members)
-        hit = self._edges.get(key)
-        if hit is None:
-            preds = {s: set() for s in self.model.states}
-            for i in members:
-                for (s, t) in self.model.access.get(i, ()):
-                    preds[t].add(s)
-            hit = preds
-            self._edges[key] = hit
-        return hit
-
     def common_knowledge(self, members, event) -> frozenset:
         """States from which every state reachable in one or more steps of
-        the union relation lies inside the event."""
-        preds = self._group_edges(members)
-        bad = self._all - event
+        the union relation lies inside the event: the complement of what
+        reaches a state outside the event, walked backwards over the
+        model's predecessor index."""
+        m = self.model
         reach_bad = set()
-        frontier = set(bad)
+        frontier = self._all - event
         while frontier:
             new = set()
             for t in frontier:
-                for s in preds[t]:
-                    if s not in reach_bad:
-                        reach_bad.add(s)
-                        new.add(s)
+                for i in members:
+                    for s in m.predecessors(i, t):
+                        if s not in reach_bad:
+                            reach_bad.add(s)
+                            new.add(s)
             frontier = new
         return self._all - reach_bad
 

@@ -9,6 +9,7 @@ set whose finite unions are exactly the measurable sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,31 +24,43 @@ CLASS_UNIF = "UNIF"
 
 @dataclass(frozen=True)
 class ProbSpace:
-    """Sample set, atom partition and exact atom weights."""
+    """Sample set, atom partition and exact atom weights.
+
+    Construction also puts the weights over one common denominator
+    (the lcm of theirs) as integer numerators, so measuring and
+    validating add integers.
+    """
 
     sample: frozenset
     atoms: tuple
     weights: tuple
+    _den: int = field(init=False, repr=False, compare=False)
+    _nums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = sorted(range(len(self.atoms)), key=lambda i: sorted(self.atoms[i]))
+        keys = [sorted(atom) for atom in self.atoms]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        weights = tuple([w if isinstance(w, Fraction) else Fraction(w)
+                         for w in map(self.weights.__getitem__, order)])
+        den = math.lcm(*[w.denominator for w in weights])
         object.__setattr__(self, "sample", frozenset(self.sample))
         object.__setattr__(
-            self, "atoms", tuple(frozenset(self.atoms[i]) for i in order))
-        object.__setattr__(
-            self, "weights", tuple(Fraction(self.weights[i]) for i in order))
+            self, "atoms", tuple([frozenset(self.atoms[i]) for i in order]))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(
+            [w.numerator * (den // w.denominator) for w in weights]))
 
     def measure(self, event, *, agent=None, state=None) -> Fraction:
         """Exact measure of event ∩ sample; the event must be a union of atoms."""
         ev = frozenset(event) & self.sample
-        total = Fraction(0)
-        for atom, w in zip(self.atoms, self.weights):
-            hit = atom & ev
-            if hit == atom:
-                total += w
-            elif hit:
+        total = 0
+        for atom, num in zip(self.atoms, self._nums):
+            if atom <= ev:
+                total += num
+            elif not atom.isdisjoint(ev):
                 raise NotMeasurable(agent, state, atom)
-        return total
+        return Fraction(total, self._den)
 
 
 def singleton_space(states) -> ProbSpace:
@@ -65,9 +78,20 @@ def point_space(state) -> ProbSpace:
     return ProbSpace(frozenset([state]), (frozenset([state]),), (Fraction(1),))
 
 
+_EMPTY = frozenset()
+
+
 @dataclass(frozen=True)
 class Model:
-    """A validated instance is immutable and safe to share between threads."""
+    """A validated instance is immutable and safe to share between threads.
+
+    Construction indexes the accessibility relations once: per agent, each
+    state's successor set and predecessor tuple.  The index is not rebuilt,
+    so the dict fields must not be mutated after construction; derive a
+    changed model with `dataclasses.replace`, which builds a new index.
+    Indexing takes edges outside the state set and relations of undeclared
+    agents as they are, so `validate` still reports them.
+    """
 
     states: tuple
     domain: tuple
@@ -77,19 +101,37 @@ class Model:
     access: dict = field(default_factory=dict)      # agent -> {(s, t)}
     prob: dict = field(default_factory=dict)        # (agent, state) -> ProbSpace
     groups: dict = field(default_factory=dict)      # name -> (members)
+    _succ: dict = field(init=False, repr=False, compare=False)  # (agent, s) -> {t}
+    _pred: dict = field(init=False, repr=False, compare=False)  # (agent, t) -> (s,)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(sorted(set(self.states))))
         object.__setattr__(self, "domain", tuple(sorted(set(self.domain))))
         object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
+        succ, pred = {}, {}
+        for agent, pairs in self.access.items():
+            for (s, t) in pairs:
+                succ.setdefault((agent, s), []).append(t)
+                pred.setdefault((agent, t), []).append(s)
+        object.__setattr__(
+            self, "_succ", {k: frozenset(ts) for k, ts in succ.items()})
+        object.__setattr__(
+            self, "_pred", {k: tuple(ss) for k, ss in pred.items()})
 
     def successors(self, agent: str, state: str) -> frozenset:
-        rel = self.access.get(agent)
-        if rel is None:
-            if agent not in self.agents:
-                raise EvalError(f"undeclared agent {agent!r}")
-            return frozenset()
-        return frozenset(t for (s, t) in rel if s == state)
+        return self._lookup(self._succ, agent, state, _EMPTY)
+
+    def predecessors(self, agent: str, state: str) -> tuple:
+        """States with an `agent` edge into `state`, in no fixed order."""
+        return self._lookup(self._pred, agent, state, ())
+
+    def _lookup(self, index, agent, state, empty):
+        hit = index.get((agent, state))
+        if hit is not None:
+            return hit
+        if agent not in self.access and agent not in self.agents:
+            raise EvalError(f"undeclared agent {agent!r}")
+        return empty
 
     def space(self, agent: str, state: str) -> ProbSpace:
         try:
@@ -119,6 +161,8 @@ def validate(m: Model) -> CheckReport:
     def bad(where, problem):
         rep.add(where=where, problem=problem)
 
+    states = set(m.states)
+    domain = set(m.domain)
     if not m.states:
         bad("states", "state set must be nonempty")
     if not m.domain:
@@ -139,7 +183,7 @@ def validate(m: Model) -> CheckReport:
         for args, value in table.items():
             if len(args) != arity:
                 bad(f"functions.{fn}", f"row {args!r} has wrong arity")
-            elif any(a not in m.domain for a in args) or value not in m.domain:
+            elif any(a not in domain for a in args) or value not in domain:
                 bad(f"functions.{fn}", f"row {args!r} -> {value!r} outside domain")
             seen.add(args)
         if len(seen) != want:
@@ -147,22 +191,22 @@ def validate(m: Model) -> CheckReport:
 
     for rel, (arity, percol) in sorted(m.relations.items()):
         for state, tuples in sorted(percol.items()):
-            if state not in m.states:
+            if state not in states:
                 bad(f"relations.{rel}", f"table keyed by unknown state {state!r}")
                 continue
             for tup in tuples:
                 if len(tup) != arity:
                     bad(f"relations.{rel}@{state}", f"tuple {tup!r} has wrong arity")
-                elif any(d not in m.domain for d in tup):
+                elif any(d not in domain for d in tup):
                     bad(f"relations.{rel}@{state}", f"tuple {tup!r} outside domain")
 
     for agent, pairs in sorted(m.access.items()):
         if agent not in m.agents:
             bad(f"access.{agent}", "accessibility for undeclared agent")
             continue
-        for (s, t) in sorted(pairs):
-            if s not in m.states or t not in m.states:
-                bad(f"access.{agent}", f"edge ({s!r}, {t!r}) outside state set")
+        for (s, t) in sorted((s, t) for (s, t) in pairs
+                             if s not in states or t not in states):
+            bad(f"access.{agent}", f"edge ({s!r}, {t!r}) outside state set")
 
     for agent in m.agents:
         for state in m.states:
@@ -173,7 +217,7 @@ def validate(m: Model) -> CheckReport:
                 continue
             if not sp.sample:
                 bad(where, "sample set must be nonempty")
-            if not sp.sample <= set(m.states):
+            if not sp.sample <= states:
                 bad(where, "sample set must be a subset of the states")
             union = set()
             for atom in sp.atoms:
@@ -182,16 +226,16 @@ def validate(m: Model) -> CheckReport:
                 if atom & union:
                     bad(where, "atoms must be pairwise disjoint")
                 union |= atom
-            if union != set(sp.sample):
+            if union != sp.sample:
                 bad(where, "atoms must partition the sample set")
             if len(sp.weights) != len(sp.atoms):
                 bad(where, "one weight per atom required")
-            if any(w < 0 or w > 1 for w in sp.weights):
+            if any(n < 0 or n > sp._den for n in sp._nums):
                 bad(where, "weights must lie in [0, 1]")
-            if sum(sp.weights, Fraction(0)) != 1:
+            if sum(sp._nums) != sp._den:
                 bad(where, "measure not normalized: weights must sum to 1")
     for (agent, state) in m.prob:
-        if agent not in m.agents or state not in m.states:
+        if agent not in m.agents or state not in states:
             bad(f"prob.{agent}@{state}", "space keyed by unknown agent or state")
 
     if rep.details:

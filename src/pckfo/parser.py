@@ -488,15 +488,18 @@ def load_model(doc: dict) -> Model:
         access.setdefault(agent, frozenset())
 
     prob = {}
+    weights = {}   # weight text -> Fraction, so each distinct text parses once
     prob_doc = _need_opt(doc, "prob", dict, "model")
     for agent, per_state in prob_doc.items():
         if not isinstance(per_state, dict):
             raise SchemaError(f"prob.{agent}: must map states to spaces")
         for state, space_doc in per_state.items():
-            prob[(agent, state)] = _load_space(space_doc, f"prob.{agent}.{state}")
+            prob[(agent, state)] = _load_space(
+                space_doc, f"prob.{agent}.{state}", weights)
     for agent in agents:
         for state in states:
-            prob.setdefault((agent, state), point_space(state))
+            if (agent, state) not in prob:
+                prob[(agent, state)] = point_space(state)
 
     return Model(
         states=tuple(states), domain=tuple(domain), agents=tuple(agents),
@@ -511,7 +514,7 @@ def _need_opt(doc, key, cls, where):
     return _need(doc, key, cls, where)
 
 
-def _load_space(doc, where) -> ProbSpace:
+def _load_space(doc, where, parsed) -> ProbSpace:
     sample = _need(doc, "sample", list, where)
     if "atoms" in doc:
         atoms = [frozenset(a) for a in _need(doc, "atoms", list, where)]
@@ -523,7 +526,12 @@ def _load_space(doc, where) -> ProbSpace:
         key = str(ix)
         if key not in weights_doc:
             raise SchemaError(f"{where}: missing weight for atom {ix}")
-        weights.append(_fraction(weights_doc[key], where))
+        raw = weights_doc[key]
+        text = str(raw)
+        w = parsed.get(text)
+        if w is None:
+            w = parsed[text] = _fraction(raw, where)
+        weights.append(w)
     if len(weights_doc) != len(atoms):
         raise SchemaError(f"{where}: one weight per atom required")
     return ProbSpace(frozenset(sample), tuple(atoms), tuple(weights))

@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 from . import axioms as ax
+from .errors import ProofTransformError
 from .proofcheck import (
     Certificate, FORJust, Guard, MODE_PLAIN, NestedImplicationSpec, Proof,
     ProofBuilder, RCJust, REJust, RKJust, RPJust, k_distribution,
@@ -30,7 +31,8 @@ def _trans(out: ProofBuilder, ab: int, bc: int) -> int:
     """From steps proving a -> b and b -> c, derive a -> c."""
     fa, fb = split_implies(out.steps[ab].formula)
     fb2, fc = split_implies(out.steps[bc].formula)
-    assert fb == fb2, "transitivity endpoints do not meet"
+    if fb != fb2:
+        raise ProofTransformError("transitivity endpoints do not meet")
     taut = out.prop(implies(
         implies(fa, fb), implies(implies(fb, fc), implies(fa, fc))))
     half = out.mp(ab, taut)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pckfo.errors import NotMeasurable
+from pckfo.errors import EvalError, NotMeasurable
 from pckfo.model import (
     CLASS_CON, CLASS_OBJ, CLASS_SDP, CLASS_UNIF, Model, ProbSpace, classify,
     measure, point_space, validate,
@@ -69,8 +71,59 @@ class TestValidate:
         rep = validate(bad)
         assert any("not a declared agent" in d["problem"] for d in rep.details)
 
+    def test_weights_outside_unit_interval(self):
+        # 3/2 + (-1/2) sums to 1, so only the range check can catch it
+        rep = validate(two_state(weights=(F(3, 2), F(-1, 2))))
+        problems = [d["problem"] for d in rep.details]
+        assert "weights must lie in [0, 1]" in problems
+        assert not any("not normalized" in pr for pr in problems)
+
+    def test_every_bad_edge_reported(self):
+        m = two_state()
+        bad = dataclasses.replace(m, access={
+            "a": frozenset({("s0", "s1"), ("s1", "zz"), ("yy", "s0")}),
+            "ghost": frozenset({("s0", "s0")})})
+        assert bad.successors("a", "s1") == {"zz"}
+        assert bad.predecessors("a", "s0") == ("yy",)
+        rep = validate(bad)
+        assert [(d["where"], d["problem"]) for d in rep.details] == [
+            ("access.a", "edge ('s1', 'zz') outside state set"),
+            ("access.a", "edge ('yy', 's0') outside state set"),
+            ("access.ghost", "accessibility for undeclared agent"),
+        ]
+
+
+def _naive_measure(sp, event):
+    ev = frozenset(event) & sp.sample
+    total = Fraction(0)
+    for atom, w in zip(sp.atoms, sp.weights):
+        if atom <= ev:
+            total += w
+        elif atom & ev:
+            raise NotMeasurable(None, None, atom)
+    return total
+
 
 class TestMeasure:
+    def test_mixed_denominators_match_naive_sum(self):
+        sp = ProbSpace(frozenset(["s0", "s1", "s2", "s3"]),
+                       (frozenset(["s2", "s3"]), frozenset(["s0"]),
+                        frozenset(["s1"])),
+                       ("1/6", F(1, 2), F(1, 3)))
+        universe = ["s0", "s1", "s2", "s3", "zz"]
+        for k in range(len(universe) + 1):
+            for event in itertools.combinations(universe, k):
+                try:
+                    want = _naive_measure(sp, event)
+                except NotMeasurable as exc:
+                    with pytest.raises(NotMeasurable) as err:
+                        sp.measure(event, agent="a", state="s0")
+                    assert err.value.atom == exc.atom == {"s2", "s3"}
+                    assert (err.value.agent, err.value.state) == ("a", "s0")
+                    continue
+                got = sp.measure(event)
+                assert got == want and type(got) is Fraction
+
     def test_whole_sample_is_one(self):
         m = three_atom_model()
         assert measure(m, "a", "s0", {"s0", "s1", "s2"}) == 1
@@ -161,3 +214,32 @@ class TestClassify:
             prob={(i, rename[s]): rn_space(sp)
                   for (i, s), sp in m.prob.items()})
         assert classify(m) == classify(m2)
+
+
+_STATES = ("s0", "s1", "s2", "s3")
+_edges = st.frozensets(
+    st.tuples(st.sampled_from(_STATES + ("zz",)), st.sampled_from(_STATES)),
+    max_size=12)
+
+
+@given(st.fixed_dictionaries({"a": _edges}, optional={"b": _edges}))
+def test_index_matches_edge_scan(access):
+    m = Model(states=_STATES, domain=("d0",), agents=("a", "b"),
+              access=access)
+    for agent in ("a", "b"):
+        pairs = access.get(agent, ())
+        for s in _STATES + ("zz",):
+            assert m.successors(agent, s) == frozenset(
+                t for (x, t) in pairs if x == s)
+            assert sorted(m.predecessors(agent, s)) == sorted(
+                x for (x, t) in pairs if t == s)
+    with pytest.raises(EvalError):
+        m.successors("c", "s0")
+    with pytest.raises(EvalError):
+        m.predecessors("c", "s0")
+    rebuilt = dataclasses.replace(m, access={"a": frozenset({("s0", "s3")})})
+    assert rebuilt.successors("a", "s0") == {"s3"}
+    assert rebuilt.successors("b", "s0") == frozenset()
+    assert m == Model(states=_STATES, domain=("d0",), agents=("a", "b"),
+                      access=access)
+    assert "_succ" not in repr(m) and "_pred" not in repr(m)

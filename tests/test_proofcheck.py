@@ -12,7 +12,7 @@ from pckfo.proofcheck import (
     strong_necessitation_transform, theorem_flags,
 )
 from pckfo.prooflib import (
-    fixed_point_proof, group_pair_proof, k_distribution_proof,
+    _trans, fixed_point_proof, group_pair_proof, k_distribution_proof,
     random_finitary_proof,
 )
 from pckfo.report import ACCEPTED, ACCEPTED_BOUNDED, REJECTED
@@ -293,6 +293,16 @@ class TestDeduction:
                            Step(p, HypJust(0))))
         with pytest.raises(ProofTransformError):
             deduction_transform(bad, p)
+
+
+def test_trans_refuses_steps_that_do_not_meet():
+    out = ProofBuilder()
+    ab = out.prop(implies(p, p))
+    bc = out.prop(implies(q, q))
+    with pytest.raises(ProofTransformError, match="do not meet"):
+        _trans(out, ab, bc)
+    ac = _trans(out, ab, ab)
+    assert out.steps[ac].formula == implies(p, p)
 
 
 class TestStrongNecessitation:
