@@ -1,9 +1,12 @@
 """Axiom schemata: instantiation, recognition and the tautology decision.
 
-Schema matching is purely syntactic over core formulas.  A formula can
-instantiate several schemata at once; match_axiom reports every (name,
-parameters) pair whose instantiation is structurally equal to the input, with
-all side conditions verified.
+Each schema is defined once, by its builder: instantiate constructs an
+instance from parameters and checks the side conditions.  Recognition is
+purely syntactic over core formulas and goes through the same builders:
+match_axiom guesses candidate parameters from the outer shape of the input
+and keeps a candidate only if its instantiation is structurally equal to the
+input.  A formula can instantiate several schemata at once; match_axiom
+reports every such (name, parameters) pair.
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import PckfoError, SideConditionError
+from .errors import BudgetError, SideConditionError
 from . import syntax as syn
 from .syntax import (
     And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
     Knows, Not, ProbAtLeast, Var, free_vars, implies, is_free_for,
     iterate_everyone, prob_common_stage, prob_le, prob_lt, split_implies,
-    substitute, top,
+    substitute,
 )
 
 PROP = "Prop"
@@ -63,12 +66,14 @@ def tautology_check(f) -> bool:
 
     Subformulas whose head is not negation/conjunction are treated as opaque
     atoms (identified up to structural equality) and a truth table decides.
+    More than _TAUT_ATOM_CAP such atoms leave the question undecided and
+    raise BudgetError.
     """
     atoms: dict = {}
     skel = _skeleton(f, atoms)
     n = len(atoms)
     if n > _TAUT_ATOM_CAP:
-        raise PckfoError(
+        raise BudgetError(
             f"tautology check over {n} opaque atoms exceeds the cap of "
             f"{_TAUT_ATOM_CAP}")
     for bits in range(1 << n):
@@ -245,11 +250,36 @@ _BUILDERS = {
 
 
 def match_axiom(f, names=ALL_AXIOMS) -> list:
-    """Every axiom instance (among `names`) structurally equal to f."""
+    """Every axiom instance (among `names`) structurally equal to f.
+
+    A schema's guesser reads candidate parameters off f's outer shape; a
+    candidate is reported only if instantiate rebuilds exactly f from it.
+    The builders are thus the one definition of each schema and of its side
+    conditions.  A Prop candidate beyond the tautology cap raises
+    BudgetError: it is undecided, not a non-instance.
+    """
     out = []
     for name in names:
-        out.extend(_MATCHERS[name](f))
+        tried = []
+        for params in _GUESSERS[name](f):
+            if params in tried:
+                continue
+            tried.append(params)
+            try:
+                built = instantiate(name, params)
+            except SideConditionError:
+                continue
+            if built == f:
+                out.append(AxiomInstance(name, f, params))
     return out
+
+
+def _implication(guess):
+    """A guesser over the antecedent and consequent of an implication."""
+    def on_formula(f):
+        pair = split_implies(f)
+        return guess(*pair) if pair else ()
+    return on_formula
 
 
 def _subterms(f):
@@ -268,286 +298,135 @@ def _subterms(f):
     return seen
 
 
-def _dest_prob_le(f):
-    """Recover (agent, r, phi) from the expansion of 'probability at most r'."""
-    if isinstance(f, ProbAtLeast) and isinstance(f.body, Not):
-        return (f.agent, 1 - f.bound, f.body.body)
-    return None
+def _guess_prop(f):
+    yield {"formula": f}
 
 
-def _dest_prob_lt(f):
-    if isinstance(f, Not) and isinstance(f.body, ProbAtLeast):
-        return (f.body.agent, f.body.bound, f.body.body)
-    return None
+@_implication
+def _guess_fo1(a, c):
+    if isinstance(a, Forall) and (body := split_implies(a.body)):
+        yield {"x": a.var, "phi": body[0], "psi": body[1]}
 
 
-def _dest_disj(f):
-    if isinstance(f, Not) and isinstance(f.body, And) \
-            and isinstance(f.body.left, Not) and isinstance(f.body.right, Not):
-        return (f.body.left.body, f.body.right.body)
-    return None
+@_implication
+def _guess_fo2(a, c):
+    # With x free in phi the term sits somewhere in the consequent; without,
+    # any term instantiates trivially and x itself is the canonical one.
+    if isinstance(a, Forall):
+        terms = _subterms(c) if a.var in free_vars(a.body) else []
+        for t in terms + [Var(a.var)]:
+            yield {"x": a.var, "phi": a.body, "term": t}
 
 
-def _match_prop(f):
-    try:
-        ok = tautology_check(f)
-    except PckfoError:
-        return []
-    return [AxiomInstance(PROP, f, {"formula": f})] if ok else []
+@_implication
+def _guess_fo3(a, c):
+    if isinstance(a, Forall) and isinstance(a.body, Knows):
+        yield {"x": a.var, "i": a.body.agent, "phi": a.body.body}
 
 
-def _match_fo1(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], Forall):
-        return []
-    ante, cons = pair
-    inner = split_implies(ante.body)
-    outer = split_implies(cons)
-    if not inner or not outer:
-        return []
-    phi, psi = inner
-    if (outer[0] == phi and isinstance(outer[1], Forall)
-            and outer[1].var == ante.var and outer[1].body == psi
-            and ante.var not in free_vars(phi)):
-        return [AxiomInstance(FO1, f, {"x": ante.var, "phi": phi, "psi": psi})]
-    return []
+@_implication
+def _guess_ak(a, c):
+    if isinstance(a, And) and isinstance(a.left, Knows) \
+            and isinstance(c, Knows):
+        yield {"i": c.agent, "phi": a.left.body, "psi": c.body}
 
 
-def _match_fo2(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], Forall):
-        return []
-    quant, rhs = pair
-    x, phi = quant.var, quant.body
-    if x not in free_vars(phi):
-        # Any term instantiates trivially; report the canonical identity one.
-        if phi == rhs:
-            return [AxiomInstance(FO2, f, {"x": x, "phi": phi, "term": Var(x)})]
-        return []
-    out = []
-    for t in _subterms(rhs) + [Var(x)]:
-        if is_free_for(t, x, phi) and substitute(phi, x, t) == rhs:
-            inst = AxiomInstance(FO2, f, {"x": x, "phi": phi, "term": t})
-            if all(prev.params != inst.params for prev in out):
-                out.append(inst)
-    return out
+@_implication
+def _guess_ae(a, c):
+    if isinstance(a, EveryoneKnows) and isinstance(c, Knows):
+        yield {"group": a.group, "i": c.agent, "phi": a.body}
 
 
-def _match_fo3(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    ante, cons = pair
-    if (isinstance(ante, Forall) and isinstance(ante.body, Knows)
-            and isinstance(cons, Knows) and isinstance(cons.body, Forall)
-            and cons.agent == ante.body.agent and cons.body.var == ante.var
-            and cons.body.body == ante.body.body):
-        return [AxiomInstance(FO3, f, {
-            "x": ante.var, "i": cons.agent, "phi": ante.body.body})]
-    return []
+@_implication
+def _guess_ac(a, c):
+    # E^m phi has m more leading everyone-knows layers than phi itself.
+    if isinstance(a, CommonKnows):
+        m, phi = 0, a.body
+        while isinstance(c, EveryoneKnows):
+            m, c = m + 1, c.body
+        while isinstance(phi, EveryoneKnows):
+            m, phi = m - 1, phi.body
+        yield {"group": a.group, "m": m, "phi": a.body}
 
 
-def _match_ak(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], And) or not isinstance(pair[1], Knows):
-        return []
-    conj, cons = pair
-    if not (isinstance(conj.left, Knows) and isinstance(conj.right, Knows)):
-        return []
-    i = cons.agent
-    if conj.left.agent != i or conj.right.agent != i:
-        return []
-    phi, psi = conj.left.body, cons.body
-    if conj.right.body == implies(phi, psi):
-        return [AxiomInstance(AK, f, {"i": i, "phi": phi, "psi": psi})]
-    return []
+def _guess_p1(f):
+    if isinstance(f, ProbAtLeast):
+        yield {"i": f.agent, "phi": f.body}
 
 
-def _match_ae(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    ante, cons = pair
-    if (isinstance(ante, EveryoneKnows) and isinstance(cons, Knows)
-            and cons.body == ante.body and cons.agent in ante.group):
-        return [AxiomInstance(AE, f, {
-            "group": ante.group, "i": cons.agent, "phi": ante.body})]
-    return []
+@_implication
+def _guess_p2(a, c):
+    if isinstance(a, ProbAtLeast) and isinstance(a.body, Not) \
+            and isinstance(c, Not) and isinstance(c.body, ProbAtLeast):
+        yield {"i": a.agent, "r": 1 - a.bound, "t": c.body.bound,
+               "phi": a.body.body}
 
 
-def _match_ac(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], CommonKnows):
-        return []
-    ante, cons = pair
-    g, phi = ante.group, ante.body
-    out = []
-    m, cur = 0, cons
-    while isinstance(cur, EveryoneKnows) and cur.group == g:
-        m += 1
-        cur = cur.body
-        if cur == phi:
-            out.append(AxiomInstance(AC, f, {"group": g, "m": m, "phi": phi}))
-    return out
+@_implication
+def _guess_p3(a, c):
+    if isinstance(a, Not) and isinstance(a.body, ProbAtLeast):
+        yield {"i": a.body.agent, "t": a.body.bound, "phi": a.body.body}
 
 
-def _match_p1(f):
-    if isinstance(f, ProbAtLeast) and f.bound == 0:
-        return [AxiomInstance(P1, f, {"i": f.agent, "phi": f.body})]
-    return []
+@_implication
+def _guess_p4(a, c):
+    if isinstance(a, And) and isinstance(a.left, And):
+        first, second = a.left.left, a.left.right
+        if isinstance(first, ProbAtLeast) and isinstance(second, ProbAtLeast):
+            yield {"i": first.agent, "r": first.bound, "t": second.bound,
+                   "phi": first.body, "psi": second.body}
 
 
-def _match_p2(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    le = _dest_prob_le(pair[0])
-    lt = _dest_prob_lt(pair[1])
-    if le and lt and le[0] == lt[0] and le[2] == lt[2] and lt[1] > le[1]:
-        return [AxiomInstance(P2, f, {
-            "i": le[0], "r": le[1], "t": lt[1], "phi": le[2]})]
-    return []
+@_implication
+def _guess_p5(a, c):
+    if isinstance(a, And):
+        le, lt = a.left, a.right
+        if isinstance(le, ProbAtLeast) and isinstance(le.body, Not) \
+                and isinstance(lt, Not) and isinstance(lt.body, ProbAtLeast):
+            yield {"i": le.agent, "r": 1 - le.bound, "t": lt.body.bound,
+                   "phi": le.body.body, "psi": lt.body.body}
 
 
-def _match_p3(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    lt = _dest_prob_lt(pair[0])
-    le = _dest_prob_le(pair[1])
-    if lt and le and lt[0] == le[0] and lt[1] == le[1] and lt[2] == le[2]:
-        return [AxiomInstance(P3, f, {"i": lt[0], "t": lt[1], "phi": lt[2]})]
-    return []
+@_implication
+def _guess_ape(a, c):
+    if isinstance(a, EveryoneProb) and isinstance(c, Knows):
+        yield {"group": a.group, "i": c.agent, "r": a.bound, "phi": a.body}
 
 
-def _match_p4(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], And) or not isinstance(pair[0].left, And):
-        return []
-    first, second = pair[0].left.left, pair[0].left.right
-    third, cons = pair[0].right, pair[1]
-    dis = _dest_disj(cons.body) if isinstance(cons, ProbAtLeast) else None
-    if not (isinstance(first, ProbAtLeast) and isinstance(second, ProbAtLeast)
-            and isinstance(third, ProbAtLeast) and dis):
-        return []
-    i, r, phi = first.agent, first.bound, first.body
-    t, psi = second.bound, second.body
-    if (second.agent == i and third.agent == i and cons.agent == i
-            and third.bound == 1 and third.body == Not(And(phi, psi))
-            and dis == (phi, psi)
-            and cons.bound == min(Fraction(1), r + t)):
-        return [AxiomInstance(P4, f, {
-            "i": i, "r": r, "t": t, "phi": phi, "psi": psi})]
-    return []
+@_implication
+def _guess_apc(a, c):
+    # Stage m nests m group-probability layers down the right conjuncts.
+    if isinstance(a, CommonProb):
+        m = 0
+        while isinstance(c, EveryoneProb) and isinstance(c.body, And):
+            m, c = m + 1, c.body.right
+        yield {"group": a.group, "r": a.bound, "m": m, "phi": a.body}
 
 
-def _match_p5(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], And):
-        return []
-    le = _dest_prob_le(pair[0].left)
-    lt = _dest_prob_lt(pair[0].right)
-    cl = _dest_prob_lt(pair[1])
-    if not (le and lt and cl):
-        return []
-    i, r, phi = le
-    if lt[0] != i or cl[0] != i:
-        return []
-    t, psi = lt[1], lt[2]
-    dis = _dest_disj(cl[2])
-    if dis == (phi, psi) and cl[1] == r + t and r + t <= 1:
-        return [AxiomInstance(P5, f, {
-            "i": i, "r": r, "t": t, "phi": phi, "psi": psi})]
-    return []
+@_implication
+def _guess_con(a, c):
+    if isinstance(a, Knows):
+        yield {"i": a.agent, "phi": a.body}
 
 
-def _match_ape(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    ante, cons = pair
-    if (isinstance(ante, EveryoneProb) and isinstance(cons, Knows)
-            and isinstance(cons.body, ProbAtLeast)
-            and cons.body.agent == cons.agent
-            and cons.agent in ante.group
-            and cons.body.bound == ante.bound
-            and cons.body.body == ante.body):
-        return [AxiomInstance(APE, f, {
-            "group": ante.group, "i": cons.agent, "r": ante.bound,
-            "phi": ante.body})]
-    return []
+@_implication
+def _guess_obj(a, c):
+    if isinstance(a, ProbAtLeast) and isinstance(c, ProbAtLeast):
+        yield {"i": a.agent, "j": c.agent, "r": a.bound, "phi": a.body}
 
 
-def _match_apc(f):
-    pair = split_implies(f)
-    if not pair or not isinstance(pair[0], CommonProb):
-        return []
-    ante, cons = pair
-    g, r, phi = ante.group, ante.bound, ante.body
-    out = []
-    if cons == top():
-        out.append(AxiomInstance(APC, f, {"group": g, "r": r, "m": 0, "phi": phi}))
-    m, cur = 0, cons
-    while (isinstance(cur, EveryoneProb) and cur.group == g and cur.bound == r
-           and isinstance(cur.body, And) and cur.body.left == phi):
-        m += 1
-        cur = cur.body.right
-        if cur == top():
-            out.append(AxiomInstance(APC, f, {"group": g, "r": r, "m": m, "phi": phi}))
-            break
-    return out
+@_implication
+def _guess_introspective(a, c):
+    """SDP-A and UNIF-A: the antecedent is the whole parameter set."""
+    if isinstance(a, ProbAtLeast):
+        yield {"i": a.agent, "r": a.bound, "phi": a.body}
 
 
-def _match_con(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    ante, cons = pair
-    if (isinstance(ante, Knows) and isinstance(cons, ProbAtLeast)
-            and cons.agent == ante.agent and cons.bound == 1
-            and cons.body == ante.body):
-        return [AxiomInstance(CON, f, {"i": ante.agent, "phi": ante.body})]
-    return []
-
-
-def _match_obj(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    a, b = pair
-    if (isinstance(a, ProbAtLeast) and isinstance(b, ProbAtLeast)
-            and a.bound == b.bound and a.body == b.body):
-        return [AxiomInstance(OBJ, f, {
-            "i": a.agent, "j": b.agent, "r": a.bound, "phi": a.body})]
-    return []
-
-
-def _match_sdp(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    a, b = pair
-    if (isinstance(a, ProbAtLeast) and isinstance(b, Knows)
-            and b.agent == a.agent and b.body == a):
-        return [AxiomInstance(SDP_A, f, {"i": a.agent, "r": a.bound, "phi": a.body})]
-    return []
-
-
-def _match_unif(f):
-    pair = split_implies(f)
-    if not pair:
-        return []
-    a, b = pair
-    if (isinstance(a, ProbAtLeast) and isinstance(b, ProbAtLeast)
-            and b.agent == a.agent and b.bound == 1 and b.body == a):
-        return [AxiomInstance(UNIF_A, f, {"i": a.agent, "r": a.bound, "phi": a.body})]
-    return []
-
-
-_MATCHERS = {
-    PROP: _match_prop, FO1: _match_fo1, FO2: _match_fo2, FO3: _match_fo3,
-    AK: _match_ak, AE: _match_ae, AC: _match_ac,
-    P1: _match_p1, P2: _match_p2, P3: _match_p3, P4: _match_p4, P5: _match_p5,
-    APE: _match_ape, APC: _match_apc,
-    CON: _match_con, OBJ: _match_obj, SDP_A: _match_sdp, UNIF_A: _match_unif,
+_GUESSERS = {
+    PROP: _guess_prop, FO1: _guess_fo1, FO2: _guess_fo2, FO3: _guess_fo3,
+    AK: _guess_ak, AE: _guess_ae, AC: _guess_ac,
+    P1: _guess_p1, P2: _guess_p2, P3: _guess_p3, P4: _guess_p4, P5: _guess_p5,
+    APE: _guess_ape, APC: _guess_apc,
+    CON: _guess_con, OBJ: _guess_obj,
+    SDP_A: _guess_introspective, UNIF_A: _guess_introspective,
 }

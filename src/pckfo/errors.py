@@ -36,7 +36,8 @@ class ParseError(PckfoError):
 
 
 class SchemaError(PckfoError):
-    """A structured model/proof document violated its schema."""
+    """A structured model/proof document (or a model part built in code)
+    violated its schema."""
 
 
 class EvalError(PckfoError):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EvalError, NotMeasurable
+from .errors import EvalError, NotMeasurable, SchemaError
 from .report import CheckReport, INVALID, OK
 
 CLASS_CON = "CON"
@@ -28,7 +28,8 @@ class ProbSpace:
 
     Construction also puts the weights over one common denominator
     (the lcm of theirs) as integer numerators, so measuring and
-    validating add integers.
+    validating add integers.  It raises SchemaError unless there is
+    exactly one weight per atom.
     """
 
     sample: frozenset
@@ -38,6 +39,10 @@ class ProbSpace:
     _nums: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.weights) != len(self.atoms):
+            raise SchemaError(
+                f"one weight per atom required: {len(self.atoms)} atoms, "
+                f"{len(self.weights)} weights")
         keys = [sorted(atom) for atom in self.atoms]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         weights = tuple([w if isinstance(w, Fraction) else Fraction(w)
@@ -228,8 +233,6 @@ def validate(m: Model) -> CheckReport:
                 union |= atom
             if union != sp.sample:
                 bad(where, "atoms must partition the sample set")
-            if len(sp.weights) != len(sp.atoms):
-                bad(where, "one weight per atom required")
             if any(n < 0 or n > sp._den for n in sp._nums):
                 bad(where, "weights must lie in [0, 1]")
             if sum(sp._nums) != sp._den:

@@ -428,6 +428,13 @@ def _int(raw, where) -> int:
         raise SchemaError(f"{where}: bad integer {raw!r}") from None
 
 
+def _strings(raw, where) -> list:
+    """raw, checked to be a list of strings (state, agent or element names)."""
+    if not (isinstance(raw, list) and all(map(str.__instancecheck__, raw))):
+        raise SchemaError(f"{where}: expected a list of names, got {raw!r}")
+    return raw
+
+
 def _fraction(text, where) -> Fraction:
     try:
         return Fraction(str(text))
@@ -439,15 +446,13 @@ def load_model(doc: dict) -> Model:
     """Build a Model from a decoded model document (schema checks only)."""
     if not isinstance(doc, dict):
         raise SchemaError("model document must be an object")
-    states = _need(doc, "states", list, "model")
-    domain = _need(doc, "domain", list, "model")
-    agents = _need(doc, "agents", list, "model")
+    states = _strings(_need(doc, "states", list, "model"), "model.states")
+    domain = _strings(_need(doc, "domain", list, "model"), "model.domain")
+    agents = _strings(_need(doc, "agents", list, "model"), "model.agents")
 
     groups = {}
     for name, members in _need_opt(doc, "groups", dict, "model").items():
-        if not isinstance(members, list):
-            raise SchemaError(f"groups.{name}: members must be a list")
-        groups[name] = tuple(sorted(set(members)))
+        groups[name] = tuple(sorted(set(_strings(members, f"groups.{name}"))))
 
     functions = {}
     for entry in _need_opt(doc, "functions", list, "model"):
@@ -455,7 +460,8 @@ def load_model(doc: dict) -> Model:
         arity = _need(entry, "arity", int, f"functions.{sym}")
         table = {}
         for row in _need(entry, "table", list, f"functions.{sym}"):
-            args = tuple(_need(row, "args", list, f"functions.{sym}"))
+            args = tuple(_strings(_need(row, "args", list, f"functions.{sym}"),
+                                  f"functions.{sym}"))
             table[args] = _need(row, "value", str, f"functions.{sym}")
         if sym in functions:
             raise SchemaError(f"functions.{sym}: duplicate symbol")
@@ -467,9 +473,10 @@ def load_model(doc: dict) -> Model:
         arity = _need(entry, "arity", int, f"relations.{sym}")
         table = {}
         for state, rows in _need(entry, "table", dict, f"relations.{sym}").items():
+            where = f"relations.{sym}.{state}"
             if not isinstance(rows, list):
-                raise SchemaError(f"relations.{sym}.{state}: rows must be a list")
-            table[state] = frozenset(tuple(row) for row in rows)
+                raise SchemaError(f"{where}: rows must be a list")
+            table[state] = frozenset(tuple(_strings(row, where)) for row in rows)
         if sym in relations:
             raise SchemaError(f"relations.{sym}: duplicate symbol")
         relations[sym] = (arity, table)
@@ -480,7 +487,8 @@ def load_model(doc: dict) -> Model:
             raise SchemaError(f"access.{agent}: must be a list of [s, t] pairs")
         edges = set()
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
                 raise SchemaError(f"access.{agent}: bad edge {pair!r}")
             edges.add((pair[0], pair[1]))
         access[agent] = frozenset(edges)
@@ -515,9 +523,16 @@ def _need_opt(doc, key, cls, where):
 
 
 def _load_space(doc, where, parsed) -> ProbSpace:
-    sample = _need(doc, "sample", list, where)
+    sample = _strings(_need(doc, "sample", list, where), where)
     if "atoms" in doc:
-        atoms = [frozenset(a) for a in _need(doc, "atoms", list, where)]
+        # Checking every atom member costs about a tenth of loading a large
+        # model, so only unhashable members are caught here; any other
+        # non-state member fails validate's partition check.
+        try:
+            atoms = [frozenset(a) for a in _need(doc, "atoms", list, where)]
+        except TypeError:
+            raise SchemaError(f"{where}: atoms must be lists of state names"
+                              ) from None
     else:
         atoms = [frozenset([s]) for s in sorted(sample)]
     weights_doc = _need(doc, "weights", dict, where)
@@ -600,17 +615,17 @@ def _load_params(doc, where) -> dict:
     out = {}
     for key, raw in doc.items():
         if key in _PARAM_FORMULAS:
-            out[key] = parse_formula(raw)
+            out[key] = parse_formula(_need(doc, key, str, where))
         elif key == "term":
-            out[key] = parse_term(raw)
+            out[key] = parse_term(_need(doc, key, str, where))
         elif key in ("r", "t"):
             out[key] = _fraction(raw, where)
         elif key == "m":
             out[key] = _int(raw, where)
         elif key == "group":
-            out[key] = tuple(raw)
+            out[key] = tuple(_strings(_need(doc, key, list, where), where))
         elif key in ("i", "j", "x"):
-            out[key] = str(raw)
+            out[key] = _need(doc, key, str, where)
         else:
             raise SchemaError(f"{where}: unknown axiom parameter {key!r}")
     return out
@@ -676,11 +691,11 @@ def _dump_certificate(cert) -> dict:
 def _load_just(doc, where):
     kind = _need(doc, "kind", str, where)
     if kind == "CON-axiom":
-        return pc.AxiomJust("CON", tuple(sorted(
-            _load_params(doc.get("params", {}), where).items())))
+        params = _load_params(_need_opt(doc, "params", dict, where), where)
+        return pc.AxiomJust("CON", tuple(sorted(params.items())))
     if kind == "axiom":
         name = _need(doc, "name", str, where)
-        params = _load_params(doc.get("params", {}), where)
+        params = _load_params(_need_opt(doc, "params", dict, where), where)
         return pc.AxiomJust(name, tuple(sorted(params.items())))
     if kind == "hyp":
         return pc.HypJust(_need(doc, "index", int, where))

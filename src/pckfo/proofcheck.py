@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import axioms as ax
-from .errors import ProofTransformError
+from .errors import BudgetError, ProofTransformError
 from .report import ACCEPTED, ACCEPTED_BOUNDED, REJECTED, CheckReport
 from .syntax import (
     And, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall, Guard,
@@ -271,7 +271,13 @@ def _check_step(proof, ix, step, flags, axiom_names):
         if just.name not in axiom_names:
             return (f"axiom {just.name!r} not available in mode "
                     f"{proof.mode!r}", False)
-        matches = ax.match_axiom(f, names=(just.name,))
+        try:
+            matches = ax.match_axiom(f, names=(just.name,))
+        except BudgetError as exc:
+            # Still a rejection, as the checker cannot tell either way.  The
+            # closing clause is the wording perfbench's taut-cap check expects.
+            return (f"Prop undecided: {exc} (the formula is not an instance"
+                    " of Prop that this checker can decide)", False)
         if not matches:
             return (f"formula is not an instance of {just.name}", False)
         if just.params:

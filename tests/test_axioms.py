@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pckfo.axioms as ax
-from pckfo.errors import SideConditionError
+from pckfo.errors import BudgetError, SideConditionError
 from pckfo.oracle import random_axiom_instance, DEFAULT_GRID
 from pckfo.parser import parse_formula
 from pckfo.syntax import (
@@ -30,6 +30,16 @@ class TestTautologyCheck:
     def test_implication_sugar(self):
         assert ax.tautology_check(parse_formula("(p -> q) -> (!q -> !p)"))
         assert not ax.tautology_check(parse_formula("p -> q"))
+
+
+    def test_atom_cap_is_a_budget_error(self):
+        f = p
+        for k in range(19):
+            f = And(f, Atom(f"r{k}"))
+        with pytest.raises(BudgetError):
+            ax.tautology_check(implies(f, p))
+        with pytest.raises(BudgetError):
+            ax.match_axiom(implies(f, p), names=(ax.PROP,))
 
 
 class TestMatch:

@@ -95,6 +95,23 @@ class TestValidateClassify:
         assert code == 4
         assert "not normalized" in out
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["states"].append(["s1"]),
+        lambda doc: doc["access"]["a"].append([["x"], "s0"]),
+        lambda doc: doc["prob"]["a"]["s0"].update(atoms=[[["s0"]]]),
+        lambda doc: doc["agents"].append(["b"]),
+        lambda doc: doc["domain"].append(["d1"]),
+        lambda doc: doc["relations"].append(
+            {"symbol": "R", "arity": 1, "table": {"s0": [[["d0"]]]}}),
+    ], ids=["state", "edge-endpoint", "atom-member", "agent", "element",
+            "relation-row"])
+    def test_non_string_name_is_schema_error(self, tmp_path, tiny, edit):
+        doc = json.loads(open(tiny).read())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("validate", "--model", str(path))[0] == 3
+
     def test_classify_con_model(self, fixtures_dir):
         code, out = run("classify", "--model",
                         str(fixtures_dir / "models" / "con.json"))
@@ -130,7 +147,12 @@ class TestCheckProof:
         {"steps": [{"formula": "p", "just": {
             "kind": "RE", "spec": {"k": 0, "thetas": ["p"], "guards": []},
             "premises": {"a": "zz"}}}]},
-    ], ids=["step-not-object", "axiom-param-m", "premise-step"])
+        {"steps": [{"formula": "p", "just": {
+            "kind": "axiom", "name": "AE", "params": {"group": 3}}}]},
+        {"steps": [{"formula": "p", "just": {
+            "kind": "axiom", "name": "P1", "params": {"phi": 3}}}]},
+    ], ids=["step-not-object", "axiom-param-m", "premise-step",
+            "axiom-param-group", "axiom-param-phi"])
     def test_malformed_document_is_schema_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pckfo.errors import EvalError, NotMeasurable
+from pckfo.errors import EvalError, NotMeasurable, SchemaError
 from pckfo.model import (
     CLASS_CON, CLASS_OBJ, CLASS_SDP, CLASS_UNIF, Model, ProbSpace, classify,
     measure, point_space, validate,
@@ -123,6 +123,13 @@ class TestMeasure:
                     continue
                 got = sp.measure(event)
                 assert got == want and type(got) is Fraction
+
+    @pytest.mark.parametrize("weights", [(F(1),), (F(1, 2), F(1, 2), F(0))],
+                             ids=["one-weight", "three-weights"])
+    def test_weight_count_must_match_atoms(self, weights):
+        with pytest.raises(SchemaError, match="one weight per atom"):
+            ProbSpace(frozenset(["s0", "s1"]),
+                      (frozenset(["s0"]), frozenset(["s1"])), weights)
 
     def test_whole_sample_is_one(self):
         m = three_atom_model()

@@ -204,6 +204,20 @@ def test_nested_rule_rejection_messages(just, tau, message):
     assert problems(rep) == [{"step": 0, "problem": message}]
 
 
+def test_prop_over_the_atom_cap_is_undecided():
+    atoms = [Atom(f"A{k}") for k in range(1, 20)]
+    conj = atoms[0]
+    for a in atoms[1:]:
+        conj = And(conj, a)
+    proof = Proof((), (Step(implies(conj, atoms[6]), AxiomJust(ax.PROP)),))
+    rep = check(proof)
+    assert rep.verdict == REJECTED
+    [detail] = problems(rep)
+    assert detail["problem"].startswith(
+        "Prop undecided: tautology check over 19 opaque atoms exceeds the"
+        " cap of 18")
+
+
 class TestTheoremFlags:
     def test_flag_soundness_replay_with_no_hypotheses(self):
         # every theorem-flagged step replays as an accepted hypothesis-free proof
