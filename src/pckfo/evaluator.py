@@ -95,6 +95,8 @@ class Evaluator:
 
     def _key(self, f, v):
         fv = free_vars(f)
+        if not fv:
+            return (f, ())
         items = []
         for name in sorted(fv):
             if name not in v:

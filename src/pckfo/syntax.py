@@ -6,11 +6,17 @@ group, common) and their probabilistic counterparts.  Everything else
 (implication, disjunction, existential quantifier, the remaining probability
 comparisons, truth constants) is an abbreviation and is expanded eagerly, so
 structural equality of dataclasses is the one and only formula identity.
+
+Formula nodes are immutable, so each one computes its hash and its set of
+free variables the first time it is asked and keeps them in the node.  The
+hash is the one a frozen dataclass gives (the hash of the tuple of its
+fields), and equality stays structural: two separately built equal formulas
+are equal and hash alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -56,7 +62,16 @@ def term_vars(t: Term) -> frozenset:
 
 
 def _as_group(members) -> tuple:
-    """Normalize a group: sorted, duplicate-free, nonempty tuple of tokens."""
+    """Normalize a group: sorted, duplicate-free, nonempty tuple of tokens.
+    A tuple of strings already in that form is returned as it is."""
+    if type(members) is tuple and members:
+        prev = ""
+        for m in members:
+            if type(m) is not str or not prev < m:
+                break
+            prev = m
+        else:
+            return members
     out = tuple(sorted(set(members)))
     if not out:
         raise ValueError("group must be nonempty")
@@ -67,6 +82,8 @@ def _as_group(members) -> tuple:
 
 
 def _check_bound(r: Fraction) -> Fraction:
+    if type(r) is Fraction and 0 <= r.numerator <= r.denominator:
+        return r
     r = Fraction(r)
     if r < 0 or r > 1:
         raise RationalRangeError(f"probability bound {r} outside [0, 1]")
@@ -74,36 +91,69 @@ def _check_bound(r: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Atom:
+class _Node:
+    """What every formula node keeps about itself once it is asked: its
+    hash and its free variables (None until then).  They are written
+    straight into the instance dict, as functools.cached_property does,
+    because the dataclass is frozen."""
+
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
+    _fv: frozenset = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # String hashes differ between processes, so a pickled or copied
+        # node starts without the stored values.
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_hash", "_fv")}
+
+
+def _node(cls):
+    """Make cls a frozen formula dataclass whose __hash__ computes the
+    dataclass hash once and then returns the stored value."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = structural(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
+class Atom(_Node):
     rel: str
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Knows:
+@_node
+class Knows(_Node):
     agent: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class EveryoneKnows:
+@_node
+class EveryoneKnows(_Node):
     group: tuple
     body: "Formula"
 
@@ -111,8 +161,8 @@ class EveryoneKnows:
         object.__setattr__(self, "group", _as_group(self.group))
 
 
-@dataclass(frozen=True)
-class CommonKnows:
+@_node
+class CommonKnows(_Node):
     group: tuple
     body: "Formula"
 
@@ -120,8 +170,8 @@ class CommonKnows:
         object.__setattr__(self, "group", _as_group(self.group))
 
 
-@dataclass(frozen=True)
-class ProbAtLeast:
+@_node
+class ProbAtLeast(_Node):
     agent: str
     bound: Fraction
     body: "Formula"
@@ -130,8 +180,8 @@ class ProbAtLeast:
         object.__setattr__(self, "bound", _check_bound(self.bound))
 
 
-@dataclass(frozen=True)
-class EveryoneProb:
+@_node
+class EveryoneProb(_Node):
     group: tuple
     bound: Fraction
     body: "Formula"
@@ -141,8 +191,8 @@ class EveryoneProb:
         object.__setattr__(self, "bound", _check_bound(self.bound))
 
 
-@dataclass(frozen=True)
-class CommonProb:
+@_node
+class CommonProb(_Node):
     group: tuple
     bound: Fraction
     body: "Formula"
@@ -256,14 +306,12 @@ def expand_abbrev(name: str, *args) -> Formula:
 # ---------------------------------------------------------------------------
 # free variables, substitution
 
-_fv_cache: dict = {}
-
-
 def free_vars(f: Formula) -> frozenset:
-    """Variables with at least one free occurrence in f."""
-    hit = _fv_cache.get(f)
-    if hit is not None:
-        return hit
+    """Variables with at least one free occurrence in f (computed once per
+    node and kept in it)."""
+    out = f._fv
+    if out is not None:
+        return out
     if isinstance(f, Atom):
         out = frozenset().union(*(term_vars(t) for t in f.args)) if f.args else frozenset()
     elif isinstance(f, Forall):
@@ -272,7 +320,7 @@ def free_vars(f: Formula) -> frozenset:
         out = free_vars(f.left) | free_vars(f.right)
     else:
         out = free_vars(f.body)
-    _fv_cache[f] = out
+    f.__dict__["_fv"] = out
     return out
 
 

@@ -202,16 +202,22 @@ class TestFindFuzzDemo:
 
     def test_fuzz_bytes_independent_of_hash_seed(self):
         src = str(Path(pckfo.__file__).resolve().parents[1])
-        outs = set()
-        for seed in ("0", "1", "3", "5"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            proc = subprocess.run(
-                [sys.executable, "-m", "pckfo.cli", "fuzz", "--n", "200",
-                 "--seed", "7", "--json"],
-                env=env, capture_output=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            outs.add(proc.stdout)
-        assert len(outs) == 1
+        commands = (
+            ["fuzz", "--n", "200", "--seed", "7", "--json"],
+            ["demo", "validity", "--family", "fixed-point", "--json"],
+            ["find", "--formula", "P[a]>=1/2 p & !P[a]>=1 p & !K[a] q",
+             "--json"],
+        )
+        for argv in commands:
+            outs = set()
+            for seed in ("0", "1", "3", "5"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pckfo.cli", *argv],
+                    env=env, capture_output=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outs.add(proc.stdout)
+            assert len(outs) == 1, argv
 
     def test_fuzz_at_criterion_1_shape(self):
         code, out = run("fuzz", "--budget-states", "3", "--budget-domain", "2",

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,8 @@ from pckfo.model import Model, ProbSpace, point_space
 from pckfo.oracle import chain_model
 from pckfo.parser import parse_formula, parse_model
 from pckfo.syntax import (
-    And, App, Atom, CommonProb, Not, ProbAtLeast, Var, bot, implies,
-    iterate_everyone, knows_prob, prob_common_stage, top,
+    And, App, Atom, CommonProb, Forall, Knows, Not, ProbAtLeast, Var, bot,
+    free_vars, implies, iterate_everyone, knows_prob, prob_common_stage, top,
 )
 
 F = Fraction
@@ -123,6 +125,15 @@ class TestExtension:
                                   {"x": "d0", "y": "d0"})
         assert rec.valuation == (("x", "d0"),)
         assert rec.states <= frozenset(m.states)
+
+    def test_no_module_table_keeps_formulas(self):
+        f = Forall("x", Knows("a", Atom("R", (Var("x"), Var("y")))))
+        free_vars(f)
+        Evaluator(thirds_model()).extension(f, {"y": "d0"})
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
     def test_top_is_all_states(self):
         m = thirds_model()

@@ -1,15 +1,24 @@
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pckfo
 from pckfo.errors import ArityError, CaptureError, RationalRangeError
+from pckfo.parser import parse_formula, print_formula
 from pckfo.syntax import (
-    And, App, Atom, CommonKnows, EveryoneKnows, Forall, Guard, Knows,
-    NestedImplicationSpec, Not, ProbAtLeast, Var, bot, exists, expand_abbrev,
-    free_vars, implies, is_free_for, is_sentence, iterate_everyone,
-    knows_prob, nested_implication, peel_nested, prob_common_stage, prob_eq,
-    prob_le, prob_lt, split_implies, substitute, subformulas, top,
+    And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
+    Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var, bot,
+    exists, expand_abbrev, free_vars, implies, is_free_for, is_sentence,
+    iterate_everyone, knows_prob, nested_implication, peel_nested,
+    prob_common_stage, prob_eq, prob_le, prob_lt, split_implies, substitute,
+    subformulas, top,
 )
 
 x, y = Var("x"), Var("y")
@@ -171,6 +180,37 @@ class TestGroups:
         with pytest.raises(RationalRangeError):
             ProbAtLeast("i", Fraction(3, 2), p)
 
+    @pytest.mark.parametrize("members", [
+        ("a",), ("a", "b"), ("a", "b", "c"), ("b", "a"), ("a", "a"),
+        ["a", "b"], ("",), ("", "a"), ("a", ""), (), []])
+    def test_group_normal_form(self, members):
+        want = tuple(sorted(set(members)))
+        for cls in (EveryoneKnows, CommonKnows):
+            if not want or not all(want):
+                with pytest.raises(ValueError):
+                    cls(members, p)
+            else:
+                assert cls(members, p).group == want
+
+    def test_normal_group_is_kept(self):
+        g = ("a", "b")
+        assert EveryoneKnows(g, p).group is g
+        assert CommonProb(g, Fraction(1, 2), p).group is g
+
+    @pytest.mark.parametrize("bound, want", [
+        (Fraction(1, 2), Fraction(1, 2)), (0, Fraction(0)), (1, Fraction(1)),
+        ("1/3", Fraction(1, 3)), (Fraction(0), Fraction(0)),
+        (Fraction(-1, 2), None), (Fraction(3, 2), None), (2, None)])
+    def test_bound_normal_form(self, bound, want):
+        for build in (lambda r: ProbAtLeast("a", r, p),
+                      lambda r: EveryoneProb(("a",), r, p)):
+            if want is None:
+                with pytest.raises(RationalRangeError):
+                    build(bound)
+            else:
+                got = build(bound).bound
+                assert got == want and type(got) is Fraction
+
 
 # -- property tests ----------------------------------------------------------
 
@@ -193,8 +233,67 @@ def _formulas():
             st.builds(Knows, st.sampled_from(["a", "b"]), kids),
             st.builds(lambda f: ProbAtLeast("a", Fraction(1, 2), f), kids),
             st.builds(lambda f: EveryoneKnows(("a", "b"), f), kids),
+            st.builds(lambda f: CommonKnows(("b", "a"), f), kids),
+            st.builds(lambda f: EveryoneProb(("a",), Fraction(1, 3), f), kids),
+            st.builds(lambda f: CommonProb(("a", "b"), Fraction(1), f), kids),
         ),
         max_leaves=8)
+
+
+def _field_tuple(f):
+    """The tuple a frozen dataclass hashes: its compared fields in order."""
+    return tuple(getattr(f, fl.name) for fl in dataclasses.fields(f)
+                 if fl.compare)
+
+
+def _naive_term_vars(t):
+    if isinstance(t, Var):
+        return {t.name}
+    return set().union(*(_naive_term_vars(a) for a in t.args))
+
+
+def _naive_free_vars(f):
+    if isinstance(f, Atom):
+        return set().union(*(_naive_term_vars(t) for t in f.args))
+    if isinstance(f, Forall):
+        return _naive_free_vars(f.body) - {f.var}
+    if isinstance(f, And):
+        return _naive_free_vars(f.left) | _naive_free_vars(f.right)
+    return _naive_free_vars(f.body)
+
+
+@given(_formulas())
+def test_stored_hash_and_free_vars(f):
+    for g in subformulas(f):
+        assert hash(g) == hash(_field_tuple(g))
+        assert free_vars(g) == _naive_free_vars(g)
+    again = parse_formula(print_formula(f))
+    assert again == f and again is not f
+    assert hash(again) == hash(f)
+
+
+def test_node_pickled_under_another_hash_seed():
+    code = ("import pickle, sys; from pckfo.syntax import *; "
+            "f = Knows('a', Forall('x', Atom('R', (Var('x'),)))); "
+            "hash(f); free_vars(f); sys.stdout.buffer.write(pickle.dumps(f))")
+    src = str(Path(pckfo.__file__).resolve().parents[1])
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        data = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, check=True).stdout
+        g = pickle.loads(data)
+        assert g in {Knows("a", Forall("x", R(x)))}
+        assert free_vars(g) == frozenset()
+
+
+@given(_formulas())
+def test_replace_gets_fresh_hash_and_free_vars(f):
+    node = f if hasattr(f, "body") else Not(f)
+    hash(node)
+    free_vars(node)
+    g = dataclasses.replace(node, body=R(y))
+    assert hash(g) == hash(_field_tuple(g))
+    assert free_vars(g) == _naive_free_vars(g)
 
 
 @given(_formulas())
