@@ -7,6 +7,10 @@ match_axiom guesses candidate parameters from the outer shape of the input
 and keeps a candidate only if its instantiation is structurally equal to the
 input.  A formula can instantiate several schemata at once; match_axiom
 reports every such (name, parameters) pair.
+
+Prop, the schema of propositional tautologies, is decided by
+tautology_check: Tseitin's encoding of the negated formula over its opaque
+atoms and a DPLL search with a decision budget.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ CON_AXIOMS = PLAIN_AXIOMS + (CON,)
 CLASS_AXIOMS = (CON, OBJ, SDP_A, UNIF_A)
 ALL_AXIOMS = PLAIN_AXIOMS + CLASS_AXIOMS
 
-_TAUT_ATOM_CAP = 18
+#: Branching decisions one tautology check may take before it gives up.  A
+#: search that uses all of them costs about as much as an 18-atom truth table.
+_TAUT_DECISION_BUDGET = 1 << 14
 
 
 @dataclass
@@ -65,39 +71,131 @@ def tautology_check(f) -> bool:
     """Is f a boolean tautology over its maximal non-boolean subformulas?
 
     Subformulas whose head is not negation/conjunction are treated as opaque
-    atoms (identified up to structural equality) and a truth table decides.
-    More than _TAUT_ATOM_CAP such atoms leave the question undecided and
-    raise BudgetError.
+    atoms (identified up to structural equality).  Tseitin's encoding puts
+    not-f into clause form, and f is a tautology iff a DPLL search finds
+    those clauses unsatisfiable.  The search branches on the opaque atoms
+    only, in first-occurrence order, so it never visits more than the 2^n
+    rows of a truth table.  A search past _TAUT_DECISION_BUDGET decisions
+    leaves the question undecided and raises BudgetError.
     """
-    atoms: dict = {}
-    skel = _skeleton(f, atoms)
-    n = len(atoms)
-    if n > _TAUT_ATOM_CAP:
-        raise BudgetError(
-            f"tautology check over {n} opaque atoms exceeds the cap of "
-            f"{_TAUT_ATOM_CAP}")
-    for bits in range(1 << n):
-        if not _eval_skeleton(skel, bits):
-            return False
-    return True
+    atoms, nvars, root, clauses = _tseitin(f)
+    return not _satisfiable(atoms, nvars, -root, clauses)
 
 
-def _skeleton(f, atoms: dict):
-    if isinstance(f, Not):
-        return ("not", _skeleton(f.body, atoms))
-    if isinstance(f, And):
-        return ("and", _skeleton(f.left, atoms), _skeleton(f.right, atoms))
-    ix = atoms.setdefault(f, len(atoms))
-    return ("atom", ix)
+def _tseitin(f):
+    """Clauses that define a literal for f over its opaque atoms.
+
+    Returns (atoms, nvars, root, clauses): the opaque atoms' variables in
+    first-occurrence order, the number of variables, f's literal, and the
+    clauses.  Variables are positive ints and -v negates v.  A conjunction
+    gets a gate variable g with the clauses g -> a, g -> b and a & b -> g; a
+    negation flips its body's literal.  The walk keeps an explicit stack,
+    and spine nodes are shared by id() and never hashed (hashing recurses),
+    so a deep spine, or the DAG that iff builds, costs one visit per node.
+    """
+    atoms = {}      # opaque atom -> its variable
+    lits = {}       # id(node) -> literal
+    clauses = []
+    nvars = 0
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in lits:
+            stack.pop()
+            continue
+        if isinstance(g, Not):
+            body = lits.get(id(g.body))
+            if body is None:
+                stack.append(g.body)
+                continue
+            lits[id(g)] = -body
+        elif isinstance(g, And):
+            a, b = lits.get(id(g.left)), lits.get(id(g.right))
+            if a is None or b is None:
+                # the left operand on top, so its atoms are numbered first
+                if b is None:
+                    stack.append(g.right)
+                if a is None:
+                    stack.append(g.left)
+                continue
+            nvars += 1
+            clauses += ((-nvars, a), (-nvars, b), (nvars, -a, -b))
+            lits[id(g)] = nvars
+        else:
+            v = atoms.get(g)
+            if v is None:
+                nvars += 1
+                v = atoms[g] = nvars
+            lits[id(g)] = v
+        stack.pop()
+    return list(atoms.values()), nvars, lits[id(f)], clauses
 
 
-def _eval_skeleton(node, bits) -> bool:
-    tag = node[0]
-    if tag == "atom":
-        return bool(bits >> node[1] & 1)
-    if tag == "not":
-        return not _eval_skeleton(node[1], bits)
-    return _eval_skeleton(node[1], bits) and _eval_skeleton(node[2], bits)
+def _satisfiable(atoms, nvars, unit, clauses) -> bool:
+    """DPLL over the clauses with `unit` asserted: unit propagation over an
+    explicit trail, chronological backtracking, and branches on the `atoms`
+    variables only, in their order.  Every other variable is a gate, fixed
+    by propagation once the atoms below it are, so a full atom assignment
+    without conflict satisfies every clause."""
+    # truth[l] is True, False or None (unassigned) for literal l; negative
+    # literals index from the end of the list.
+    truth = [None] * (2 * nvars + 1)
+    occurs = [[] for _ in truth]    # occurs[l]: the clauses containing l
+    for c in clauses:
+        for x in c:
+            occurs[x].append(c)
+    trail, head = [], 0
+    decisions = []  # (trail length before, atom index, literal, flipped)
+    spent = 0
+    lit = unit
+    while True:
+        trail.append(lit)
+        truth[lit], truth[-lit] = True, False
+        conflict = False
+        while head < len(trail) and not conflict:
+            done = trail[head]
+            head += 1
+            for c in occurs[-done]:
+                free = 0
+                for x in c:
+                    t = truth[x]
+                    if t is None:
+                        free += 1
+                        last = x
+                    elif t:
+                        break
+                else:
+                    if free == 0:
+                        conflict = True
+                        break
+                    if free == 1:
+                        truth[last], truth[-last] = True, False
+                        trail.append(last)
+        if conflict:
+            while decisions and decisions[-1][3]:
+                decisions.pop()
+            if not decisions:
+                return False
+            pos, ix, lit, _ = decisions.pop()
+            for x in trail[pos:]:
+                truth[x] = truth[-x] = None
+            del trail[pos:]
+            head, lit = pos, -lit
+            decisions.append((pos, ix, lit, True))
+            continue
+        # Atoms before the last decision's are all assigned at this level.
+        ix = decisions[-1][1] + 1 if decisions else 0
+        while ix < len(atoms) and truth[atoms[ix]] is not None:
+            ix += 1
+        if ix == len(atoms):
+            return True
+        spent += 1
+        if spent > _TAUT_DECISION_BUDGET:
+            raise BudgetError(
+                f"tautology check over {len(atoms)} opaque atoms exceeds the "
+                f"decision budget of {_TAUT_DECISION_BUDGET}")
+        lit = atoms[ix]
+        decisions.append((len(trail), ix, lit, False))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +353,8 @@ def match_axiom(f, names=ALL_AXIOMS) -> list:
     A schema's guesser reads candidate parameters off f's outer shape; a
     candidate is reported only if instantiate rebuilds exactly f from it.
     The builders are thus the one definition of each schema and of its side
-    conditions.  A Prop candidate beyond the tautology cap raises
-    BudgetError: it is undecided, not a non-instance.
+    conditions.  A Prop candidate whose tautology search exceeds the
+    decision budget raises BudgetError: it is undecided, not a non-instance.
     """
     out = []
     for name in names:

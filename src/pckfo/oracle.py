@@ -439,7 +439,10 @@ def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
     elif name == ax.P1:
         params = {"i": agent, "phi": phi}
     elif name == ax.P2:
-        r, t = sorted(rng.sample(grid, 2))
+        while True:
+            r, t = sorted(rng.sample(grid, 2))
+            if r != t:
+                break
         params = {"i": agent, "r": r, "t": t, "phi": phi}
     elif name == ax.P3:
         params = {"i": agent, "t": rng.choice(grid), "phi": phi}
@@ -489,11 +492,19 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     """n seeded random (schema, instance, model) triples; every instance must
     hold at every state of its model.  A failure would point at an evaluator
     or schema bug and ships a replayable counterexample."""
+    grid = budget.weight_grid
+    if ax.P2 in names and len(set(grid)) < 2:
+        raise BudgetError("fuzzing P2 needs two distinct weight grid values")
+    if ax.P5 in names and not any(2 * w <= 1 for w in grid):
+        raise BudgetError("fuzzing P5 needs weight grid values r, t with"
+                          " r + t <= 1")
     if models is None:
         pool = list(itertools.islice(_all_models(budget), 100))
         pool += random_models(budget, max(0, 200 - len(pool)), tag="fuzz-pool")
     else:
         pool = list(models)
+    if not pool:
+        raise BudgetError("the fuzz model pool is empty")
     rep = CheckReport(VALID_IN_SUITE)
     failures = 0
     skipped = 0

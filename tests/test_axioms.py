@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pckfo.axioms as ax
 from pckfo.errors import BudgetError, SideConditionError
@@ -9,11 +10,59 @@ from pckfo.oracle import random_axiom_instance, DEFAULT_GRID
 from pckfo.parser import parse_formula
 from pckfo.syntax import (
     And, Atom, CommonKnows, EveryoneKnows, Forall, Knows, Not, ProbAtLeast,
-    Var, disj, implies, iterate_everyone, prob_le, prob_lt,
+    Var, disj, iff, implies, iterate_everyone, prob_le, prob_lt,
 )
 
 F = Fraction
 p, q = Atom("p"), Atom("q")
+
+
+def _conj(atoms):
+    out = atoms[0]
+    for a in atoms[1:]:
+        out = And(out, a)
+    return out
+
+
+# Ten opaque atoms: plain atoms and modal formulas over them.
+_OPAQUE = [Atom(f"p{k}") for k in range(6)] + [
+    Knows("i", Atom("p0")), Knows("j", Atom("p0")),
+    ProbAtLeast("i", F(1, 2), Atom("p1")),
+    CommonKnows(("i", "j"), Not(Atom("p2")))]
+
+
+def _skeletons():
+    """Boolean combinations of _OPAQUE; iff and implies reuse their operand
+    objects, so the formulas are DAGs with shared subformulas."""
+    return st.recursive(
+        st.sampled_from(_OPAQUE),
+        lambda sub: st.one_of(
+            st.builds(Not, sub), st.builds(And, sub, sub),
+            st.builds(implies, sub, sub), st.builds(disj, sub, sub),
+            st.builds(iff, sub, sub), st.builds(lambda a: iff(a, Not(a)), sub)),
+        max_leaves=24)
+
+
+def _truth_table(f) -> bool:
+    """Referee: evaluate the skeleton over opaque atoms on all 2^n rows."""
+    atoms = {}
+
+    def skeleton(g):
+        if isinstance(g, Not):
+            return ("not", skeleton(g.body))
+        if isinstance(g, And):
+            return ("and", skeleton(g.left), skeleton(g.right))
+        return ("atom", atoms.setdefault(g, len(atoms)))
+
+    def value(node, bits):
+        if node[0] == "atom":
+            return bool(bits >> node[1] & 1)
+        if node[0] == "not":
+            return not value(node[1], bits)
+        return value(node[1], bits) and value(node[2], bits)
+
+    skel = skeleton(f)
+    return all(value(skel, bits) for bits in range(1 << len(atoms)))
 
 
 class TestTautologyCheck:
@@ -31,15 +80,45 @@ class TestTautologyCheck:
         assert ax.tautology_check(parse_formula("(p -> q) -> (!q -> !p)"))
         assert not ax.tautology_check(parse_formula("p -> q"))
 
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_wide_conjunction_is_decided(self, n):
+        atoms = [Atom(f"A{k}") for k in range(1, n + 1)]
+        f = implies(_conj(atoms), atoms[6])
+        assert ax.tautology_check(f)
+        assert [m.name for m in ax.match_axiom(f, names=(ax.PROP,))] == [ax.PROP]
 
-    def test_atom_cap_is_a_budget_error(self):
-        f = p
-        for k in range(19):
-            f = And(f, Atom(f"r{k}"))
+    def test_forty_atom_non_tautology_is_rejected(self):
+        atoms = [Atom(f"A{k}") for k in range(1, 41)]
+        f = implies(_conj(atoms[:-1]), disj(atoms[-1], Knows("i", atoms[0])))
+        assert not ax.tautology_check(f)
+        assert ax.match_axiom(f, names=(ax.PROP,)) == []
+
+    def test_deep_negation_chain_is_decided(self):
+        # Hashing a spine this deep recurses past the interpreter's limit.
+        f = Not(And(p, Not(p)))
+        for _ in range(480):
+            f = Not(f)
+        assert ax.tautology_check(f)
+        assert not ax.tautology_check(Not(f))
+
+    def test_decision_budget_is_a_budget_error(self, monkeypatch):
+        # Exclusive or is associative; its proof branches 7 times.
+        f = parse_formula("!(!(p <-> q) <-> r) <-> !(p <-> !(q <-> r))")
+        monkeypatch.setattr(ax, "_TAUT_DECISION_BUDGET", 7)
+        assert ax.tautology_check(f)
+        monkeypatch.setattr(ax, "_TAUT_DECISION_BUDGET", 6)
+        with pytest.raises(BudgetError, match="over 3 opaque atoms exceeds"
+                                              " the decision budget of 6"):
+            ax.tautology_check(f)
         with pytest.raises(BudgetError):
-            ax.tautology_check(implies(f, p))
-        with pytest.raises(BudgetError):
-            ax.match_axiom(implies(f, p), names=(ax.PROP,))
+            ax.match_axiom(f, names=(ax.PROP,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_skeletons())
+    def test_agrees_with_truth_table(self, f):
+        assert ax.tautology_check(f) == _truth_table(f)
+        assert ax.tautology_check(implies(f, f))
+        assert ax.tautology_check(iff(f, Not(Not(f))))
 
 
 class TestMatch:

@@ -22,6 +22,14 @@ def run(*argv):
     return code, out.getvalue()
 
 
+def _parity(names):
+    """Exclusive or of the atoms, as a chain of negated biconditionals."""
+    text = names[0]
+    for name in names[1:]:
+        text = f"!({text} <-> {name})"
+    return text
+
+
 @pytest.fixture()
 def chain(fixtures_dir):
     return str(fixtures_dir / "models" / "chain3.json")
@@ -200,22 +208,35 @@ class TestFindFuzzDemo:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_fuzz_bytes_independent_of_hash_seed(self):
+    def test_fuzz_bytes_independent_of_hash_seed(self, tmp_path):
         src = str(Path(pckfo.__file__).resolve().parents[1])
+        atoms = [("K[a] r{}", "P[b]>=1/2 r{}", "r{}")[k % 3].format(k)
+                 for k in range(20)]
+        names = [f"r{k}" for k in range(10)]
+        prop_steps = [
+            f"({' & '.join(atoms)}) -> {atoms[6]}",
+            f"{_parity(names)} <-> {_parity(names[::-1])}",
+            f"({' & '.join(atoms[:12])}) -> ({atoms[12]} | {atoms[13]})",
+        ]
+        proof = tmp_path / "prop.json"
+        proof.write_text(json.dumps({"steps": [
+            {"formula": f, "just": {"kind": "axiom", "name": "Prop"}}
+            for f in prop_steps]}))
         commands = (
-            ["fuzz", "--n", "200", "--seed", "7", "--json"],
-            ["demo", "validity", "--family", "fixed-point", "--json"],
-            ["find", "--formula", "P[a]>=1/2 p & !P[a]>=1 p & !K[a] q",
-             "--json"],
+            (["fuzz", "--n", "200", "--seed", "7", "--json"], 0),
+            (["demo", "validity", "--family", "fixed-point", "--json"], 0),
+            (["find", "--formula", "P[a]>=1/2 p & !P[a]>=1 p & !K[a] q",
+              "--json"], 0),
+            (["check-proof", "--proof", str(proof), "--json"], 1),
         )
-        for argv in commands:
+        for argv, code in commands:
             outs = set()
             for seed in ("0", "1", "3", "5"):
                 env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
                 proc = subprocess.run(
                     [sys.executable, "-m", "pckfo.cli", *argv],
                     env=env, capture_output=True, timeout=120)
-                assert proc.returncode == 0, proc.stderr
+                assert proc.returncode == code, proc.stderr
                 outs.add(proc.stdout)
             assert len(outs) == 1, argv
 
@@ -232,6 +253,16 @@ class TestFindFuzzDemo:
         rep = json.loads(out)
         assert rep["verdict"] == "not-found-within-budget"
         assert rep["details"][0]["models_checked"] == 25608
+
+    @pytest.mark.parametrize("grid", ["1/2", "1,1", "3/4,1"])
+    def test_fuzz_grid_too_small_is_budget_error(self, grid):
+        # P2 needs r < t on the grid and P5 needs r + t <= 1.
+        assert run("fuzz", "--n", "20", "--grid", grid) == (2, "")
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_fuzz_empty_class_pool_is_budget_error(self, count):
+        assert run("fuzz", "--n", "5", "--class", "CON",
+                   "--class-models", count) == (2, "")
 
     def test_fuzz_class_restricted(self):
         code, out = run("fuzz", "--n", "30", "--class", "CON",

@@ -4,7 +4,7 @@ import pytest
 
 import pckfo.axioms as ax
 from pckfo.errors import ProofTransformError
-from pckfo.parser import parse_proof, proof_to_json
+from pckfo.parser import parse_formula, parse_proof, proof_to_json
 from pckfo.proofcheck import (
     AxiomJust, Certificate, FORJust, HypJust, MODE_CON, MPJust, Proof,
     ProofBuilder, RAJust, RCJust, REJust, RKJust, RPCJust, RPEJust, RPJust,
@@ -204,18 +204,18 @@ def test_nested_rule_rejection_messages(just, tau, message):
     assert problems(rep) == [{"step": 0, "problem": message}]
 
 
-def test_prop_over_the_atom_cap_is_undecided():
-    atoms = [Atom(f"A{k}") for k in range(1, 20)]
-    conj = atoms[0]
-    for a in atoms[1:]:
-        conj = And(conj, a)
-    proof = Proof((), (Step(implies(conj, atoms[6]), AxiomJust(ax.PROP)),))
+def test_prop_over_the_decision_budget_is_undecided(monkeypatch):
+    f = parse_formula("!(!(p <-> q) <-> r) <-> !(p <-> !(q <-> r))")
+    proof = Proof((), (Step(f, AxiomJust(ax.PROP)),))
+    assert check(proof).verdict == ACCEPTED
+    monkeypatch.setattr(ax, "_TAUT_DECISION_BUDGET", 6)
     rep = check(proof)
     assert rep.verdict == REJECTED
     [detail] = problems(rep)
-    assert detail["problem"].startswith(
-        "Prop undecided: tautology check over 19 opaque atoms exceeds the"
-        " cap of 18")
+    assert detail["problem"] == (
+        "Prop undecided: tautology check over 3 opaque atoms exceeds the"
+        " decision budget of 6 (the formula is not an instance of Prop that"
+        " this checker can decide)")
 
 
 class TestTheoremFlags:
