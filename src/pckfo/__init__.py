@@ -22,7 +22,7 @@ from .parser import (
     print_formula, print_term, proof_to_doc, proof_to_json, load_model,
     load_proof, parse_term,
 )
-from .evaluator import Evaluator, Extension, eval_term, extension, satisfies
+from .evaluator import Evaluator, Program, eval_term, extension, satisfies
 from .axioms import AxiomInstance, instantiate, match_axiom, tautology_check
 from .proofcheck import (
     Certificate, Proof, ProofBuilder, Step, check, deduction_transform,

@@ -1,45 +1,48 @@
 """The satisfaction relation over finite models.
 
-Evaluation is extension-based: every formula is mapped (once per relevant
-valuation) to the set of states where it holds.  Common knowledge is computed
-by reachability over the union of the group's accessibility relations;
-probabilistic common knowledge by a decreasing fixed-point iteration that
-stabilizes within |S| rounds on finite models.  Measurability of an event is
-checked at each probability-operator application and NotMeasurable reports
-the offending formula, agent and state.
+Evaluation is extension-based and takes two steps.  `Program` compiles a
+list of formulas, each under a valuation of its free variables, once: an
+iterative post-order walk lays out one operation per distinct (subformula,
+valuation) pair, so a subformula shared within or between the formulas is
+computed once.  `Evaluator.run` executes that list on one model in a single
+loop.  Every extension is an int bitmask over the positions of the model's
+sorted states.  Common knowledge is backward reachability over the group's
+predecessor masks; probabilistic common knowledge a decreasing fixed-point
+iteration that stabilizes within |S| rounds on finite models.
 
 Measurement is strict and canonical: a probability operator measures every
 (agent, state) space it consults, once, in sorted (agent, state) order,
 before it decides any state, and the first space that cannot measure the
-event raises NotMeasurable.  Everything else is evaluated in a fixed order
-too (conjunction left first, quantifiers over the sorted domain), so whether
-and where NotMeasurable is raised never depends on the hash seed.
+event raises NotMeasurable, which reports the offending formula, agent and
+state.  Everything else is evaluated in a fixed order too: conjunction left
+first, and quantifiers over the sorted domain, where a universal stops at
+the first value that leaves no state (the operations of the later values
+are skipped, errors included).  So whether and where an error is raised
+never depends on the hash seed.
 
-Evaluators over a shared validated Model are safe to use from several
-threads: the memo table only ever gains entries, so concurrent calls behave
-as if serialized.
+An error is kept per operation: an operation with a failed operand takes
+the error of its first failed operand, the others run on, so one formula's
+failure does not hide another formula of the same program.
+
+The evaluator expects a model that passes `model.validate`.  Evaluators over
+a shared validated Model are safe to use from several threads: their caches
+(predecessor masks, spaces, groups) only ever gain values that every thread
+computes alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from .errors import EvalError, NotMeasurable
+from .errors import EvalError, NotMeasurable, PckfoError
 from .model import Model
 from .syntax import (
-    And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
-    Forall, Knows, Not, ProbAtLeast, Var, free_vars,
+    And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
+    Knows, Not, ProbAtLeast, Var, free_vars,
 )
-
-
-@dataclass(frozen=True)
-class Extension:
-    """A formula's satisfying states under a valuation snapshot (restricted
-    to the formula's free variables)."""
-
-    formula: object
-    valuation: tuple
-    states: frozenset
 
 
 def eval_term(m: Model, state: str, valuation, t):
@@ -64,175 +67,468 @@ def eval_term(m: Model, state: str, valuation, t):
         raise EvalError(f"function table {t.fn!r} has no row for {args!r}") from None
 
 
+# ---------------------------------------------------------------------------
+# compiling
+
+# An operation is a tuple (code, a, b, ...): a and b are the positions of
+# its operands in the program (-1 for none), and its own position is where
+# its value goes.
+#   (_ATOM, -1, -1, rel, args, valuation)
+#   (_NOT, a, -1)                  (_AND, a, b)          (_ALL, -1, -1)
+#   (_FORALL, prev, body, last)    one per domain value; prev is the running
+#                                  intersection (-1 for the first value),
+#                                  last the position of the final one
+#   (_K, body, -1, agent)          (_E, body, -1, group)  (_C, body, -1, group)
+#   (_P, body, -1, agent, num, den, formula)
+#   (_EP, body, -1, group, num, den, formula)
+#   (_CP, body, -1, group, num, den, formula)
+# num/den is the bound; formula is the one a NotMeasurable names.
+(_ATOM, _NOT, _AND, _ALL, _FORALL, _K, _E, _C, _P, _EP, _CP) = range(11)
+
+# The compile walk's frames are (kind, f, v, x):
+#   _VISIT  lay out f under the valuation v (x is None)
+#   a code  f's operands are laid out: add f's operation, which has that
+#           code; x is f's table key, or None when f was not looked up yet
+#   _STEP   one value of a universal is laid out: x is (k, steps), the
+#           value's index and the positions of the universal's steps
+#   _CLOSE  every value of the universal f is laid out: x is (key, steps)
+_VISIT, _STEP, _CLOSE = -1, -2, -3
+_CODES = {Atom: _ATOM, Not: _NOT, And: _AND, Forall: _FORALL, Knows: _K,
+          EveryoneKnows: _E, CommonKnows: _C, ProbAtLeast: _P,
+          EveryoneProb: _EP, CommonProb: _CP}
+
+
+def _table_key(f, v):
+    """A subformula's identity under a valuation: the formula, with the
+    values of its free variables when it has any.  A node that lacks its
+    stored hash or free variables computes them here, from its children's,
+    so the children must have theirs."""
+    fv = free_vars(f)
+    if not fv:
+        return f
+    return (f, tuple([(x, v.get(x)) for x in sorted(fv)]))
+
+
+class Program:
+    """Formulas compiled once, for every model over one domain.
+
+    `roots` lists (formula, valuation) pairs; `slots[k]` is the position of
+    the operation whose value is the extension of roots[k].  Raises
+    EvalError when a valuation misses a free variable of its formula.
+    """
+
+    def __init__(self, roots, domain):
+        self.domain = tuple(domain)
+        self.ops = []
+        self.slots = []
+        table = {}
+        for f, valuation in roots:
+            v = dict(valuation) if valuation else {}
+            self.slots.append(self._compile(f, v, table))
+            missing = free_vars(f) - v.keys()
+            if missing:
+                raise EvalError(
+                    f"valuation misses free variable {min(missing)!r}")
+
+    def _compile(self, root, v, table) -> int:
+        """Lay out root under v in post-order, reusing the operations in
+        table.
+
+        A node is looked up before its children are visited when it has
+        its stored hash and free variables already, and after them
+        otherwise; that way no hash or free-variable set is ever computed
+        before the children's.  The operations of a universal's second and
+        later values run only while its running intersection is not
+        empty, so what they add to the table is dropped again at the end
+        of their value."""
+        ops, domain = self.ops, self.domain
+        done = []      # positions of the finished subformulas
+        scopes = []    # table keys added under each open skippable value
+        todo = [(_VISIT, root, v, None)]
+        pop, push = todo.pop, todo.append
+        while todo:
+            kind, f, v, x = pop()
+            if kind == _VISIT:
+                if f._hash is not None and f._fv is not None:
+                    x = f if not f._fv else _table_key(f, v)
+                    at = table.get(x)
+                    if at is not None:
+                        done.append(at)
+                        continue
+                code = _CODES[type(f)]
+                if code == _AND:
+                    push((code, f, v, x))
+                    push((_VISIT, f.right, v, None))
+                    push((_VISIT, f.left, v, None))
+                    continue
+                if code == _ATOM:
+                    if x is None:
+                        x = _table_key(f, v)
+                        at = table.get(x)
+                        if at is not None:
+                            done.append(at)
+                            continue
+                    ops.append((_ATOM, -1, -1, f.rel, f.args, v))
+                elif code != _FORALL:
+                    push((code, f, v, x))
+                    push((_VISIT, f.body, v, None))
+                    continue
+                elif not domain:
+                    done.append(len(ops))
+                    ops.append((_ALL, -1, -1))
+                    continue
+                else:
+                    steps = []
+                    push((_CLOSE, f, v, (x, steps)))
+                    for k in range(len(domain) - 1, -1, -1):
+                        push((_STEP, None, None, (k, steps)))
+                        push((_VISIT, f.body, {**v, f.var: domain[k]}, None))
+                    continue
+            elif kind >= 0:
+                a, b = done.pop(), -1
+                if kind == _AND:
+                    a, b = done.pop(), a
+                if x is None:
+                    x = _table_key(f, v)
+                    at = table.get(x)
+                    if at is not None:
+                        done.append(at)
+                        continue
+                if kind == _AND or kind == _NOT:
+                    ops.append((kind, a, b))
+                elif kind == _K:
+                    ops.append((kind, a, b, f.agent))
+                elif kind == _E or kind == _C:
+                    ops.append((kind, a, b, f.group))
+                else:
+                    ops.append((kind, a, b, f.agent if kind == _P else f.group,
+                                f.bound.numerator, f.bound.denominator, f))
+            elif kind == _STEP:
+                k, steps = x
+                steps.append(len(ops))
+                ops.append((_FORALL, steps[-2] if k else -1, done.pop(), None))
+                if k:                      # this value may have been skipped
+                    for key in scopes.pop():
+                        del table[key]
+                if k + 1 < len(domain):    # the next value may be
+                    scopes.append([])
+                continue
+            else:
+                key, steps = x
+                last = steps[-1]
+                for at in steps:
+                    ops[at] = ops[at][:3] + (last,)
+                done.append(last)
+                if key is None:
+                    key = _table_key(f, v)
+                if key not in table:
+                    table[key] = last
+                    if scopes:
+                        scopes[-1].append(key)
+                continue
+            # an operation for the key x was just appended
+            at = len(ops) - 1
+            done.append(at)
+            table[x] = at
+            if scopes:
+                scopes[-1].append(x)
+        return done.pop()
+
+
+# ---------------------------------------------------------------------------
+# running
+
+
+_ZEROS = itertools.repeat(0)
+
+
+def _positions(mask) -> list:
+    """Positions of the set bits of mask, ascending."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return out
+
+
 class Evaluator:
-    """Memoizing evaluator bound to one model."""
+    """Runs programs on one model.  `full` is the mask of all its states."""
 
     def __init__(self, model: Model):
         self.model = model
-        self._all = frozenset(model.states)
-        self._memo = {}
+        self._bit = {s: 1 << k for k, s in enumerate(model.states)}
+        self.full = (1 << len(model.states)) - 1
+        self._pred = {}     # agent -> predecessor masks by state position
+        self._spaces = {}   # agent -> _space entries by state position
+        self._groups = {}   # group tokens -> sorted members
 
     # -- public API
 
     def extension(self, f, valuation=None) -> frozenset:
         """States where f holds, under the given valuation of its free
-        variables."""
-        v = dict(valuation) if valuation else {}
-        return self._ext(f, v)
+        variables.  Each call compiles f afresh; compile a Program once to
+        ask about many formulas or models."""
+        out, = self.run(Program([(f, valuation)], self.model.domain))
+        if isinstance(out, int):
+            return self._states(out)
+        try:
+            raise out
+        finally:
+            out = None   # the traceback keeps this frame, not the error
 
     def satisfies(self, state: str, f, valuation=None) -> bool:
-        if state not in self.model.states:
+        if state not in self._bit:
             raise EvalError(f"unknown state {state!r}")
         return state in self.extension(f, valuation)
 
-    def extension_record(self, f, valuation=None) -> Extension:
-        """The extension together with the memo key it is stored under."""
-        v = dict(valuation) if valuation else {}
-        formula, snapshot = self._key(f, v)
-        return Extension(formula, snapshot, self._ext(f, v))
+    def common_knowledge(self, members, event) -> frozenset:
+        """States from which every state reachable in one or more steps of
+        the union relation lies inside the event."""
+        return self._states(self._common(tuple(members), self._mask(event)))
 
-    # -- internals
+    def prob_common_stages(self, members, bound, event, origin=None) -> list:
+        """The decreasing chain of stage sets, first repetition included."""
+        bound = Fraction(bound)
+        stages = self._prob_common(tuple(members), bound.numerator,
+                                   bound.denominator, self._mask(event),
+                                   origin)
+        return [self._states(x) for x in stages]
 
-    def _key(self, f, v):
-        fv = free_vars(f)
-        if not fv:
-            return (f, ())
-        items = []
-        for name in sorted(fv):
-            if name not in v:
-                raise EvalError(f"valuation misses free variable {name!r}")
-            items.append((name, v[name]))
-        return (f, tuple(items))
+    def prob_common(self, members, bound, event, origin=None) -> frozenset:
+        """Greatest fixed point of X -> [group-prob of (event ∩ X)]."""
+        return self.prob_common_stages(members, bound, event, origin)[-1]
 
-    def _ext(self, f, v) -> frozenset:
-        key = self._key(f, v)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._compute(f, v)
-        self._memo[key] = out
-        return out
+    def run(self, program: Program) -> list:
+        """The value of each root of the program on this model, in order:
+        its extension as a mask, or the EvalError or NotMeasurable that
+        evaluating it raised."""
+        if program.domain != self.model.domain:
+            raise ValueError("the program was compiled for another domain")
+        full = self.full
+        ops = program.ops
+        vals = [0] * len(ops)
+        errs = {}
+        pc = 0
+        end = len(ops)
+        while pc < end:
+            op = ops[pc]
+            code, a, b = op[0], op[1], op[2]
+            if errs:
+                err = errs.get(a) or errs.get(b)
+                if err is not None:
+                    if code == _FORALL:
+                        errs[op[3]] = err
+                        pc = op[3] + 1
+                    else:
+                        errs[pc] = err
+                        pc += 1
+                    continue
+            try:
+                if code == _AND:
+                    vals[pc] = vals[a] & vals[b]
+                elif code == _NOT:
+                    vals[pc] = full ^ vals[a]
+                elif code == _ATOM:
+                    vals[pc] = self._atom(op[3], op[4], op[5])
+                elif code == _FORALL:
+                    x = vals[b] if a < 0 else vals[a] & vals[b]
+                    if not x:
+                        vals[op[3]] = 0
+                        pc = op[3] + 1
+                        continue
+                    vals[pc] = x
+                elif code == _K:
+                    vals[pc] = self._knows((op[3],), vals[a])
+                elif code == _P:
+                    vals[pc] = self._prob(op[3], op[4], op[5], vals[a], op[6])
+                elif code == _E:
+                    vals[pc] = self._knows(self._members(op[3]), vals[a])
+                elif code == _C:
+                    vals[pc] = self._common(self._members(op[3]), vals[a])
+                elif code == _EP:
+                    vals[pc] = self._everyone_prob(
+                        self._members(op[3]), op[4], op[5], vals[a], op[6])
+                elif code == _CP:
+                    vals[pc] = self._prob_common(
+                        self._members(op[3]), op[4], op[5], vals[a], op[6])[-1]
+                else:
+                    vals[pc] = full
+            except PckfoError as exc:
+                errs[pc] = exc.with_traceback(None)
+            pc += 1
+        return [errs.get(k, vals[k]) if errs else vals[k]
+                for k in program.slots]
 
-    def _compute(self, f, v) -> frozenset:
+    # -- masks
+
+    def _mask(self, states) -> int:
+        return reduce(or_, map(self._bit.get, states, _ZEROS), 0)
+
+    def _states(self, mask) -> frozenset:
+        states = self.model.states
+        return frozenset([states[k] for k in _positions(mask)])
+
+    def _predecessors(self, agent) -> list:
+        """The agent's predecessor mask per state position, each built by
+        _pred_mask on first use and None until then."""
+        row = self._pred.get(agent)
+        if row is None:
+            m = self.model
+            if agent not in m.access and agent not in m.agents and m.states:
+                raise EvalError(f"undeclared agent {agent!r}")
+            row = self._pred[agent] = [None] * len(m.states)
+        return row
+
+    def _pred_mask(self, agent, row, t) -> int:
         m = self.model
-        if isinstance(f, Atom):
-            return self._atom(f, v)
-        if isinstance(f, Not):
-            return self._all - self._ext(f.body, v)
-        if isinstance(f, And):
-            return self._ext(f.left, v) & self._ext(f.right, v)
-        if isinstance(f, Forall):
-            out = self._all
-            for d in m.domain:
-                v2 = dict(v)
-                v2[f.var] = d
-                out &= self._ext(f.body, v2)
-                if not out:
-                    break
-            return out
-        if isinstance(f, Knows):
-            body = self._ext(f.body, v)
-            return frozenset(
-                s for s in m.states if m.successors(f.agent, s) <= body)
-        if isinstance(f, EveryoneKnows):
-            body = self._ext(f.body, v)
-            members = m.resolve_group(f.group)
-            return frozenset(
-                s for s in m.states
-                if all(m.successors(i, s) <= body for i in members))
-        if isinstance(f, CommonKnows):
-            body = self._ext(f.body, v)
-            return self.common_knowledge(m.resolve_group(f.group), body)
-        if isinstance(f, ProbAtLeast):
-            body = self._ext(f.body, v)
-            return frozenset(
-                s for s in m.states
-                if self._measure(f, f.agent, s, body) >= f.bound)
-        if isinstance(f, EveryoneProb):
-            body = self._ext(f.body, v)
-            members = m.resolve_group(f.group)
-            return self._everyone_prob(f, members, f.bound, body)
-        if isinstance(f, CommonProb):
-            body = self._ext(f.body, v)
-            return self.prob_common(m.resolve_group(f.group), f.bound, body,
-                                    origin=f)
-        raise TypeError(f"not a formula: {f!r}")
+        preds = m._pred.get((agent, m.states[t]), ())
+        mask = row[t] = reduce(or_, map(self._bit.get, preds, _ZEROS), 0)
+        return mask
 
-    def _atom(self, f, v) -> frozenset:
+    def _members(self, group) -> tuple:
+        members = self._groups.get(group)
+        if members is None:
+            members = self._groups[group] = self.model.resolve_group(group)
+        return members
+
+    # -- operators
+
+    def _atom(self, rel, args, v) -> int:
         m = self.model
-        entry = m.relations.get(f.rel)
+        entry = m.relations.get(rel)
         if entry is None:
             # The language has relation symbols of every arity; a finite
             # document lists the non-empty ones and the rest denote the
             # empty relation.
-            return frozenset()
+            return 0
         arity, table = entry
-        if arity != len(f.args):
-            raise EvalError(f"relation {f.rel!r} expects {arity} arguments,"
-                            f" got {len(f.args)}")
-        out = set()
-        for s in m.states:
-            args = tuple(eval_term(m, s, v, a) for a in f.args)
-            if args in table.get(s, frozenset()):
-                out.add(s)
-        return frozenset(out)
+        if arity != len(args):
+            raise EvalError(f"relation {rel!r} expects {arity} arguments,"
+                            f" got {len(args)}")
+        if not m.states:
+            return 0
+        # Function tables are rigid, so the arguments are the same at
+        # every state.
+        row = tuple([eval_term(m, m.states[0], v, t) for t in args])
+        out = 0
+        for k, s in enumerate(m.states):
+            tuples = table.get(s)
+            if tuples and row in tuples:
+                out |= 1 << k
+        return out
 
-    def _measure(self, origin, agent, state, event):
-        try:
-            return self.model.space(agent, state).measure(
-                event, agent=agent, state=state)
-        except NotMeasurable as exc:
-            raise NotMeasurable(agent, state, exc.atom, formula=origin) from None
+    def _knows(self, members, body) -> int:
+        """States where every member's successors all lie in body.  A
+        member is only looked up while some state is still in, as the
+        state-by-state definition would."""
+        out = self.full
+        bad = _positions(out & ~body)
+        for i in members:
+            if not out:
+                break
+            row = self._predecessors(i)
+            failed = 0
+            for t in bad:
+                mask = row[t]
+                if mask is None:
+                    mask = self._pred_mask(i, row, t)
+                failed |= mask
+            out &= ~failed
+        return out
 
-    def _everyone_prob(self, origin, members, bound, event) -> frozenset:
-        """States where every member gives the event at least `bound` at
+    def _common(self, members, event) -> int:
+        """The complement of what reaches a state outside the event in one
+        or more steps, walked backwards over the predecessor masks."""
+        frontier = self.full & ~event
+        if not frontier:
+            return self.full
+        rows = [(i, self._predecessors(i)) for i in members]
+        reached = 0
+        while frontier:
+            new = 0
+            for t in _positions(frontier):
+                for i, row in rows:
+                    mask = row[t]
+                    if mask is None:
+                        mask = self._pred_mask(i, row, t)
+                    new |= mask
+            frontier = new & ~reached
+            reached |= frontier
+        return self.full & ~reached
+
+    def _space(self, agent, t) -> list:
+        """[space, sample mask, sum of its numerators, atom masks] of the
+        (agent, t) space, built on first use; the atom masks only when an
+        event cuts the sample."""
+        row = self._spaces.get(agent)
+        if row is None:
+            row = self._spaces[agent] = [None] * len(self.model.states)
+        m = self.model
+        space = m.space(agent, m.states[t])
+        sample = reduce(or_, map(self._bit.get, space.sample, _ZEROS), 0)
+        entry = row[t] = [space, sample, sum(space._nums), None]
+        return entry
+
+    def _prob_ok(self, agent, t, num, den, event, origin) -> bool:
+        """Whether the (agent, t) space gives event at least num/den."""
+        row = self._spaces.get(agent)
+        entry = None if row is None else row[t]
+        if entry is None:
+            entry = self._space(agent, t)
+        space, sample, whole, atoms = entry
+        ev = event & sample
+        if not ev:
+            total = 0
+        elif ev == sample:
+            total = whole
+        else:
+            if atoms is None:
+                atoms = entry[3] = space.atom_masks(self._bit)
+            total = 0
+            for k, (atom, w) in enumerate(zip(atoms, space._nums)):
+                inside = atom & ev
+                if inside == atom:
+                    total += w
+                elif inside:
+                    raise NotMeasurable(agent, self.model.states[t],
+                                        space.atoms[k], formula=origin)
+        return total * den >= num * space._den
+
+    def _prob(self, agent, num, den, event, origin) -> int:
+        out = 0
+        for t in range(len(self.model.states)):
+            if self._prob_ok(agent, t, num, den, event, origin):
+                out |= 1 << t
+        return out
+
+    def _everyone_prob(self, members, num, den, event, origin) -> int:
+        """States where every member gives the event at least num/den at
         every successor.  Strict: every (member, successor) space is
         measured once, in sorted (agent, state) order, before any state is
         decided."""
-        m = self.model
-        succ = {(i, s): m.successors(i, s) for i in members for s in m.states}
-        spaces = sorted({(i, t) for (i, _), ts in succ.items() for t in ts})
-        good = {(i, t): self._measure(origin, i, t, event) >= bound
-                for (i, t) in spaces}
-        return frozenset(s for s in m.states
-                         if all(good[(i, t)] for i in members
-                                for t in succ[(i, s)]))
+        rows = [(i, self._predecessors(i)) for i in members]
+        failed = 0
+        for i, row in rows:
+            for t, mask in enumerate(row):
+                if mask is None:
+                    mask = self._pred_mask(i, row, t)
+                if mask and not self._prob_ok(i, t, num, den, event, origin):
+                    failed |= mask
+        return self.full & ~failed
 
-    def common_knowledge(self, members, event) -> frozenset:
-        """States from which every state reachable in one or more steps of
-        the union relation lies inside the event: the complement of what
-        reaches a state outside the event, walked backwards over the
-        model's predecessor index."""
-        m = self.model
-        reach_bad = set()
-        frontier = self._all - event
-        while frontier:
-            new = set()
-            for t in frontier:
-                for i in members:
-                    for s in m.predecessors(i, t):
-                        if s not in reach_bad:
-                            reach_bad.add(s)
-                            new.add(s)
-            frontier = new
-        return self._all - reach_bad
-
-    def prob_common_stages(self, members, bound, event, origin=None) -> list:
-        """The decreasing chain of stage sets, first repetition included."""
-        stages = [self._all]
+    def _prob_common(self, members, num, den, event, origin) -> list:
+        stages = [self.full]
         while True:
-            nxt = self._everyone_prob(origin, members, bound,
-                                      event & stages[-1])
+            nxt = self._everyone_prob(members, num, den, event & stages[-1],
+                                      origin)
             stages.append(nxt)
             if nxt == stages[-2]:
                 return stages
             if len(stages) > len(self.model.states) + 2:
                 raise EvalError(
                     "stage chain failed to stabilize within |S| rounds")
-
-    def prob_common(self, members, bound, event, origin=None) -> frozenset:
-        """Greatest fixed point of X -> [group-prob of (event ∩ X)]."""
-        return self.prob_common_stages(members, bound, event, origin)[-1]
 
 
 def extension(m: Model, valuation, f) -> frozenset:

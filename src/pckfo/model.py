@@ -9,6 +9,7 @@ set whose finite unions are exactly the measurable sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +67,15 @@ class ProbSpace:
             elif not atom.isdisjoint(ev):
                 raise NotMeasurable(agent, state, atom)
         return Fraction(total, self._den)
+
+    def atom_masks(self, bit) -> tuple:
+        """The atoms, in order, as int masks, where `bit` maps each state
+        of the model to its mask."""
+        zeros = itertools.repeat(0)   # the mask of a state outside the model
+        if set(map(len, self.atoms)) == {1}:   # one state each: one pass
+            states = itertools.chain.from_iterable(self.atoms)
+            return tuple(map(bit.get, states, zeros))
+        return tuple([sum(map(bit.get, atom, zeros)) for atom in self.atoms])
 
 
 def singleton_space(states) -> ProbSpace:

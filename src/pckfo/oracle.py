@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import axioms as ax
-from .errors import BudgetError, EvalError, NonSentenceError, NotMeasurable
-from .evaluator import Evaluator, satisfies
+from .errors import (
+    BudgetError, EvalError, NonSentenceError, NotMeasurable, PckfoError,
+)
+from .evaluator import Evaluator, Program, satisfies
 from .model import Model, ProbSpace, classify, validate
 from .parser import model_to_doc, print_formula
 from .report import (
@@ -65,6 +67,8 @@ class SearchBudget:
         if self.atom_mode not in ("any", "singleton", "merged"):
             raise BudgetError(f"unknown atom_mode {self.atom_mode!r}")
         grid = tuple(Fraction(w) for w in self.weight_grid)
+        if not grid:
+            raise BudgetError("the weight grid must not be empty")
         if any(w < 0 or w > 1 for w in grid):
             raise BudgetError("weight grid entries must lie in [0, 1]")
         object.__setattr__(self, "weight_grid", grid)
@@ -214,7 +218,9 @@ def _rng_for(budget: SearchBudget, tag) -> random.Random:
     return random.Random(f"{budget.seed}:{tag}")
 
 
-def random_model(budget: SearchBudget, rng: random.Random) -> Model:
+def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
+    """One seeded random model.  `rows` keeps the weight rows of each
+    partition size between the calls of one generation run."""
     n = rng.randint(1, budget.max_states)
     states = [f"s{i}" for i in range(n)]
     relations = {}
@@ -232,7 +238,7 @@ def random_model(budget: SearchBudget, rng: random.Random) -> Model:
     prob = {}
     for agent in budget.agents:
         for state in states:
-            prob[(agent, state)] = _random_space(budget, rng, states)
+            prob[(agent, state)] = _random_space(budget, rng, states, rows)
     m = Model(states=tuple(states), domain=budget.domain, agents=budget.agents,
               functions={}, relations=relations, access=access, prob=prob,
               groups={"G": tuple(budget.agents)})
@@ -241,7 +247,7 @@ def random_model(budget: SearchBudget, rng: random.Random) -> Model:
     return m
 
 
-def _random_space(budget, rng, states) -> ProbSpace:
+def _random_space(budget, rng, states, rows) -> ProbSpace:
     if budget.sample_mode == "full":
         sample = list(states)
     else:
@@ -253,26 +259,30 @@ def _random_space(budget, rng, states) -> ProbSpace:
         part = [[s] for s in sample]
     else:
         part = rng.choice(_set_partitions(sorted(sample)))
-    rows = _weight_rows(budget.weight_grid, len(part))
-    if not rows:
+    options = rows.get(len(part))
+    if options is None:
+        options = rows[len(part)] = _weight_rows(budget.weight_grid, len(part))
+    if not options:
         # Grid cannot normalize this partition; a point mass always can.
         part = [list(sample)]
-        rows = [(Fraction(1),)]
+        options = [(Fraction(1),)]
     return ProbSpace(frozenset(sample), tuple(frozenset(b) for b in part),
-                     rng.choice(rows))
+                     rng.choice(options))
 
 
 def random_models(budget: SearchBudget, count: int, tag="models") -> list:
     rng = _rng_for(budget, tag)
-    return [random_model(budget, rng) for _ in range(count)]
+    rows = {}
+    return [random_model(budget, rng, rows) for _ in range(count)]
 
 
 def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
     """Random models guaranteed to carry the given class flag."""
     rng = _rng_for(budget, f"class:{flag}")
+    rows = {}
     out = []
     while len(out) < count:
-        m = random_model(budget, rng)
+        m = random_model(budget, rng, rows)
         if flag == "CON":
             access = {
                 agent: m.access[agent] | frozenset(
@@ -288,7 +298,7 @@ def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
         elif flag in ("SDP", "UNIF"):
             prob = {}
             for agent in m.agents:
-                shared = _random_space(budget, rng, m.states)
+                shared = _random_space(budget, rng, m.states, rows)
                 for s in m.states:
                     prob[(agent, s)] = shared
             m = replace(m, prob=prob)
@@ -331,14 +341,14 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
         raise BudgetError(
             f"enumerated models interpret no function symbols; remove"
             f" {sorted(funcs)} or evaluate against a written model file")
+    program = Program([(f, None)], budget.domain)
     checked = 0
     for m in enumerate_models(budget):
         checked += 1
-        try:
-            ext = Evaluator(m).extension(f)
-        except (NotMeasurable, EvalError):
-            continue  # EvalError: symbols beyond this model's signature
-        s = next((s for s in m.states if s in ext), None)
+        ext, = Evaluator(m).run(program)
+        if not isinstance(ext, int):
+            continue  # not measurable, or symbols beyond its signature
+        s = next((s for k, s in enumerate(m.states) if ext >> k & 1), None)
         if s is not None:
             if not satisfies(m, s, f):
                 raise EvalError(f"witness state {s!r} fails to re-verify")
@@ -472,19 +482,47 @@ def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
     return ax.AxiomInstance(name, ax.instantiate(name, params), params)
 
 
-def holds_everywhere(m: Model, f, ev: Evaluator = None) -> bool:
-    """True iff f holds at every state under every valuation of its free
-    variables (over the model's domain)."""
-    if ev is None:
-        ev = Evaluator(m)
-    fv = sorted(free_vars(f))
-    if not fv:
-        return ev.extension(f) == frozenset(m.states)
-    for values in itertools.product(m.domain, repeat=len(fv)):
-        valuation = dict(zip(fv, values))
-        if ev.extension(f, valuation) != frozenset(m.states):
+def _everywhere(formulas, domain) -> tuple:
+    """Compile each formula under every valuation of its free variables
+    over the domain: the program, and per formula the range of its roots."""
+    roots, spans = [], []
+    for f in formulas:
+        fv = sorted(free_vars(f))
+        start = len(roots)
+        if fv:
+            roots += [(f, dict(zip(fv, values)))
+                      for values in itertools.product(domain, repeat=len(fv))]
+        else:
+            roots.append((f, None))
+        spans.append((start, len(roots)))
+    return Program(roots, domain), spans
+
+
+def _holds(results, span, full):
+    """Whether one formula's roots all hold everywhere: True, False, or the
+    first error met.  Valuations are taken in order up to the first that
+    fails.  The error is returned, not raised, because raising it would tie
+    it through its traceback to the caller's frame, which keeps it."""
+    for out in results[span[0]:span[1]]:
+        if not isinstance(out, int):
+            return out
+        if out != full:
             return False
     return True
+
+
+def holds_everywhere(m: Model, f) -> bool:
+    """True iff f holds at every state under every valuation of its free
+    variables (over the model's domain)."""
+    program, spans = _everywhere([f], m.domain)
+    ev = Evaluator(m)
+    out = _holds(ev.run(program), spans[0], ev.full)
+    if not isinstance(out, PckfoError):
+        return out
+    try:
+        raise out
+    finally:
+        out = None   # the traceback keeps this frame, not the error
 
 
 def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
@@ -505,27 +543,43 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
         pool = list(models)
     if not pool:
         raise BudgetError("the fuzz model pool is empty")
+    # The instances that run on one pool model share one program; each is
+    # kept only as its outcome: True, the printed formula it falsified, or
+    # the error that making or checking it raised.
+    outcomes = [None] * n
+    for k, m in enumerate(pool[:n]):
+        batch = []
+        for ix in range(k, n, len(pool)):
+            rng = _rng_for(budget, f"fuzz:{ix}")
+            try:
+                inst = random_axiom_instance(names[ix % len(names)], rng,
+                                             budget.agents, budget.weight_grid)
+            except PckfoError as exc:
+                outcomes[ix] = exc
+                continue
+            batch.append((ix, inst.formula))
+        program, spans = _everywhere([f for _, f in batch], m.domain)
+        ev = Evaluator(m)
+        results = ev.run(program)
+        for (ix, f), span in zip(batch, spans):
+            out = _holds(results, span, ev.full)
+            outcomes[ix] = print_formula(f) if out is False else out
     rep = CheckReport(VALID_IN_SUITE)
     failures = 0
     skipped = 0
-    for ix in range(n):
-        rng = _rng_for(budget, f"fuzz:{ix}")
-        name = names[ix % len(names)]
-        inst = random_axiom_instance(name, rng, budget.agents,
-                                     budget.weight_grid)
-        m = pool[ix % len(pool)]
-        try:
-            ok = holds_everywhere(m, inst.formula)
-        except NotMeasurable:
+    for ix, out in enumerate(outcomes):
+        if isinstance(out, NotMeasurable):
             # Soundness is stated over measurable models; a coarse algebra
             # that cannot measure this instance's events is out of scope.
             skipped += 1
-            continue
-        if not ok:
+        elif isinstance(out, PckfoError):
+            raise out
+        elif out is not True:
             failures += 1
-            rep.add(axiom=name, formula=print_formula(inst.formula),
+            rep.add(axiom=names[ix % len(names)], formula=out,
                     problem="instance falsified")
-            rep.artifacts[f"counterexample-{failures}"] = model_to_doc(m)
+            rep.artifacts[f"counterexample-{failures}"] = model_to_doc(
+                pool[ix % len(pool)])
     rep.add(instances=n, models=len(pool), failures=failures,
             skipped_not_measurable=skipped, axioms=list(names))
     if failures:
@@ -694,6 +748,7 @@ def validity_suite(family: str, budget: SearchBudget, extra_models=(),
     stated over measurable models only.
     """
     formulas = _family_formulas(family, budget.agents)
+    programs = {}   # domain -> (program, spans)
     rep = CheckReport(VALID_IN_SUITE)
     models_seen = 0
     failures = 0
@@ -704,13 +759,20 @@ def validity_suite(family: str, budget: SearchBudget, extra_models=(),
         pool = itertools.chain(models, extra_models)
     for m in pool:
         models_seen += 1
+        compiled = programs.get(m.domain)
+        if compiled is None:
+            compiled = programs[m.domain] = _everywhere(
+                [f for _, f in formulas], m.domain)
+        program, spans = compiled
         ev = Evaluator(m)
-        for label, f in formulas:
-            try:
-                ok = holds_everywhere(m, f, ev)
-            except NotMeasurable:
+        results = ev.run(program)
+        for (label, f), span in zip(formulas, spans):
+            ok = _holds(results, span, ev.full)
+            if isinstance(ok, NotMeasurable):
                 skipped += 1
                 continue
+            if isinstance(ok, PckfoError):
+                raise ok
             if not ok:
                 failures += 1
                 rep.add(family=family, instance=label,
@@ -738,15 +800,18 @@ def expected_invalid_counterexample(budget=None) -> CheckReport:
     schema = implies(
         EveryoneProb(g, r, implies(p, q)),
         implies(EveryoneProb(g, r, p), EveryoneProb(g, r, q)))
+    program = Program([(schema, None)], budget.domain)
     rep = CheckReport(REJECTED)
     checked = 0
     for m in enumerate_models(budget):
         checked += 1
-        try:
-            ext = Evaluator(m).extension(schema)
-        except NotMeasurable:
+        ext, = Evaluator(m).run(program)
+        if isinstance(ext, NotMeasurable):
             continue
-        s = next((s for s in m.states if s not in ext), None)
+        if not isinstance(ext, int):
+            raise ext
+        s = next((s for k, s in enumerate(m.states) if not ext >> k & 1),
+                 None)
         if s is not None:
             rep.verdict = VALID_IN_SUITE
             rep.add(expected_invalid=print_formula(schema),

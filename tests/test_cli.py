@@ -225,6 +225,8 @@ class TestFindFuzzDemo:
         commands = (
             (["fuzz", "--n", "200", "--seed", "7", "--json"], 0),
             (["demo", "validity", "--family", "fixed-point", "--json"], 0),
+            (["demo", "validity", "--family", "probabilistic-monotonicity",
+              "--json"], 0),
             (["find", "--formula", "P[a]>=1/2 p & !P[a]>=1 p & !K[a] q",
               "--json"], 0),
             (["check-proof", "--proof", str(proof), "--json"], 1),

@@ -5,11 +5,12 @@ unrolling, must agree with the production evaluator everywhere."""
 import random
 from fractions import Fraction
 
-from pckfo.evaluator import Evaluator, eval_term
+from pckfo.evaluator import Evaluator, Program, eval_term
 from pckfo.oracle import SearchBudget, random_formula, random_models
 from pckfo.syntax import (
     And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, iterate_everyone, prob_common_stage,
+    Knows, Not, ProbAtLeast, Var, implies, iterate_everyone,
+    prob_common_stage,
 )
 
 F = Fraction
@@ -72,6 +73,31 @@ def test_naive_and_extension_evaluators_agree():
         for f in _wrapped_formulas(rng, m.agents):
             for s in m.states:
                 assert ev.satisfies(s, f) == naive(m, s, {}, f), (s, f)
+
+
+def test_one_program_for_many_formulas_agrees_with_naive():
+    # every formula of a batch, open ones under each valuation, in one
+    # program, so subformulas are shared between formulas and between the
+    # values of a quantifier and the formulas around it
+    budget = SearchBudget(max_states=3, max_domain=2, max_agents=2,
+                          relation_symbols=(("p", 0), ("q", 0), ("R", 1)),
+                          atom_mode="singleton", seed=4321)
+    rng = random.Random("cross-check-program")
+    rx = Atom("R", (Var("x"),))
+    for m in random_models(budget, 40, tag="cross-program"):
+        roots = []
+        for _ in range(3):
+            f = _wrapped_formulas(rng, m.agents)[-1]
+            g = random_formula(rng, m.agents, depth=2, vars_allowed=("x",))
+            roots.append((f, {}))
+            for d in m.domain:
+                roots.append((And(f, g), {"x": d}))
+                roots.append((And(g, Forall("x", implies(g, rx))), {"x": d}))
+        got = Evaluator(m).run(Program(roots, m.domain))
+        for (f, v), mask in zip(roots, got):
+            want = sum(1 << k for k, s in enumerate(m.states)
+                       if naive(m, s, v, f))
+            assert mask == want, (f, v)
 
 
 def test_accepted_theorems_hold_on_random_models():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from pckfo.errors import EvalError, NotMeasurable
-from pckfo.evaluator import Evaluator, eval_term, extension, satisfies
+from pckfo.evaluator import (
+    Evaluator, Program, eval_term, extension, satisfies,
+)
 from pckfo.model import Model, ProbSpace, point_space
 from pckfo.oracle import chain_model
 from pckfo.parser import parse_formula, parse_model
@@ -118,13 +120,19 @@ class TestSatisfies:
 
 
 class TestExtension:
-    def test_record_snapshot_restricted_to_free_vars(self):
-        m = thirds_model()
+    def test_entries_for_other_variables_do_not_matter(self, fixtures_dir):
+        text = (fixtures_dir / "models" / "functions.json").read_text()
+        m = parse_model(text)
         ev = Evaluator(m)
-        rec = ev.extension_record(parse_formula("R(x) | p"),
-                                  {"x": "d0", "y": "d0"})
-        assert rec.valuation == (("x", "d0"),)
-        assert rec.states <= frozenset(m.states)
+        f = parse_formula("R(x) | K[a] forall y R(y)")
+        for d in m.domain:
+            want = ev.extension(f, {"x": d})
+            for other in m.domain:
+                assert ev.extension(f, {"x": d, "y": other, "z": other}) \
+                    == want
+        # R holds of d1 at s0 only, and K[a] holds vacuously at s1
+        assert ev.extension(f, {"x": "d0"}) == {"s1"}
+        assert ev.extension(f, {"x": "d1"}) == {"s0", "s1"}
 
     def test_no_module_table_keeps_formulas(self):
         f = Forall("x", Knows("a", Atom("R", (Var("x"), Var("y")))))
@@ -146,6 +154,81 @@ class TestExtension:
     def test_atom_by_tables(self):
         m = thirds_model(p_true=("s0", "s2"))
         assert extension(m, {}, p) == {"s0", "s2"}
+
+
+def function_model():
+    """R holds of nothing, Q of d0 at s0, and f has no row for d1."""
+    return Model(
+        states=("s0", "s1"), domain=("d0", "d1"), agents=("a",),
+        functions={"f": (1, {("d0",): "d0"})},
+        relations={"R": (1, {}), "Q": (1, {"s0": frozenset({("d0",)})})},
+        access={"a": frozenset({("s0", "s1")})},
+        prob={("a", s): point_space(s) for s in ("s0", "s1")},
+    )
+
+
+class TestProgram:
+    def test_failure_stays_with_the_roots_that_use_it(self):
+        m = thirds_model()
+        coarse = ProbSpace(frozenset(m.states), (frozenset(m.states),),
+                           (F(1),))
+        m = Model(states=m.states, domain=m.domain, agents=m.agents,
+                  relations=m.relations, access=m.access,
+                  prob={k: coarse for k in m.prob})
+        straddles = ProbAtLeast("a", F(1, 2), p)
+        roots = [(straddles, None), (Knows("a", p), None),
+                 (And(Knows("a", p), straddles), None), (Not(p), None)]
+        got = Evaluator(m).run(Program(roots, m.domain))
+        assert isinstance(got[0], NotMeasurable) and got[2] is got[0]
+        assert got[0].formula == straddles and got[0].state == "s0"
+        assert got[1] == 0 and got[3] == 0b100
+
+    def test_left_operand_error_comes_first(self):
+        m = function_model()
+        fd1 = Atom("Q", (App("f", (App("d1"),)),))
+        with pytest.raises(EvalError, match="undeclared agent"):
+            extension(m, {}, And(Knows("zz", p), fd1))
+        with pytest.raises(EvalError, match="undeclared function symbol"):
+            extension(m, {}, And(fd1, Knows("zz", p)))
+
+    def test_universal_stops_at_the_first_empty_value(self):
+        m = function_model()
+        x = Var("x")
+        body = And(Atom("R", (x,)), Atom("Q", (App("f", (x,)),)))
+        f = Forall("x", body)
+        # under x = d1, f(x) has no value, but x = d0 already leaves nothing
+        assert extension(m, {}, f) == frozenset()
+        # the same body under x = d1 outside the quantifier is evaluated
+        with pytest.raises(EvalError, match="no row for"):
+            extension(m, {"x": "d1"}, And(f, body))
+
+    def test_program_is_bound_to_its_domain(self):
+        program = Program([(p, None)], ("d0", "d1"))
+        with pytest.raises(ValueError, match="domain"):
+            Evaluator(thirds_model()).run(program)
+
+
+class TestDeepFormulas:
+    def test_knowledge_chain_of_depth_499(self):
+        # built with constructors: the parser stops at its own depth limit
+        m = chain_model(50)   # p at s0..s48, s_k -> s_k+1
+        f = p
+        for _ in range(499):
+            f = Knows("a", f)
+        ev = Evaluator(m)
+        assert ev.extension(f) == frozenset(m.states)
+        g = p
+        for _ in range(30):
+            g = Knows("a", g)
+        # K^30 p fails exactly where the chain reaches s49 in 30 steps
+        assert ev.extension(And(f, Not(g))) == {"s19"}
+
+    def test_negation_chain_of_depth_2000(self):
+        m = chain_model(3)
+        f = p
+        for _ in range(2000):
+            f = Not(f)
+        assert extension(m, {}, f) == {"s0", "s1"}
 
 
 class TestCommonKnowledge:

@@ -8,10 +8,11 @@ from pckfo.model import classify, validate
 from pckfo.oracle import (
     DEFAULT_GRID, SearchBudget, enumerate_models, enumeration_size,
     expected_invalid_counterexample, find_model, fuzz_soundness,
-    noncompactness_demo, random_models, targeted_class_models, validity_suite,
+    holds_everywhere, noncompactness_demo, random_models,
+    targeted_class_models, validity_suite,
 )
-from pckfo.parser import load_model, model_to_doc, parse_formula
-from pckfo.report import NOT_FOUND, SAT, VALID_IN_SUITE
+from pckfo.parser import load_model, model_to_doc, parse_formula, parse_model
+from pckfo.report import NOT_FOUND, REJECTED, SAT, VALID_IN_SUITE
 from pckfo.syntax import Atom, Knows, ProbAtLeast, implies
 
 F = Fraction
@@ -36,6 +37,10 @@ class TestEnumeration:
     def test_zero_states_rejected(self):
         with pytest.raises(BudgetError):
             SearchBudget(max_states=0)
+
+    def test_empty_weight_grid_rejected(self):
+        with pytest.raises(BudgetError, match="weight grid"):
+            SearchBudget(weight_grid=())
 
     def test_cap_enforced(self):
         budget = SearchBudget(max_states=3, max_agents=2, max_models=100)
@@ -103,6 +108,21 @@ class TestFuzz:
         a = fuzz_soundness(budget, 50, models=pool).to_json()
         b = fuzz_soundness(budget, 50, models=pool).to_json()
         assert a == b
+
+    def test_falsified_instances_are_reported_in_order(self, fixtures_dir):
+        m = parse_model((fixtures_dir / "models" / "noncon.json").read_text())
+        budget = SearchBudget(max_states=2, seed=3)
+        rep = fuzz_soundness(budget, 12, names=("CON",), models=[m, m])
+        failed = [d for d in rep.details if d.get("problem")]
+        assert rep.verdict == REJECTED and failed
+        assert rep.details[-1]["failures"] == len(failed)
+        for k, d in enumerate(failed, 1):
+            assert rep.artifacts[f"counterexample-{k}"] == model_to_doc(m)
+            assert not holds_everywhere(m, parse_formula(d["formula"]))
+
+    def test_unknown_schema_is_a_budget_error(self):
+        with pytest.raises(BudgetError, match="no random generator"):
+            fuzz_soundness(tiny_budget(), 4, names=("P1", "nope"))
 
     def test_con_fails_on_non_con_model(self, fixtures_dir):
         # vacuous knowledge with zero probability falsifies the consistency
