@@ -24,8 +24,13 @@ An error is kept per operation: an operation with a failed operand takes
 the error of its first failed operand, the others run on, so one formula's
 failure does not hide another formula of the same program.
 
+`Evaluator.extension` keeps one program per evaluator and adds each query
+to it, so the queries asked of one evaluator share their subformulas and
+the values already computed, as a memo would.
+
 The evaluator expects a model that passes `model.validate`.  Evaluators over
-a shared validated Model are safe to use from several threads: their caches
+a shared validated Model are safe to use from several threads: `extension`
+adds and runs its query under the evaluator's lock, and the other caches
 (predecessor masks, spaces, groups) only ever gain values that every thread
 computes alike.
 """
@@ -33,6 +38,7 @@ computes alike.
 from __future__ import annotations
 
 import itertools
+import threading
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -41,7 +47,7 @@ from .errors import EvalError, NotMeasurable, PckfoError
 from .model import Model
 from .syntax import (
     And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, Var, free_vars,
+    Knows, Not, ProbAtLeast, Var, children, free_vars,
 )
 
 
@@ -88,7 +94,7 @@ def eval_term(m: Model, state: str, valuation, t):
 # The compile walk's frames are (kind, f, v, x):
 #   _VISIT  lay out f under the valuation v (x is None)
 #   a code  f's operands are laid out: add f's operation, which has that
-#           code; x is f's table key, or None when f was not looked up yet
+#           code; x is f's table key
 #   _STEP   one value of a universal is laid out: x is (k, steps), the
 #           value's index and the positions of the universal's steps
 #   _CLOSE  every value of the universal f is laid out: x is (key, steps)
@@ -98,50 +104,68 @@ _CODES = {Atom: _ATOM, Not: _NOT, And: _AND, Forall: _FORALL, Knows: _K,
           EveryoneProb: _EP, CommonProb: _CP}
 
 
+def _prepare(root) -> None:
+    """Give root and every node below it its stored hash and free
+    variables, children first and without recursion, so that hashing any
+    of them later is one step."""
+    todo = [root]
+    pop = todo.pop
+    while todo:
+        f = pop()
+        if f is None:          # the children of the node below are done
+            f = pop()
+            free_vars(f)
+            hash(f)
+        elif f._hash is None or f._fv is None:
+            # A shared node pushed twice is done by the time its second
+            # copy is popped, since it cannot lie below itself.
+            todo += (f, None, *children(f))
+
+
 def _table_key(f, v):
-    """A subformula's identity under a valuation: the formula, with the
-    values of its free variables when it has any.  A node that lacks its
-    stored hash or free variables computes them here, from its children's,
-    so the children must have theirs."""
-    fv = free_vars(f)
-    if not fv:
+    """A prepared subformula's identity under a valuation: the formula,
+    with the values of its free variables when it has any."""
+    if not f._fv:
         return f
-    return (f, tuple([(x, v.get(x)) for x in sorted(fv)]))
+    return (f, tuple([(x, v.get(x)) for x in sorted(f._fv)]))
 
 
 class Program:
     """Formulas compiled once, for every model over one domain.
 
-    `roots` lists (formula, valuation) pairs; `slots[k]` is the position of
-    the operation whose value is the extension of roots[k].  Raises
-    EvalError when a valuation misses a free variable of its formula.
+    `roots` lists (formula, valuation) pairs, and `add` lays out one more;
+    `slots[k]` is the position of the operation whose value is the
+    extension of the k-th root.  The domain is sorted, as `Model` sorts
+    it.  Either raises EvalError when a valuation misses a free variable
+    of its formula, and then lays out nothing for it.
     """
 
     def __init__(self, roots, domain):
-        self.domain = tuple(domain)
+        self.domain = tuple(sorted(set(domain)))   # as Model sorts it
         self.ops = []
         self.slots = []
-        table = {}
+        self._table = {}   # table key -> position of its operation
         for f, valuation in roots:
-            v = dict(valuation) if valuation else {}
-            self.slots.append(self._compile(f, v, table))
-            missing = free_vars(f) - v.keys()
-            if missing:
-                raise EvalError(
-                    f"valuation misses free variable {min(missing)!r}")
+            self.add(f, valuation)
 
-    def _compile(self, root, v, table) -> int:
-        """Lay out root under v in post-order, reusing the operations in
-        table.
+    def add(self, f, valuation=None) -> int:
+        """Lay out one more root, sharing the operations laid out so far,
+        and return its slot."""
+        v = dict(valuation) if valuation else {}
+        _prepare(f)
+        missing = f._fv - v.keys()
+        if missing:
+            raise EvalError(f"valuation misses free variable {min(missing)!r}")
+        self.slots.append(self._compile(f, v))
+        return self.slots[-1]
 
-        A node is looked up before its children are visited when it has
-        its stored hash and free variables already, and after them
-        otherwise; that way no hash or free-variable set is ever computed
-        before the children's.  The operations of a universal's second and
-        later values run only while its running intersection is not
+    def _compile(self, root, v) -> int:
+        """Lay out the prepared root under v in post-order, reusing the
+        operations in the table.  The operations of a universal's second
+        and later values run only while its running intersection is not
         empty, so what they add to the table is dropped again at the end
         of their value."""
-        ops, domain = self.ops, self.domain
+        ops, domain, table = self.ops, self.domain, self._table
         done = []      # positions of the finished subformulas
         scopes = []    # table keys added under each open skippable value
         todo = [(_VISIT, root, v, None)]
@@ -149,12 +173,11 @@ class Program:
         while todo:
             kind, f, v, x = pop()
             if kind == _VISIT:
-                if f._hash is not None and f._fv is not None:
-                    x = f if not f._fv else _table_key(f, v)
-                    at = table.get(x)
-                    if at is not None:
-                        done.append(at)
-                        continue
+                x = _table_key(f, v)
+                at = table.get(x)
+                if at is not None:
+                    done.append(at)
+                    continue
                 code = _CODES[type(f)]
                 if code == _AND:
                     push((code, f, v, x))
@@ -162,12 +185,6 @@ class Program:
                     push((_VISIT, f.left, v, None))
                     continue
                 if code == _ATOM:
-                    if x is None:
-                        x = _table_key(f, v)
-                        at = table.get(x)
-                        if at is not None:
-                            done.append(at)
-                            continue
                     ops.append((_ATOM, -1, -1, f.rel, f.args, v))
                 elif code != _FORALL:
                     push((code, f, v, x))
@@ -188,12 +205,6 @@ class Program:
                 a, b = done.pop(), -1
                 if kind == _AND:
                     a, b = done.pop(), a
-                if x is None:
-                    x = _table_key(f, v)
-                    at = table.get(x)
-                    if at is not None:
-                        done.append(at)
-                        continue
                 if kind == _AND or kind == _NOT:
                     ops.append((kind, a, b))
                 elif kind == _K:
@@ -219,12 +230,9 @@ class Program:
                 for at in steps:
                     ops[at] = ops[at][:3] + (last,)
                 done.append(last)
-                if key is None:
-                    key = _table_key(f, v)
-                if key not in table:
-                    table[key] = last
-                    if scopes:
-                        scopes[-1].append(key)
+                table[key] = last
+                if scopes:
+                    scopes[-1].append(key)
                 continue
             # an operation for the key x was just appended
             at = len(ops) - 1
@@ -263,20 +271,29 @@ class Evaluator:
         self._pred = {}     # agent -> predecessor masks by state position
         self._spaces = {}   # agent -> _space entries by state position
         self._groups = {}   # group tokens -> sorted members
+        self._lock = threading.Lock()   # guards what extension keeps:
+        self._program = None            # the queries so far, compiled,
+        self._vals = []                 # the values of its operations
+        self._errs = {}                 # and their errors
 
     # -- public API
 
     def extension(self, f, valuation=None) -> frozenset:
         """States where f holds, under the given valuation of its free
-        variables.  Each call compiles f afresh; compile a Program once to
-        ask about many formulas or models."""
-        out, = self.run(Program([(f, valuation)], self.model.domain))
-        if isinstance(out, int):
-            return self._states(out)
-        try:
-            raise out
-        finally:
-            out = None   # the traceback keeps this frame, not the error
+        variables.  The queries asked of one evaluator share one program,
+        so a subformula they share is computed once."""
+        with self._lock:
+            program = self._program
+            if program is None:
+                program = self._program = Program((), self.model.domain)
+            try:
+                slot = program.add(f, valuation)
+                self._execute(program.ops, self._vals, self._errs)
+            except BaseException:   # start afresh, not from half a query
+                self._program, self._vals, self._errs = None, [], {}
+                raise
+            return self._states(
+                value_or_raise(self._errs.get(slot, self._vals[slot])))
 
     def satisfies(self, state: str, f, valuation=None) -> bool:
         if state not in self._bit:
@@ -306,12 +323,18 @@ class Evaluator:
         evaluating it raised."""
         if program.domain != self.model.domain:
             raise ValueError("the program was compiled for another domain")
+        vals, errs = [], {}
+        self._execute(program.ops, vals, errs)
+        return [errs.get(k, vals[k]) if errs else vals[k]
+                for k in program.slots]
+
+    def _execute(self, ops, vals, errs) -> None:
+        """Run the operations ops[len(vals):], whose operands are earlier
+        operations: put their values in vals and their errors in errs."""
         full = self.full
-        ops = program.ops
-        vals = [0] * len(ops)
-        errs = {}
-        pc = 0
+        pc = len(vals)
         end = len(ops)
+        vals += [0] * (end - pc)
         while pc < end:
             op = ops[pc]
             code, a, b = op[0], op[1], op[2]
@@ -358,8 +381,6 @@ class Evaluator:
             except PckfoError as exc:
                 errs[pc] = exc.with_traceback(None)
             pc += 1
-        return [errs.get(k, vals[k]) if errs else vals[k]
-                for k in program.slots]
 
     # -- masks
 
@@ -529,6 +550,19 @@ class Evaluator:
             if len(stages) > len(self.model.states) + 2:
                 raise EvalError(
                     "stage chain failed to stabilize within |S| rounds")
+
+
+def value_or_raise(out):
+    """A result that `Evaluator.run` returns: out itself, or raised afresh
+    when it is an error.  Raise a stored error only through here, with no
+    local of the caller naming it: the traceback keeps every frame it
+    passes, and a frame that named the error would keep it alive."""
+    if not isinstance(out, PckfoError):
+        return out
+    try:
+        raise out.with_traceback(None)
+    finally:
+        out = None
 
 
 def extension(m: Model, valuation, f) -> frozenset:

@@ -72,9 +72,6 @@ class ProbSpace:
         """The atoms, in order, as int masks, where `bit` maps each state
         of the model to its mask."""
         zeros = itertools.repeat(0)   # the mask of a state outside the model
-        if set(map(len, self.atoms)) == {1}:   # one state each: one pass
-            states = itertools.chain.from_iterable(self.atoms)
-            return tuple(map(bit.get, states, zeros))
         return tuple([sum(map(bit.get, atom, zeros)) for atom in self.atoms])
 
 

@@ -18,7 +18,7 @@ from . import axioms as ax
 from .errors import (
     BudgetError, EvalError, NonSentenceError, NotMeasurable, PckfoError,
 )
-from .evaluator import Evaluator, Program, satisfies
+from .evaluator import Evaluator, Program, satisfies, value_or_raise
 from .model import Model, ProbSpace, classify, validate
 from .parser import model_to_doc, print_formula
 from .report import (
@@ -501,8 +501,7 @@ def _everywhere(formulas, domain) -> tuple:
 def _holds(results, span, full):
     """Whether one formula's roots all hold everywhere: True, False, or the
     first error met.  Valuations are taken in order up to the first that
-    fails.  The error is returned, not raised, because raising it would tie
-    it through its traceback to the caller's frame, which keeps it."""
+    fails.  The error is returned, not raised: see `value_or_raise`."""
     for out in results[span[0]:span[1]]:
         if not isinstance(out, int):
             return out
@@ -516,13 +515,7 @@ def holds_everywhere(m: Model, f) -> bool:
     variables (over the model's domain)."""
     program, spans = _everywhere([f], m.domain)
     ev = Evaluator(m)
-    out = _holds(ev.run(program), spans[0], ev.full)
-    if not isinstance(out, PckfoError):
-        return out
-    try:
-        raise out
-    finally:
-        out = None   # the traceback keeps this frame, not the error
+    return value_or_raise(_holds(ev.run(program), spans[0], ev.full))
 
 
 def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,

@@ -207,6 +207,60 @@ class TestProgram:
         with pytest.raises(ValueError, match="domain"):
             Evaluator(thirds_model()).run(program)
 
+    def test_domain_is_sorted_as_the_model_sorts_it(self):
+        domain = tuple(f"d{k}" for k in range(11))
+        program = Program([(Forall("x", Not(Atom("R", (Var("x"),)))), None)],
+                          domain)
+        assert program.domain == tuple(sorted(domain))
+        m = Model(states=("s0",), domain=domain, agents=("a",),
+                  relations={"R": (1, {"s0": frozenset({("d10",)})})})
+        assert m.domain == program.domain
+        assert Evaluator(m).run(program) == [0]
+
+
+class TestSharedQueries:
+    def test_queries_of_one_evaluator_share_their_subformulas(self):
+        m = chain_model(6)
+        ev = Evaluator(m)
+        f = p
+        for depth in range(1, 8):
+            f = Knows("a", f)
+            ev.extension(f)
+            # K^depth p reuses K^(depth-1) p and adds one operation
+            assert len(ev._program.ops) == depth + 1
+        assert ev.extension(f) == extension(m, {}, f)
+        assert len(ev._program.ops) == 8
+
+    def test_skipped_universal_values_are_not_reused(self):
+        m = function_model()
+        x = Var("x")
+        body = And(Atom("R", (x,)), Atom("Q", (App("f", (x,)),)))
+        f = Forall("x", body)
+        ev = Evaluator(m)
+        assert ev.extension(f) == frozenset()
+        with pytest.raises(EvalError, match="no row for"):
+            ev.extension(And(f, body), {"x": "d1"})
+        assert ev.extension(f) == frozenset()
+
+    def test_stored_error_raised_again_for_each_query(self):
+        m = function_model()
+        bad = Knows("zz", p)
+        ev = Evaluator(m)
+        for f in (bad, And(bad, p), Not(bad)):
+            with pytest.raises(EvalError, match="undeclared agent") as info:
+                ev.extension(f)
+            assert info.value is ev._errs[ev._program.slots[-1]]
+
+    def test_failed_query_leaves_the_evaluator_usable(self):
+        m = function_model()
+        ev = Evaluator(m)
+        assert ev.extension(Not(p)) == extension(m, {}, Not(p))
+        with pytest.raises(EvalError, match="misses free variable"):
+            ev.extension(Atom("R", (Var("x"),)))
+        assert ev.extension(Atom("R", (Var("x"),)), {"x": "d0"}) == \
+            extension(m, {"x": "d0"}, Atom("R", (Var("x"),)))
+        assert ev.extension(Not(p)) == extension(m, {}, Not(p))
+
 
 class TestDeepFormulas:
     def test_knowledge_chain_of_depth_499(self):

@@ -80,6 +80,13 @@ class TestFindModel:
                                       relation_symbols=(("p", 0),)))
         assert rep.verdict == SAT
 
+    def test_domain_past_ten_values(self):
+        # the budget's domain d0..d10 is in numeric order, a model's sorted
+        rep = find_model(parse_formula("p"), SearchBudget(max_domain=11))
+        assert rep.verdict == SAT
+        assert satisfies(load_model(rep.artifacts["witness-model"]),
+                         rep.artifacts["witness-state"], parse_formula("p"))
+
     def test_non_sentence_rejected(self):
         with pytest.raises(NonSentenceError):
             find_model(parse_formula("R(x)"), tiny_budget())
