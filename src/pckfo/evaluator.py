@@ -28,10 +28,13 @@ failure does not hide another formula of the same program.
 to it, so the queries asked of one evaluator share their subformulas and
 the values already computed, as a memo would.
 
-The evaluator expects a model that passes `model.validate`.  Evaluators over
-a shared validated Model are safe to use from several threads: `extension`
-adds and runs its query under the evaluator's lock, and the other caches
-(predecessor masks, spaces, groups) only ever gain values that every thread
+The evaluator expects a model that passes `model.validate`.  It compiles
+what it needs of the model on first use, one row per agent: the
+predecessor masks in one pass over the agent's edges, the spaces in one
+pass over the states.  Evaluators over a shared Model that no one changes
+are safe to use from several threads: `extension` adds and runs its query
+under the evaluator's lock, and the other caches (the agents' rows,
+groups) are stored only when complete, with values that every thread
 computes alike.
 """
 
@@ -269,7 +272,7 @@ class Evaluator:
         self._bit = {s: 1 << k for k, s in enumerate(model.states)}
         self.full = (1 << len(model.states)) - 1
         self._pred = {}     # agent -> predecessor masks by state position
-        self._spaces = {}   # agent -> _space entries by state position
+        self._spaces = {}   # agent -> space entries by state position
         self._groups = {}   # group tokens -> sorted members
         self._lock = threading.Lock()   # guards what extension keeps:
         self._program = None            # the queries so far, compiled,
@@ -392,21 +395,38 @@ class Evaluator:
         return frozenset([states[k] for k in _positions(mask)])
 
     def _predecessors(self, agent) -> list:
-        """The agent's predecessor mask per state position, each built by
-        _pred_mask on first use and None until then."""
+        """The agent's predecessor mask per state position, built in one
+        pass over its edges on first use.  An edge with an end outside the
+        states adds nothing."""
         row = self._pred.get(agent)
         if row is None:
             m = self.model
-            if agent not in m.access and agent not in m.agents and m.states:
-                raise EvalError(f"undeclared agent {agent!r}")
-            row = self._pred[agent] = [None] * len(m.states)
+            pairs = m.access.get(agent)
+            if pairs is None:
+                if agent not in m.agents and m.states:
+                    raise EvalError(f"undeclared agent {agent!r}")
+                pairs = ()
+            bit = self._bit
+            into = {}   # state -> mask of the states with an edge into it
+            for s, t in pairs:
+                into[t] = into.get(t, 0) | bit.get(s, 0)
+            row = self._pred[agent] = [into.get(t, 0) for t in m.states]
         return row
 
-    def _pred_mask(self, agent, row, t) -> int:
-        m = self.model
-        preds = m._pred.get((agent, m.states[t]), ())
-        mask = row[t] = reduce(or_, map(self._bit.get, preds, _ZEROS), 0)
-        return mask
+    def _spaces_of(self, agent) -> list:
+        """The agent's [space, sample mask, sum of its numerators, atom
+        masks] per state position, built in one pass on first use; the
+        atom masks stay None until an event cuts the sample."""
+        row = self._spaces.get(agent)
+        if row is None:
+            m = self.model
+            row = []
+            for s in m.states:
+                space = m.space(agent, s)
+                row.append([space, self._mask(space.sample), sum(space._nums),
+                            None])
+            self._spaces[agent] = row
+        return row
 
     def _members(self, group) -> tuple:
         members = self._groups.get(group)
@@ -452,10 +472,7 @@ class Evaluator:
             row = self._predecessors(i)
             failed = 0
             for t in bad:
-                mask = row[t]
-                if mask is None:
-                    mask = self._pred_mask(i, row, t)
-                failed |= mask
+                failed |= row[t]
             out &= ~failed
         return out
 
@@ -465,39 +482,20 @@ class Evaluator:
         frontier = self.full & ~event
         if not frontier:
             return self.full
-        rows = [(i, self._predecessors(i)) for i in members]
+        rows = [self._predecessors(i) for i in members]
         reached = 0
         while frontier:
             new = 0
             for t in _positions(frontier):
-                for i, row in rows:
-                    mask = row[t]
-                    if mask is None:
-                        mask = self._pred_mask(i, row, t)
-                    new |= mask
+                for row in rows:
+                    new |= row[t]
             frontier = new & ~reached
             reached |= frontier
         return self.full & ~reached
 
-    def _space(self, agent, t) -> list:
-        """[space, sample mask, sum of its numerators, atom masks] of the
-        (agent, t) space, built on first use; the atom masks only when an
-        event cuts the sample."""
-        row = self._spaces.get(agent)
-        if row is None:
-            row = self._spaces[agent] = [None] * len(self.model.states)
-        m = self.model
-        space = m.space(agent, m.states[t])
-        sample = reduce(or_, map(self._bit.get, space.sample, _ZEROS), 0)
-        entry = row[t] = [space, sample, sum(space._nums), None]
-        return entry
-
-    def _prob_ok(self, agent, t, num, den, event, origin) -> bool:
-        """Whether the (agent, t) space gives event at least num/den."""
-        row = self._spaces.get(agent)
-        entry = None if row is None else row[t]
-        if entry is None:
-            entry = self._space(agent, t)
+    def _prob_ok(self, entry, agent, t, num, den, event, origin) -> bool:
+        """Whether the (agent, t) space, whose _spaces_of entry is given,
+        gives event at least num/den."""
         space, sample, whole, atoms = entry
         ev = event & sample
         if not ev:
@@ -506,7 +504,7 @@ class Evaluator:
             total = whole
         else:
             if atoms is None:
-                atoms = entry[3] = space.atom_masks(self._bit)
+                atoms = entry[3] = tuple([self._mask(a) for a in space.atoms])
             total = 0
             for k, (atom, w) in enumerate(zip(atoms, space._nums)):
                 inside = atom & ev
@@ -519,8 +517,8 @@ class Evaluator:
 
     def _prob(self, agent, num, den, event, origin) -> int:
         out = 0
-        for t in range(len(self.model.states)):
-            if self._prob_ok(agent, t, num, den, event, origin):
+        for t, entry in enumerate(self._spaces_of(agent)):
+            if self._prob_ok(entry, agent, t, num, den, event, origin):
                 out |= 1 << t
         return out
 
@@ -529,13 +527,13 @@ class Evaluator:
         every successor.  Strict: every (member, successor) space is
         measured once, in sorted (agent, state) order, before any state is
         decided."""
-        rows = [(i, self._predecessors(i)) for i in members]
+        rows = [(i, self._predecessors(i), self._spaces_of(i))
+                for i in members]
         failed = 0
-        for i, row in rows:
+        for i, row, spaces in rows:
             for t, mask in enumerate(row):
-                if mask is None:
-                    mask = self._pred_mask(i, row, t)
-                if mask and not self._prob_ok(i, t, num, den, event, origin):
+                if mask and not self._prob_ok(spaces[t], i, t, num, den,
+                                              event, origin):
                     failed |= mask
         return self.full & ~failed
 

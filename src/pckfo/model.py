@@ -9,7 +9,6 @@ set whose finite unions are exactly the measurable sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,41 +67,21 @@ class ProbSpace:
                 raise NotMeasurable(agent, state, atom)
         return Fraction(total, self._den)
 
-    def atom_masks(self, bit) -> tuple:
-        """The atoms, in order, as int masks, where `bit` maps each state
-        of the model to its mask."""
-        zeros = itertools.repeat(0)   # the mask of a state outside the model
-        return tuple([sum(map(bit.get, atom, zeros)) for atom in self.atoms])
-
-
-def singleton_space(states) -> ProbSpace:
-    """Powerset-algebra space: singleton atoms over the given sample."""
-    states = sorted(states)
-    n = len(states)
-    return ProbSpace(
-        sample=frozenset(states),
-        atoms=tuple(frozenset([s]) for s in states),
-        weights=tuple(Fraction(1, n) for _ in states),
-    )
-
 
 def point_space(state) -> ProbSpace:
     return ProbSpace(frozenset([state]), (frozenset([state]),), (Fraction(1),))
 
 
-_EMPTY = frozenset()
-
-
 @dataclass(frozen=True)
 class Model:
-    """A validated instance is immutable and safe to share between threads.
+    """A finite model as plain data.
 
-    Construction indexes the accessibility relations once: per agent, each
-    state's successor set and predecessor tuple.  The index is not rebuilt,
-    so the dict fields must not be mutated after construction; derive a
-    changed model with `dataclasses.replace`, which builds a new index.
-    Indexing takes edges outside the state set and relations of undeclared
-    agents as they are, so `validate` still reports them.
+    Construction only sorts `states`, `domain` and `agents`; nothing is
+    derived from the other fields, so every reader sees them as they
+    stand, and an evaluator compiles what it needs for itself (see
+    `pckfo.evaluator`).  Edges outside the state set and relations of
+    undeclared agents are kept as given, so `validate` still reports
+    them.
     """
 
     states: tuple
@@ -113,37 +92,20 @@ class Model:
     access: dict = field(default_factory=dict)      # agent -> {(s, t)}
     prob: dict = field(default_factory=dict)        # (agent, state) -> ProbSpace
     groups: dict = field(default_factory=dict)      # name -> (members)
-    _succ: dict = field(init=False, repr=False, compare=False)  # (agent, s) -> {t}
-    _pred: dict = field(init=False, repr=False, compare=False)  # (agent, t) -> (s,)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(sorted(set(self.states))))
         object.__setattr__(self, "domain", tuple(sorted(set(self.domain))))
         object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
-        succ, pred = {}, {}
-        for agent, pairs in self.access.items():
-            for (s, t) in pairs:
-                succ.setdefault((agent, s), []).append(t)
-                pred.setdefault((agent, t), []).append(s)
-        object.__setattr__(
-            self, "_succ", {k: frozenset(ts) for k, ts in succ.items()})
-        object.__setattr__(
-            self, "_pred", {k: tuple(ss) for k, ss in pred.items()})
 
     def successors(self, agent: str, state: str) -> frozenset:
-        return self._lookup(self._succ, agent, state, _EMPTY)
-
-    def predecessors(self, agent: str, state: str) -> tuple:
-        """States with an `agent` edge into `state`, in no fixed order."""
-        return self._lookup(self._pred, agent, state, ())
-
-    def _lookup(self, index, agent, state, empty):
-        hit = index.get((agent, state))
-        if hit is not None:
-            return hit
-        if agent not in self.access and agent not in self.agents:
-            raise EvalError(f"undeclared agent {agent!r}")
-        return empty
+        """States with an `agent` edge from `state`: a scan of its edges."""
+        pairs = self.access.get(agent)
+        if pairs is None:
+            if agent not in self.agents:
+                raise EvalError(f"undeclared agent {agent!r}")
+            return frozenset()
+        return frozenset([t for (s, t) in pairs if s == state])
 
     def space(self, agent: str, state: str) -> ProbSpace:
         try:
@@ -265,8 +227,13 @@ def classify(m: Model) -> frozenset:
     probability-operator application during evaluation.
     """
     flags = set()
+    succ = {}   # (agent, state) -> successors, from one pass over the edges
+    for i in m.agents:
+        for s, t in m.access.get(i, ()):
+            succ.setdefault((i, s), set()).add(t)
+    none = frozenset()
 
-    if all(m.space(i, s).sample <= m.successors(i, s)
+    if all(m.space(i, s).sample <= succ.get((i, s), none)
            for i in m.agents for s in m.states):
         flags.add(CLASS_CON)
 
@@ -275,7 +242,8 @@ def classify(m: Model) -> frozenset:
         flags.add(CLASS_OBJ)
 
     if all(m.space(i, s) == m.space(i, t)
-           for i in m.agents for s in m.states for t in m.successors(i, s)):
+           for i in m.agents for s in m.states
+           for t in succ.get((i, s), none)):
         flags.add(CLASS_SDP)
 
     if all(m.space(i, s) == m.space(i, t)

@@ -148,13 +148,13 @@ def _access_options(states) -> list:
     return [frozenset(s) for s in out]
 
 
-def _assemble(budget, states, rel_choice, rel_slots, access_choice, spaces):
+def _assemble(symbols, domain, agents, states, rel_choice, rel_slots,
+              access_choice, spaces):
     relations = {}
-    for (sym, arity) in budget.relation_symbols:
+    for (sym, arity) in symbols:
         relations[sym] = (arity, {})
     for (sym, state, _), chosen in zip(rel_slots, rel_choice):
         relations[sym][1][state] = chosen
-    agents = budget.agents
     access = {agent: access_choice[ix] for ix, agent in enumerate(agents)}
     prob = {}
     ix = 0
@@ -163,50 +163,58 @@ def _assemble(budget, states, rel_choice, rel_slots, access_choice, spaces):
             prob[(agent, state)] = spaces[ix]
             ix += 1
     return Model(
-        states=tuple(states), domain=budget.domain, agents=agents,
+        states=tuple(states), domain=domain, agents=agents,
         functions={}, relations=relations, access=access, prob=prob,
         groups={"G": tuple(agents)},
     )
 
 
-def enumeration_size(budget: SearchBudget) -> int:
-    total = 0
+def _shapes(budget: SearchBudget):
+    """Per state count, from 1 to max_states and built only when reached:
+    the states, their relation slots, access options and space options."""
     for n in range(1, budget.max_states + 1):
         states = [f"s{i}" for i in range(n)]
-        rel = 1
-        for (_, _, options) in _relation_options(states, budget):
-            rel *= len(options)
-        spaces = len(_space_options(states, budget))
-        acc = len(_access_options(states))
-        total += rel * (acc ** budget.max_agents) * \
-            (spaces ** (budget.max_agents * n))
-    return total
+        yield (states, _relation_options(states, budget),
+               _access_options(states), _space_options(states, budget))
+
+
+def _shape_size(budget: SearchBudget, shape) -> int:
+    states, rel_slots, access_opts, space_opts = shape
+    rel = 1
+    for (_, _, options) in rel_slots:
+        rel *= len(options)
+    return rel * (len(access_opts) ** budget.max_agents) * \
+        (len(space_opts) ** (budget.max_agents * len(states)))
+
+
+def enumeration_size(budget: SearchBudget) -> int:
+    return sum(_shape_size(budget, shape) for shape in _shapes(budget))
 
 
 def enumerate_models(budget: SearchBudget):
     """Deterministic stream of every valid model over the budget's shape."""
-    size = enumeration_size(budget)
+    shapes = list(_shapes(budget))
+    size = sum(_shape_size(budget, shape) for shape in shapes)
     if size > budget.max_models:
         raise BudgetError(
             f"enumeration space has {size} models, over the cap of"
             f" {budget.max_models}; shrink the budget")
-    yield from _all_models(budget)
+    yield from _all_models(budget, shapes)
 
 
-def _all_models(budget: SearchBudget):
-    """enumerate_models without the cap, for callers that take a prefix."""
-    for n in range(1, budget.max_states + 1):
-        states = [f"s{i}" for i in range(n)]
-        rel_slots = _relation_options(states, budget)
+def _all_models(budget: SearchBudget, shapes):
+    """Every model of each shape, in a fixed order: enumerate_models
+    without the cap, for callers that take a prefix."""
+    domain, agents = budget.domain, budget.agents   # each a new tuple
+    for states, rel_slots, access_opts, space_opts in shapes:
         rel_lists = [options for (_, _, options) in rel_slots]
-        access_opts = _access_options(states)
-        space_opts = _space_options(states, budget)
-        n_spaces = budget.max_agents * n
         for rel_choice in itertools.product(*rel_lists):
             for access_choice in itertools.product(
-                    access_opts, repeat=budget.max_agents):
-                for spaces in itertools.product(space_opts, repeat=n_spaces):
-                    yield _assemble(budget, states, rel_choice, rel_slots,
+                    access_opts, repeat=len(agents)):
+                for spaces in itertools.product(
+                        space_opts, repeat=len(agents) * len(states)):
+                    yield _assemble(budget.relation_symbols, domain,
+                                    agents, states, rel_choice, rel_slots,
                                     access_choice, spaces)
 
 
@@ -530,7 +538,8 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
         raise BudgetError("fuzzing P5 needs weight grid values r, t with"
                           " r + t <= 1")
     if models is None:
-        pool = list(itertools.islice(_all_models(budget), 100))
+        pool = list(itertools.islice(
+            _all_models(budget, _shapes(budget)), 100))
         pool += random_models(budget, max(0, 200 - len(pool)), tag="fuzz-pool")
     else:
         pool = list(models)

@@ -40,10 +40,6 @@ class App:
 Term = Union[Var, App]
 
 
-def constant(name: str) -> App:
-    return App(name, ())
-
-
 def term_vars(t: Term) -> frozenset:
     """All variables occurring in a term."""
     out = set()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pckfo.errors import EvalError, NotMeasurable
 from pckfo.evaluator import (
     Evaluator, Program, eval_term, extension, satisfies,
 )
-from pckfo.model import Model, ProbSpace, point_space
+from pckfo.model import CLASS_CON, Model, ProbSpace, classify, point_space
 from pckfo.oracle import chain_model
 from pckfo.parser import parse_formula, parse_model
 from pckfo.syntax import (
@@ -316,6 +317,35 @@ class TestCommonKnowledge:
             for k in range(1, len(m.states) + 3):
                 bounded &= ev.extension(iterate_everyone(("a",), k, target))
             assert ev.common_knowledge(("a",), ext) == bounded
+
+
+class TestPlainModel:
+    def test_model_changed_in_place_is_read_as_it_stands(self):
+        m = chain_model(3)   # s0 -> s1 -> s2, p at s0 and s1, point spaces
+        assert Evaluator(m).extension(parse_formula("C{G} p")) == {"s2"}
+        m.access["a"] = frozenset({("s0", "s0"), ("s0", "s1"),
+                                   ("s1", "s1"), ("s2", "s2")})
+        ev = Evaluator(m)
+        assert ev.extension(parse_formula("K[a] p")) == {"s0", "s1"}
+        assert ev.extension(parse_formula("C{G} p")) == {"s0", "s1"}
+        assert CLASS_CON in classify(m)
+        assert classify(m) == classify(dataclasses.replace(m))
+
+    def test_edges_outside_the_states_add_nothing(self):
+        # Not a valid model: validate reports both edges; evaluation
+        # ignores them.
+        m = Model(states=("s0", "s1"), domain=("d0",), agents=("a",),
+                  relations={"p": (0, {"s0": frozenset({()})})},
+                  access={"a": frozenset({("s0", "s1"), ("s1", "zz"),
+                                          ("yy", "s0")})},
+                  prob={("a", s): point_space(s) for s in ("s0", "s1")},
+                  groups={"G": ("a",)})
+        ev = Evaluator(m)
+        for text, want in (("K[a] p", {"s1"}), ("K[a] !p", {"s0", "s1"}),
+                           ("C{G} p", {"s1"}), ("C{G} !p", {"s0", "s1"}),
+                           ("P[a]>=1/2 p", {"s0"}), ("Es{G,1/2} p", {"s1"}),
+                           ("Cs{G,1/2} p", {"s1"})):
+            assert ev.extension(parse_formula(text)) == want, text
 
 
 class TestProbCommon:
