@@ -14,6 +14,51 @@ from pckfo.syntax import (
 )
 
 
+# Every raise site of the formula parser: input -> (message, span).  Spans
+# are str indices, so the non-ASCII character below sits at 4..5.
+_ERRORS = {
+    "P[i]>=5/4 p": ("rational 5/4 outside [0, 1]", (6, 7)),
+    "P[i]>=1/0 p": ("zero denominator", (6, 7)),
+    "E{} p": ("unexpected '}' in group", (2, 3)),
+    "Es{G} p": ("this operator needs a trailing threshold", (4, 5)),
+    "E{G,1/2} p": ("this operator takes no threshold", (7, 8)),
+    "p &": ("unexpected end of input", (3, 3)),
+    "forall P p": ("quantified name 'P' must start with one of 'uvwxyz'",
+                   (7, 8)),
+    "x": ("variable 'x' cannot stand alone as a formula", (0, 1)),
+    "x(y)": ("variable 'x' cannot be used as a relation", (0, 1)),
+    "(p & q": ("unexpected end of input", (6, 6)),
+    "p # q": ("unexpected character '#'", (2, 3)),
+    "p & é": ("unexpected character 'é'", (4, 5)),
+    "1.": ("unexpected character '.'", (1, 2)),
+    "'p": ("unexpected character \"'\"", (0, 1)),
+    "": ("unexpected end of input", (0, 0)),
+    "p & ": ("unexpected end of input", (4, 4)),
+    "P[a]>=": ("unexpected end of input", (6, 6)),
+    "p(c,": ("unexpected end of input", (4, 4)),
+    "p q": ("unexpected trailing 'q'", (2, 3)),
+    "p)": ("unexpected trailing ')'", (1, 2)),
+    "(p q": ("expected ')', found 'q'", (3, 4)),
+    "K[a p": ("expected ']', found 'p'", (4, 5)),
+    "forall 1 p": ("expected 'id', found '1'", (7, 8)),
+    "Ks[1,1/2] p": ("expected 'id', found '1'", (3, 4)),
+    "Ks[a,1/2 p": ("expected ']', found 'p'", (9, 10)),
+    "p & )": ("unexpected ')'", (4, 5)),
+    "&": ("unexpected '&'", (0, 1)),
+    "P[a] p": ("expected a probability comparison, found 'p'", (5, 6)),
+    "P[a]->1/2 p": ("expected a probability comparison, found '->'", (4, 6)),
+    "E{": ("unterminated group", (2, 2)),
+    "E{a,": ("unterminated group", (4, 4)),
+    "Es{1/2,a} p": ("threshold must be the last group entry", (7, 8)),
+    "E{[} p": ("unexpected '[' in group", (2, 3)),
+    "E{a b} p": ("expected ',' or '}', found 'b'", (4, 5)),
+    "Es{1/2} p": ("group must list at least one member", (6, 7)),
+    "P[a]>=1/2.5 p": ("denominator must be an integer", (8, 11)),
+    "P[a]>=1.5 p": ("rational 3/2 outside [0, 1]", (6, 9)),
+    "p(x(c))": ("variable 'x' cannot be applied as a function", (2, 3)),
+}
+
+
 class TestParseFormula:
     def test_group_operators_example(self):
         got = parse_formula("E{G}(!K[i] phi -> C{G} psi)")
@@ -49,24 +94,30 @@ class TestParseFormula:
     def test_terms(self):
         assert parse_term("f(c,x)") == App("f", (App("c"), Var("x")))
 
-    @pytest.mark.parametrize("bad", [
-        "P[i]>=5/4 p",      # rational outside [0, 1]
-        "P[i]>=1/0 p",      # zero denominator
-        "E{} p",            # empty group
-        "Es{G} p",          # missing threshold
-        "E{G,1/2} p",       # threshold on plain group operator
-        "p &",              # dangling connective
-        "forall P p",       # non-variable binder
-        "x",                # variable in formula position
-        "x(y)",             # variable applied as function
-        "(p & q",           # unbalanced parenthesis
-        "p # q",            # stray character
-    ])
+    @pytest.mark.parametrize("bad", list(_ERRORS))
     def test_errors_carry_spans(self, bad):
         with pytest.raises(ParseError) as err:
             parse_formula(bad)
-        start, end = err.value.span
-        assert 0 <= start <= end <= len(bad) + 1
+        message, span = _ERRORS[bad]
+        assert str(err.value) == f"{message} (at {span[0]}..{span[1]})"
+        assert err.value.span == span
+
+    @pytest.mark.parametrize("bad, message, span", [
+        ("c d", "unexpected trailing 'd'", (2, 3)),
+        ("x(c)", "variable 'x' cannot be applied as a function", (0, 1)),
+        ("f(", "unexpected end of input", (2, 2)),
+        ("", "unexpected end of input", (0, 0)),
+    ])
+    def test_term_errors_carry_spans(self, bad, message, span):
+        with pytest.raises(ParseError) as err:
+            parse_term(bad)
+        assert str(err.value) == f"{message} (at {span[0]}..{span[1]})"
+
+    def test_term_depth_limit(self):
+        text = "p(" + "f(" * 501 + "c" + ")" * 502
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == "term nested deeper than 500 (at 1000..1001)"
 
 
 class TestPrintFormula:
