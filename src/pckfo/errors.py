@@ -27,7 +27,8 @@ class RationalRangeError(PckfoError):
 
 
 class ParseError(PckfoError):
-    """Concrete-syntax error; carries the byte span of the offending token."""
+    """Concrete-syntax error; carries the span of the offending token as
+    str indices (characters, not bytes) into the parsed text."""
 
     def __init__(self, message, span):
         start, end = span

@@ -10,6 +10,7 @@ reports not-found-within-budget, never unsatisfiability.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -178,35 +179,71 @@ def _shapes(budget: SearchBudget):
                _access_options(states), _space_options(states, budget))
 
 
-def _shape_size(budget: SearchBudget, shape) -> int:
-    states, rel_slots, access_opts, space_opts = shape
+def _weight_row_counts(grid, k_max) -> list:
+    """counts[k]: how many grid^k tuples sum exactly to 1, for k <= k_max:
+    the sizes of _weight_rows, counted over partial sums."""
+    sums = {Fraction(0): 1}
+    counts = [0]
+    for _ in range(k_max):
+        step = {}
+        for total, ways in sums.items():
+            for w in grid:
+                if total + w <= 1:
+                    step[total + w] = step.get(total + w, 0) + ways
+        sums = step
+        counts.append(sums.get(1, 0))
+    return counts
+
+
+def _partition_counts(size, atom_mode) -> dict:
+    """Blocks -> how many partitions of `size` states _space_options uses."""
+    if atom_mode == "singleton":
+        return {size: 1}
+    if atom_mode == "merged":
+        return {1: 1}
+    # Stirling numbers of the second kind
+    return {k: sum((-1) ** j * math.comb(k, j) * (k - j) ** size
+                   for j in range(k + 1)) // math.factorial(k)
+            for k in range(1, size + 1)}
+
+
+def _shape_size(budget: SearchBudget, n) -> int:
+    """How many models of n states the enumeration yields, from counts:
+    2^(d^arity) tuple sets per relation slot, 2^(n*n) access sets per
+    agent, and the space options per (agent, state)."""
+    rows = _weight_row_counts(budget.weight_grid, n)
+    sizes = [n] if budget.sample_mode == "full" else range(1, n + 1)
+    spaces = sum(math.comb(n, size) * sum(
+        parts * rows[k]
+        for k, parts in _partition_counts(size, budget.atom_mode).items())
+        for size in sizes)
     rel = 1
-    for (_, _, options) in rel_slots:
-        rel *= len(options)
-    return rel * (len(access_opts) ** budget.max_agents) * \
-        (len(space_opts) ** (budget.max_agents * len(states)))
+    for _, arity in budget.relation_symbols:
+        rel *= 2 ** (budget.max_domain ** arity)
+    agents = budget.max_agents
+    return rel ** n * 2 ** (n * n * agents) * spaces ** (agents * n)
 
 
 def enumeration_size(budget: SearchBudget) -> int:
-    return sum(_shape_size(budget, shape) for shape in _shapes(budget))
+    return sum(_shape_size(budget, n) for n in range(1, budget.max_states + 1))
 
 
 def enumerate_models(budget: SearchBudget):
-    """Deterministic stream of every valid model over the budget's shape."""
-    shapes = list(_shapes(budget))
-    size = sum(_shape_size(budget, shape) for shape in shapes)
+    """Deterministic stream of every valid model over the budget's shape.
+    The cap is checked from counts, before any option list is built."""
+    size = enumeration_size(budget)
     if size > budget.max_models:
         raise BudgetError(
             f"enumeration space has {size} models, over the cap of"
             f" {budget.max_models}; shrink the budget")
-    yield from _all_models(budget, shapes)
+    yield from _all_models(budget)
 
 
-def _all_models(budget: SearchBudget, shapes):
+def _all_models(budget: SearchBudget):
     """Every model of each shape, in a fixed order: enumerate_models
     without the cap, for callers that take a prefix."""
     domain, agents = budget.domain, budget.agents   # each a new tuple
-    for states, rel_slots, access_opts, space_opts in shapes:
+    for states, rel_slots, access_opts, space_opts in _shapes(budget):
         rel_lists = [options for (_, _, options) in rel_slots]
         for rel_choice in itertools.product(*rel_lists):
             for access_choice in itertools.product(
@@ -539,7 +576,7 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
                           " r + t <= 1")
     if models is None:
         pool = list(itertools.islice(
-            _all_models(budget, _shapes(budget)), 100))
+            _all_models(budget), 100))
         pool += random_models(budget, max(0, 200 - len(pool)), tag="fuzz-pool")
     else:
         pool = list(models)

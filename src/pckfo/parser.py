@@ -12,9 +12,10 @@ modal/probability operators.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from dataclasses import dataclass
+import string
 from fractions import Fraction
 
 from . import proofcheck as pc
@@ -28,337 +29,349 @@ from .syntax import (
 )
 
 MAX_DEPTH = 500
+# Each parenthesis level costs two stack frames (_unary and _binary);
+# everything else is read in loops.  200 levels fit the default recursion
+# limit of 1000 with room for the caller and for the recursive walks over
+# the formula that follow.
+MAX_PARENS = 200
 
+# One token, after any whitespace.  A character no token can start with is
+# skipped by findall, so it shows as fewer token characters than non-space
+# characters in the text.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+\.\d+|\d+)"
-    r"|(?P<id>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<op><->|->|>=|<=|[!&|()\[\]{},<>=/])"
+    r"\s*(\d+\.\d+|\d+|[A-Za-z_][A-Za-z0-9_']*"
+    r"|<->|->|>=|<=|[!&|()\[\]{},<>=/])"
 )
+_ID_START = frozenset(string.ascii_letters + "_")
 
 _VAR_INITIALS = "uvwxyz"
+
+# Words that can start a prefix operator; all but forall and exists only
+# when their opening bracket follows.
+_PREFIX_WORDS = frozenset(
+    ("forall", "exists", "K", "Ks", "P", "E", "C", "Es", "Cs"))
+
+# Binary connective -> (precedence, constructor); higher binds tighter.
+_BINARY = {"&": (4, And), "|": (3, disj), "->": (2, implies), "<->": (1, iff)}
+_END = (0, None)    # any other token ends the run and closes every connective
+
+_PROB_COMPARISONS = {
+    ">=": ProbAtLeast, "<": prob_lt, "<=": prob_le, ">": prob_gt,
+    "=": prob_eq,
+}
 
 
 def is_variable_name(name: str) -> bool:
     return bool(name) and name[0] in _VAR_INITIALS
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num", "id" or the operator text
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self):
-        return (self.start, self.end)
-
-
 def _tokenize(text: str) -> list:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        kind = m.lastgroup if m.lastgroup in ("num", "id") else m.group()
-        out.append(Token(kind, m.group(), m.start(), m.end()))
-    return out
+    toks = _TOKEN_RE.findall(text)
+    if sum(map(len, toks)) != sum(map(len, text.split())):
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None:
+            pos = m.end()
+        rest = text[pos:]
+        pos += len(rest) - len(rest.lstrip())
+        raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
+    return toks
 
 
 class _FormulaParser:
+    """Recursive descent over the token strings of one text.
+
+    `toks` ends with "", so the parser indexes it without bounds checks.
+    Spans are found again from the text only when an error is raised.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
+        self.toks.append("")
         self.pos = 0
         self.depth = 0
+        self.parens = 0
 
     # -- token plumbing
 
-    def _eof_span(self):
-        return (len(self.text), len(self.text))
+    def _span(self, ix):
+        if ix == len(self.toks) - 1:
+            return (len(self.text), len(self.text))
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), ix, None))
+        return m.span(1)
 
-    def peek(self, ahead=0):
-        ix = self.pos + ahead
-        return self.toks[ix] if ix < len(self.toks) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._eof_span())
+    def _take(self) -> str:
+        tok = self.toks[self.pos]
+        if not tok:
+            raise ParseError("unexpected end of input", self._span(self.pos))
         self.pos += 1
         return tok
 
-    def expect(self, kind) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.span)
+    def expect(self, kind) -> str:
+        """The next token, which must be of `kind`: "id", "num" or the
+        operator text itself."""
+        tok = self._take()
+        if kind != ("id" if tok[0] in _ID_START else
+                    "num" if tok[0].isdigit() else tok):
+            raise ParseError(f"expected {kind!r}, found {tok!r}",
+                             self._span(self.pos - 1))
         return tok
 
     # -- grammar
 
-    def parse(self):
-        f = self._iff()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.span)
-        return f
+    def parse(self, rule):
+        result = rule()
+        tok = self.toks[self.pos]
+        if tok:
+            raise ParseError(f"unexpected trailing {tok!r}",
+                             self._span(self.pos))
+        return result
 
-    def _iff(self):
-        left = self._imp()
-        while (tok := self.peek()) is not None and tok.kind == "<->":
-            self.next()
-            left = iff(left, self._imp())
-        return left
-
-    def _imp(self):
-        left = self._or()
-        tok = self.peek()
-        if tok is not None and tok.kind == "->":
-            self.next()
-            return implies(left, self._imp())
-        return left
-
-    def _or(self):
-        left = self._and()
-        while (tok := self.peek()) is not None and tok.kind == "|":
-            self.next()
-            left = disj(left, self._and())
-        return left
-
-    def _and(self):
-        left = self._unary()
-        while (tok := self.peek()) is not None and tok.kind == "&":
-            self.next()
-            left = And(left, self._unary())
-        return left
+    def _binary(self):
+        """Unary formulas joined by binary connectives, by precedence:
+        operands and pending connectives are kept on two lists."""
+        toks = self.toks
+        operands = [self._unary()]
+        pending = []    # (precedence, constructor) of the open connectives
+        while True:
+            op = _BINARY.get(toks[self.pos], _END)
+            # Close the connectives that bind at least as tightly; "->" is
+            # right-associative, so an open "->" stays open for another.
+            while pending and (pending[-1][0] > op[0] or (
+                    pending[-1][0] == op[0] and op[1] is not implies)):
+                right = operands.pop()
+                operands[-1] = pending.pop()[1](operands[-1], right)
+            if op is _END:
+                return operands[0]
+            self.pos += 1
+            pending.append(op)
+            operands.append(self._unary())
 
     def _unary(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            tok = self.peek()
-            span = tok.span if tok else self._eof_span()
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH}", span)
-        try:
-            return self._unary_inner()
-        finally:
-            self.depth -= 1
+        """A run of prefix operators, then an atom or a parenthesized
+        formula; each counts one level against MAX_DEPTH."""
+        toks = self.toks
+        outer = self.depth
+        prefixes = []   # (constructor, leading arguments), outermost first
+        while True:
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"formula nested deeper than {MAX_DEPTH}",
+                                 self._span(self.pos))
+            tok = toks[self.pos]
+            if tok == "!":
+                self.pos += 1
+                prefixes.append((Not, ()))
+            elif tok == "(":
+                if self.parens == MAX_PARENS:
+                    raise ParseError(
+                        f"parentheses nested deeper than {MAX_PARENS}",
+                        self._span(self.pos))
+                self.parens += 1
+                self.pos += 1
+                f = self._binary()
+                closing = self._take()
+                if closing != ")":
+                    raise ParseError(f"expected ')', found {closing!r}",
+                                     self._span(self.pos - 1))
+                self.parens -= 1
+                break
+            elif not tok:
+                raise ParseError("unexpected end of input",
+                                 self._span(self.pos))
+            elif tok[0] not in _ID_START:
+                raise ParseError(f"unexpected {tok!r}", self._span(self.pos))
+            elif tok in _PREFIX_WORDS and (
+                    prefix := self._prefix(tok, toks[self.pos + 1])):
+                prefixes.append(prefix)
+            else:
+                f = self._atom()
+                break
+        self.depth = outer
+        for build, args in reversed(prefixes):
+            f = build(*args, f)
+        return f
 
-    def _unary_inner(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._eof_span())
-
-        if tok.kind == "!":
-            self.next()
-            return Not(self._unary())
-
-        if tok.kind == "(":
-            self.next()
-            f = self._iff()
-            closing = self.next()
-            if closing.kind != ")":
-                raise ParseError(f"expected ')', found {closing.text!r}",
-                                 closing.span)
-            return f
-
-        if tok.kind == "id":
-            nxt = self.peek(1)
-            follows = nxt.kind if nxt is not None else None
-            word = tok.text
-            if word == "forall":
-                self.next()
-                return Forall(self._bound_var(), self._unary())
-            if word == "exists":
-                self.next()
-                return exists(self._bound_var(), self._unary())
-            if word == "top" and follows not in ("(",):
-                self.next()
-                return top()
-            if word == "bot" and follows not in ("(",):
-                self.next()
-                return bot()
-            if word == "K" and follows == "[":
-                self.next()
-                agent = self._bracketed_agent()
-                return Knows(agent, self._unary())
-            if word == "Ks" and follows == "[":
-                self.next()
-                self.expect("[")
-                agent = self.expect("id").text
+    def _prefix(self, word, follows):
+        """Read the prefix operator `word` starts, up to its body; None
+        when `word` starts an atom instead."""
+        if word == "forall" or word == "exists":
+            self.pos += 1
+            return (Forall if word == "forall" else exists), \
+                (self._bound_var(),)
+        if follows == "[":
+            if word == "K":
+                self.pos += 2
+                return Knows, (self._agent(),)
+            if word == "Ks":
+                self.pos += 2
+                agent = self.expect("id")
                 self.expect(",")
                 r = self._rational()
                 self.expect("]")
-                return knows_prob(agent, r, self._unary())
-            if word == "P" and follows == "[":
-                self.next()
-                agent = self._bracketed_agent()
-                return self._prob_operator(agent)
-            if word in ("E", "C") and follows == "{":
-                self.next()
-                members = self._group(with_bound=False)
-                cls = EveryoneKnows if word == "E" else CommonKnows
-                return cls(members, self._unary())
-            if word in ("Es", "Cs") and follows == "{":
-                self.next()
-                members, r = self._group(with_bound=True)
-                cls = EveryoneProb if word == "Es" else CommonProb
-                return cls(members, r, self._unary())
-            return self._atom()
-
-        raise ParseError(f"unexpected {tok.text!r}", tok.span)
+                return knows_prob, (agent, r)
+            if word == "P":
+                self.pos += 2
+                agent = self._agent()
+                tok = self._take()
+                build = _PROB_COMPARISONS.get(tok)
+                if build is None:
+                    raise ParseError(
+                        f"expected a probability comparison, found {tok!r}",
+                        self._span(self.pos - 1))
+                return build, (agent, self._rational())
+        elif follows == "{":
+            if word == "E" or word == "C":
+                self.pos += 2
+                return (EveryoneKnows if word == "E" else CommonKnows), \
+                    (self._group(with_bound=False),)
+            if word == "Es" or word == "Cs":
+                self.pos += 2
+                return (EveryoneProb if word == "Es" else CommonProb), \
+                    self._group(with_bound=True)
+        return None
 
     def _bound_var(self) -> str:
-        tok = self.expect("id")
-        if not is_variable_name(tok.text):
+        name = self.expect("id")
+        if not is_variable_name(name):
             raise ParseError(
-                f"quantified name {tok.text!r} must start with one of"
-                f" {_VAR_INITIALS!r}", tok.span)
-        return tok.text
+                f"quantified name {name!r} must start with one of"
+                f" {_VAR_INITIALS!r}", self._span(self.pos - 1))
+        return name
 
-    def _bracketed_agent(self) -> str:
-        self.expect("[")
-        agent = self.expect("id").text
+    def _agent(self) -> str:
+        """The agent and closing bracket after K[ or P[."""
+        agent = self.expect("id")
         self.expect("]")
         return agent
 
-    def _prob_operator(self, agent):
-        tok = self.next()
-        builders = {
-            ">=": lambda r, f: ProbAtLeast(agent, r, f),
-            "<": lambda r, f: prob_lt(agent, r, f),
-            "<=": lambda r, f: prob_le(agent, r, f),
-            ">": lambda r, f: prob_gt(agent, r, f),
-            "=": lambda r, f: prob_eq(agent, r, f),
-        }
-        build = builders.get(tok.kind)
-        if build is None:
-            raise ParseError(
-                f"expected a probability comparison, found {tok.text!r}",
-                tok.span)
-        r = self._rational()
-        return build(r, self._unary())
-
     def _group(self, with_bound: bool):
-        self.expect("{")
+        """The members (and threshold) after an opening brace."""
+        toks = self.toks
         members = []
         bound = None
         while True:
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("unterminated group", self._eof_span())
-            if tok.kind == "num":
-                bound = self._rational()
-            elif tok.kind == "id":
+            tok = toks[self.pos]
+            if tok[:1] in _ID_START:
                 if bound is not None:
                     raise ParseError("threshold must be the last group entry",
-                                     tok.span)
-                members.append(self.next().text)
+                                     self._span(self.pos))
+                members.append(tok)
+                self.pos += 1
+            elif tok[:1].isdigit():
+                bound = self._rational()
+            elif not tok:
+                raise ParseError("unterminated group", self._span(self.pos))
             else:
-                raise ParseError(f"unexpected {tok.text!r} in group", tok.span)
-            tok = self.next()
-            if tok.kind == "}":
+                raise ParseError(f"unexpected {tok!r} in group",
+                                 self._span(self.pos))
+            tok = self._take()
+            if tok == "}":
                 break
-            if tok.kind != ",":
-                raise ParseError(f"expected ',' or '}}', found {tok.text!r}",
-                                 tok.span)
+            if tok != ",":
+                raise ParseError(f"expected ',' or '}}', found {tok!r}",
+                                 self._span(self.pos - 1))
         if with_bound and bound is None:
             raise ParseError("this operator needs a trailing threshold",
-                             self.toks[self.pos - 1].span)
+                             self._span(self.pos - 1))
         if not with_bound and bound is not None:
             raise ParseError("this operator takes no threshold",
-                             self.toks[self.pos - 1].span)
+                             self._span(self.pos - 1))
         if not members:
             raise ParseError("group must list at least one member",
-                             self.toks[self.pos - 1].span)
+                             self._span(self.pos - 1))
         return (tuple(members), bound) if with_bound else tuple(members)
 
     def _rational(self) -> Fraction:
-        tok = self.expect("num")
+        ix = self.pos
+        text = self.expect("num")
         try:
-            if "." in tok.text:
-                value = Fraction(tok.text)
+            if "." in text:
+                value = Fraction(text)
             else:
-                value = Fraction(int(tok.text))
-                nxt = self.peek()
-                if nxt is not None and nxt.kind == "/":
-                    self.next()
+                value = Fraction(int(text))
+                if self.toks[self.pos] == "/":
+                    self.pos += 1
                     den = self.expect("num")
-                    if "." in den.text:
+                    if "." in den:
                         raise ParseError("denominator must be an integer",
-                                         den.span)
-                    value = Fraction(int(tok.text), int(den.text))
+                                         self._span(self.pos - 1))
+                    value = Fraction(int(text), int(den))
         except ZeroDivisionError:
-            raise ParseError("zero denominator", tok.span) from None
+            raise ParseError("zero denominator", self._span(ix)) from None
         if value < 0 or value > 1:
-            raise ParseError(f"rational {value} outside [0, 1]", tok.span)
+            raise ParseError(f"rational {value} outside [0, 1]",
+                             self._span(ix))
         return value
 
     def _atom(self):
-        name = self.expect("id")
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "(":
-            if is_variable_name(name.text):
+        ix = self.pos
+        name = self.toks[ix]
+        self.pos += 1
+        if self.toks[self.pos] == "(":
+            if is_variable_name(name):
                 raise ParseError(
-                    f"variable {name.text!r} cannot be used as a relation",
-                    name.span)
-            self.next()
+                    f"variable {name!r} cannot be used as a relation",
+                    self._span(ix))
+            self.pos += 1
             args = [self._term()]
-            while (tok := self.peek()) is not None and tok.kind == ",":
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 args.append(self._term())
             self.expect(")")
-            return Atom(name.text, tuple(args))
-        if is_variable_name(name.text):
+            return Atom(name, tuple(args))
+        if name == "top":
+            return top()
+        if name == "bot":
+            return bot()
+        if is_variable_name(name):
             raise ParseError(
-                f"variable {name.text!r} cannot stand alone as a formula",
-                name.span)
-        return Atom(name.text, ())
+                f"variable {name!r} cannot stand alone as a formula",
+                self._span(ix))
+        return Atom(name, ())
 
     def _term(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"term nested deeper than {MAX_DEPTH}",
-                             self.peek().span if self.peek() else self._eof_span())
-        try:
+        """One term; nested applications are kept on a list, not the
+        stack, and each counts one level against MAX_DEPTH."""
+        toks = self.toks
+        open_apps = []   # (function, arguments so far), outermost first
+        while True:
+            if self.depth + len(open_apps) >= MAX_DEPTH:
+                raise ParseError(f"term nested deeper than {MAX_DEPTH}",
+                                 self._span(self.pos))
             name = self.expect("id")
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "(":
-                if is_variable_name(name.text):
+            if toks[self.pos] == "(":
+                if is_variable_name(name):
                     raise ParseError(
-                        f"variable {name.text!r} cannot be applied as a"
-                        " function", name.span)
-                self.next()
-                args = [self._term()]
-                while (tok := self.peek()) is not None and tok.kind == ",":
-                    self.next()
-                    args.append(self._term())
+                        f"variable {name!r} cannot be applied as a"
+                        " function", self._span(self.pos - 1))
+                self.pos += 1
+                open_apps.append((name, []))
+                continue
+            term = Var(name) if is_variable_name(name) else App(name, ())
+            while open_apps:
+                fn, args = open_apps[-1]
+                args.append(term)
+                if toks[self.pos] == ",":
+                    self.pos += 1
+                    break
                 self.expect(")")
-                return App(name.text, tuple(args))
-            if is_variable_name(name.text):
-                return Var(name.text)
-            return App(name.text, ())
-        finally:
-            self.depth -= 1
+                open_apps.pop()
+                term = App(fn, tuple(args))
+            else:
+                return term
 
 
 def parse_formula(text: str):
     """Parse concrete syntax into a core formula (abbreviations expanded)."""
-    return _FormulaParser(text).parse()
+    p = _FormulaParser(text)
+    return p.parse(p._binary)
 
 
 def parse_term(text: str):
     """Parse a bare term (used for axiom parameters in proof documents)."""
     p = _FormulaParser(text)
-    t = p._term()
-    tok = p.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.span)
-    return t
+    return p.parse(p._term)
 
 
 # ---------------------------------------------------------------------------

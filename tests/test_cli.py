@@ -74,6 +74,24 @@ class TestEval:
         code, _ = run("eval", "--model", tiny, "--formula", "p &")
         assert code == 3
 
+    def test_deep_prefix_chain_answers(self, chain):
+        code, out = run("eval", "--model", chain, "--formula",
+                        "K[a] " * 499 + "p", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "sat"
+        code, _ = run("eval", "--model", chain, "--formula",
+                      "K[a] " * 501 + "p", "--json")
+        assert code == 3
+
+    def test_deep_parentheses_exit(self, chain):
+        code, out = run("eval", "--model", chain, "--formula",
+                        "!(" * 200 + "p" + ")" * 200, "--json")
+        assert code == 1
+        assert json.loads(out)["verdict"] == "unsat-at-state"
+        code, _ = run("eval", "--model", chain, "--formula",
+                      "!(" * 201 + "p" + ")" * 201, "--json")
+        assert code == 3
+
     def test_not_measurable_exit(self, tmp_path, tiny):
         doc = json.loads(open(tiny).read())
         doc["states"] = ["s0", "s1"]

@@ -47,6 +47,21 @@ class TestEnumeration:
         with pytest.raises(BudgetError, match="cap"):
             next(enumerate_models(budget))
 
+    def test_cap_checked_before_building(self):
+        # 2^25 access sets per agent at five states: only counted, never built
+        with pytest.raises(BudgetError, match="cap"):
+            next(enumerate_models(SearchBudget(max_states=5)))
+
+    @pytest.mark.parametrize("sample_mode", ["any", "full"])
+    @pytest.mark.parametrize("atom_mode", ["any", "singleton", "merged"])
+    def test_size_counts_the_enumerated_models(self, sample_mode, atom_mode):
+        budget = tiny_budget(max_states=2, max_domain=2,
+                             weight_grid=(F(0), F(1, 2), F(1)),
+                             relation_symbols=(("r", 1),),
+                             sample_mode=sample_mode, atom_mode=atom_mode)
+        assert enumeration_size(budget) == \
+            sum(1 for _ in enumerate_models(budget))
+
     def test_deterministic(self):
         budget = tiny_budget(max_states=2, weight_grid=(F(0), F(1, 2), F(1)))
         first = [model_to_doc(m) for m in enumerate_models(budget)]

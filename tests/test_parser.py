@@ -119,6 +119,35 @@ class TestParseFormula:
             parse_formula(text)
         assert str(err.value) == "term nested deeper than 500 (at 1000..1001)"
 
+    def test_prefix_chain_depth_limit(self):
+        # each prefix and the atom it ends in count one level
+        f = parse_formula("K[a] " * 499 + "p")
+        for _ in range(499):
+            assert isinstance(f, Knows)
+            f = f.body
+        assert f == Atom("p")
+        with pytest.raises(ParseError) as err:
+            parse_formula("K[a] " * 501 + "p")
+        assert str(err.value) == "formula nested deeper than 500 (at 2500..2501)"
+
+    def test_deep_parentheses(self):
+        f = parse_formula("!(" * 200 + "p" + ")" * 200)
+        for _ in range(200):
+            f = f.body
+        assert f == Atom("p")
+        with pytest.raises(ParseError) as err:
+            parse_formula("!(" * 201 + "p" + ")" * 201)
+        assert str(err.value) == \
+            "parentheses nested deeper than 200 (at 401..402)"
+
+    def test_long_implication_chain(self):
+        # right-associative, read in a loop
+        f = parse_formula("p -> " * 1000 + "q")
+        for _ in range(1000):
+            assert f.body.left == Atom("p")
+            f = f.body.right.body
+        assert f == Atom("q")
+
 
 class TestPrintFormula:
     def test_probability(self):
