@@ -28,7 +28,8 @@ from .report import (
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Knows, Not, ProbAtLeast, Var, disj, free_vars, iff, implies,
-    is_sentence, iterate_everyone, knows_prob, prob_eq, subformulas,
+    is_free_for, is_sentence, iterate_everyone, knows_prob, prob_eq,
+    subformulas,
 )
 
 DEFAULT_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -460,13 +461,13 @@ FUZZ_AXIOMS = (ax.PROP, ax.FO1, ax.FO2, ax.FO3, ax.AK, ax.AE, ax.AC,
 
 
 def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
-    """A random instance of the named schema with side conditions satisfied."""
+    """A random instance of the named schema with side conditions satisfied;
+    `grid` holds Fractions, as `SearchBudget.weight_grid` does."""
     agent = rng.choice(agents)
     group = _random_group(rng, agents)
     member = rng.choice(group)
     phi = random_formula(rng, agents)
     psi = random_formula(rng, agents)
-    grid = [Fraction(g) for g in grid]
 
     if name == ax.PROP:
         template = rng.choice(_TAUT_TEMPLATES)
@@ -478,7 +479,6 @@ def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
     elif name == ax.FO2:
         open_phi = random_formula(rng, agents, vars_allowed=("x",))
         term = Var(rng.choice(("x", "y")))
-        from .syntax import is_free_for
         if not is_free_for(term, "x", open_phi):
             term = Var("x")
         params = {"x": "x", "phi": open_phi, "term": term}

@@ -12,6 +12,7 @@ modal/probability operators.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import re
@@ -391,32 +392,36 @@ def _wrap(f) -> str:
     return f"({body})" if isinstance(f, And) else body
 
 
+# Prefix operator -> its text before the body.
+_PREFIX_TEXT = {
+    Not: lambda f: "!",
+    Forall: lambda f: f"forall {f.var} ",
+    Knows: lambda f: f"K[{f.agent}] ",
+    EveryoneKnows: lambda f: f"E{{{','.join(f.group)}}} ",
+    CommonKnows: lambda f: f"C{{{','.join(f.group)}}} ",
+    ProbAtLeast: lambda f: f"P[{f.agent}]>={f.bound} ",
+    EveryoneProb: lambda f: f"Es{{{','.join(f.group)},{f.bound}}} ",
+    CommonProb: lambda f: f"Cs{{{','.join(f.group)},{f.bound}}} ",
+}
+
+
 def print_formula(f) -> str:
-    """Canonical text; parse_formula(print_formula(f)) == f."""
+    """Canonical text; parse_formula(print_formula(f)) == f.  A run of
+    prefix operators is read in a loop, so only `&` recurses."""
+    prefixes = []
+    while type(f) in _PREFIX_TEXT:
+        prefixes.append(_PREFIX_TEXT[type(f)](f))
+        f = f.body
     if isinstance(f, Atom):
-        if not f.args:
-            return f.rel
-        return f"{f.rel}({','.join(print_term(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return f"!{_wrap(f.body)}"
-    if isinstance(f, And):
-        left = print_formula(f.left) if isinstance(f.left, And) else _wrap(f.left)
-        return f"{left} & {_wrap(f.right)}"
-    if isinstance(f, Forall):
-        return f"forall {f.var} {_wrap(f.body)}"
-    if isinstance(f, Knows):
-        return f"K[{f.agent}] {_wrap(f.body)}"
-    if isinstance(f, EveryoneKnows):
-        return f"E{{{','.join(f.group)}}} {_wrap(f.body)}"
-    if isinstance(f, CommonKnows):
-        return f"C{{{','.join(f.group)}}} {_wrap(f.body)}"
-    if isinstance(f, ProbAtLeast):
-        return f"P[{f.agent}]>={f.bound} {_wrap(f.body)}"
-    if isinstance(f, EveryoneProb):
-        return f"Es{{{','.join(f.group)},{f.bound}}} {_wrap(f.body)}"
-    if isinstance(f, CommonProb):
-        return f"Cs{{{','.join(f.group)},{f.bound}}} {_wrap(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+        body = f.rel if not f.args else \
+            f"{f.rel}({','.join(print_term(a) for a in f.args)})"
+    elif isinstance(f, And):
+        body = f"{print_formula(f.left)} & {_wrap(f.right)}"
+        if prefixes:
+            body = f"({body})"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return "".join(prefixes) + body
 
 
 # ---------------------------------------------------------------------------
@@ -621,43 +626,36 @@ def model_to_json(m: Model) -> str:
 # ---------------------------------------------------------------------------
 # proof documents
 
-_PARAM_FORMULAS = ("phi", "psi", "formula")
+def _as_is(value, where=None):
+    return value
 
 
-def _load_params(doc, where) -> dict:
-    out = {}
-    for key, raw in doc.items():
-        if key in _PARAM_FORMULAS:
-            out[key] = parse_formula(_need(doc, key, str, where))
-        elif key == "term":
-            out[key] = parse_term(_need(doc, key, str, where))
-        elif key in ("r", "t"):
-            out[key] = _fraction(raw, where)
-        elif key == "m":
-            out[key] = _int(raw, where)
-        elif key == "group":
-            out[key] = tuple(_strings(_need(doc, key, list, where), where))
-        elif key in ("i", "j", "x"):
-            out[key] = _need(doc, key, str, where)
-        else:
+# Axiom parameter -> (JSON type, load, dump).  Rationals and integers are
+# read from the text of any JSON value.
+_FORMULA = (str, lambda text, where: parse_formula(text), print_formula)
+_NAME = (str, _as_is, _as_is)
+_RATIONAL = (object, _fraction, str)
+_PARAMS = {
+    "phi": _FORMULA, "psi": _FORMULA, "formula": _FORMULA,
+    "term": (str, lambda text, where: parse_term(text), print_term),
+    "r": _RATIONAL, "t": _RATIONAL, "m": (object, _int, _as_is),
+    "group": (list, lambda names, where: tuple(_strings(names, where)), list),
+    "i": _NAME, "j": _NAME, "x": _NAME,
+}
+
+
+def _load_params(doc, where) -> tuple:
+    params = []
+    for key in doc:
+        if key not in _PARAMS:
             raise SchemaError(f"{where}: unknown axiom parameter {key!r}")
-    return out
+        cls, load, _ = _PARAMS[key]
+        params.append((key, load(_need(doc, key, cls, where), where)))
+    return tuple(sorted(params))
 
 
 def _dump_params(params) -> dict:
-    out = {}
-    for key, value in params:
-        if key in _PARAM_FORMULAS:
-            out[key] = print_formula(value)
-        elif key == "term":
-            out[key] = print_term(value)
-        elif key in ("r", "t"):
-            out[key] = str(value)
-        elif key == "group":
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    return {key: _PARAMS[key][2](value) for key, value in params}
 
 
 def _load_spec(doc, where) -> NestedImplicationSpec:
@@ -683,12 +681,6 @@ def _dump_spec(spec) -> dict:
     }
 
 
-def _load_premise_map(doc, where) -> tuple:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: premises must map members to steps")
-    return tuple(sorted((str(k), _int(v, where)) for k, v in doc.items()))
-
-
 def _load_certificate(doc, where) -> pc.Certificate:
     bound = _need(doc, "bound", int, where)
     premises = _need(doc, "premises", dict, where)
@@ -701,87 +693,61 @@ def _dump_certificate(cert) -> dict:
             "premises": {str(k): v for k, v in cert.premises}}
 
 
+# The proof-document format.  A step's "just" names its kind; its other keys
+# are the fields of that kind's justification class, checked in field order.
+# A field with a default (an axiom's params) may be left out, and is written
+# only when it is not empty.  "CON-axiom" is read as an axiom step named CON.
+_KINDS = {
+    "axiom": pc.AxiomJust, "hyp": pc.HypJust, "MP": pc.MPJust,
+    "FOR": pc.FORJust, "RK": pc.RKJust, "RP": pc.RPJust, "RE": pc.REJust,
+    "RPE": pc.RPEJust, "RC": pc.RCJust, "RPC": pc.RPCJust, "RA": pc.RAJust,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+# Justification field -> (document key, JSON type, load, dump).
+_INT = (int, _as_is, _as_is)
+_FIELDS = {
+    "name": ("name", *_NAME),
+    "params": ("params", dict, _load_params, _dump_params),
+    "index": ("index", *_INT),
+    "premise": ("premise", *_INT),
+    "implication": ("implication", *_INT),
+    "var": ("var", *_NAME),
+    "agent": ("agent", *_NAME),
+    "spec": ("spec", dict, _load_spec, _dump_spec),
+    "bound": ("r", str, _fraction, str),
+    "premises": ("premises", dict, lambda doc, where: tuple(sorted(
+        (str(k), _int(v, where)) for k, v in doc.items())), dict),
+    "certificate": ("certificate", dict, _load_certificate, _dump_certificate),
+}
+
+
 def _load_just(doc, where):
     kind = _need(doc, "kind", str, where)
     if kind == "CON-axiom":
-        params = _load_params(_need_opt(doc, "params", dict, where), where)
-        return pc.AxiomJust("CON", tuple(sorted(params.items())))
-    if kind == "axiom":
-        name = _need(doc, "name", str, where)
-        params = _load_params(_need_opt(doc, "params", dict, where), where)
-        return pc.AxiomJust(name, tuple(sorted(params.items())))
-    if kind == "hyp":
-        return pc.HypJust(_need(doc, "index", int, where))
-    if kind == "MP":
-        return pc.MPJust(_need(doc, "premise", int, where),
-                         _need(doc, "implication", int, where))
-    if kind == "FOR":
-        return pc.FORJust(_need(doc, "premise", int, where),
-                          _need(doc, "var", str, where))
-    if kind == "RK":
-        return pc.RKJust(_need(doc, "premise", int, where),
-                         _need(doc, "agent", str, where))
-    if kind == "RP":
-        return pc.RPJust(_need(doc, "premise", int, where),
-                         _need(doc, "agent", str, where))
-    if kind == "RE":
-        return pc.REJust(_load_spec(_need(doc, "spec", dict, where), where),
-                         _load_premise_map(_need(doc, "premises", dict, where), where))
-    if kind == "RPE":
-        return pc.RPEJust(_load_spec(_need(doc, "spec", dict, where), where),
-                          _fraction(_need(doc, "r", str, where), where),
-                          _load_premise_map(_need(doc, "premises", dict, where), where))
-    if kind == "RC":
-        return pc.RCJust(_load_spec(_need(doc, "spec", dict, where), where),
-                         _load_certificate(_need(doc, "certificate", dict, where), where))
-    if kind == "RPC":
-        return pc.RPCJust(_load_spec(_need(doc, "spec", dict, where), where),
-                          _fraction(_need(doc, "r", str, where), where),
-                          _load_certificate(_need(doc, "certificate", dict, where), where))
-    if kind == "RA":
-        return pc.RAJust(_load_spec(_need(doc, "spec", dict, where), where),
-                         _need(doc, "agent", str, where),
-                         _fraction(_need(doc, "r", str, where), where),
-                         _load_certificate(_need(doc, "certificate", dict, where), where))
-    raise SchemaError(f"{where}: unknown rule name {kind!r}")
+        kind, doc = "axiom", {**doc, "name": "CON"}
+    if kind not in _KINDS:
+        raise SchemaError(f"{where}: unknown rule name {kind!r}")
+    cls = _KINDS[kind]
+    values = {}
+    for f in dataclasses.fields(cls):
+        key, json_type, load, _ = _FIELDS[f.name]
+        if f.default is dataclasses.MISSING or key in doc:
+            values[f.name] = load(_need(doc, key, json_type, where), where)
+    return cls(**values)
 
 
 def _dump_just(just) -> dict:
-    if isinstance(just, pc.AxiomJust):
-        out = {"kind": "axiom", "name": just.name}
-        if just.params:
-            out["params"] = _dump_params(just.params)
-        return out
-    if isinstance(just, pc.HypJust):
-        return {"kind": "hyp", "index": just.index}
-    if isinstance(just, pc.MPJust):
-        return {"kind": "MP", "premise": just.premise,
-                "implication": just.implication}
-    if isinstance(just, pc.FORJust):
-        return {"kind": "FOR", "premise": just.premise, "var": just.var}
-    if isinstance(just, pc.RKJust):
-        return {"kind": "RK", "premise": just.premise, "agent": just.agent}
-    if isinstance(just, pc.RPJust):
-        return {"kind": "RP", "premise": just.premise, "agent": just.agent}
-    if isinstance(just, pc.REJust):
-        return {"kind": "RE", "spec": _dump_spec(just.spec),
-                "premises": {a: s for a, s in just.premises}}
-    if isinstance(just, pc.RPEJust):
-        return {"kind": "RPE", "spec": _dump_spec(just.spec),
-                "r": str(just.bound),
-                "premises": {a: s for a, s in just.premises}}
-    if isinstance(just, pc.RCJust):
-        return {"kind": "RC", "spec": _dump_spec(just.spec),
-                "certificate": _dump_certificate(just.certificate)}
-    if isinstance(just, pc.RPCJust):
-        return {"kind": "RPC", "spec": _dump_spec(just.spec),
-                "r": str(just.bound),
-                "certificate": _dump_certificate(just.certificate)}
-    if isinstance(just, pc.RAJust):
-        return {"kind": "RA", "spec": _dump_spec(just.spec),
-                "agent": just.agent, "r": str(just.bound),
-                "certificate": _dump_certificate(just.certificate)}
-    raise TypeError(f"not a justification: {just!r}")
+    kind = _KIND_OF.get(type(just))
+    if kind is None:
+        raise TypeError(f"not a justification: {just!r}")
+    out = {"kind": kind}
+    for f in dataclasses.fields(just):
+        value = getattr(just, f.name)
+        if f.default is dataclasses.MISSING or value:
+            key, _, _, dump = _FIELDS[f.name]
+            out[key] = dump(value)
+    return out
 
 
 def load_proof(doc: dict) -> pc.Proof:

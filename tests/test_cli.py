@@ -83,6 +83,12 @@ class TestEval:
                       "K[a] " * 501 + "p", "--json")
         assert code == 3
 
+    def test_find_prints_deep_prefix_chain(self):
+        text = "K[a] " * 499 + "p"
+        code, out = run("find", "--formula", text, "--budget-states", "1")
+        assert code == 0
+        assert f"formula={text} state=" in out
+
     def test_deep_parentheses_exit(self, chain):
         code, out = run("eval", "--model", chain, "--formula",
                         "!(" * 200 + "p" + ")" * 200, "--json")

@@ -162,6 +162,13 @@ class TestPrintFormula:
         assert print_formula(top()) == "!(ff & !ff)"
         assert parse_formula(print_formula(top())) == top()
 
+    @pytest.mark.parametrize("text", [
+        "K[a] " * 499 + "p", "!" * 499 + "p", "Cs{G,1/2} !" * 249 + "(p & q)"],
+        ids=["K-499", "not-499", "Cs-not-249"])
+    def test_deep_prefix_chain_round_trip(self, text):
+        # compared as text: structural == still recurses per level
+        assert print_formula(parse_formula(text)) == text
+
     def test_round_trip_golden_corpus(self, golden_dir):
         lines = (golden_dir / "formulas.txt").read_text().splitlines()
         assert len(lines) == 100
@@ -275,6 +282,18 @@ class TestProofDocuments:
                "steps": [{"formula": "p", "just": {"kind": "XX"}}]}
         with pytest.raises(SchemaError, match="unknown rule"):
             parse_proof(json.dumps(doc))
+
+    def test_every_justification_class_has_a_codec(self):
+        import dataclasses
+
+        from pckfo import parser, proofcheck
+        classes = [cls for name, cls in vars(proofcheck).items()
+                   if name.endswith("Just") and dataclasses.is_dataclass(cls)]
+        assert len(classes) == 11
+        for cls in classes:
+            assert cls in parser._KINDS.values(), cls.__name__
+            for f in dataclasses.fields(cls):
+                assert f.name in parser._FIELDS, (cls.__name__, f.name)
 
     def test_con_axiom_alias(self):
         doc = {"mode": "con", "hypotheses": [],
