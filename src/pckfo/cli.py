@@ -12,15 +12,22 @@ Exit codes are part of the interface:
 
 Reports are plain text by default, canonical JSON with --json; identical
 inputs and seeds produce byte-identical output.
+
+`COMMANDS` is the one description of the subcommands and their flags.
+`main` reads an ordinary argv against it in one loop.  The argparse parser
+is built from the same table only for help and for the argv the table does
+not take (errors, abbreviations, values starting with -), so usage text,
+messages and exit 2 are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import oracle
 from .errors import (
@@ -248,88 +255,169 @@ def cmd_demo(args) -> int:
 # argument plumbing
 
 
-def _add_budget_flags(p):
-    p.add_argument("--budget-states", type=int, default=2)
-    p.add_argument("--budget-domain", type=int, default=1)
-    p.add_argument("--budget-agents", type=int, default=1)
-    p.add_argument("--grid", default=None,
-                   help="comma-separated rationals, e.g. 0,1/2,1")
-    p.add_argument("--sample-mode", choices=("any", "full"), default="any")
-    p.add_argument("--atom-mode", choices=("any", "singleton", "merged"),
-                   default="any")
-    p.add_argument("--seed", type=int, default=0)
+@dataclass(frozen=True)
+class Flag:
+    """One flag of a subcommand; a name without dashes is a positional.
+    A `bool` flag takes no value and is set by its presence."""
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple = None
+    required: bool = False
+    help: str = None
+    dest: str = None
+
+    def __post_init__(self):
+        if self.dest is None:
+            object.__setattr__(self, "dest",
+                               self.name.lstrip("-").replace("-", "_"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Command:
+    run: object
+    help: str
+    flags: tuple
+
+
+_JSON = Flag("--json", bool, False)
+_BUDGET = (
+    Flag("--budget-states", int, 2),
+    Flag("--budget-domain", int, 1),
+    Flag("--budget-agents", int, 1),
+    Flag("--grid", help="comma-separated rationals, e.g. 0,1/2,1"),
+    Flag("--sample-mode", choices=("any", "full"), default="any"),
+    Flag("--atom-mode", choices=("any", "singleton", "merged"),
+         default="any"),
+    Flag("--seed", int, 0),
+)
+_MODEL = Flag("--model", required=True)
+
+COMMANDS = {
+    "eval": Command(cmd_eval, "evaluate a formula on a model", (
+        _MODEL,
+        Flag("--formula", required=True),
+        Flag("--state"),
+        Flag("--valuation", default="",
+             help="free-variable assignment, e.g. x=d0,y=d1"),
+        _JSON)),
+    "check-proof": Command(cmd_check_proof, "verify a proof document", (
+        Flag("--proof", required=True),
+        Flag("--mode", choices=("plain", "con")),
+        _JSON)),
+    "validate": Command(cmd_validate, "check model invariants",
+                        (_MODEL, _JSON)),
+    "classify": Command(cmd_classify, "report model class flags",
+                        (_MODEL, _JSON)),
+    "find": Command(cmd_find, "search for a satisfying model", (
+        Flag("--formula", required=True),
+        *_BUDGET,
+        _JSON,
+        Flag("--out", help="write the witness model here"))),
+    "fuzz": Command(cmd_fuzz, "soundness-fuzz the axiom schemata", (
+        Flag("--n", int, 1000),
+        *_BUDGET,
+        Flag("--class", dest="klass", choices=("CON", "OBJ", "SDP", "UNIF"),
+             help="fuzz one class axiom on targeted models"),
+        Flag("--class-models", int, 50),
+        _JSON,
+        Flag("--out", help="write counterexample artifacts here"))),
+    "demo": Command(cmd_demo, "run the shipped demonstrations", (
+        Flag("which", choices=("noncompactness", "validity"), required=True),
+        Flag("--m", int, 3, help="fragment bound for the noncompactness demo"),
+        Flag("--family", default="fixed-point",
+             help="validity family, or invalid-distribution"),
+        Flag("--seed", int, 0),
+        _JSON,
+        Flag("--out", help="write witness artifacts here"))),
+}
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`, for help text and for every argv
+    that `_from_table` leaves to it."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="pckfo",
         description="Evaluate formulas over finite knowledge-probability"
                     " models, verify proofs, and brute-force check validity.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula on a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--state")
-    p.add_argument("--valuation", default="",
-                   help="free-variable assignment, e.g. x=d0,y=d1")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("check-proof", help="verify a proof document")
-    p.add_argument("--proof", required=True)
-    p.add_argument("--mode", choices=("plain", "con"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_check_proof)
-
-    p = sub.add_parser("validate", help="check model invariants")
-    p.add_argument("--model", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_validate)
-
-    p = sub.add_parser("classify", help="report model class flags")
-    p.add_argument("--model", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("find", help="search for a satisfying model")
-    p.add_argument("--formula", required=True)
-    _add_budget_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the witness model here")
-    p.set_defaults(run=cmd_find)
-
-    p = sub.add_parser("fuzz", help="soundness-fuzz the axiom schemata")
-    p.add_argument("--n", type=int, default=1000)
-    _add_budget_flags(p)
-    p.add_argument("--class", dest="klass",
-                   choices=("CON", "OBJ", "SDP", "UNIF"),
-                   help="fuzz one class axiom on targeted models")
-    p.add_argument("--class-models", type=int, default=50)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write counterexample artifacts here")
-    p.set_defaults(run=cmd_fuzz)
-
-    p = sub.add_parser("demo", help="run the shipped demonstrations")
-    p.add_argument("which", choices=("noncompactness", "validity"))
-    p.add_argument("--m", type=int, default=3,
-                   help="fragment bound for the noncompactness demo")
-    p.add_argument("--family", default="fixed-point",
-                   help="validity family, or invalid-distribution")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write witness artifacts here")
-    p.set_defaults(run=cmd_demo)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for f in command.flags:
+            if f.type is bool:
+                p.add_argument(f.name, dest=f.dest, action="store_true",
+                               help=f.help)
+            elif f.name.startswith("-"):
+                p.add_argument(f.name, dest=f.dest, type=f.type,
+                               default=f.default, choices=f.choices,
+                               required=f.required, help=f.help)
+            else:
+                p.add_argument(f.name, type=f.type, choices=f.choices,
+                               help=f.help)
+        p.set_defaults(run=command.run)
     return top
 
 
+def _from_table(argv):
+    """The namespace argparse would build for argv, or None where argv
+    needs argparse: help, errors, and any spelling but `--flag value` and
+    `--flag=value` with exact flag names and values not starting with -."""
+    if not argv or "-h" in argv or "--help" in argv:
+        return None
+    command = COMMANDS.get(argv[0])
+    if command is None:
+        return None
+    by_name = {f.name: f for f in command.flags}
+    positional = [f for f in command.flags if not f.name.startswith("-")]
+    values = {}
+    i = 1
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if not arg.startswith("-"):
+            if not positional:
+                return None
+            f, value = positional.pop(0), arg
+        else:
+            name, eq, value = arg.partition("=")
+            f = by_name.get(name)
+            if f is None or (f.type is bool and eq):
+                return None
+            if f.type is bool:
+                values[f.dest] = True
+                continue
+            if not eq:
+                if i == len(argv):
+                    return None
+                value = argv[i]
+                i += 1
+            if value.startswith("-"):
+                return None
+        try:
+            value = f.type(value)
+        except (TypeError, ValueError):
+            return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        values[f.dest] = value
+    args = {"command": argv[0]}
+    for f in command.flags:
+        if f.dest not in values and f.required:
+            return None
+        args[f.dest] = values.get(f.dest, f.default)
+    args["run"] = command.run
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _from_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.run(args)
     except _UsageError as exc:

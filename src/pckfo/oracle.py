@@ -269,9 +269,10 @@ def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
     partition size between the calls of one generation run."""
     n = rng.randint(1, budget.max_states)
     states = [f"s{i}" for i in range(n)]
+    domain = budget.domain
     relations = {}
     for sym, arity in budget.relation_symbols:
-        tuples = list(itertools.product(budget.domain, repeat=arity))
+        tuples = list(itertools.product(domain, repeat=arity))
         table = {}
         for state in states:
             table[state] = frozenset(t for t in tuples if rng.random() < 0.5)
@@ -285,7 +286,7 @@ def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
     for agent in budget.agents:
         for state in states:
             prob[(agent, state)] = _random_space(budget, rng, states, rows)
-    m = Model(states=tuple(states), domain=budget.domain, agents=budget.agents,
+    m = Model(states=tuple(states), domain=domain, agents=budget.agents,
               functions={}, relations=relations, access=access, prob=prob,
               groups={"G": tuple(budget.agents)})
     if not validate(m).passed:
@@ -575,12 +576,17 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
         raise BudgetError("fuzzing P5 needs weight grid values r, t with"
                           " r + t <= 1")
     if models is None:
-        pool = list(itertools.islice(
-            _all_models(budget), 100))
-        pool += random_models(budget, max(0, 200 - len(pool)), tag="fuzz-pool")
+        # The pool is the first 100 enumerated models, filled up to 200 with
+        # random ones.  Only pool[:n] is built: the random models come from
+        # one RNG in sequence, so a shorter fill is a prefix of the full one.
+        size = 200
+        wanted = max(0, min(n, size))
+        pool = list(itertools.islice(_all_models(budget), min(wanted, 100)))
+        pool += random_models(budget, wanted - len(pool), tag="fuzz-pool")
     else:
         pool = list(models)
-    if not pool:
+        size = len(pool)
+    if not size:
         raise BudgetError("the fuzz model pool is empty")
     # The instances that run on one pool model share one program; each is
     # kept only as its outcome: True, the printed formula it falsified, or
@@ -588,7 +594,7 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     outcomes = [None] * n
     for k, m in enumerate(pool[:n]):
         batch = []
-        for ix in range(k, n, len(pool)):
+        for ix in range(k, n, size):
             rng = _rng_for(budget, f"fuzz:{ix}")
             try:
                 inst = random_axiom_instance(names[ix % len(names)], rng,
@@ -618,8 +624,8 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
             rep.add(axiom=names[ix % len(names)], formula=out,
                     problem="instance falsified")
             rep.artifacts[f"counterexample-{failures}"] = model_to_doc(
-                pool[ix % len(pool)])
-    rep.add(instances=n, models=len(pool), failures=failures,
+                pool[ix % size])
+    rep.add(instances=n, models=size, failures=failures,
             skipped_not_measurable=skipped, axioms=list(names))
     if failures:
         rep.verdict = REJECTED

@@ -658,9 +658,20 @@ def _dump_params(params) -> dict:
     return {key: _PARAMS[key][2](value) for key, value in params}
 
 
+def _formulas(texts, where) -> tuple:
+    """Each entry of the list texts, parsed as formula text."""
+    out = []
+    for ix, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise SchemaError(
+                f"{where}[{ix}]: expected formula text, got {text!r}")
+        out.append(parse_formula(text))
+    return tuple(out)
+
+
 def _load_spec(doc, where) -> NestedImplicationSpec:
     k = _need(doc, "k", int, where)
-    thetas = tuple(parse_formula(t) for t in _need(doc, "thetas", list, where))
+    thetas = _formulas(_need(doc, "thetas", list, where), f"{where}.thetas")
     guards = []
     for g in _need(doc, "guards", list, where):
         op = _need(g, "op", str, where)
@@ -756,8 +767,8 @@ def load_proof(doc: dict) -> pc.Proof:
     mode = doc.get("mode", pc.MODE_PLAIN)
     if mode not in (pc.MODE_PLAIN, pc.MODE_CON):
         raise SchemaError(f"mode must be plain or con, got {mode!r}")
-    hypotheses = tuple(parse_formula(h)
-                       for h in _need_opt(doc, "hypotheses", list, "proof"))
+    hypotheses = _formulas(_need_opt(doc, "hypotheses", list, "proof"),
+                           "proof.hypotheses")
     steps = []
     for ix, entry in enumerate(_need(doc, "steps", list, "proof")):
         where = f"steps[{ix}]"

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pckfo
+from pckfo import cli
 from pckfo.cli import main
 from pckfo.evaluator import satisfies
 from pckfo.model import validate
@@ -190,6 +194,25 @@ class TestCheckProof:
         path.write_text(json.dumps(doc))
         assert run("check-proof", "--proof", str(path))[0] == 3
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"hypotheses": [1], "steps": []},
+         "proof.hypotheses[0]: expected formula text, got 1"),
+        ({"steps": [{"formula": "p", "just": {
+            "kind": "RE", "spec": {"k": 1, "thetas": ["p", ["q"]],
+                                   "guards": []},
+            "premises": {}}}]},
+         "steps[0].thetas[1]: expected formula text, got ['q']"),
+    ], ids=["hypothesis", "theta"])
+    def test_non_string_formula_is_schema_error(self, tmp_path, doc,
+                                                message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["check-proof", "--proof", str(path)])
+        assert (code, err.getvalue()) == (3, f"parse error: {message}\n")
+
     def test_rp_rejected_in_con_mode(self, tmp_path):
         doc = {
             "hypotheses": [],
@@ -322,3 +345,113 @@ class TestFindFuzzDemo:
         code, out = run("eval", "--model", str(path), "--formula", "p")
         assert code == 4
         assert "not normalized" in out
+
+
+class TestArgvTable:
+    """`cli.main` reads ordinary argv from `cli.COMMANDS` and leaves the rest
+    to the argparse parser built from the same table."""
+
+    @staticmethod
+    def _values(flag):
+        if flag.type is bool:
+            return [None]
+        if flag.choices:
+            return list(flag.choices)
+        if flag.type is int:
+            return ["0", "3", "+2", " 4", "007", "12"]
+        return ["p", "", "a=b", "K[a] p", "x y", "fixtures/m.json"]
+
+    @staticmethod
+    def _bad_values(flag):
+        bad = ["-3", "-p", "--json", "-h", "--"]
+        if flag.type is int:
+            bad += ["x", "1.5", ""]
+        if flag.choices:
+            bad += ["zzz", flag.choices[0].upper() + "x"]
+        return bad
+
+    def _argv(self, name, command, rng):
+        """A random argv for one subcommand: flags in any order, repeats,
+        `--flag=value`, abbreviations, bad types and choices, values that
+        start with -, missing values and required flags, strays."""
+        words = []
+        for flag in command.flags:
+            if flag.required and rng.random() < 0.1:
+                continue
+            if not flag.required and rng.random() < 0.5:
+                continue
+            for _ in range(1 + (rng.random() < 0.15)):
+                value = rng.choice(self._values(flag))
+                roll = rng.random()
+                if roll < 0.08:
+                    value = rng.choice(self._bad_values(flag))
+                spelled = flag.name
+                if flag.name.startswith("-") and rng.random() < 0.06:
+                    spelled = flag.name[:rng.randint(2, len(flag.name) - 1)]
+                if not flag.name.startswith("-"):
+                    words.append([value])
+                elif flag.type is bool:
+                    words.append([spelled + ("=1" if roll < 0.05 else "")])
+                elif 0.08 <= roll < 0.35:
+                    words.append([f"{spelled}={value}"])
+                else:
+                    words.append([spelled, value])
+        if rng.random() < 0.05:
+            words.append([rng.choice(["--nope", "extra", "-x", "--"])])
+        rng.shuffle(words)
+        argv = [name] + [w for group in words for w in group]
+        if rng.random() < 0.04:
+            argv.append(rng.choice([f.name for f in command.flags]))
+        return argv
+
+    def test_table_agrees_with_argparse(self, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        monkeypatch.setattr(cli, "COMMANDS", {
+            name: dataclasses.replace(command, run=record)
+            for name, command in cli.COMMANDS.items()})
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(argv):
+            seen.clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            return code, list(seen), out.getvalue(), err.getvalue()
+
+        rng = random.Random(11)
+        for name, command in cli.COMMANDS.items():
+            by_table = 0
+            for _ in range(150):
+                argv = self._argv(name, command, rng)
+                by_table += cli._from_table(argv) is not None
+                got = outcome(argv)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_from_table", lambda argv: None)
+                    assert got == outcome(argv), argv
+            assert by_table >= 40, (name, by_table)
+
+    def test_valid_argv_builds_no_argparse_parser(self, monkeypatch,
+                                                  fixtures_dir, tiny):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parser built")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        proof = str(fixtures_dir / "proofs" / "k_distribution.json")
+        cases = [
+            (["eval", "--model", tiny, "--formula", "p", "--json"], 1),
+            (["check-proof", "--proof", proof, "--mode=plain"], 0),
+            (["validate", "--model", tiny], 0),
+            (["classify", "--json", "--model", tiny], 0),
+            (["find", "--formula", "p", "--budget-states", "1",
+              "--grid=1", "--seed", "3"], 0),
+            (["fuzz", "--n", "5", "--atom-mode", "singleton"], 0),
+            (["demo", "--m", "1", "noncompactness", "--json"], 0),
+        ]
+        for argv, code in cases:
+            assert run(*argv)[0] == code, argv

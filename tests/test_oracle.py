@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from pckfo.errors import BudgetError, NonSentenceError
 from pckfo.evaluator import satisfies
 from pckfo.model import classify, validate
 from pckfo.oracle import (
-    DEFAULT_GRID, SearchBudget, enumerate_models, enumeration_size,
-    expected_invalid_counterexample, find_model, fuzz_soundness,
+    DEFAULT_GRID, SearchBudget, _all_models, enumerate_models,
+    enumeration_size, expected_invalid_counterexample, find_model, fuzz_soundness,
     holds_everywhere, noncompactness_demo, random_models,
     targeted_class_models, validity_suite,
 )
@@ -123,6 +124,16 @@ class TestFuzz:
         assert rep.verdict == VALID_IN_SUITE
         assert stats["failures"] == 0
         assert stats["skipped_not_measurable"] == 0
+
+    @pytest.mark.parametrize("n", [0, 60, 130, 250])
+    def test_builtin_pool_is_the_full_pool(self, n):
+        # The built-in pool is built only as far as n reaches; its reports
+        # equal those over the whole 200-model pool passed explicitly.
+        budget = SearchBudget(max_states=3, seed=2)
+        full = list(itertools.islice(_all_models(budget), 100))
+        full += random_models(budget, 100, tag="fuzz-pool")
+        assert (fuzz_soundness(budget, n).to_json()
+                == fuzz_soundness(budget, n, models=full).to_json())
 
     def test_seeded_determinism(self):
         budget = SearchBudget(max_states=2, seed=7, atom_mode="singleton")
