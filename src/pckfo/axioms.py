@@ -90,8 +90,8 @@ def _tseitin(f):
     clauses.  Variables are positive ints and -v negates v.  A conjunction
     gets a gate variable g with the clauses g -> a, g -> b and a & b -> g; a
     negation flips its body's literal.  The walk keeps an explicit stack,
-    and spine nodes are shared by id() and never hashed (hashing recurses),
-    so a deep spine, or the DAG that iff builds, costs one visit per node.
+    and spine nodes are keyed by id(), so each node of a deep spine, or of
+    the DAG that iff builds, costs one visit and one lookup, without hashing.
     """
     atoms = {}      # opaque atom -> its variable
     lits = {}       # id(node) -> literal

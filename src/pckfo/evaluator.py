@@ -50,7 +50,7 @@ from .errors import EvalError, NotMeasurable, PckfoError
 from .model import Model
 from .syntax import (
     And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, Var, children, free_vars,
+    Knows, Not, ProbAtLeast, Var, free_vars,
 )
 
 
@@ -107,32 +107,6 @@ _CODES = {Atom: _ATOM, Not: _NOT, And: _AND, Forall: _FORALL, Knows: _K,
           EveryoneProb: _EP, CommonProb: _CP}
 
 
-def _prepare(root) -> None:
-    """Give root and every node below it its stored hash and free
-    variables, children first and without recursion, so that hashing any
-    of them later is one step."""
-    todo = [root]
-    pop = todo.pop
-    while todo:
-        f = pop()
-        if f is None:          # the children of the node below are done
-            f = pop()
-            free_vars(f)
-            hash(f)
-        elif f._hash is None or f._fv is None:
-            # A shared node pushed twice is done by the time its second
-            # copy is popped, since it cannot lie below itself.
-            todo += (f, None, *children(f))
-
-
-def _table_key(f, v):
-    """A prepared subformula's identity under a valuation: the formula,
-    with the values of its free variables when it has any."""
-    if not f._fv:
-        return f
-    return (f, tuple([(x, v.get(x)) for x in sorted(f._fv)]))
-
-
 class Program:
     """Formulas compiled once, for every model over one domain.
 
@@ -155,15 +129,14 @@ class Program:
         """Lay out one more root, sharing the operations laid out so far,
         and return its slot."""
         v = dict(valuation) if valuation else {}
-        _prepare(f)
-        missing = f._fv - v.keys()
+        missing = free_vars(f) - v.keys()
         if missing:
             raise EvalError(f"valuation misses free variable {min(missing)!r}")
         self.slots.append(self._compile(f, v))
         return self.slots[-1]
 
     def _compile(self, root, v) -> int:
-        """Lay out the prepared root under v in post-order, reusing the
+        """Lay out the root under v in post-order, reusing the
         operations in the table.  The operations of a universal's second
         and later values run only while its running intersection is not
         empty, so what they add to the table is dropped again at the end
@@ -176,7 +149,10 @@ class Program:
         while todo:
             kind, f, v, x = pop()
             if kind == _VISIT:
-                x = _table_key(f, v)
+                # f's table key: f, with the values of its free variables
+                fv = free_vars(f)
+                x = (f, tuple([(y, v.get(y)) for y in sorted(fv)])) \
+                    if fv else f
                 at = table.get(x)
                 if at is not None:
                     done.append(at)

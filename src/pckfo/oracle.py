@@ -569,6 +569,8 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     """n seeded random (schema, instance, model) triples; every instance must
     hold at every state of its model.  A failure would point at an evaluator
     or schema bug and ships a replayable counterexample."""
+    if n < 1:
+        raise BudgetError("the number of fuzz instances must be at least 1")
     grid = budget.weight_grid
     if ax.P2 in names and len(set(grid)) < 2:
         raise BudgetError("fuzzing P2 needs two distinct weight grid values")
@@ -580,7 +582,7 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
         # random ones.  Only pool[:n] is built: the random models come from
         # one RNG in sequence, so a shorter fill is a prefix of the full one.
         size = 200
-        wanted = max(0, min(n, size))
+        wanted = min(n, size)
         pool = list(itertools.islice(_all_models(budget), min(wanted, 100)))
         pool += random_models(budget, wanted - len(pool), tag="fuzz-pool")
     else:
@@ -670,8 +672,8 @@ def noncompactness_demo(bound: int) -> CheckReport:
     The full infinite sets are unsatisfiable (the demos only document this;
     no infinite check is claimed).
     """
-    if bound > 4:
-        raise BudgetError("demo bound capped at 4")
+    if not 1 <= bound <= 4:
+        raise BudgetError(f"demo bound must lie in 1..4, got {bound}")
     rep = CheckReport(OK)
     group = ("a",)
     p = Atom("p")

@@ -32,8 +32,7 @@ from .syntax import (
 MAX_DEPTH = 500
 # Each parenthesis level costs two stack frames (_unary and _binary);
 # everything else is read in loops.  200 levels fit the default recursion
-# limit of 1000 with room for the caller and for the recursive walks over
-# the formula that follow.
+# limit of 1000 with room for the caller.
 MAX_PARENS = 200
 
 # One token, after any whitespace.  A character no token can start with is
@@ -387,11 +386,6 @@ def print_term(t) -> str:
     return f"{t.fn}({','.join(print_term(a) for a in t.args)})"
 
 
-def _wrap(f) -> str:
-    body = print_formula(f)
-    return f"({body})" if isinstance(f, And) else body
-
-
 # Prefix operator -> its text before the body.
 _PREFIX_TEXT = {
     Not: lambda f: "!",
@@ -406,22 +400,28 @@ _PREFIX_TEXT = {
 
 
 def print_formula(f) -> str:
-    """Canonical text; parse_formula(print_formula(f)) == f.  A run of
-    prefix operators is read in a loop, so only `&` recurses."""
-    prefixes = []
-    while type(f) in _PREFIX_TEXT:
-        prefixes.append(_PREFIX_TEXT[type(f)](f))
-        f = f.body
-    if isinstance(f, Atom):
-        body = f.rel if not f.args else \
-            f"{f.rel}({','.join(print_term(a) for a in f.args)})"
-    elif isinstance(f, And):
-        body = f"{print_formula(f.left)} & {_wrap(f.right)}"
-        if prefixes:
-            body = f"({body})"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return "".join(prefixes) + body
+    """Canonical text; parse_formula(print_formula(f)) == f within the
+    parser's limits.  `todo` holds the nodes and text pieces to write."""
+    out = []
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        cls = type(f)
+        if cls is str:
+            out.append(f)
+        elif cls in _PREFIX_TEXT:
+            out.append(_PREFIX_TEXT[cls](f))
+            todo += (")", f.body, "(") if type(f.body) is And else (f.body,)
+        elif cls is And:
+            todo += (")", f.right, "(") if type(f.right) is And \
+                else (f.right,)
+            todo += (" & ", f.left)
+        elif cls is Atom:
+            out.append(f.rel if not f.args else
+                       f"{f.rel}({','.join(print_term(a) for a in f.args)})")
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,6 @@ def fixed_point_proof(bound: int = 4) -> Proof:
 
     out = ProofBuilder()
 
-    def weaken_top(step: int) -> int:
-        """From a step proving g, derive top -> g."""
-        g = out.steps[step].formula
-        taut = out.prop(implies(g, implies(top(), g)))
-        return out.mp(step, taut)
-
     def k_wrapped_implication(agent, a, b, theorem_step) -> int:
         """From a theorem step proving a -> b, derive K_agent a -> K_agent b."""
         wrapped = out.add(Knows(agent, implies(a, b)),

@@ -5,19 +5,18 @@ conjunction, universal quantification, the knowledge operators (individual,
 group, common) and their probabilistic counterparts.  Everything else
 (implication, disjunction, existential quantifier, the remaining probability
 comparisons, truth constants) is an abbreviation and is expanded eagerly, so
-structural equality of dataclasses is the one and only formula identity.
+structural equality is the one and only formula identity.
 
-Formula nodes are immutable, so each one computes its hash and its set of
-free variables the first time it is asked and keeps them in the node.  The
-hash is the one a frozen dataclass gives (the hash of the tuple of its
-fields), and equality stays structural: two separately built equal formulas
-are equal and hash alike.
+This module alone decides it, and no walk here recurses: the first hash or
+free-variable question about a node seals it and every node below (`_seal`),
+and equality walks a stack of node pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .errors import ArityError, CaptureError, RationalRangeError
@@ -86,37 +85,108 @@ def _check_bound(r: Fraction) -> Fraction:
     return r
 
 
-@dataclass(frozen=True)
-class _Node:
-    """What every formula node keeps about itself once it is asked: its
-    hash and its free variables (None until then).  They are written
-    straight into the instance dict, as functools.cached_property does,
-    because the dataclass is frozen."""
+_NO_VARS = frozenset()
 
-    _hash: int = field(default=None, init=False, repr=False, compare=False)
-    _fv: frozenset = field(default=None, init=False, repr=False, compare=False)
+
+class _Node:
+    """A node's hash and free variables, None until `_seal` writes them
+    into the instance dict (the dataclasses are frozen).  A pickled or
+    copied node starts unsealed, as string hashes differ by process."""
+
+    _hash = None
+    _fv = None
 
     def __getstate__(self):
-        # String hashes differ between processes, so a pickled or copied
-        # node starts without the stored values.
         return {k: v for k, v in self.__dict__.items()
                 if k not in ("_hash", "_fv")}
 
 
 def _node(cls):
-    """Make cls a frozen formula dataclass whose __hash__ computes the
-    dataclass hash once and then returns the stored value."""
+    """Make cls a frozen formula dataclass with this module's hash and
+    equality and its group and bound in normal form; `_data` reads the
+    fields that are not subformulas."""
+    norms = [(name, norm) for name, norm in (("group", _as_group),
+                                             ("bound", _check_bound))
+             if name in cls.__annotations__]
+    if norms:
+        def __post_init__(self):
+            for name, norm in norms:
+                object.__setattr__(self, name, norm(getattr(self, name)))
+        cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = structural(self)
-        return h
-
-    cls.__hash__ = __hash__
+    cls._fields_hash = cls.__hash__
+    data = [fl.name for fl in fields(cls)
+            if fl.name not in ("body", "left", "right")]
+    cls._data = attrgetter(*data) if data else None
+    cls.__hash__ = _formula_hash
+    cls.__eq__ = _equal
     return cls
+
+
+def _formula_hash(f) -> int:
+    h = f._hash
+    if h is None:
+        _seal(f)
+        h = f._hash
+    return h
+
+
+def _seal(root) -> None:
+    """Store the hash, then the free variables (which mark a node sealed),
+    of root and every unsealed node below it.  A node stays on the stack
+    until its children are sealed, so a shared node is sealed once."""
+    todo = [root]
+    pop, push = todo.pop, todo.append
+    while todo:
+        f = todo[-1]
+        if f._fv is not None:
+            pop()
+            continue
+        cls = type(f)
+        if cls is And:
+            a, b = f.left._fv, f.right._fv
+            if a is None or b is None:
+                todo += (f.right, f.left)   # a sealed one is popped at once
+                continue
+            fv = a | b if a and b and a is not b else a or b
+        elif cls is Atom:
+            fv = frozenset().union(*map(term_vars, f.args)) if f.args \
+                else _NO_VARS
+        else:
+            fv = f.body._fv
+            if fv is None:
+                push(f.body)
+                continue
+            if cls is Forall and f.var in fv:
+                fv = fv - {f.var}
+        pop()
+        f.__dict__["_hash"] = cls._fields_hash(f)
+        f.__dict__["_fv"] = fv
+
+
+def _equal(f, g):
+    """Structural equality over a stack of node pairs: a pair that is one
+    node is equal, one with two types or two unequal stored hashes not."""
+    if type(g) is not type(f):
+        return NotImplemented
+    todo = []
+    while True:
+        if f is not g:
+            cls, a, b = type(f), f._hash, g._hash
+            if cls is not type(g) or a != b and not (a is None or b is None):
+                return False
+            if cls is And:
+                todo.append((f.right, g.right))
+                f, g = f.left, g.left
+                continue
+            if cls is not Not and cls._data(f) != cls._data(g):
+                return False
+            if cls is not Atom:
+                f, g = f.body, g.body
+                continue
+        if not todo:
+            return True
+        f, g = todo.pop()
 
 
 @_node
@@ -153,17 +223,11 @@ class EveryoneKnows(_Node):
     group: tuple
     body: "Formula"
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", _as_group(self.group))
-
 
 @_node
 class CommonKnows(_Node):
     group: tuple
     body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", _as_group(self.group))
 
 
 @_node
@@ -172,19 +236,12 @@ class ProbAtLeast(_Node):
     bound: Fraction
     body: "Formula"
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", _check_bound(self.bound))
-
 
 @_node
 class EveryoneProb(_Node):
     group: tuple
     bound: Fraction
     body: "Formula"
-
-    def __post_init__(self):
-        object.__setattr__(self, "group", _as_group(self.group))
-        object.__setattr__(self, "bound", _check_bound(self.bound))
 
 
 @_node
@@ -193,35 +250,22 @@ class CommonProb(_Node):
     bound: Fraction
     body: "Formula"
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", _as_group(self.group))
-        object.__setattr__(self, "bound", _check_bound(self.bound))
-
 
 Formula = Union[
     Atom, Not, And, Forall, Knows, EveryoneKnows, CommonKnows,
     ProbAtLeast, EveryoneProb, CommonProb,
 ]
 
-_UNARY_BODY = (Not, Knows, EveryoneKnows, CommonKnows, ProbAtLeast,
-               EveryoneProb, CommonProb)
-
-
-def children(f: Formula) -> tuple:
-    if isinstance(f, Atom):
-        return ()
-    if isinstance(f, And):
-        return (f.left, f.right)
-    return (f.body,)
-
-
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Depth-first iterator over f and all its subformulas."""
+    """f and its subformulas, depth first, right operand first."""
     stack = [f]
     while stack:
         cur = stack.pop()
         yield cur
-        stack.extend(children(cur))
+        if type(cur) is And:
+            stack += (cur.left, cur.right)
+        elif type(cur) is not Atom:
+            stack.append(cur.body)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +319,9 @@ def knows_prob(agent: str, r, f: Formula) -> Formula:
     return Knows(agent, ProbAtLeast(agent, r, f))
 
 
-_ABBREVS = {
-    "implies": lambda a, b: implies(a, b),
-    "or": lambda a, b: disj(a, b),
-    "iff": lambda a, b: iff(a, b),
-    "exists": lambda x, f: exists(x, f),
-    "top": top,
-    "bot": bot,
-    "P<": prob_lt,
-    "P<=": prob_le,
-    "P>": prob_gt,
-    "P=": prob_eq,
-    "Kr": knows_prob,
-}
+_ABBREVS = {"implies": implies, "or": disj, "iff": iff, "exists": exists,
+            "top": top, "bot": bot, "P<": prob_lt, "P<=": prob_le,
+            "P>": prob_gt, "P=": prob_eq, "Kr": knows_prob}
 
 
 def expand_abbrev(name: str, *args) -> Formula:
@@ -303,21 +337,10 @@ def expand_abbrev(name: str, *args) -> Formula:
 # free variables, substitution
 
 def free_vars(f: Formula) -> frozenset:
-    """Variables with at least one free occurrence in f (computed once per
-    node and kept in it)."""
-    out = f._fv
-    if out is not None:
-        return out
-    if isinstance(f, Atom):
-        out = frozenset().union(*(term_vars(t) for t in f.args)) if f.args else frozenset()
-    elif isinstance(f, Forall):
-        out = free_vars(f.body) - {f.var}
-    elif isinstance(f, And):
-        out = free_vars(f.left) | free_vars(f.right)
-    else:
-        out = free_vars(f.body)
-    f.__dict__["_fv"] = out
-    return out
+    """Variables with at least one free occurrence in f."""
+    if f._fv is None:
+        _seal(f)
+    return f._fv
 
 
 def is_sentence(f: Formula) -> bool:
@@ -333,23 +356,26 @@ def substitute_term(t: Term, x: str, repl: Term) -> Term:
 def is_free_for(t: Term, x: str, f: Formula) -> bool:
     """True iff no free occurrence of x in f sits under a binder for a
     variable of t."""
+    return _captor(t, x, f) is None
+
+
+def _captor(t: Term, x: str, f: Formula):
+    """The first binder in `subformulas` order that captures a variable of
+    t put for a free x in f, or None.  Only nodes with x free are entered."""
     tvars = term_vars(t)
-
-    def walk(g: Formula, blocked: frozenset) -> bool:
-        if isinstance(g, Atom):
-            if any(x in term_vars(a) for a in g.args):
-                return not (tvars & blocked)
-            return True
-        if isinstance(g, Forall):
-            if g.var == x:
-                return True  # x is bound below here
-            add = {g.var} if g.var in tvars else set()
-            return walk(g.body, blocked | add)
-        if isinstance(g, And):
-            return walk(g.left, blocked) and walk(g.right, blocked)
-        return walk(g.body, blocked)
-
-    return walk(f, frozenset())
+    todo = [f] if tvars else []
+    while todo:
+        g = todo.pop()
+        if x not in free_vars(g):
+            continue
+        cls = type(g)
+        if cls is And:
+            todo += (g.left, g.right)
+        elif cls is not Atom:
+            if cls is Forall and g.var in tvars:
+                return g.var
+            todo.append(g.body)
+    return None
 
 
 def substitute(f: Formula, x: str, t: Term) -> Formula:
@@ -357,30 +383,31 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
 
     Raises CaptureError when t is not free for x in f.
     """
-    if not is_free_for(t, x, f):
-        raise CaptureError(x, t, _capture_binder(f, x, t))
-
-    def walk(g: Formula) -> Formula:
-        if x not in free_vars(g):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(substitute_term(a, x, t) for a in g.args))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        # Every other node has one body; a Forall here binds a variable
-        # other than x, since x occurs free below it.
-        return replace(g, body=walk(g.body))
-
-    return walk(f)
-
-
-def _capture_binder(f: Formula, x: str, t: Term) -> str:
-    """Find a binder name responsible for the capture (for the error)."""
-    tvars = term_vars(t)
-    for g in subformulas(f):
-        if isinstance(g, Forall) and g.var in tvars and x in free_vars(g.body) and g.var != x:
-            return g.var
-    return "?"
+    binder = _captor(t, x, f)
+    if binder is not None:
+        raise CaptureError(x, t, binder)
+    # Post-order: a node with x free is pushed again, ready, under its
+    # children; a Forall here binds another variable than x.
+    todo, done = [(f, False)], []
+    while todo:
+        g, ready = todo.pop()
+        cls = type(g)
+        if ready:
+            if cls is And:
+                right = done.pop()
+                done[-1] = And(done[-1], right)
+            else:
+                done[-1] = replace(g, body=done[-1])
+        elif x not in free_vars(g):
+            done.append(g)
+        elif cls is Atom:
+            done.append(Atom(g.rel, tuple(substitute_term(a, x, t)
+                                          for a in g.args)))
+        else:
+            todo.append((g, True))
+            todo += ((g.right, False), (g.left, False)) if cls is And \
+                else ((g.body, False),)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,39 @@ class TestEval:
         assert code == 0
         assert f"formula={text} state=" in out
 
+    # Formulas far deeper than the interpreter's recursion limit answer as
+    # a shallow formula of the same meaning does on the 3-state chain.
+    @pytest.mark.parametrize("text, shallow, code", [
+        (" & ".join(["p"] * 2000), "p", 1),
+        ("(" + "K[a] " * 450 + "p) & (" + "K[a] " * 450 + "p)",
+         "K[a] K[a] K[a] p", 0),
+    ], ids=["conjuncts", "knows-chains"])
+    def test_eval_deep_formula(self, chain, text, shallow, code):
+        got = run("eval", "--model", chain, "--formula", text)
+        assert got == run("eval", "--model", chain, "--formula", shallow)
+        assert got[0] == code
+
+    @pytest.mark.parametrize("text, printed", [
+        (" & ".join(["p"] * 1200), " & ".join(["p"] * 1200)),
+        (" -> ".join(["p"] * 601), "!(p & !" * 600 + "p" + ")" * 600)],
+        ids=["conjuncts", "implications"])
+    def test_find_deep_formula(self, text, printed):
+        code, out = run("find", "--formula", text, "--json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdict"] == "sat"
+        assert rep["details"][0]["formula"] == printed
+
+    def test_check_proof_deep_fo2_step(self, tmp_path):
+        phi = " & ".join(["R(x)"] * 1500)
+        path = tmp_path / "fo2.json"
+        path.write_text(json.dumps({"hypotheses": [], "steps": [
+            {"formula": f"(forall x ({phi})) -> ({phi.replace('x', 'c')})",
+             "just": {"kind": "axiom", "name": "FO2"}}]}))
+        code, out = run("check-proof", "--proof", str(path))
+        assert code == 0
+        assert out.startswith("verdict: accepted")
+
     def test_deep_parentheses_exit(self, chain):
         code, out = run("eval", "--model", chain, "--formula",
                         "!(" * 200 + "p" + ")" * 200, "--json")
@@ -332,6 +365,16 @@ class TestFindFuzzDemo:
         code, out = run("demo", "validity", "--family", "invalid-distribution")
         assert code == 0
         assert "counterexample found" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--n", "-5"], ["fuzz", "--n", "0", "--json"],
+        ["demo", "noncompactness", "--m", "-2"]])
+    def test_counts_below_one_are_budget_errors(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("budget error: ")
 
     def test_usage_errors(self):
         assert run("eval", "--formula", "p")[0] == 2      # missing --model

@@ -128,12 +128,20 @@ class TestFuzz:
     @pytest.mark.parametrize("n", [0, 60, 130, 250])
     def test_builtin_pool_is_the_full_pool(self, n):
         # The built-in pool is built only as far as n reaches; its reports
-        # equal those over the whole 200-model pool passed explicitly.
+        # equal those over the whole 200-model pool passed explicitly, and
+        # both refuse a count below 1 alike.
         budget = SearchBudget(max_states=3, seed=2)
         full = list(itertools.islice(_all_models(budget), 100))
         full += random_models(budget, 100, tag="fuzz-pool")
-        assert (fuzz_soundness(budget, n).to_json()
-                == fuzz_soundness(budget, n, models=full).to_json())
+
+        def outcome(**pool):
+            try:
+                return fuzz_soundness(budget, n, **pool).to_json()
+            except BudgetError as exc:
+                return f"budget error: {exc}"
+        got = outcome()
+        assert got == outcome(models=full)
+        assert got.startswith("budget error:") == (n < 1)
 
     def test_seeded_determinism(self):
         budget = SearchBudget(max_states=2, seed=7, atom_mode="singleton")

@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pckfo.errors import ParseError, SchemaError
+from pckfo.model import Model, ProbSpace, validate
 from pckfo.parser import (
     load_model, model_to_json, parse_formula, parse_model, parse_proof,
     parse_term, print_formula,
@@ -231,6 +233,48 @@ class TestModelDocuments:
         assert m.prob[("a", "s0")].atoms == (frozenset(["s0"]), frozenset(["s1"]))
         # omitted spaces default to the one-point space at that state
         assert m.prob[("a", "s1")].sample == frozenset(["s1"])
+
+
+@st.composite
+def _models(draw):
+    """Valid models with up to 4 states, 2 domain elements and 2 agents,
+    a propositional and a unary relation, a unary function, a group and
+    spaces of one or two atoms over any nonempty sample."""
+    states = [f"s{k}" for k in range(draw(st.integers(1, 4)))]
+    domain = ["d0", "d1"][:draw(st.integers(1, 2))]
+    agents = draw(st.sampled_from([("a",), ("a", "b")]))
+    edges = st.frozensets(st.tuples(st.sampled_from(states),
+                                    st.sampled_from(states)))
+    prob = {}
+    for agent in agents:
+        for state in states:
+            sample = sorted(draw(st.sets(st.sampled_from(states), min_size=1)))
+            cut = draw(st.integers(1, len(sample)))
+            w = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)]))
+            prob[(agent, state)] = ProbSpace(
+                frozenset(sample),
+                (frozenset(sample[:cut]), frozenset(sample[cut:])),
+                (w, 1 - w)) if cut < len(sample) else \
+                ProbSpace(frozenset(sample), (frozenset(sample),), (Fraction(1),))
+    return Model(
+        states=tuple(states), domain=tuple(domain), agents=agents,
+        functions={"f": (1, {(d,): draw(st.sampled_from(domain))
+                             for d in domain})},
+        relations={
+            "p": (0, {s: draw(st.sampled_from([frozenset(), frozenset({()})]))
+                      for s in states}),
+            "R": (1, {s: draw(st.frozensets(st.tuples(st.sampled_from(domain))))
+                      for s in states})},
+        access={agent: draw(edges) for agent in agents},
+        prob=prob, groups={"G": agents})
+
+
+@given(_models())
+def test_model_document_round_trip(m):
+    assert validate(m).passed
+    text = model_to_json(m)
+    assert parse_model(text) == m
+    assert model_to_json(parse_model(text)) == text
 
 
 class TestProofDocuments:

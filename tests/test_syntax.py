@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 
 import pckfo
 from pckfo.errors import ArityError, CaptureError, RationalRangeError
+from pckfo.evaluator import Evaluator
+from pckfo.model import Model
 from pckfo.parser import parse_formula, print_formula
 from pckfo.syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
@@ -313,3 +315,63 @@ def test_free_vars_after_substitution(f, t):
 @given(_formulas())
 def test_split_implies_inverts(f):
     assert split_implies(implies(p, f)) == (p, f)
+
+
+# -- deep formulas -----------------------------------------------------------
+# Each shape is far deeper than the interpreter's recursion limit allows a
+# recursive walk to go; every operation below must answer all the same.  A
+# term counts one level against the parser's depth limit of 500, so the
+# deepest knowledge chain over R(x) has 498 operators.
+
+_DEEP = {
+    "knows-chain": "K[a] " * 499 + "p",
+    "knows-chain-open": "K[a] " * 498 + "R(x)",
+    "conjuncts": " & ".join(["R(x)"] * 2000),
+    "implications": " -> ".join(["R(x)"] * 601),
+}
+
+
+@pytest.mark.parametrize("text", list(_DEEP.values()), ids=list(_DEEP))
+def test_deep_formula_operations(text):
+    f, g = parse_formula(text), parse_formula(text)
+    assert f is not g and f == g and not f != g and hash(f) == hash(g)
+    other = parse_formula(text[:-4] + "R(y)" if text.endswith("R(x)")
+                          else text[:-1] + "q")
+    assert f != other and other != f
+    if "->" not in text:
+        assert print_formula(f) == text and parse_formula(text) == f
+    else:
+        # printed expanded, three levels per link: past the parser's
+        # depth limit of 500, so this text is not parsed again
+        want = "R(x)"
+        for _ in range(600):
+            want = f"!(R(x) & !{want})"
+        assert print_formula(f) == want
+    assert free_vars(f) == ({"x"} if "R(x)" in text else frozenset())
+    closed = substitute(f, "x", c)
+    assert closed == parse_formula(text.replace("R(x)", "R(c)"))
+    assert free_vars(closed) == frozenset()
+    assert is_free_for(y, "x", f)
+    assert is_free_for(y, "x", Forall("y", f)) == ("R(x)" not in text)
+    if "R(x)" in text:
+        with pytest.raises(CaptureError):
+            substitute(Forall("z", Forall("y", f)), "x", y)
+
+
+@pytest.mark.parametrize("text, want", [
+    (_DEEP["knows-chain"], {"s0", "s1", "s2"}),
+    (_DEEP["knows-chain-open"], {"s0", "s1", "s2"}),
+    (_DEEP["conjuncts"], {"s2"}),
+    (_DEEP["implications"], {"s0", "s1", "s2"}),
+], ids=list(_DEEP))
+def test_deep_formula_extension(text, want):
+    # p and R(d0) hold at s2 only; agent a steps s0 -> s1 -> s2 -> s2.
+    m = Model(states=("s0", "s1", "s2"), domain=("d0",), agents=("a",),
+              relations={"p": (0, {"s2": frozenset({()})}),
+                         "R": (1, {"s2": frozenset({("d0",)})})},
+              access={"a": frozenset({("s0", "s1"), ("s1", "s2"),
+                                      ("s2", "s2")})})
+    ev = Evaluator(m)
+    assert ev.extension(parse_formula(text), {"x": "d0"}) == want
+    # a second, structurally equal copy meets the first in the same program
+    assert ev.extension(parse_formula(text), {"x": "d0"}) == want
