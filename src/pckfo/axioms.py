@@ -21,10 +21,9 @@ from fractions import Fraction
 from .errors import BudgetError, SideConditionError
 from . import syntax as syn
 from .syntax import (
-    And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, Var, free_vars, implies, is_free_for,
-    iterate_everyone, prob_common_stage, prob_le, prob_lt, split_implies,
-    substitute,
+    And, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall, Knows,
+    Not, ProbAtLeast, Var, free_vars, implies, is_free_for, iterate_everyone,
+    prob_common_stage, prob_le, prob_lt, split_implies, substitute,
 )
 
 PROP = "Prop"
@@ -380,22 +379,6 @@ def _implication(guess):
     return on_formula
 
 
-def _subterms(f):
-    """Distinct terms occurring in a formula (including nested subterms)."""
-    seen = []
-    stack = []
-    for g in syn.subformulas(f):
-        if isinstance(g, Atom):
-            stack.extend(g.args)
-    while stack:
-        t = stack.pop()
-        if t not in seen:
-            seen.append(t)
-            if isinstance(t, syn.App):
-                stack.extend(t.args)
-    return seen
-
-
 def _guess_prop(f):
     yield {"formula": f}
 
@@ -408,10 +391,12 @@ def _guess_fo1(a, c):
 
 @_implication
 def _guess_fo2(a, c):
-    # With x free in phi the term sits somewhere in the consequent; without,
-    # any term instantiates trivially and x itself is the canonical one.
+    # With x free in phi the term is one of the consequent's distinct
+    # terms; without, any term instantiates trivially and x itself is the
+    # canonical one.
     if isinstance(a, Forall):
-        terms = _subterms(c) if a.var in free_vars(a.body) else []
+        terms = list(dict.fromkeys(syn.subterms(c))) \
+            if a.var in free_vars(a.body) else []
         for t in terms + [Var(a.var)]:
             yield {"x": a.var, "phi": a.body, "term": t}
 

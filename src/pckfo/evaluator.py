@@ -49,31 +49,42 @@ from operator import or_
 from .errors import EvalError, NotMeasurable, PckfoError
 from .model import Model
 from .syntax import (
-    And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, Var, free_vars,
+    And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
+    Forall, Knows, Not, ProbAtLeast, Var, free_vars,
 )
 
 
 def eval_term(m: Model, state: str, valuation, t):
     """Value of a term: variables via the valuation, applications via the
-    rigid function tables."""
-    if isinstance(t, Var):
-        try:
-            return valuation[t.name]
-        except (KeyError, TypeError):
-            raise EvalError(f"unbound variable {t.name!r}") from None
-    entry = m.functions.get(t.fn)
-    if entry is None:
-        raise EvalError(f"undeclared function symbol {t.fn!r}")
-    arity, table = entry
-    if arity != len(t.args):
-        raise EvalError(f"function {t.fn!r} expects {arity} arguments,"
-                        f" got {len(t.args)}")
-    args = tuple(eval_term(m, state, valuation, a) for a in t.args)
-    try:
-        return table[args]
-    except KeyError:
-        raise EvalError(f"function table {t.fn!r} has no row for {args!r}") from None
+    rigid function tables.  An application's symbol and arity are checked
+    before its arguments are evaluated, left to right."""
+    values, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is Var:
+            try:
+                values.append(valuation[t.name])
+            except (KeyError, TypeError):
+                raise EvalError(f"unbound variable {t.name!r}") from None
+        elif type(t) is App:
+            entry = m.functions.get(t.fn)
+            if entry is None:
+                raise EvalError(f"undeclared function symbol {t.fn!r}")
+            arity, table = entry
+            if arity != len(t.args):
+                raise EvalError(f"function {t.fn!r} expects {arity}"
+                                f" arguments, got {len(t.args)}")
+            # its arguments' values will follow position len(values)
+            todo += ((t.fn, table, len(values)), *reversed(t.args))
+        else:
+            fn, table, k = t
+            args = tuple(values[k:])
+            try:
+                values[k:] = [table[args]]
+            except KeyError:
+                raise EvalError(f"function table {fn!r} has no row for"
+                                f" {args!r}") from None
+    return values[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Knows, Not, ProbAtLeast, Var, disj, free_vars, iff, implies,
     is_free_for, is_sentence, iterate_everyone, knows_prob, prob_eq,
-    subformulas,
+    subterms,
 )
 
 DEFAULT_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
@@ -266,7 +266,8 @@ def _rng_for(budget: SearchBudget, tag) -> random.Random:
 
 def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
     """One seeded random model.  `rows` keeps the weight rows of each
-    partition size between the calls of one generation run."""
+    partition size, and the partitions of each sorted sample, between the
+    calls of one generation run."""
     n = rng.randint(1, budget.max_states)
     states = [f"s{i}" for i in range(n)]
     domain = budget.domain
@@ -305,7 +306,10 @@ def _random_space(budget, rng, states, rows) -> ProbSpace:
     elif budget.atom_mode == "singleton":
         part = [[s] for s in sample]
     else:
-        part = rng.choice(_set_partitions(sorted(sample)))
+        key = tuple(sorted(sample))
+        if key not in rows:
+            rows[key] = _set_partitions(list(key))
+        part = rng.choice(rows[key])
     options = rows.get(len(part))
     if options is None:
         options = rows[len(part)] = _weight_rows(budget.weight_grid, len(part))
@@ -361,19 +365,6 @@ def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
 # satisfiability search
 
 
-def _function_symbols(f) -> set:
-    syms = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            stack = list(g.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, App):
-                    syms.add(t.fn)
-                    stack.extend(t.args)
-    return syms
-
-
 def find_model(f, budget: SearchBudget) -> CheckReport:
     """Search the budget's models for a state satisfying the sentence.
 
@@ -383,7 +374,7 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
     if not is_sentence(f):
         raise NonSentenceError(
             f"free variables {sorted(free_vars(f))} in search formula")
-    funcs = _function_symbols(f)
+    funcs = {t.fn for t in subterms(f) if type(t) is App}
     if funcs:
         raise BudgetError(
             f"enumerated models interpret no function symbols; remove"

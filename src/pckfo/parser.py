@@ -378,14 +378,6 @@ def parse_term(text: str):
 # printing
 
 
-def print_term(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.fn
-    return f"{t.fn}({','.join(print_term(a) for a in t.args)})"
-
-
 # Prefix operator -> its text before the body.
 _PREFIX_TEXT = {
     Not: lambda f: "!",
@@ -400,8 +392,8 @@ _PREFIX_TEXT = {
 
 
 def print_formula(f) -> str:
-    """Canonical text; parse_formula(print_formula(f)) == f within the
-    parser's limits.  `todo` holds the nodes and text pieces to write."""
+    """Canonical text of a formula or term, which the parser reads back as
+    f within its limits.  `todo` holds the nodes and text pieces to write."""
     out = []
     todo = [f]
     while todo:
@@ -416,12 +408,21 @@ def print_formula(f) -> str:
             todo += (")", f.right, "(") if type(f.right) is And \
                 else (f.right,)
             todo += (" & ", f.left)
-        elif cls is Atom:
-            out.append(f.rel if not f.args else
-                       f"{f.rel}({','.join(print_term(a) for a in f.args)})")
+        elif cls is Var:
+            out.append(f.name)
+        elif cls is Atom or cls is App:
+            out.append(f.rel if cls is Atom else f.fn)
+            if f.args:
+                todo.append(")")
+                for a in f.args[:0:-1]:
+                    todo += (a, ",")
+                todo += (f.args[0], "(")
         else:
             raise TypeError(f"not a formula: {f!r}")
     return "".join(out)
+
+
+print_term = print_formula    # a term prints through the same loop
 
 
 # ---------------------------------------------------------------------------

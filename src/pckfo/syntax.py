@@ -7,9 +7,11 @@ group, common) and their probabilistic counterparts.  Everything else
 comparisons, truth constants) is an abbreviation and is expanded eagerly, so
 structural equality is the one and only formula identity.
 
-This module alone decides it, and no walk here recurses: the first hash or
-free-variable question about a node seals it and every node below (`_seal`),
-and equality walks a stack of node pairs.
+Terms (variables and applications of rigid function symbols) are nodes of
+the same kind as formulas.  This module alone decides the identity of both,
+and no walk here recurses: the first hash or free-variable question about a
+node seals it and every node below, the terms of an atom included
+(`_seal`), and equality walks a stack of node pairs.
 """
 
 from __future__ import annotations
@@ -22,38 +24,7 @@ from typing import Iterator, Union
 from .errors import ArityError, CaptureError, RationalRangeError
 
 # ---------------------------------------------------------------------------
-# terms
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: tuple = ()
-
-
-Term = Union[Var, App]
-
-
-def term_vars(t: Term) -> frozenset:
-    """All variables occurring in a term."""
-    out = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            out.add(cur.name)
-        else:
-            stack.extend(cur.args)
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# formulas
+# terms and formulas
 
 
 def _as_group(members) -> tuple:
@@ -102,9 +73,9 @@ class _Node:
 
 
 def _node(cls):
-    """Make cls a frozen formula dataclass with this module's hash and
-    equality and its group and bound in normal form; `_data` reads the
-    fields that are not subformulas."""
+    """Make cls a frozen term or formula dataclass with this module's hash
+    and equality and its group and bound in normal form; `_data` reads the
+    fields that are not subnodes."""
     norms = [(name, norm) for name, norm in (("group", _as_group),
                                              ("bound", _check_bound))
              if name in cls.__annotations__]
@@ -116,14 +87,14 @@ def _node(cls):
     cls = dataclass(frozen=True)(cls)
     cls._fields_hash = cls.__hash__
     data = [fl.name for fl in fields(cls)
-            if fl.name not in ("body", "left", "right")]
+            if fl.name not in ("body", "left", "right", "args")]
     cls._data = attrgetter(*data) if data else None
-    cls.__hash__ = _formula_hash
+    cls.__hash__ = _stored_hash
     cls.__eq__ = _equal
     return cls
 
 
-def _formula_hash(f) -> int:
+def _stored_hash(f) -> int:
     h = f._hash
     if h is None:
         _seal(f)
@@ -149,9 +120,20 @@ def _seal(root) -> None:
                 todo += (f.right, f.left)   # a sealed one is popped at once
                 continue
             fv = a | b if a and b and a is not b else a or b
-        elif cls is Atom:
-            fv = frozenset().union(*map(term_vars, f.args)) if f.args \
-                else _NO_VARS
+        elif cls is Atom or cls is App:
+            fv = _NO_VARS
+            for t in f.args:
+                a = t._fv
+                if a is None:
+                    fv = None
+                    break
+                if a and a is not fv:
+                    fv = fv | a if fv else a
+            if fv is None:
+                todo += f.args
+                continue
+        elif cls is Var:
+            fv = frozenset((f.name,))
         else:
             fv = f.body._fv
             if fv is None:
@@ -166,7 +148,8 @@ def _seal(root) -> None:
 
 def _equal(f, g):
     """Structural equality over a stack of node pairs: a pair that is one
-    node is equal, one with two types or two unequal stored hashes not."""
+    node is equal, one with two types or two unequal stored hashes not.
+    Arguments are paired on the stack too, never compared as tuples."""
     if type(g) is not type(f):
         return NotImplemented
     todo = []
@@ -181,12 +164,31 @@ def _equal(f, g):
                 continue
             if cls is not Not and cls._data(f) != cls._data(g):
                 return False
-            if cls is not Atom:
+            if cls is Atom or cls is App:
+                if f.args or g.args:
+                    if len(f.args) != len(g.args):
+                        return False
+                    todo += zip(f.args, g.args)
+            elif cls is not Var:
                 f, g = f.body, g.body
                 continue
         if not todo:
             return True
         f, g = todo.pop()
+
+
+@_node
+class Var(_Node):
+    name: str
+
+
+@_node
+class App(_Node):
+    fn: str
+    args: tuple = ()
+
+
+Term = Union[Var, App]
 
 
 @_node
@@ -268,6 +270,17 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             stack.append(cur.body)
 
 
+def subterms(f: Formula) -> Iterator[Term]:
+    """Every term occurrence in f, each before its arguments; the last
+    argument of the last atom in `subformulas` order comes first."""
+    stack = [t for g in subformulas(f) if type(g) is Atom for t in g.args]
+    while stack:
+        t = stack.pop()
+        yield t
+        if type(t) is App:
+            stack += t.args
+
+
 # ---------------------------------------------------------------------------
 # abbreviations (always expanded, never stored)
 
@@ -336,8 +349,8 @@ def expand_abbrev(name: str, *args) -> Formula:
 # ---------------------------------------------------------------------------
 # free variables, substitution
 
-def free_vars(f: Formula) -> frozenset:
-    """Variables with at least one free occurrence in f."""
+def free_vars(f) -> frozenset:
+    """Variables with at least one free occurrence in a formula or term."""
     if f._fv is None:
         _seal(f)
     return f._fv
@@ -345,12 +358,6 @@ def free_vars(f: Formula) -> frozenset:
 
 def is_sentence(f: Formula) -> bool:
     return not free_vars(f)
-
-
-def substitute_term(t: Term, x: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == x else t
-    return App(t.fn, tuple(substitute_term(a, x, repl) for a in t.args))
 
 
 def is_free_for(t: Term, x: str, f: Formula) -> bool:
@@ -362,7 +369,7 @@ def is_free_for(t: Term, x: str, f: Formula) -> bool:
 def _captor(t: Term, x: str, f: Formula):
     """The first binder in `subformulas` order that captures a variable of
     t put for a free x in f, or None.  Only nodes with x free are entered."""
-    tvars = term_vars(t)
+    tvars = free_vars(t)
     todo = [f] if tvars else []
     while todo:
         g = todo.pop()
@@ -387,7 +394,7 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     if binder is not None:
         raise CaptureError(x, t, binder)
     # Post-order: a node with x free is pushed again, ready, under its
-    # children; a Forall here binds another variable than x.
+    # children; a Forall here binds another variable, and a Var is x.
     todo, done = [(f, False)], []
     while todo:
         g, ready = todo.pop()
@@ -396,17 +403,22 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
             if cls is And:
                 right = done.pop()
                 done[-1] = And(done[-1], right)
+            elif cls is Atom or cls is App:
+                k = len(done) - len(g.args)
+                args = tuple(done[k:])
+                done[k:] = [Atom(g.rel, args) if cls is Atom
+                            else App(g.fn, args)]
             else:
                 done[-1] = replace(g, body=done[-1])
         elif x not in free_vars(g):
             done.append(g)
-        elif cls is Atom:
-            done.append(Atom(g.rel, tuple(substitute_term(a, x, t)
-                                          for a in g.args)))
+        elif cls is Var:
+            done.append(t)
         else:
+            kids = g.args if cls is Atom or cls is App else \
+                (g.left, g.right) if cls is And else (g.body,)
             todo.append((g, True))
-            todo += ((g.right, False), (g.left, False)) if cls is And \
-                else ((g.body, False),)
+            todo += [(kid, False) for kid in reversed(kids)]
     return done[0]
 
 

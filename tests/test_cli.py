@@ -94,15 +94,21 @@ class TestEval:
         assert f"formula={text} state=" in out
 
     # Formulas far deeper than the interpreter's recursion limit answer as
-    # a shallow formula of the same meaning does on the 3-state chain.
-    @pytest.mark.parametrize("text, shallow, code", [
-        (" & ".join(["p"] * 2000), "p", 1),
-        ("(" + "K[a] " * 450 + "p) & (" + "K[a] " * 450 + "p)",
+    # a shallow formula of the same meaning does on the same model.  On
+    # functions.json every f(...(c)...) denotes d1.
+    @pytest.mark.parametrize("model, text, shallow, code", [
+        ("chain3", " & ".join(["p"] * 2000), "p", 1),
+        ("chain3", "(" + "K[a] " * 450 + "p) & (" + "K[a] " * 450 + "p)",
          "K[a] K[a] K[a] p", 0),
-    ], ids=["conjuncts", "knows-chains"])
-    def test_eval_deep_formula(self, chain, text, shallow, code):
-        got = run("eval", "--model", chain, "--formula", text)
-        assert got == run("eval", "--model", chain, "--formula", shallow)
+        ("functions", " & ".join(["R(" + "f(" * 300 + "c" + ")" * 301] * 2),
+         "R(f(c))", 1),
+        ("functions", "R(" + "f(" * 498 + "c" + ")" * 499, "R(f(c))", 1),
+    ], ids=["conjuncts", "knows-chains", "terms", "deepest-term"])
+    def test_eval_deep_formula(self, fixtures_dir, model, text, shallow,
+                               code):
+        model = str(fixtures_dir / "models" / f"{model}.json")
+        got = run("eval", "--model", model, "--formula", text)
+        assert got == run("eval", "--model", model, "--formula", shallow)
         assert got[0] == code
 
     @pytest.mark.parametrize("text, printed", [
@@ -125,6 +131,15 @@ class TestEval:
         code, out = run("check-proof", "--proof", str(path))
         assert code == 0
         assert out.startswith("verdict: accepted")
+
+    def test_check_proof_deep_prop_term(self, tmp_path):
+        t = "f(" * 450 + "c" + ")" * 450
+        path = tmp_path / "prop.json"
+        path.write_text(json.dumps({"hypotheses": [], "steps": [
+            {"formula": f"(R({t})) -> (R({t}))",
+             "just": {"kind": "axiom", "name": "Prop"}}]}))
+        assert run("check-proof", "--proof", str(path)) == \
+            (0, "verdict: accepted\n  theorem_steps=[True]\n")
 
     def test_deep_parentheses_exit(self, chain):
         code, out = run("eval", "--model", chain, "--formula",

@@ -2,18 +2,25 @@
 straight from the satisfaction clauses with fixed points replaced by bounded
 unrolling, must agree with the production evaluator everywhere."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
-from pckfo.evaluator import Evaluator, Program, eval_term
+from pckfo.evaluator import Evaluator, Program
 from pckfo.oracle import SearchBudget, random_formula, random_models
 from pckfo.syntax import (
-    And, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall,
-    Knows, Not, ProbAtLeast, Var, implies, iterate_everyone,
+    And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
+    Forall, Knows, Not, ProbAtLeast, Var, implies, iterate_everyone,
     prob_common_stage,
 )
 
 F = Fraction
+
+
+def naive_term(m, v, t):
+    if isinstance(t, Var):
+        return v[t.name]
+    return m.functions[t.fn][1][tuple(naive_term(m, v, a) for a in t.args)]
 
 
 def naive(m, s, v, f):
@@ -21,7 +28,7 @@ def naive(m, s, v, f):
         entry = m.relations.get(f.rel)
         if entry is None:
             return False
-        args = tuple(eval_term(m, s, v, a) for a in f.args)
+        args = tuple(naive_term(m, v, a) for a in f.args)
         return args in entry[1].get(s, frozenset())
     if isinstance(f, Not):
         return not naive(m, s, v, f.body)
@@ -94,6 +101,41 @@ def test_one_program_for_many_formulas_agrees_with_naive():
                 roots.append((And(f, g), {"x": d}))
                 roots.append((And(g, Forall("x", implies(g, rx))), {"x": d}))
         got = Evaluator(m).run(Program(roots, m.domain))
+        for (f, v), mask in zip(roots, got):
+            want = sum(1 << k for k, s in enumerate(m.states)
+                       if naive(m, s, v, f))
+            assert mask == want, (f, v)
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((Var("x"), App("c")))
+    if rng.random() < 0.5:
+        return App("f", (_random_term(rng, depth - 1),))
+    return App("g", (_random_term(rng, depth - 1),
+                     _random_term(rng, depth - 1)))
+
+
+def test_nested_terms_agree_with_naive():
+    # random rigid function tables, and atoms over nested applications of
+    # them, alone, under a modal operator and under a universal
+    budget = SearchBudget(max_states=3, max_domain=2, max_agents=2,
+                          relation_symbols=(("p", 0), ("q", 0), ("R", 1)),
+                          atom_mode="singleton", seed=2468)
+    rng = random.Random("cross-check-terms")
+    for m in random_models(budget, 20, tag="cross-terms"):
+        dom = m.domain
+        m = dataclasses.replace(m, functions={
+            "c": (0, {(): rng.choice(dom)}),
+            "f": (1, {(d,): rng.choice(dom) for d in dom}),
+            "g": (2, {(d, e): rng.choice(dom) for d in dom for e in dom})})
+        roots = []
+        for _ in range(6):
+            f = Atom("R", (_random_term(rng, 4),))
+            g = Knows(m.agents[0], Atom("R", (_random_term(rng, 3),)))
+            roots += [(f, {"x": d}) for d in dom]
+            roots += [(And(f, g), {"x": dom[-1]}), (Forall("x", f), {})]
+        got = Evaluator(m).run(Program(roots, dom))
         for (f, v), mask in zip(roots, got):
             want = sum(1 << k for k, s in enumerate(m.states)
                        if naive(m, s, v, f))

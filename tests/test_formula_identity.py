@@ -1,7 +1,7 @@
-"""`syntax.py` alone decides a formula's identity: its stored hash and free
-variables (`_hash`, `_fv`) are written and read there only.  Every other
-module asks through `hash()`, `==` and `free_vars`, so the way they are
-computed can change in one place."""
+"""`syntax.py` alone decides the identity of a formula or a term: its
+stored hash and free variables (`_hash`, `_fv`) are written and read there
+only.  Every other module asks through `hash()`, `==` and `free_vars`, so
+the way they are computed can change in one place."""
 
 import ast
 from pathlib import Path

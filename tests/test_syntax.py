@@ -7,20 +7,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pckfo
 from pckfo.errors import ArityError, CaptureError, RationalRangeError
 from pckfo.evaluator import Evaluator
 from pckfo.model import Model
-from pckfo.parser import parse_formula, print_formula
+from pckfo.parser import parse_formula, parse_term, print_formula, print_term
 from pckfo.syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var, bot,
     exists, expand_abbrev, free_vars, implies, is_free_for, is_sentence,
     iterate_everyone, knows_prob, nested_implication, peel_nested,
     prob_common_stage, prob_eq, prob_le, prob_lt, split_implies, substitute,
-    subformulas, top,
+    subformulas, subterms, top,
 )
 
 x, y = Var("x"), Var("y")
@@ -269,9 +269,56 @@ def test_stored_hash_and_free_vars(f):
     for g in subformulas(f):
         assert hash(g) == hash(_field_tuple(g))
         assert free_vars(g) == _naive_free_vars(g)
+    for t in subterms(f):
+        assert hash(t) == hash(_field_tuple(t))
+        assert free_vars(t) == _naive_term_vars(t)
     again = parse_formula(print_formula(f))
     assert again == f and again is not f
     assert hash(again) == hash(f)
+
+
+@st.composite
+def _deep_terms(draw, depth):
+    """A term up to `depth` applications deep over z and c.  Runs of one
+    function symbol make its spine, so even the deepest takes few draws."""
+    leaves = st.sampled_from([Var("z"), App("c")])
+    t = draw(leaves)
+    runs = draw(st.lists(st.tuples(st.sampled_from("fgh"), leaves),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(0, depth))
+    for k, (fn, side) in enumerate(runs):
+        for _ in range(n // len(runs) + (k < n % len(runs))):
+            t = App(fn, (t,) if fn == "f" else (side, t) if fn == "g"
+                    else (t, side))
+    return t
+
+
+def _height(f):
+    """Nodes on the longest path down from f, terms included."""
+    best, todo = 0, [(f, 1)]
+    while todo:
+        g, d = todo.pop()
+        best = max(best, d)
+        kids = (g.left, g.right) if isinstance(g, And) else \
+            g.args if isinstance(g, (Atom, App)) else \
+            () if isinstance(g, Var) else (g.body,)
+        todo += [(k, d + 1) for k in kids]
+    return best
+
+
+@settings(deadline=None)
+@given(_formulas(), st.data())
+def test_round_trip_with_deep_terms(f, data):
+    # x of a generated formula, and one more R(x), made a term as deep as
+    # the parser's depth limit leaves room for at its place
+    h = And(f, R(x))
+    g = substitute(h, "x", data.draw(_deep_terms(500 - _height(h))))
+    again = parse_formula(print_formula(g))
+    assert again == g and again is not g and hash(again) == hash(g)
+    for atom in subformulas(g):
+        for t in atom.args if isinstance(atom, Atom) else ():
+            text = print_term(t)
+            assert print_term(parse_term(text)) == text
 
 
 def test_node_pickled_under_another_hash_seed():
@@ -328,6 +375,9 @@ _DEEP = {
     "knows-chain-open": "K[a] " * 498 + "R(x)",
     "conjuncts": " & ".join(["R(x)"] * 2000),
     "implications": " -> ".join(["R(x)"] * 601),
+    # the deepest terms an atom admits: 498 applications over a variable
+    "term": "R(" + "f(" * 498 + "x" + ")" * 499,
+    "term-args": "R(" + "g(" * 498 + "x" + ",c)" * 498 + ")",
 }
 
 
@@ -335,7 +385,8 @@ _DEEP = {
 def test_deep_formula_operations(text):
     f, g = parse_formula(text), parse_formula(text)
     assert f is not g and f == g and not f != g and hash(f) == hash(g)
-    other = parse_formula(text[:-4] + "R(y)" if text.endswith("R(x)")
+    last = text.rfind("x")   # the last variable, made y
+    other = parse_formula(text[:last] + "y" + text[last + 1:] if last >= 0
                           else text[:-1] + "q")
     assert f != other and other != f
     if "->" not in text:
@@ -347,13 +398,13 @@ def test_deep_formula_operations(text):
         for _ in range(600):
             want = f"!(R(x) & !{want})"
         assert print_formula(f) == want
-    assert free_vars(f) == ({"x"} if "R(x)" in text else frozenset())
+    assert free_vars(f) == ({"x"} if "x" in text else frozenset())
     closed = substitute(f, "x", c)
-    assert closed == parse_formula(text.replace("R(x)", "R(c)"))
+    assert closed == parse_formula(text.replace("x", "c"))
     assert free_vars(closed) == frozenset()
     assert is_free_for(y, "x", f)
-    assert is_free_for(y, "x", Forall("y", f)) == ("R(x)" not in text)
-    if "R(x)" in text:
+    assert is_free_for(y, "x", Forall("y", f)) == ("x" not in text)
+    if "x" in text:
         with pytest.raises(CaptureError):
             substitute(Forall("z", Forall("y", f)), "x", y)
 
@@ -363,10 +414,14 @@ def test_deep_formula_operations(text):
     (_DEEP["knows-chain-open"], {"s0", "s1", "s2"}),
     (_DEEP["conjuncts"], {"s2"}),
     (_DEEP["implications"], {"s0", "s1", "s2"}),
+    (_DEEP["term"], {"s2"}),
+    (_DEEP["term-args"], {"s2"}),
 ], ids=list(_DEEP))
 def test_deep_formula_extension(text, want):
     # p and R(d0) hold at s2 only; agent a steps s0 -> s1 -> s2 -> s2.
     m = Model(states=("s0", "s1", "s2"), domain=("d0",), agents=("a",),
+              functions={"c": (0, {(): "d0"}), "f": (1, {("d0",): "d0"}),
+                         "g": (2, {("d0", "d0"): "d0"})},
               relations={"p": (0, {"s2": frozenset({()})}),
                          "R": (1, {"s2": frozenset({("d0",)})})},
               access={"a": frozenset({("s0", "s1"), ("s1", "s2"),
