@@ -234,7 +234,10 @@ def _build_fo1(p):
 def _build_fo2(p):
     x, phi, term = p["x"], p["phi"], p["term"]
     if not is_free_for(term, x, phi):
-        raise SideConditionError(f"term {term!r} is not free for {x!r}")
+        # the parser imports this module, through proofcheck
+        from .parser import print_term
+        raise SideConditionError(
+            f"term '{print_term(term)}' is not free for {x!r}")
     return implies(Forall(x, phi), substitute(phi, x, term))
 
 

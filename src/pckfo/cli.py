@@ -36,9 +36,7 @@ from .errors import (
 )
 from .evaluator import Evaluator
 from .model import classify, validate
-from .parser import (
-    load_model, parse_formula, parse_proof, model_to_doc,
-)
+from .parser import decode_json, load_model, parse_formula, parse_proof
 from .proofcheck import Proof, check
 from .report import (
     ACCEPTED, ACCEPTED_BOUNDED, CheckReport, INVALID, NOT_FOUND, OK, REJECTED,
@@ -67,12 +65,7 @@ def _read(path) -> str:
 
 
 def _load_validated_model(path):
-    doc_text = _read(path)
-    try:
-        doc = json.loads(doc_text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    m = load_model(doc)
+    m = load_model(decode_json(_read(path), f"{path}: not valid JSON"))
     rep = validate(m)
     return m, rep
 

@@ -9,9 +9,10 @@ class CaptureError(PckfoError):
     """Substitution would capture a variable of the inserted term."""
 
     def __init__(self, var, term, binder):
+        from .parser import print_term   # the parser imports this module
         super().__init__(
-            f"substituting for '{var}' would capture a variable of {term!r} "
-            f"under the binder '{binder}'"
+            f"substituting for '{var}' would capture a variable of"
+            f" '{print_term(term)}' under the binder '{binder}'"
         )
         self.var = var
         self.term = term

@@ -85,16 +85,18 @@ class SearchBudget:
 
 
 def _set_partitions(items: list) -> list:
-    """All partitions of items into nonempty blocks, deterministic order."""
-    if not items:
-        return [[]]
-    head, rest = items[0], items[1:]
-    out = []
-    for part in _set_partitions(rest):
-        for ix in range(len(part)):
-            out.append(part[:ix] + [[head] + part[ix]] + part[ix + 1:])
-        out.append([[head]] + part)
-    return out
+    """All partitions of items into nonempty blocks, deterministic order:
+    the partitions of each suffix of items, from the empty one up, give
+    those of the suffix one item longer."""
+    parts = [[]]
+    for head in reversed(items):
+        out = []
+        for part in parts:
+            for ix in range(len(part)):
+                out.append(part[:ix] + [[head] + part[ix]] + part[ix + 1:])
+            out.append([[head]] + part)
+        parts = out
+    return parts
 
 
 def _weight_rows(grid, k) -> list:

@@ -29,12 +29,6 @@ from .syntax import (
     prob_lt, top, bot,
 )
 
-MAX_DEPTH = 500
-# Each parenthesis level costs two stack frames (_unary and _binary);
-# everything else is read in loops.  200 levels fit the default recursion
-# limit of 1000 with room for the caller.
-MAX_PARENS = 200
-
 # One token, after any whitespace.  A character no token can start with is
 # skipped by findall, so it shows as fewer token characters than non-space
 # characters in the text.
@@ -78,7 +72,9 @@ def _tokenize(text: str) -> list:
 
 
 class _FormulaParser:
-    """Recursive descent over the token strings of one text.
+    """A reader over the token strings of one text.  Formulas and terms
+    are read in loops that keep their open levels on lists, so nesting has
+    no limit.
 
     `toks` ends with "", so the parser indexes it without bounds checks.
     Spans are found again from the text only when an error is raised.
@@ -89,8 +85,6 @@ class _FormulaParser:
         self.toks = _tokenize(text)
         self.toks.append("")
         self.pos = 0
-        self.depth = 0
-        self.parens = 0
 
     # -- token plumbing
 
@@ -127,70 +121,62 @@ class _FormulaParser:
                              self._span(self.pos))
         return result
 
-    def _binary(self):
-        """Unary formulas joined by binary connectives, by precedence:
-        operands and pending connectives are kept on two lists."""
+    def _formula(self):
+        """A formula, read in one loop.  A level is the prefix run before
+        the current operand and the operands and open connectives around
+        it; "(" saves the open level on `levels` and starts a new one, and
+        the matching ")" restores it and applies its prefixes."""
         toks = self.toks
-        operands = [self._unary()]
+        levels = []     # the enclosing levels, innermost last
+        prefixes = []   # (constructor, leading arguments), outermost first
+        operands = []
         pending = []    # (precedence, constructor) of the open connectives
         while True:
-            op = _BINARY.get(toks[self.pos], _END)
-            # Close the connectives that bind at least as tightly; "->" is
-            # right-associative, so an open "->" stays open for another.
-            while pending and (pending[-1][0] > op[0] or (
-                    pending[-1][0] == op[0] and op[1] is not implies)):
-                right = operands.pop()
-                operands[-1] = pending.pop()[1](operands[-1], right)
-            if op is _END:
-                return operands[0]
-            self.pos += 1
-            pending.append(op)
-            operands.append(self._unary())
-
-    def _unary(self):
-        """A run of prefix operators, then an atom or a parenthesized
-        formula; each counts one level against MAX_DEPTH."""
-        toks = self.toks
-        outer = self.depth
-        prefixes = []   # (constructor, leading arguments), outermost first
-        while True:
-            self.depth += 1
-            if self.depth > MAX_DEPTH:
-                raise ParseError(f"formula nested deeper than {MAX_DEPTH}",
-                                 self._span(self.pos))
             tok = toks[self.pos]
             if tok == "!":
                 self.pos += 1
                 prefixes.append((Not, ()))
-            elif tok == "(":
-                if self.parens == MAX_PARENS:
-                    raise ParseError(
-                        f"parentheses nested deeper than {MAX_PARENS}",
-                        self._span(self.pos))
-                self.parens += 1
+                continue
+            if tok == "(":
                 self.pos += 1
-                f = self._binary()
+                levels.append((prefixes, operands, pending))
+                prefixes, operands, pending = [], [], []
+                continue
+            if not tok:
+                raise ParseError("unexpected end of input",
+                                 self._span(self.pos))
+            if tok[0] not in _ID_START:
+                raise ParseError(f"unexpected {tok!r}", self._span(self.pos))
+            if tok in _PREFIX_WORDS and (
+                    prefix := self._prefix(tok, toks[self.pos + 1])):
+                prefixes.append(prefix)
+                continue
+            f = self._atom()
+            while True:
+                for build, args in reversed(prefixes):
+                    f = build(*args, f)
+                operands.append(f)
+                op = _BINARY.get(toks[self.pos], _END)
+                # Close the connectives that bind at least as tightly; "->"
+                # is right-associative, so an open "->" stays open for
+                # another.
+                while pending and (pending[-1][0] > op[0] or (
+                        pending[-1][0] == op[0] and op[1] is not implies)):
+                    right = operands.pop()
+                    operands[-1] = pending.pop()[1](operands[-1], right)
+                if op is not _END:
+                    self.pos += 1
+                    pending.append(op)
+                    prefixes = []
+                    break
+                f = operands[0]
+                if not levels:
+                    return f
                 closing = self._take()
                 if closing != ")":
                     raise ParseError(f"expected ')', found {closing!r}",
                                      self._span(self.pos - 1))
-                self.parens -= 1
-                break
-            elif not tok:
-                raise ParseError("unexpected end of input",
-                                 self._span(self.pos))
-            elif tok[0] not in _ID_START:
-                raise ParseError(f"unexpected {tok!r}", self._span(self.pos))
-            elif tok in _PREFIX_WORDS and (
-                    prefix := self._prefix(tok, toks[self.pos + 1])):
-                prefixes.append(prefix)
-            else:
-                f = self._atom()
-                break
-        self.depth = outer
-        for build, args in reversed(prefixes):
-            f = build(*args, f)
-        return f
+                prefixes, operands, pending = levels.pop()
 
     def _prefix(self, word, follows):
         """Read the prefix operator `word` starts, up to its body; None
@@ -332,13 +318,10 @@ class _FormulaParser:
 
     def _term(self):
         """One term; nested applications are kept on a list, not the
-        stack, and each counts one level against MAX_DEPTH."""
+        stack."""
         toks = self.toks
         open_apps = []   # (function, arguments so far), outermost first
         while True:
-            if self.depth + len(open_apps) >= MAX_DEPTH:
-                raise ParseError(f"term nested deeper than {MAX_DEPTH}",
-                                 self._span(self.pos))
             name = self.expect("id")
             if toks[self.pos] == "(":
                 if is_variable_name(name):
@@ -365,7 +348,7 @@ class _FormulaParser:
 def parse_formula(text: str):
     """Parse concrete syntax into a core formula (abbreviations expanded)."""
     p = _FormulaParser(text)
-    return p.parse(p._binary)
+    return p.parse(p._formula)
 
 
 def parse_term(text: str):
@@ -393,7 +376,7 @@ _PREFIX_TEXT = {
 
 def print_formula(f) -> str:
     """Canonical text of a formula or term, which the parser reads back as
-    f within its limits.  `todo` holds the nodes and text pieces to write."""
+    f.  `todo` holds the nodes and text pieces to write."""
     out = []
     todo = [f]
     while todo:
@@ -571,13 +554,21 @@ def _load_space(doc, where, parsed) -> ProbSpace:
     return ProbSpace(frozenset(sample), tuple(atoms), tuple(weights))
 
 
+def decode_json(text: str, not_valid: str):
+    """The decoded JSON text.  Text that is not JSON, or that nests deeper
+    than the decoder can follow, is a SchemaError led by not_valid."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{not_valid}: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{not_valid}: nested too deeply to decode"
+                          ) from None
+
+
 def parse_model(text: str) -> Model:
     """Decode, build and fully validate a model document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model document is not valid JSON: {exc}") from None
-    m = load_model(doc)
+    m = load_model(decode_json(text, "model document is not valid JSON"))
     rep = validate(m)
     if not rep.passed:
         raise SchemaError("model invalid: " + "; ".join(
@@ -784,11 +775,7 @@ def load_proof(doc: dict) -> pc.Proof:
 
 
 def parse_proof(text: str) -> pc.Proof:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"proof document is not valid JSON: {exc}") from None
-    return load_proof(doc)
+    return load_proof(decode_json(text, "proof document is not valid JSON"))
 
 
 def proof_to_doc(p: pc.Proof) -> dict:

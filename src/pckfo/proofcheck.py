@@ -444,16 +444,23 @@ class _SubtreeCopier:
         self.done = {}
 
     def copy(self, ix: int) -> int:
-        hit = self.done.get(ix)
-        if hit is not None:
-            return hit
-        step = self.proof.steps[ix]
-        for ref in _refs(step.just):
-            self.copy(ref)
-        just = _remap_just(step.just, self.done)
-        new = self.out.add(step.formula, just)
-        self.done[ix] = new
-        return new
+        """Copy step ix after the steps it cites, each step once, in the
+        order a depth-first walk of the references finishes them.  A step
+        is pushed again, ready, under the steps it cites."""
+        steps, done = self.proof.steps, self.done
+        todo = [(ix, False)]
+        while todo:
+            k, ready = todo.pop()
+            if k in done:
+                continue
+            just = steps[k].just
+            if ready:
+                done[k] = self.out.add(steps[k].formula,
+                                       _remap_just(just, done))
+            else:
+                todo.append((k, True))
+                todo += ((ref, False) for ref in reversed(_refs(just)))
+        return done[ix]
 
 
 def _remap_just(just, mapping):

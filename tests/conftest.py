@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,13 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return ROOT / "tests" / "golden"
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    """Run the test at CPython's default recursion limit, whatever an
+    earlier test or plugin left it at: deep inputs must not need more."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)

@@ -7,16 +7,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pckfo
-from pckfo import cli
+from pckfo import axioms as ax, cli
 from pckfo.cli import main
 from pckfo.evaluator import satisfies
 from pckfo.model import validate
-from pckfo.parser import load_model, parse_formula
+from pckfo.parser import load_model, parse_formula, proof_to_json
+from pckfo.proofcheck import ProofBuilder
+from pckfo.syntax import Atom
 
 
 def run(*argv):
@@ -78,14 +81,15 @@ class TestEval:
         code, _ = run("eval", "--model", tiny, "--formula", "p &")
         assert code == 3
 
+    @pytest.mark.usefixtures("default_recursion_limit")
     def test_deep_prefix_chain_answers(self, chain):
         code, out = run("eval", "--model", chain, "--formula",
                         "K[a] " * 499 + "p", "--json")
         assert code == 0
         assert json.loads(out)["verdict"] == "sat"
-        code, _ = run("eval", "--model", chain, "--formula",
-                      "K[a] " * 501 + "p", "--json")
-        assert code == 3
+        # ten times past the depth of 500 the parser once stopped at
+        assert run("eval", "--model", chain, "--formula",
+                   "K[a] " * 5000 + "p", "--json") == (code, out)
 
     def test_find_prints_deep_prefix_chain(self):
         text = "K[a] " * 499 + "p"
@@ -96,6 +100,7 @@ class TestEval:
     # Formulas far deeper than the interpreter's recursion limit answer as
     # a shallow formula of the same meaning does on the same model.  On
     # functions.json every f(...(c)...) denotes d1.
+    @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize("model, text, shallow, code", [
         ("chain3", " & ".join(["p"] * 2000), "p", 1),
         ("chain3", "(" + "K[a] " * 450 + "p) & (" + "K[a] " * 450 + "p)",
@@ -103,7 +108,9 @@ class TestEval:
         ("functions", " & ".join(["R(" + "f(" * 300 + "c" + ")" * 301] * 2),
          "R(f(c))", 1),
         ("functions", "R(" + "f(" * 498 + "c" + ")" * 499, "R(f(c))", 1),
-    ], ids=["conjuncts", "knows-chains", "terms", "deepest-term"])
+        ("functions", "R(" + "f(" * 5000 + "c" + ")" * 5001, "R(f(c))", 1),
+    ], ids=["conjuncts", "knows-chains", "terms", "deepest-term",
+            "term-5000"])
     def test_eval_deep_formula(self, fixtures_dir, model, text, shallow,
                                code):
         model = str(fixtures_dir / "models" / f"{model}.json")
@@ -111,6 +118,7 @@ class TestEval:
         assert got == run("eval", "--model", model, "--formula", shallow)
         assert got[0] == code
 
+    @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize("text, printed", [
         (" & ".join(["p"] * 1200), " & ".join(["p"] * 1200)),
         (" -> ".join(["p"] * 601), "!(p & !" * 600 + "p" + ")" * 600)],
@@ -121,6 +129,7 @@ class TestEval:
         rep = json.loads(out)
         assert rep["verdict"] == "sat"
         assert rep["details"][0]["formula"] == printed
+        assert parse_formula(printed) == parse_formula(text)
 
     def test_check_proof_deep_fo2_step(self, tmp_path):
         phi = " & ".join(["R(x)"] * 1500)
@@ -132,6 +141,35 @@ class TestEval:
         assert code == 0
         assert out.startswith("verdict: accepted")
 
+    @pytest.mark.usefixtures("default_recursion_limit")
+    @pytest.mark.parametrize("params", [False, True],
+                             ids=["guessed", "params"])
+    def test_check_proof_deep_fo2_term_rejected(self, tmp_path, params):
+        # y is captured, so FO2 does not apply; the side-condition message
+        # prints the 450-deep term while the step is matched
+        t = "f(" * 450 + "y" + ")" * 450
+        just = {"kind": "axiom", "name": "FO2"}
+        if params:
+            just["params"] = {"x": "x", "phi": "forall y R(x,y)", "term": t}
+        path = tmp_path / "fo2.json"
+        path.write_text(json.dumps({"hypotheses": [], "steps": [
+            {"formula": f"(forall x (forall y R(x,y))) -> (forall y R({t},y))",
+             "just": just}]}))
+        assert run("check-proof", "--proof", str(path)) == (
+            1, "verdict: rejected\n  step=0 problem=formula is not an"
+               " instance of FO2\n  theorem_steps=[False]\n")
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_check_proof_apc_stage_199(self, tmp_path):
+        # the stage formula nests one Es{G,r} layer per stage
+        out = ProofBuilder()
+        out.axiom(ax.APC, {"group": ("a", "b"), "r": Fraction(1, 2),
+                           "m": 199, "phi": Atom("p")})
+        path = tmp_path / "apc.json"
+        path.write_text(proof_to_json(out.build()))
+        assert run("check-proof", "--proof", str(path)) == \
+            (0, "verdict: accepted\n  theorem_steps=[True]\n")
+
     def test_check_proof_deep_prop_term(self, tmp_path):
         t = "f(" * 450 + "c" + ")" * 450
         path = tmp_path / "prop.json"
@@ -141,14 +179,15 @@ class TestEval:
         assert run("check-proof", "--proof", str(path)) == \
             (0, "verdict: accepted\n  theorem_steps=[True]\n")
 
+    @pytest.mark.usefixtures("default_recursion_limit")
     def test_deep_parentheses_exit(self, chain):
         code, out = run("eval", "--model", chain, "--formula",
                         "!(" * 200 + "p" + ")" * 200, "--json")
         assert code == 1
         assert json.loads(out)["verdict"] == "unsat-at-state"
-        code, _ = run("eval", "--model", chain, "--formula",
-                      "!(" * 201 + "p" + ")" * 201, "--json")
-        assert code == 3
+        # ten times past the 200 levels the parser once stopped at
+        assert run("eval", "--model", chain, "--formula",
+                   "!(" * 5000 + "p" + ")" * 5000, "--json") == (code, out)
 
     def test_not_measurable_exit(self, tmp_path, tiny):
         doc = json.loads(open(tiny).read())
@@ -260,6 +299,23 @@ class TestCheckProof:
                 contextlib.redirect_stderr(err):
             code = main(["check-proof", "--proof", str(path)])
         assert (code, err.getvalue()) == (3, f"parse error: {message}\n")
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    @pytest.mark.parametrize("argv, lead", [
+        (["check-proof", "--proof"], "proof document is not valid JSON"),
+        (["validate", "--model"], "{path}: not valid JSON"),
+    ], ids=["proof", "model"])
+    def test_json_too_deep_to_decode_is_schema_error(self, tmp_path, argv,
+                                                     lead):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        lead = lead.format(path=path)
+        assert (code, err.getvalue()) == \
+            (3, f"parse error: {lead}: nested too deeply to decode\n")
 
     def test_rp_rejected_in_con_mode(self, tmp_path):
         doc = {

@@ -265,7 +265,7 @@ class TestSharedQueries:
 
 class TestDeepFormulas:
     def test_knowledge_chain_of_depth_499(self):
-        # built with constructors: the parser stops at its own depth limit
+        # built with constructors, so the parser plays no part
         m = chain_model(50)   # p at s0..s48, s_k -> s_k+1
         f = p
         for _ in range(499):

@@ -8,7 +8,7 @@ from pckfo.errors import ParseError, SchemaError
 from pckfo.model import Model, ProbSpace, validate
 from pckfo.parser import (
     load_model, model_to_json, parse_formula, parse_model, parse_proof,
-    parse_term, print_formula,
+    parse_term, print_formula, proof_to_json,
 )
 from pckfo.syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
@@ -115,32 +115,42 @@ class TestParseFormula:
             parse_term(bad)
         assert str(err.value) == f"{message} (at {span[0]}..{span[1]})"
 
-    def test_term_depth_limit(self):
-        text = "p(" + "f(" * 501 + "c" + ")" * 502
-        with pytest.raises(ParseError) as err:
-            parse_formula(text)
-        assert str(err.value) == "term nested deeper than 500 (at 1000..1001)"
+    # Nesting has no limit: these go ten times past the depth of 500 and
+    # the 200 parenthesis levels the parser once stopped at.
 
-    def test_prefix_chain_depth_limit(self):
-        # each prefix and the atom it ends in count one level
-        f = parse_formula("K[a] " * 499 + "p")
-        for _ in range(499):
-            assert isinstance(f, Knows)
-            f = f.body
-        assert f == Atom("p")
-        with pytest.raises(ParseError) as err:
-            parse_formula("K[a] " * 501 + "p")
-        assert str(err.value) == "formula nested deeper than 500 (at 2500..2501)"
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_term(self):
+        text = "p(" + "f(" * 5000 + "c" + ")" * 5001
+        f = parse_formula(text)
+        t = f.args[0]
+        for _ in range(5000):
+            assert t.fn == "f"
+            t = t.args[0]
+        assert t == App("c")
+        assert print_formula(f) == text
 
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_prefix_chain(self):
+        text = "K[a] " * 5000 + "p"
+        f = parse_formula(text)
+        g = f
+        for _ in range(5000):
+            assert isinstance(g, Knows)
+            g = g.body
+        assert g == Atom("p")
+        assert print_formula(f) == text
+
+    @pytest.mark.usefixtures("default_recursion_limit")
     def test_deep_parentheses(self):
-        f = parse_formula("!(" * 200 + "p" + ")" * 200)
-        for _ in range(200):
-            f = f.body
-        assert f == Atom("p")
-        with pytest.raises(ParseError) as err:
-            parse_formula("!(" * 201 + "p" + ")" * 201)
-        assert str(err.value) == \
-            "parentheses nested deeper than 200 (at 401..402)"
+        f = parse_formula("!(" * 5000 + "p" + ")" * 5000)
+        g = f
+        for _ in range(5000):
+            g = g.body
+        assert g == Atom("p")
+        assert print_formula(f) == "!" * 5000 + "p"
+        # the printer keeps parentheses around a conjunction body
+        text = "!(p & " * 5000 + "p" + ")" * 5000
+        assert print_formula(parse_formula(text)) == text
 
     def test_long_implication_chain(self):
         # right-associative, read in a loop
@@ -338,6 +348,18 @@ class TestProofDocuments:
             assert cls in parser._KINDS.values(), cls.__name__
             for f in dataclasses.fields(cls):
                 assert f.name in parser._FIELDS, (cls.__name__, f.name)
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deep_printed_chain_round_trip(self):
+        # a printed "->" link nests three levels, so 201 links print 603
+        # levels deep
+        chain = " -> ".join(["p"] * 202)
+        doc = {"hypotheses": [], "steps": [
+            {"formula": chain, "just": {"kind": "axiom", "name": "Prop"}}]}
+        proof = parse_proof(json.dumps(doc))
+        again = parse_proof(proof_to_json(proof))
+        assert again == proof
+        assert again.steps[0].formula == parse_formula(chain)
 
     def test_con_axiom_alias(self):
         doc = {"mode": "con", "hypotheses": [],

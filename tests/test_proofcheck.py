@@ -361,6 +361,46 @@ class TestStrongNecessitation:
         assert rebuilt and rebuilt[0].just.spec.guards[-1] == Guard("K", "b")
 
 
+class TestSubtreeCopier:
+    def test_copies_cited_steps_once_in_walk_order(self):
+        # step 5 cites 2 and 4, step 2 cites 1 before 0, and step 4 cites
+        # 2 again: the walk finishes 1, 0, 2, 3, 4, 5 and copies 2 once
+        a, b = implies(p, p), implies(q, q)
+        src = ProofBuilder()
+        src.prop(implies(a, b))
+        src.prop(a)
+        src.mp(1, 0)
+        src.prop(implies(b, implies(b, b)))
+        src.mp(2, 3)
+        src.mp(2, 4)
+        proof = src.build()
+        out = ProofBuilder()
+        out.prop(top())
+        assert _SubtreeCopier(proof, out).copy(5) == 6
+        assert [s.formula for s in out.steps[1:]] == \
+            [proof.steps[k].formula for k in (1, 0, 2, 3, 4, 5)]
+        assert [s.just for s in out.steps[1:]] == [
+            AxiomJust(ax.PROP), AxiomJust(ax.PROP), MPJust(1, 2),
+            AxiomJust(ax.PROP), MPJust(3, 4), MPJust(3, 5)]
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_transforms_copy_a_deep_necessitation_premise(self):
+        # the only RK step cites the end of a 1000-link MP chain, which
+        # both transforms copy verbatim: 2003 steps in all
+        out = ProofBuilder((q,))
+        out.hyp(0)
+        a = implies(p, p)
+        last = out.prop(a)
+        for _ in range(1000):
+            last = out.mp(last, out.prop(implies(a, a)))
+        out.add(Knows("a", a), RKJust(last, "a"))
+        proof = out.build()
+        assert len(proof.steps) == 2003 and check(proof).verdict == ACCEPTED
+        assert check(deduction_transform(proof, q)).verdict == ACCEPTED
+        assert check(strong_necessitation_transform(proof, "a")).verdict \
+            == ACCEPTED
+
+
 class TestGeneratedRoundTrips:
     @pytest.mark.parametrize("seed", range(20))
     def test_both_transforms_reaccepted(self, seed):

@@ -293,26 +293,13 @@ def _deep_terms(draw, depth):
     return t
 
 
-def _height(f):
-    """Nodes on the longest path down from f, terms included."""
-    best, todo = 0, [(f, 1)]
-    while todo:
-        g, d = todo.pop()
-        best = max(best, d)
-        kids = (g.left, g.right) if isinstance(g, And) else \
-            g.args if isinstance(g, (Atom, App)) else \
-            () if isinstance(g, Var) else (g.body,)
-        todo += [(k, d + 1) for k in kids]
-    return best
-
-
 @settings(deadline=None)
 @given(_formulas(), st.data())
 def test_round_trip_with_deep_terms(f, data):
-    # x of a generated formula, and one more R(x), made a term as deep as
-    # the parser's depth limit leaves room for at its place
+    # x of a generated formula, and one more R(x), made a term up to 1000
+    # applications deep
     h = And(f, R(x))
-    g = substitute(h, "x", data.draw(_deep_terms(500 - _height(h))))
+    g = substitute(h, "x", data.draw(_deep_terms(1000)))
     again = parse_formula(print_formula(g))
     assert again == g and again is not g and hash(again) == hash(g)
     for atom in subformulas(g):
@@ -366,16 +353,14 @@ def test_split_implies_inverts(f):
 
 # -- deep formulas -----------------------------------------------------------
 # Each shape is far deeper than the interpreter's recursion limit allows a
-# recursive walk to go; every operation below must answer all the same.  A
-# term counts one level against the parser's depth limit of 500, so the
-# deepest knowledge chain over R(x) has 498 operators.
+# recursive walk to go; every operation below must answer all the same.
 
 _DEEP = {
     "knows-chain": "K[a] " * 499 + "p",
     "knows-chain-open": "K[a] " * 498 + "R(x)",
     "conjuncts": " & ".join(["R(x)"] * 2000),
     "implications": " -> ".join(["R(x)"] * 601),
-    # the deepest terms an atom admits: 498 applications over a variable
+    # terms of 498 applications over a variable
     "term": "R(" + "f(" * 498 + "x" + ")" * 499,
     "term-args": "R(" + "g(" * 498 + "x" + ",c)" * 498 + ")",
 }
@@ -392,12 +377,11 @@ def test_deep_formula_operations(text):
     if "->" not in text:
         assert print_formula(f) == text and parse_formula(text) == f
     else:
-        # printed expanded, three levels per link: past the parser's
-        # depth limit of 500, so this text is not parsed again
+        # printed expanded, three levels per link
         want = "R(x)"
         for _ in range(600):
             want = f"!(R(x) & !{want})"
-        assert print_formula(f) == want
+        assert print_formula(f) == want and parse_formula(want) == f
     assert free_vars(f) == ({"x"} if "x" in text else frozenset())
     closed = substitute(f, "x", c)
     assert closed == parse_formula(text.replace("x", "c"))
