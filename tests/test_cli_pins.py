@@ -4,8 +4,11 @@ Each case runs `pckfo.cli.main` in this process with `COLUMNS=80` and
 records its exit code, stdout and stderr.  The cases are the help text of
 the program and of every subcommand, usage errors and unusual spellings
 that argparse decides (missing or ambiguous flags, bad types and choices,
-abbreviations, negative numbers as values), and the `--json` reports of
-`fuzz` at pool sizes below, at and above its 200 models.  `{fixtures}` in
+abbreviations, negative numbers as values), the `--json` reports of
+`fuzz` at pool sizes below, at and above its 200 models, and the `--json`
+reports of `find` (a witness, a miss, and a miss outside the signature)
+and of the `demo` guard, a validity suite and the non-compactness
+fragments.  `{fixtures}` in
 an argv stands for the shipped fixtures directory; no recorded output
 contains a path.
 
@@ -60,6 +63,17 @@ CASES = {
        for n in (150, 250)},
     "fuzz-class": ["fuzz", "--n", "40", "--class", "SDP", "--class-models",
                    "20", "--json"],
+    "demo-invalid-distribution": ["demo", "validity", "--family",
+                                  "invalid-distribution", "--json"],
+    "demo-fixed-point-seed-3": ["demo", "validity", "--family",
+                                "fixed-point", "--seed", "3", "--json"],
+    "demo-noncompactness-m4": ["demo", "noncompactness", "--m", "4",
+                               "--json"],
+    "find-sat": ["find", "--formula", "p & !K[a] p", "--json"],
+    "find-not-found": ["find", "--formula", "p & !p", "--budget-states", "1",
+                       "--json"],
+    "find-outside-signature": ["find", "--formula", "K[b] p",
+                               "--budget-states", "1", "--json"],
 }
 
 
