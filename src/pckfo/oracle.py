@@ -3,8 +3,10 @@
 Exhaustive model enumeration over a small budget, seeded random generation,
 satisfiability search, soundness fuzzing of the axiom schemata, the
 non-compactness demonstrations and the derived-theorem validity suites.
-Nothing here is a decision procedure: a search that ends without a witness
-reports not-found-within-budget, never unsatisfiability.
+Every one of them evaluates through `_scan`, the one loop that builds an
+evaluator per model.  Nothing here is a decision procedure: a search that
+ends without a witness reports not-found-within-budget, never
+unsatisfiability.
 """
 
 from __future__ import annotations
@@ -364,7 +366,54 @@ def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# satisfiability search
+# the one enumerate-and-evaluate loop, and satisfiability search
+
+
+def _full(m: Model) -> int:
+    """The mask of all the model's states."""
+    return (1 << len(m.states)) - 1
+
+
+def _scan(models, formulas):
+    """Yield each model with, per formula, its outcome there: the mask of
+    the states where it holds under every valuation of its free variables,
+    or the first error met.  Valuations are read in order up to the first
+    that fails somewhere, whose mask it then is, so an earlier failure
+    beats a later error.  Formulas are compiled once per domain; errors
+    are yielded, not raised: see `value_or_raise`."""
+    compiled = {}   # domain -> (program, per formula the range of its roots)
+    for m in models:
+        if m.domain not in compiled:
+            roots, spans = [], []
+            for f in formulas:
+                fv = sorted(free_vars(f))
+                start = len(roots)
+                roots += [(f, dict(zip(fv, values))) for values
+                          in itertools.product(m.domain, repeat=len(fv))]
+                spans.append((start, len(roots)))
+            compiled[m.domain] = Program(roots, m.domain), spans
+        program, spans = compiled[m.domain]
+        results = Evaluator(m).run(program)
+        full = _full(m)
+        # per formula, its first error or failing valuation, else full
+        yield m, [next((out for out in results[start:end] if out != full),
+                       full) for start, end in spans]
+
+
+def _witness(f, budget: SearchBudget) -> tuple:
+    """The first enumerated model with a state where the sentence holds,
+    that state, and how many models were checked; (None, None, count) on
+    a miss.  A model on which f raises is passed over: f is not
+    measurable there, or mentions symbols beyond the model's signature."""
+    checked = 0
+    for m, (mask,) in _scan(enumerate_models(budget), [f]):
+        checked += 1
+        if isinstance(mask, int) and mask:
+            s = m.states[(mask & -mask).bit_length() - 1]
+            if not satisfies(m, s, f):
+                raise EvalError(f"witness state {s!r} fails to re-verify")
+            return m, s, checked
+    return None, None, checked
 
 
 def find_model(f, budget: SearchBudget) -> CheckReport:
@@ -381,22 +430,13 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
         raise BudgetError(
             f"enumerated models interpret no function symbols; remove"
             f" {sorted(funcs)} or evaluate against a written model file")
-    program = Program([(f, None)], budget.domain)
-    checked = 0
-    for m in enumerate_models(budget):
-        checked += 1
-        ext, = Evaluator(m).run(program)
-        if not isinstance(ext, int):
-            continue  # not measurable, or symbols beyond its signature
-        s = next((s for k, s in enumerate(m.states) if ext >> k & 1), None)
-        if s is not None:
-            if not satisfies(m, s, f):
-                raise EvalError(f"witness state {s!r} fails to re-verify")
-            rep = CheckReport(SAT)
-            rep.add(formula=print_formula(f), state=s, models_checked=checked)
-            rep.artifacts["witness-model"] = model_to_doc(m)
-            rep.artifacts["witness-state"] = s
-            return rep
+    m, s, checked = _witness(f, budget)
+    if m is not None:
+        rep = CheckReport(SAT)
+        rep.add(formula=print_formula(f), state=s, models_checked=checked)
+        rep.artifacts["witness-model"] = model_to_doc(m)
+        rep.artifacts["witness-state"] = s
+        return rep
     rep = CheckReport(NOT_FOUND)
     rep.add(formula=print_formula(f), models_checked=checked,
             note="not an unsatisfiability verdict: the search budget is"
@@ -521,40 +561,11 @@ def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
     return ax.AxiomInstance(name, ax.instantiate(name, params), params)
 
 
-def _everywhere(formulas, domain) -> tuple:
-    """Compile each formula under every valuation of its free variables
-    over the domain: the program, and per formula the range of its roots."""
-    roots, spans = [], []
-    for f in formulas:
-        fv = sorted(free_vars(f))
-        start = len(roots)
-        if fv:
-            roots += [(f, dict(zip(fv, values)))
-                      for values in itertools.product(domain, repeat=len(fv))]
-        else:
-            roots.append((f, None))
-        spans.append((start, len(roots)))
-    return Program(roots, domain), spans
-
-
-def _holds(results, span, full):
-    """Whether one formula's roots all hold everywhere: True, False, or the
-    first error met.  Valuations are taken in order up to the first that
-    fails.  The error is returned, not raised: see `value_or_raise`."""
-    for out in results[span[0]:span[1]]:
-        if not isinstance(out, int):
-            return out
-        if out != full:
-            return False
-    return True
-
-
 def holds_everywhere(m: Model, f) -> bool:
     """True iff f holds at every state under every valuation of its free
     variables (over the model's domain)."""
-    program, spans = _everywhere([f], m.domain)
-    ev = Evaluator(m)
-    return value_or_raise(_holds(ev.run(program), spans[0], ev.full))
+    (_, (out,)), = _scan([m], [f])
+    return value_or_raise(out) == _full(m)
 
 
 def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
@@ -583,9 +594,9 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
         size = len(pool)
     if not size:
         raise BudgetError("the fuzz model pool is empty")
-    # The instances that run on one pool model share one program; each is
-    # kept only as its outcome: True, the printed formula it falsified, or
-    # the error that making or checking it raised.
+    # The instances that run on one pool model are scanned together; each
+    # is kept only as its outcome: True, the printed formula it falsified,
+    # or the error that making or checking it raised.
     outcomes = [None] * n
     for k, m in enumerate(pool[:n]):
         batch = []
@@ -598,12 +609,14 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
                 outcomes[ix] = exc
                 continue
             batch.append((ix, inst.formula))
-        program, spans = _everywhere([f for _, f in batch], m.domain)
-        ev = Evaluator(m)
-        results = ev.run(program)
-        for (ix, f), span in zip(batch, spans):
-            out = _holds(results, span, ev.full)
-            outcomes[ix] = print_formula(f) if out is False else out
+        (_, masks), = _scan([m], [f for _, f in batch])
+        full = _full(m)
+        for (ix, f), out in zip(batch, masks):
+            if out == full:
+                out = True
+            elif isinstance(out, int):
+                out = print_formula(f)
+            outcomes[ix] = out
     rep = CheckReport(VALID_IN_SUITE)
     failures = 0
     skipped = 0
@@ -612,9 +625,7 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
             # Soundness is stated over measurable models; a coarse algebra
             # that cannot measure this instance's events is out of scope.
             skipped += 1
-        elif isinstance(out, PckfoError):
-            raise out
-        elif out is not True:
+        elif value_or_raise(out) is not True:
             failures += 1
             rep.add(axiom=names[ix % len(names)], formula=out,
                     problem="instance falsified")
@@ -670,32 +681,29 @@ def noncompactness_demo(bound: int) -> CheckReport:
     rep = CheckReport(OK)
     group = ("a",)
     p = Atom("p")
-    for m in range(1, bound + 1):
-        model = chain_model(m + 2)
-        ev = Evaluator(model)
-        head = "s0"
-        fragment = [iterate_everyone(group, k, p) for k in range(1, m + 1)]
-        fragment.append(Not(CommonKnows(group, p)))
-        ok = all(ev.satisfies(head, f) for f in fragment)
-        rep.add(family="group-knowledge-degrees", m=m, state=head,
-                formulas=[print_formula(f) for f in fragment],
-                satisfied=ok)
-        rep.artifacts[f"chain-{m}"] = model_to_doc(model)
-        if not ok:
-            rep.verdict = REJECTED
-    for n in range(1, bound + 1):
-        model = near_certain_model(n)
-        ev = Evaluator(model)
-        fragment = [ProbAtLeast("a", 1 - Fraction(1, k), p)
+    # family, its index's name, artifact prefix, witness model, fragment
+    families = (
+        ("group-knowledge-degrees", "m", "chain",
+         lambda m: chain_model(m + 2),
+         lambda m: [iterate_everyone(group, k, p) for k in range(1, m + 1)]
+         + [Not(CommonKnows(group, p))]),
+        ("near-certainty", "n", "near-certain", near_certain_model,
+         lambda n: [ProbAtLeast("a", 1 - Fraction(1, k), p)
                     for k in range(1, n + 1)]
-        fragment.append(Not(prob_eq("a", Fraction(1), p)))
-        ok = all(ev.satisfies("s0", f) for f in fragment)
-        rep.add(family="near-certainty", n=n, state="s0",
-                formulas=[print_formula(f) for f in fragment],
-                satisfied=ok)
-        rep.artifacts[f"near-certain-{n}"] = model_to_doc(model)
-        if not ok:
-            rep.verdict = REJECTED
+         + [Not(prob_eq("a", Fraction(1), p))]),
+    )
+    for family, index, prefix, witness, fragment_of in families:
+        for k in range(1, bound + 1):
+            model, fragment = witness(k), fragment_of(k)
+            (_, masks), = _scan([model], fragment)
+            head = model.states.index("s0")
+            ok = all(value_or_raise(out) >> head & 1 for out in masks)
+            rep.add(**{"family": family, index: k, "state": "s0",
+                       "formulas": [print_formula(f) for f in fragment],
+                       "satisfied": ok})
+            rep.artifacts[f"{prefix}-{k}"] = model_to_doc(model)
+            if not ok:
+                rep.verdict = REJECTED
     rep.add(note="each finite fragment above is satisfiable; the full"
                  " infinite sets are unsatisfiable, which is documented"
                  " here, not machine-checked")
@@ -788,32 +796,20 @@ def validity_suite(family: str, budget: SearchBudget, extra_models=(),
     stated over measurable models only.
     """
     formulas = _family_formulas(family, budget.agents)
-    programs = {}   # domain -> (program, spans)
     rep = CheckReport(VALID_IN_SUITE)
     models_seen = 0
     failures = 0
     skipped = 0
     if models is None:
-        pool = itertools.chain(enumerate_models(budget), extra_models)
-    else:
-        pool = itertools.chain(models, extra_models)
-    for m in pool:
+        models = enumerate_models(budget)
+    pool = itertools.chain(models, extra_models)
+    for m, masks in _scan(pool, [f for _, f in formulas]):
         models_seen += 1
-        compiled = programs.get(m.domain)
-        if compiled is None:
-            compiled = programs[m.domain] = _everywhere(
-                [f for _, f in formulas], m.domain)
-        program, spans = compiled
-        ev = Evaluator(m)
-        results = ev.run(program)
-        for (label, f), span in zip(formulas, spans):
-            ok = _holds(results, span, ev.full)
-            if isinstance(ok, NotMeasurable):
+        full = _full(m)
+        for (label, f), out in zip(formulas, masks):
+            if isinstance(out, NotMeasurable):
                 skipped += 1
-                continue
-            if isinstance(ok, PckfoError):
-                raise ok
-            if not ok:
+            elif value_or_raise(out) != full:
                 failures += 1
                 rep.add(family=family, instance=label,
                         formula=print_formula(f), problem="falsified")
@@ -840,26 +836,19 @@ def expected_invalid_counterexample(budget=None) -> CheckReport:
     schema = implies(
         EveryoneProb(g, r, implies(p, q)),
         implies(EveryoneProb(g, r, p), EveryoneProb(g, r, q)))
-    program = Program([(schema, None)], budget.domain)
+    # A model on which the schema raises is passed over; only
+    # NotMeasurable can arise, since its agent is the budget's own and p
+    # and q read false where undeclared.
+    m, s, checked = _witness(Not(schema), budget)
     rep = CheckReport(REJECTED)
-    checked = 0
-    for m in enumerate_models(budget):
-        checked += 1
-        ext, = Evaluator(m).run(program)
-        if isinstance(ext, NotMeasurable):
-            continue
-        if not isinstance(ext, int):
-            raise ext
-        s = next((s for k, s in enumerate(m.states) if not ext >> k & 1),
-                 None)
-        if s is not None:
-            rep.verdict = VALID_IN_SUITE
-            rep.add(expected_invalid=print_formula(schema),
-                    state=s, models_checked=checked,
-                    note="counterexample found, as required")
-            rep.artifacts["counterexample-model"] = model_to_doc(m)
-            rep.artifacts["counterexample-state"] = s
-            return rep
+    if m is not None:
+        rep.verdict = VALID_IN_SUITE
+        rep.add(expected_invalid=print_formula(schema),
+                state=s, models_checked=checked,
+                note="counterexample found, as required")
+        rep.artifacts["counterexample-model"] = model_to_doc(m)
+        rep.artifacts["counterexample-state"] = s
+        return rep
     rep.add(expected_invalid=print_formula(schema), models_checked=checked,
             problem="no counterexample found within the default budget")
     return rep
