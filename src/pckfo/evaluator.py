@@ -24,24 +24,23 @@ An error is kept per operation: an operation with a failed operand takes
 the error of its first failed operand, the others run on, so one formula's
 failure does not hide another formula of the same program.
 
-`Evaluator.extension` keeps one program per evaluator and adds each query
-to it, so the queries asked of one evaluator share their subformulas and
-the values already computed, as a memo would.
+Sharing comes from one program's roots: `Evaluator.extension` compiles
+its one formula into a program of its own and runs it, so formulas that
+should share their subformulas go into one `Program` as its roots.
 
 The evaluator expects a model that passes `model.validate`.  It compiles
 what it needs of the model on first use, one row per agent: the
 predecessor masks in one pass over the agent's edges, the spaces in one
-pass over the states.  Evaluators over a shared Model that no one changes
-are safe to use from several threads: `extension` adds and runs its query
-under the evaluator's lock, and the other caches (the agents' rows,
-groups) are stored only when complete, with values that every thread
-computes alike.
+pass over the states.  A run keeps its values in lists of its own, and
+an evaluator keeps only these rows and the resolved groups, stored only
+when complete, with values that every thread computes alike.  So one
+evaluator over a Model that no one changes is safe to use from several
+threads, with no lock.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -121,41 +120,33 @@ _CODES = {Atom: _ATOM, Not: _NOT, And: _AND, Forall: _FORALL, Knows: _K,
 class Program:
     """Formulas compiled once, for every model over one domain.
 
-    `roots` lists (formula, valuation) pairs, and `add` lays out one more;
-    `slots[k]` is the position of the operation whose value is the
-    extension of the k-th root.  The domain is sorted, as `Model` sorts
-    it.  Either raises EvalError when a valuation misses a free variable
-    of its formula, and then lays out nothing for it.
+    `roots` lists (formula, valuation) pairs; `slots[k]` is the position of
+    the operation whose value is the extension of the k-th root, and the
+    roots share every operation they can.  The domain is sorted, as `Model`
+    sorts it.  Raises EvalError when a valuation misses a free variable of
+    its formula.
+
+    The roots are laid out in post-order, in one walk.  The operations of a
+    universal's second and later values run only while its running
+    intersection is not empty, so what they add to the table of shared
+    operations is dropped again at the end of their value.
     """
 
     def __init__(self, roots, domain):
-        self.domain = tuple(sorted(set(domain)))   # as Model sorts it
-        self.ops = []
-        self.slots = []
-        self._table = {}   # table key -> position of its operation
+        self.domain = domain = tuple(sorted(set(domain)))   # as Model sorts it
+        todo = []
         for f, valuation in roots:
-            self.add(f, valuation)
-
-    def add(self, f, valuation=None) -> int:
-        """Lay out one more root, sharing the operations laid out so far,
-        and return its slot."""
-        v = dict(valuation) if valuation else {}
-        missing = free_vars(f) - v.keys()
-        if missing:
-            raise EvalError(f"valuation misses free variable {min(missing)!r}")
-        self.slots.append(self._compile(f, v))
-        return self.slots[-1]
-
-    def _compile(self, root, v) -> int:
-        """Lay out the root under v in post-order, reusing the
-        operations in the table.  The operations of a universal's second
-        and later values run only while its running intersection is not
-        empty, so what they add to the table is dropped again at the end
-        of their value."""
-        ops, domain, table = self.ops, self.domain, self._table
+            v = dict(valuation) if valuation else {}
+            missing = free_vars(f) - v.keys()
+            if missing:
+                raise EvalError(
+                    f"valuation misses free variable {min(missing)!r}")
+            todo.append((_VISIT, f, v, None))
+        todo.reverse()
+        ops = []
+        table = {}     # table key -> position of its operation
         done = []      # positions of the finished subformulas
         scopes = []    # table keys added under each open skippable value
-        todo = [(_VISIT, root, v, None)]
         pop, push = todo.pop, todo.append
         while todo:
             kind, f, v, x = pop()
@@ -230,7 +221,8 @@ class Program:
             table[x] = at
             if scopes:
                 scopes[-1].append(x)
-        return done.pop()
+        self.ops = tuple(ops)
+        self.slots = tuple(done)   # one position per root, in order
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +253,14 @@ class Evaluator:
         self._pred = {}     # agent -> predecessor masks by state position
         self._spaces = {}   # agent -> space entries by state position
         self._groups = {}   # group tokens -> sorted members
-        self._lock = threading.Lock()   # guards what extension keeps:
-        self._program = None            # the queries so far, compiled,
-        self._vals = []                 # the values of its operations
-        self._errs = {}                 # and their errors
 
     # -- public API
 
     def extension(self, f, valuation=None) -> frozenset:
         """States where f holds, under the given valuation of its free
-        variables.  The queries asked of one evaluator share one program,
-        so a subformula they share is computed once."""
-        with self._lock:
-            program = self._program
-            if program is None:
-                program = self._program = Program((), self.model.domain)
-            try:
-                slot = program.add(f, valuation)
-                self._execute(program.ops, self._vals, self._errs)
-            except BaseException:   # start afresh, not from half a query
-                self._program, self._vals, self._errs = None, [], {}
-                raise
-            return self._states(
-                value_or_raise(self._errs.get(slot, self._vals[slot])))
+        variables: a one-root program, run on this model."""
+        program = Program([(f, valuation)], self.model.domain)
+        return self._states(value_or_raise(self.run(program)[0]))
 
     def satisfies(self, state: str, f, valuation=None) -> bool:
         if state not in self._bit:
@@ -313,18 +290,9 @@ class Evaluator:
         evaluating it raised."""
         if program.domain != self.model.domain:
             raise ValueError("the program was compiled for another domain")
-        vals, errs = [], {}
-        self._execute(program.ops, vals, errs)
-        return [errs.get(k, vals[k]) if errs else vals[k]
-                for k in program.slots]
-
-    def _execute(self, ops, vals, errs) -> None:
-        """Run the operations ops[len(vals):], whose operands are earlier
-        operations: put their values in vals and their errors in errs."""
-        full = self.full
-        pc = len(vals)
-        end = len(ops)
-        vals += [0] * (end - pc)
+        ops, full = program.ops, self.full
+        vals, errs = [0] * len(ops), {}   # by operation position
+        pc, end = 0, len(ops)
         while pc < end:
             op = ops[pc]
             code, a, b = op[0], op[1], op[2]
@@ -371,6 +339,8 @@ class Evaluator:
             except PckfoError as exc:
                 errs[pc] = exc.with_traceback(None)
             pc += 1
+        return [errs.get(k, vals[k]) if errs else vals[k]
+                for k in program.slots]
 
     # -- masks
 

@@ -152,7 +152,9 @@ def validate(m: Model) -> CheckReport:
                 bad(f"groups.{name}", f"member {a!r} is not a declared agent")
 
     for fn, (arity, table) in sorted(m.functions.items()):
-        want = len(m.domain) ** arity
+        if arity < 0:
+            bad(f"functions.{fn}", f"negative arity {arity}")
+            continue
         seen = set()
         for args, value in table.items():
             if len(args) != arity:
@@ -160,10 +162,19 @@ def validate(m: Model) -> CheckReport:
             elif any(a not in domain for a in args) or value not in domain:
                 bad(f"functions.{fn}", f"row {args!r} -> {value!r} outside domain")
             seen.add(args)
-        if len(seen) != want:
-            bad(f"functions.{fn}", f"table not total: {len(seen)} of {want} rows")
+        n = len(m.domain)
+        if n > 1 and arity * n.bit_length() > 4096:
+            # more rows than any table holds, and too many digits to print
+            bad(f"functions.{fn}", f"table not total: {len(seen)} of"
+                f" {n}**{arity} rows")
+        elif len(seen) != n ** arity:
+            bad(f"functions.{fn}",
+                f"table not total: {len(seen)} of {n ** arity} rows")
 
     for rel, (arity, percol) in sorted(m.relations.items()):
+        if arity < 0:
+            bad(f"relations.{rel}", f"negative arity {arity}")
+            continue
         for state, tuples in sorted(percol.items()):
             if state not in states:
                 bad(f"relations.{rel}", f"table keyed by unknown state {state!r}")

@@ -274,6 +274,7 @@ class _FormulaParser:
         try:
             if "." in text:
                 value = Fraction(text)
+                str(value)   # its denominator may be too long to print
             else:
                 value = Fraction(int(text))
                 if self.toks[self.pos] == "/":
@@ -285,6 +286,9 @@ class _FormulaParser:
                     value = Fraction(int(text), int(den))
         except ZeroDivisionError:
             raise ParseError("zero denominator", self._span(ix)) from None
+        except ValueError:   # more digits than Python converts
+            raise ParseError("numeral too long",
+                             self._span(self.pos - 1)) from None
         if value < 0 or value > 1:
             raise ParseError(f"rational {value} outside [0, 1]",
                              self._span(ix))
@@ -424,10 +428,16 @@ def _need(doc, key, cls, where):
 
 
 def _int(raw, where) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: bad integer {raw!r}") from None
+    """raw as an integer: a JSON integer, or a string of one (an object
+    key); a float or a bool is no integer."""
+    if type(raw) is int:
+        return raw
+    if type(raw) is str:
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise SchemaError(f"{where}: bad integer {raw!r}")
 
 
 def _strings(raw, where) -> list:
@@ -555,12 +565,15 @@ def _load_space(doc, where, parsed) -> ProbSpace:
 
 
 def decode_json(text: str, not_valid: str):
-    """The decoded JSON text.  Text that is not JSON, or that nests deeper
-    than the decoder can follow, is a SchemaError led by not_valid."""
+    """The decoded JSON text.  Text that is not JSON, that nests deeper
+    than the decoder can follow, or that writes an integer too long to
+    convert, is a SchemaError led by not_valid."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{not_valid}: {exc}") from None
+    except ValueError:   # an integer of more digits than Python converts
+        raise SchemaError(f"{not_valid}: integer too long") from None
     except RecursionError:
         raise SchemaError(f"{not_valid}: nested too deeply to decode"
                           ) from None

@@ -218,6 +218,22 @@ class TestValidateClassify:
         assert code == 4
         assert "not normalized" in out
 
+    @pytest.mark.parametrize("arity, problem", [
+        (30_000_000, "table not total: 2 of 2**30000000 rows"),
+        (-1, "negative arity -1"),
+    ], ids=["huge", "negative"])
+    def test_bad_function_arity_exits_4(self, tmp_path, fixtures_dir,
+                                        arity, problem):
+        doc = json.loads((fixtures_dir / "models" / "functions.json")
+                         .read_text())
+        doc["functions"][1]["arity"] = arity
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["eval", "--formula", "p"]):
+            code, out = run(*argv, "--model", str(path))
+            assert code == 4
+            assert "verdict: invalid" in out and problem in out
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["states"].append(["s1"]),
         lambda doc: doc["access"]["a"].append([["x"], "s0"]),
@@ -280,6 +296,18 @@ class TestCheckProof:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run("check-proof", "--proof", str(path))[0] == 3
+
+    def test_float_m_is_schema_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"steps": [{"formula": "p", "just": {
+            "kind": "axiom", "name": "AC",
+            "params": {"group": ["a"], "m": 2.7, "phi": "p"}}}]}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["check-proof", "--proof", str(path)])
+        assert code == 3
+        assert err.getvalue() == "parse error: steps[0]: bad integer 2.7\n"
 
     @pytest.mark.parametrize("doc, message", [
         ({"hypotheses": [1], "steps": []},
@@ -450,6 +478,15 @@ class TestFindFuzzDemo:
     def test_usage_errors(self):
         assert run("eval", "--formula", "p")[0] == 2      # missing --model
         assert run("demo", "validity", "--family", "zzz")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "{chain}", "--formula", "{text}"],
+        ["find", "--formula", "{text}"],
+    ], ids=["eval", "find"])
+    def test_long_numeral_exits_3(self, chain, argv):
+        text = "P[a]>=1/" + "9" * 5000 + " p"
+        argv = [a.format(chain=chain, text=text) for a in argv]
+        assert run(*argv)[0] == 3
 
     def test_eval_on_invalid_model_exits_4(self, tmp_path, tiny):
         doc = json.loads(open(tiny).read())

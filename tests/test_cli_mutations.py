@@ -5,7 +5,9 @@ The inputs are formula texts and model and proof documents: the shipped
 fixtures and shapes nested far past the interpreter's recursion limit.
 Each mutant drops, duplicates or swaps one token of a text or one value of
 a document, or wraps the input 5000 levels deeper.  The generator is
-seeded, so every run sends the same mutants.
+seeded, so every run sends the same mutants.  Apart from the mutants, each
+input is also sent with one of its numerals swapped for a 5000-digit one,
+past the digits Python converts between int and str.
 """
 
 import contextlib
@@ -28,8 +30,11 @@ from pckfo.syntax import Atom
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 MUTANTS = 6
 WRAP = 5000
+BIG = "9" * 5000
 
 _TOKEN = re.compile(r"\s+|[A-Za-z0-9_']+|<->|->|>=|<=|\S")
+# a numeral inside a text: "1" and "2" in "1/2", not the "0" of "s0"
+_NUMERAL = re.compile(r"(?<![\w.])\d+(?:\.\d+)?")
 
 DEEP_FORMULAS = [
     "K[a] " * 5000 + "p",
@@ -135,23 +140,90 @@ def _cases():
     return cases
 
 
+def _apc_with_params():
+    """A one-step APC proof with its parameters written out, so that the
+    document has an "m" and a rational of its own."""
+    b = ProofBuilder()
+    b.axiom(ax.APC, {"group": ("a", "b"), "r": Fraction(1, 2), "m": 3,
+                     "phi": Atom("p")})
+    doc = json.loads(proof_to_json(b.build()))
+    doc["steps"][0]["just"]["params"] = {"group": ["a", "b"], "r": "1/2",
+                                         "m": 3, "phi": "p"}
+    return doc
+
+
+def _swap_last_numeral(text):
+    *_, last = _NUMERAL.finditer(text)
+    return text[:last.start()] + BIG + text[last.end():]
+
+
+def _oversized_cases():
+    """(name, input kind, input text) for each kind of numeral in each
+    harness input: the first arity, the first "m", the first other JSON
+    integer, and the last numeral of the first text that has one (a
+    rational), swapped for BIG."""
+    cases = []
+    for name, kind, original in _cases() + [
+            ("proof-apc-params", "proof", _apc_with_params())]:
+        if kind == "formula":
+            if _NUMERAL.search(original):
+                cases.append((f"{name}-text", kind,
+                              _swap_last_numeral(original)))
+            continue
+        paths = {}
+        for path, box, key in _slots(original):
+            value = box[key]
+            if type(value) is int:
+                paths.setdefault(key if key in ("arity", "m") else "int",
+                                 path)
+            elif isinstance(value, str) and _NUMERAL.search(value):
+                paths.setdefault("text", path)
+        for label, path in paths.items():
+            doc = copy.deepcopy(original)
+            box = doc
+            for key in path[:-1]:
+                box = box[key]
+            if label == "text":
+                box[path[-1]] = _swap_last_numeral(box[path[-1]])
+                text = json.dumps(doc)
+            else:   # json.dumps cannot write BIG as an int
+                box[path[-1]] = "<BIG>"
+                text = json.dumps(doc).replace('"<BIG>"', BIG)
+            cases.append((f"{name}-{label}", kind, text))
+    return cases
+
+
+def _assert_answers(kind, text, path, label):
+    """Send text, an input of the given kind, through every command that
+    reads that kind; path is a scratch file for documents."""
+    if kind == "formula":
+        chain = str(FIXTURES / "models" / "chain3.json")
+        runs = [["eval", "--model", chain, "--formula", text]]
+    else:
+        path.write_text(text)
+        runs = [["check-proof", "--proof", str(path)]] \
+            if kind == "proof" else [
+            ["validate", "--model", str(path)],
+            ["eval", "--model", str(path), "--formula", "K[a] p"]]
+    for argv in runs:
+        assert _run(argv) in range(7), (label, argv)
+
+
 @pytest.mark.usefixtures("default_recursion_limit")
 @pytest.mark.parametrize("name, kind, original", _cases(),
                          ids=[c[0] for c in _cases()])
 def test_mutants_answer(tmp_path, name, kind, original):
     rng = random.Random(f"cli-mutations-{name}")
-    chain = str(FIXTURES / "models" / "chain3.json")
     path = tmp_path / "input.json"
     for k in range(MUTANTS + 1):
         if kind == "formula":
             text = _mutate_text(original, rng) if k else original
-            runs = [["eval", "--model", chain, "--formula", text]]
         else:
-            path.write_text(_mutate_doc(original, rng) if k
-                            else json.dumps(original))
-            runs = [["check-proof", "--proof", str(path)]] \
-                if kind == "proof" else [
-                ["validate", "--model", str(path)],
-                ["eval", "--model", str(path), "--formula", "K[a] p"]]
-        for argv in runs:
-            assert _run(argv) in range(7), (k, argv)
+            text = _mutate_doc(original, rng) if k else json.dumps(original)
+        _assert_answers(kind, text, path, k)
+
+
+@pytest.mark.parametrize("name, kind, text", _oversized_cases(),
+                         ids=[c[0] for c in _oversized_cases()])
+def test_oversized_numeral_answers(tmp_path, name, kind, text):
+    _assert_answers(kind, text, tmp_path / "input.json", name)

@@ -220,37 +220,28 @@ class TestProgram:
 
 
 class TestSharedQueries:
-    def test_queries_of_one_evaluator_share_their_subformulas(self):
-        m = chain_model(6)
-        ev = Evaluator(m)
-        f = p
-        for depth in range(1, 8):
-            f = Knows("a", f)
-            ev.extension(f)
-            # K^depth p reuses K^(depth-1) p and adds one operation
-            assert len(ev._program.ops) == depth + 1
-        assert ev.extension(f) == extension(m, {}, f)
-        assert len(ev._program.ops) == 8
+    """Queries share their subformulas as the roots of one program."""
 
     def test_skipped_universal_values_are_not_reused(self):
         m = function_model()
         x = Var("x")
         body = And(Atom("R", (x,)), Atom("Q", (App("f", (x,)),)))
         f = Forall("x", body)
-        ev = Evaluator(m)
-        assert ev.extension(f) == frozenset()
-        with pytest.raises(EvalError, match="no row for"):
-            ev.extension(And(f, body), {"x": "d1"})
-        assert ev.extension(f) == frozenset()
+        # the first root skips body under x = d1; the second evaluates it
+        roots = [(f, None), (And(f, body), {"x": "d1"})]
+        first, second = Evaluator(m).run(Program(roots, m.domain))
+        assert first == 0
+        assert isinstance(second, EvalError)
+        assert "no row for" in str(second)
 
-    def test_stored_error_raised_again_for_each_query(self):
+    def test_roots_citing_one_failure_get_its_error(self):
         m = function_model()
         bad = Knows("zz", p)
-        ev = Evaluator(m)
-        for f in (bad, And(bad, p), Not(bad)):
-            with pytest.raises(EvalError, match="undeclared agent") as info:
-                ev.extension(f)
-            assert info.value is ev._errs[ev._program.slots[-1]]
+        roots = [(g, None) for g in (bad, And(bad, p), Not(bad))]
+        got = Evaluator(m).run(Program(roots, m.domain))
+        assert isinstance(got[0], EvalError)
+        assert "undeclared agent" in str(got[0])
+        assert got[1] is got[0] and got[2] is got[0]
 
     def test_failed_query_leaves_the_evaluator_usable(self):
         m = function_model()

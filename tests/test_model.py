@@ -71,6 +71,26 @@ class TestValidate:
         rep = validate(bad)
         assert any("not a declared agent" in d["problem"] for d in rep.details)
 
+    @pytest.mark.parametrize("arity, problems", [
+        (-1, ["negative arity -1"]),
+        # the row count is reported, not the 9 million digit power
+        (30_000_000, ["row ('d0',) has wrong arity",
+                      "table not total: 1 of 2**30000000 rows"]),
+        (3, ["row ('d0',) has wrong arity", "table not total: 1 of 8 rows"]),
+    ], ids=["negative", "huge", "ordinary"])
+    def test_function_arity_problems(self, arity, problems):
+        m = two_state()
+        m = dataclasses.replace(m, domain=("d0", "d1"),
+                                functions={"f": (arity, {("d0",): "d0"})})
+        rep = validate(m)
+        assert [d["problem"] for d in rep.details] == problems
+        assert all(d["where"] == "functions.f" for d in rep.details)
+
+    def test_negative_relation_arity(self):
+        m = dataclasses.replace(two_state(), relations={"p": (-1, {})})
+        assert validate(m).details == [{"where": "relations.p",
+                                        "problem": "negative arity -1"}]
+
     def test_weights_outside_unit_interval(self):
         # 3/2 + (-1/2) sums to 1, so only the range check can catch it
         rep = validate(two_state(weights=(F(3, 2), F(-1, 2))))

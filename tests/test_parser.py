@@ -115,6 +115,20 @@ class TestParseFormula:
             parse_term(bad)
         assert str(err.value) == f"{message} (at {span[0]}..{span[1]})"
 
+    @pytest.mark.parametrize("bad, span", [
+        ("P[a]>=1/" + "9" * 5000 + " p", (8, 5008)),
+        ("P[a]>=" + "9" * 5000 + "/2 p", (6, 5006)),
+        ("Es{a," + "9" * 5000 + "} p", (5, 5005)),
+        # each part converts, but the denominator, 10**4300, has one
+        # digit more than Python prints
+        ("P[a]>=0." + "9" * 4300 + " p", (6, 4308)),
+    ], ids=["denominator", "numerator", "group-bound", "decimal"])
+    def test_long_numeral_is_parse_error(self, bad, span):
+        with pytest.raises(ParseError) as err:
+            parse_formula(bad)
+        assert str(err.value) == f"numeral too long (at {span[0]}..{span[1]})"
+        assert err.value.span == span
+
     # Nesting has no limit: these go ten times past the depth of 500 and
     # the 200 parenthesis levels the parser once stopped at.
 

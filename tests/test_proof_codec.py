@@ -206,6 +206,11 @@ _MALFORMED = [
     ({"kind": "RA", "spec": _SPEC_DOC, "agent": "a", "r": "1/2",
       "certificate": _CERT_DOC},
      "reference to step 4 is not an earlier step"),
+    # a JSON float or bool is no integer, even where int() would take it
+    ({"kind": "axiom", "name": "P1", "params": {"m": 2.7}},
+     "bad integer 2.7"),
+    ({"kind": "axiom", "name": "P1", "params": {"m": True}},
+     "bad integer True"),
 ]
 
 
