@@ -10,6 +10,11 @@ Exit codes are part of the interface:
   5  an event was not measurable
   6  accepted, but only with bounded certificates
 
+Each subcommand returns its `CheckReport`.  `main` alone ends a run: it
+writes any `--out` artifacts, prints the report and decides every exit
+code from two tables, `EXIT_OF_VERDICT` for a report and `EXIT_OF_ERROR`
+for an error; argparse's own usage errors exit 2.
+
 Reports are plain text by default, canonical JSON with --json; identical
 inputs and seeds produce byte-identical output.
 
@@ -22,6 +27,7 @@ messages and exit 2 are argparse's own.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -40,28 +46,39 @@ from .parser import decode_json, load_model, parse_formula, parse_proof
 from .proofcheck import Proof, check
 from .report import (
     ACCEPTED, ACCEPTED_BOUNDED, CheckReport, INVALID, NOT_FOUND, OK, REJECTED,
-    SAT, UNSAT_AT_STATE,
+    SAT, UNSAT_AT_STATE, VALID_IN_SUITE,
 )
 from .syntax import free_vars
-
-EXIT_TRUE = 0
-EXIT_FALSE = 1
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_MODEL_INVALID = 4
-EXIT_NOT_MEASURABLE = 5
-EXIT_ACCEPTED_BOUNDED = 6
 
 
 class _UsageError(PckfoError):
     pass
 
 
+EXIT_OF_VERDICT = {
+    SAT: 0, VALID_IN_SUITE: 0, ACCEPTED: 0, OK: 0,
+    UNSAT_AT_STATE: 1, REJECTED: 1, NOT_FOUND: 1,
+    INVALID: 4,
+    ACCEPTED_BOUNDED: 6,
+}
+
+# (error class, stderr label, exit code); the first matching row wins.
+EXIT_OF_ERROR = (
+    ((_UsageError, NonSentenceError), "usage error", 2),
+    ((ParseError, SchemaError), "parse error", 3),
+    (NotMeasurable, "not measurable", 5),
+    (BudgetError, "budget error", 2),
+    (EvalError, "evaluation error", 2),
+)
+
+
 def _read(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_validated_model(path):
@@ -100,10 +117,6 @@ def _budget_from(args) -> oracle.SearchBudget:
     )
 
 
-def _emit(report: CheckReport, args) -> None:
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-
-
 def _write_artifacts(report: CheckReport, out_path) -> None:
     """Write document-valued artifacts (witness models) as replayable files."""
     if not out_path:
@@ -113,24 +126,27 @@ def _write_artifacts(report: CheckReport, out_path) -> None:
     if not docs:
         return
     out = Path(out_path)
-    if len(docs) == 1:
-        (_, payload), = docs.items()
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    for name, payload in sorted(docs.items()):
-        (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    try:
+        if len(docs) == 1:
+            (_, payload), = docs.items()
+            out.write_text(json.dumps(payload, indent=2) + "\n")
+            return
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in sorted(docs.items()):
+            (out / f"{name}.json").write_text(
+                json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> CheckReport:
     m, rep = _load_validated_model(args.model)
     if not rep.passed:
-        _emit(rep, args)
-        return EXIT_MODEL_INVALID
+        return rep
     f = parse_formula(args.formula)
     valuation = _parse_valuation(args.valuation)
     missing = sorted(free_vars(f) - set(valuation))
@@ -147,101 +163,75 @@ def cmd_eval(args) -> int:
         truth = ev.satisfies(args.state, f, valuation)
         report = CheckReport(SAT if truth else UNSAT_AT_STATE)
         report.add(state=args.state, holds=truth, formula=args.formula)
-        _emit(report, args)
-        return EXIT_TRUE if truth else EXIT_FALSE
+        return report
     ext = ev.extension(f, valuation)
-    all_true = ext.issuperset(m.states)
-    report = CheckReport(SAT if all_true else UNSAT_AT_STATE)
+    report = CheckReport(SAT if ext.issuperset(m.states) else UNSAT_AT_STATE)
     for s in m.states:
         report.add(state=s, holds=s in ext)
-    _emit(report, args)
-    return EXIT_TRUE if all_true else EXIT_FALSE
+    return report
 
 
-def cmd_check_proof(args) -> int:
+def cmd_check_proof(args) -> CheckReport:
     proof = parse_proof(_read(args.proof))
     if args.mode is not None:
         proof = Proof(proof.hypotheses, proof.steps, args.mode)
-    report = check(proof)
-    _emit(report, args)
-    if report.verdict == ACCEPTED:
-        return EXIT_TRUE
-    if report.verdict == ACCEPTED_BOUNDED:
-        return EXIT_ACCEPTED_BOUNDED
-    return EXIT_FALSE
+    return check(proof)
 
 
-def cmd_validate(args) -> int:
-    _, rep = _load_validated_model(args.model)
-    _emit(rep, args)
-    return EXIT_TRUE if rep.passed else EXIT_MODEL_INVALID
+def cmd_validate(args) -> CheckReport:
+    return _load_validated_model(args.model)[1]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> CheckReport:
     m, rep = _load_validated_model(args.model)
     if not rep.passed:
-        _emit(rep, args)
-        return EXIT_MODEL_INVALID
-    flags = classify(m)
+        return rep
     report = CheckReport(OK)
-    report.add(flags=sorted(flags),
+    report.add(flags=sorted(classify(m)),
                note="measurability is checked per probability operator"
                     " during evaluation, not as a class flag")
-    _emit(report, args)
-    return EXIT_TRUE
+    return report
 
 
-def cmd_find(args) -> int:
-    f = parse_formula(args.formula)
-    budget = _budget_from(args)
-    report = oracle.find_model(f, budget)
-    _emit(report, args)
-    _write_artifacts(report, args.out)
-    return EXIT_TRUE if report.verdict == SAT else EXIT_FALSE
+def cmd_find(args) -> CheckReport:
+    return oracle.find_model(parse_formula(args.formula), _budget_from(args))
 
 
 _CLASS_AXIOM = {"CON": ("CON",), "OBJ": ("OBJ",),
                 "SDP": ("SDP-A",), "UNIF": ("UNIF-A",)}
 
 
-def cmd_fuzz(args) -> int:
+def cmd_fuzz(args) -> CheckReport:
     budget = _budget_from(args)
-    if args.klass:
-        # the class axiom is fuzzed on targeted models of its own class only
-        models = oracle.targeted_class_models(budget, args.klass,
-                                              args.class_models)
-        report = oracle.fuzz_soundness(budget, args.n,
-                                       names=_CLASS_AXIOM[args.klass],
-                                       models=models)
-    else:
-        report = oracle.fuzz_soundness(budget, args.n)
-    _emit(report, args)
-    _write_artifacts(report, args.out)
-    return EXIT_TRUE if report.passed else EXIT_FALSE
+    if not args.klass:
+        return oracle.fuzz_soundness(budget, args.n)
+    # the class axiom is fuzzed on targeted models of its own class only
+    models = oracle.targeted_class_models(budget, args.klass,
+                                          args.class_models)
+    return oracle.fuzz_soundness(budget, args.n,
+                                 names=_CLASS_AXIOM[args.klass],
+                                 models=models)
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> CheckReport:
     if args.which == "noncompactness":
-        report = oracle.noncompactness_demo(args.m)
-    else:
-        if args.family == "invalid-distribution":
-            report = oracle.expected_invalid_counterexample()
-        elif args.family in oracle.VALIDITY_FAMILIES:
-            budget = oracle.SearchBudget(
-                max_states=2, max_domain=1, max_agents=2,
-                weight_grid=(Fraction(0), Fraction(1, 2), Fraction(1)),
-                sample_mode="full", atom_mode="merged", seed=args.seed)
-            extras = oracle.random_models(
-                oracle.SearchBudget(
-                    max_states=3, max_domain=1, max_agents=2, seed=args.seed,
-                    atom_mode="singleton"),
-                50, tag="demo-validity")
-            report = oracle.validity_suite(args.family, budget, extras)
-        else:
-            raise _UsageError(f"unknown family {args.family!r}")
-    _emit(report, args)
-    _write_artifacts(report, args.out)
-    return EXIT_TRUE if report.passed else EXIT_FALSE
+        return oracle.noncompactness_demo(args.m)
+    if args.family == "invalid-distribution":
+        return oracle.expected_invalid_counterexample()
+    if args.family not in oracle.VALIDITY_FAMILIES:
+        raise _UsageError(f"unknown family {args.family!r}")
+    budget = oracle.SearchBudget(
+        max_states=2, max_domain=1, max_agents=2,
+        weight_grid=(Fraction(0), Fraction(1, 2), Fraction(1)),
+        sample_mode="full", atom_mode="merged", seed=args.seed)
+    extras = oracle.random_models(
+        oracle.SearchBudget(
+            max_states=3, max_domain=1, max_agents=2, seed=args.seed,
+            atom_mode="singleton"),
+        50, tag="demo-validity")
+    return oracle.validity_suite(
+        args.family, budget,
+        models=itertools.chain(oracle.enumerate_models(budget), extras))
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +400,18 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else 0
+            return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotMeasurable as exc:
-        print(f"not measurable: {exc}", file=sys.stderr)
-        return EXIT_NOT_MEASURABLE
-    except NonSentenceError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvalError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report = args.run(args)
+        _write_artifacts(report, getattr(args, "out", None))
+    except PckfoError as exc:
+        for cls, label, code in EXIT_OF_ERROR:
+            if isinstance(exc, cls):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
+    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    return EXIT_OF_VERDICT[report.verdict]
 
 
 if __name__ == "__main__":

@@ -786,7 +786,7 @@ def _family_formulas(family: str, agents) -> list:
     raise BudgetError(f"unknown validity family {family!r}")
 
 
-def validity_suite(family: str, budget: SearchBudget, extra_models=(),
+def validity_suite(family: str, budget: SearchBudget, *,
                    models=None) -> CheckReport:
     """Check every family instance at every state of every budget model.
 
@@ -802,8 +802,7 @@ def validity_suite(family: str, budget: SearchBudget, extra_models=(),
     skipped = 0
     if models is None:
         models = enumerate_models(budget)
-    pool = itertools.chain(models, extra_models)
-    for m, masks in _scan(pool, [f for _, f in formulas]):
+    for m, masks in _scan(models, [f for _, f in formulas]):
         models_seen += 1
         full = _full(m)
         for (label, f), out in zip(formulas, masks):

@@ -422,7 +422,8 @@ def _need(doc, key, cls, where):
     if key not in doc:
         raise SchemaError(f"{where}: missing {key!r}")
     value = doc[key]
-    if not isinstance(value, cls):
+    # a JSON true or false is a bool, which Python counts as an int
+    if not isinstance(value, cls) or (cls is int and type(value) is bool):
         raise SchemaError(f"{where}: {key!r} must be {cls.__name__}")
     return value
 

@@ -165,7 +165,9 @@ def test_acceptance_4_derived_theorem_suite():
                               weight_grid=(F(1),), sample_mode="full",
                               atom_mode="merged")
     for family in ("epistemic-distribution", "fixed-point"):
-        runs.append((family, validity_suite(family, epi_budget, extras2)))
+        runs.append((family, validity_suite(
+            family, epi_budget, models=itertools.chain(
+                enumerate_models(epi_budget), extras2))))
 
     ge_budget = SearchBudget(max_states=2, max_domain=1, max_agents=2,
                              weight_grid=(F(0), F(1)), sample_mode="full",
@@ -173,7 +175,8 @@ def test_acceptance_4_derived_theorem_suite():
                              relation_symbols=(("p", 0),))
     runs.append(("finite-group-equivalence",
                  validity_suite("finite-group-equivalence", ge_budget,
-                                extras2)))
+                                models=itertools.chain(
+                                    enumerate_models(ge_budget), extras2))))
 
     pm_budget1 = SearchBudget(max_states=2, max_domain=1, max_agents=1,
                               weight_grid=(F(0), F(1, 2), F(1)),

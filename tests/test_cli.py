@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,12 +14,17 @@ from pathlib import Path
 import pytest
 
 import pckfo
-from pckfo import axioms as ax, cli
+from pckfo import axioms as ax, cli, report
 from pckfo.cli import main
+from pckfo.errors import (
+    BudgetError, EvalError, NonSentenceError, NotMeasurable, ParseError,
+    SchemaError,
+)
 from pckfo.evaluator import satisfies
 from pckfo.model import validate
 from pckfo.parser import load_model, parse_formula, proof_to_json
 from pckfo.proofcheck import ProofBuilder
+from pckfo.report import CheckReport, OK
 from pckfo.syntax import Atom
 
 
@@ -465,6 +471,21 @@ class TestFindFuzzDemo:
         assert code == 0
         assert "counterexample found" in out
 
+    @pytest.mark.parametrize("argv, target", [
+        (["find", "--formula", "p", "--budget-states", "1"],
+         "missing/w.json"),
+        (["demo", "noncompactness", "--m", "1"], "file"),
+    ], ids=["missing-directory", "existing-file"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, argv, target):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / target
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith(f"usage error: cannot write {path}: ")
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("argv", [
         ["fuzz", "--n", "-5"], ["fuzz", "--n", "0", "--json"],
         ["demo", "noncompactness", "--m", "-2"]])
@@ -560,7 +581,7 @@ class TestArgvTable:
 
         def record(args):
             seen.append(vars(args))
-            return 0
+            return CheckReport(OK)
 
         monkeypatch.setattr(cli, "COMMANDS", {
             name: dataclasses.replace(command, run=record)
@@ -606,3 +627,127 @@ class TestArgvTable:
         ]
         for argv, code in cases:
             assert run(*argv)[0] == code, argv
+
+
+def _prop(formula):
+    return {"formula": formula, "just": {"kind": "axiom", "name": "Prop"}}
+
+
+_FP_SPEC = {"k": 1, "thetas": ["!(ff & !ff)", "C{a,b} p"],
+            "guards": [{"op": "K", "agent": "a"}]}
+
+
+class TestCheckerRejections:
+    """Each rejection of `proofcheck._check_step` and of the hypothesis
+    check, through `cli.main`: the one problem reported, and exit 1."""
+
+    @pytest.mark.parametrize("hypotheses, steps, step, problem", [
+        ([], [{"formula": "p -> p", "just": {
+            "kind": "axiom", "name": "Prop", "params": {"formula": "p"}}}],
+         0, "axiom parameters rejected:"
+            " formula is not a propositional tautology"),
+        (["R(x)"], [_prop("p -> p")], None, "hypothesis 0 is not a sentence"),
+        ([], [{"formula": "p", "just": {"kind": "hyp", "index": 0}}],
+         0, "hypothesis index 0 out of range"),
+        (["q"], [{"formula": "p", "just": {"kind": "hyp", "index": 0}}],
+         0, "formula differs from the cited hypothesis"),
+        ([], [_prop("p -> p"), {"formula": "forall x (q -> q)", "just": {
+            "kind": "FOR", "premise": 0, "var": "x"}}],
+         1, "formula is not the universal closure of the premise over the"
+            " cited variable"),
+        ([], [_prop("p -> p"), {"formula": "K[a] (q -> q)", "just": {
+            "kind": "RK", "premise": 0, "agent": "a"}}],
+         1, "formula is not the knowledge-wrapped premise"),
+        (["p"], [{"formula": "p", "just": {"kind": "hyp", "index": 0}},
+                 {"formula": "P[a]>=1 p", "just": {
+                     "kind": "RP", "premise": 0, "agent": "a"}}],
+         1, "premise of probabilistic necessitation is not a theorem"),
+        ([], [_prop("p -> p"), {"formula": "P[a]>=1 (q -> q)", "just": {
+            "kind": "RP", "premise": 0, "agent": "a"}}],
+         1, "formula is not the probability-one-wrapped premise"),
+        ([], [_prop("p -> p"), _prop("q -> q"), {
+            "formula": "!(K[a] p & K[b] p & !E{a,b} p)", "just": {
+                "kind": "RE", "spec": {"k": 0, "thetas": ["K[a] p & K[b] p"],
+                                       "guards": []},
+                "premises": {"a": 0, "b": 1}}}],
+         2, "premise for member 'a' is not the required nested implication"),
+        ([], [{"formula": "!(C{a,b} p & !K[a] !(!(ff & !ff) & !C{a,b} p))",
+               "just": {"kind": "RC", "spec": _FP_SPEC,
+                        "certificate": {"bound": 0, "premises": {}}}}],
+         0, "certificate bound 0 is below the first premise index 1"),
+    ], ids=["axiom-params", "open-hypothesis", "hypothesis-index",
+            "hypothesis-differs", "for-closure", "rk-wrapping",
+            "rp-premise", "rp-wrapping", "group-member", "certificate-bound"])
+    def test_rejection(self, tmp_path, hypotheses, steps, step, problem):
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps({"hypotheses": hypotheses,
+                                    "steps": steps}))
+        code, out = run("check-proof", "--proof", str(path), "--json")
+        rep = json.loads(out)
+        assert (code, rep["verdict"]) == (1, "rejected")
+        assert [d for d in rep["details"] if "problem" in d] == \
+            [{"step": step, "problem": problem}]
+
+
+class TestExitCodes:
+    """The exit-code interface: `EXIT_OF_VERDICT` and `EXIT_OF_ERROR` in
+    `cli.py`, argparse's 2, and the codes the docstring and README list."""
+
+    def test_every_verdict_has_a_code(self):
+        verdicts = {value for name, value in vars(report).items()
+                    if name.isupper() and isinstance(value, str)}
+        assert len(verdicts) == 9
+        assert verdicts == set(cli.EXIT_OF_VERDICT)
+
+    def test_codes_are_the_documented_ones(self):
+        codes = {*cli.EXIT_OF_VERDICT.values(), 2,
+                 *(code for _, _, code in cli.EXIT_OF_ERROR)}
+        listed = {int(n) for n in re.findall(r"^  (\d)  ", cli.__doc__,
+                                             re.M)}
+        readme = (Path(pckfo.__file__).resolve().parents[2] / "README.md")
+        text = readme.read_text()
+        paragraph = text[text.index("Exit codes"):].split("\n\n")[0]
+        documented = {int(n) for n in re.findall(r"`(\d)`", paragraph)}
+        assert codes == listed == documented == set(range(7))
+
+    def test_error_rows_keep_their_labels(self, tmp_path, tiny):
+        coarse = json.loads(open(tiny).read())
+        coarse["states"] = ["s0", "s1"]
+        coarse["relations"] = [{"symbol": "p", "arity": 0,
+                                "table": {"s0": [[]], "s1": []}}]
+        coarse["prob"] = {"a": {"s0": {"sample": ["s0", "s1"],
+                                       "atoms": [["s0", "s1"]],
+                                       "weights": {"0": "1"}}}}
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(coarse))
+        cases = [   # (argv, the error it raises, its label and exit code)
+            (["eval", "--model", tiny, "--formula", "p", "--state", "zz"],
+             cli._UsageError, "usage error", 2),
+            (["find", "--formula", "R(x)"],
+             NonSentenceError, "usage error", 2),
+            (["eval", "--model", tiny, "--formula", "p &"],
+             ParseError, "parse error", 3),
+            (["check-proof", "--proof", tiny],
+             SchemaError, "parse error", 3),
+            (["eval", "--model", str(path), "--formula", "P[a]>=1/2 p"],
+             NotMeasurable, "not measurable", 5),
+            (["fuzz", "--n", "0"], BudgetError, "budget error", 2),
+            (["eval", "--model", tiny, "--formula", "K[zz] p"],
+             EvalError, "evaluation error", 2),
+        ]
+        assert [(label, code) for _, label, code in cli.EXIT_OF_ERROR] == [
+            ("usage error", 2), ("parse error", 3), ("not measurable", 5),
+            ("budget error", 2), ("evaluation error", 2)]
+        rows = set()
+        for argv, error, label, code in cases:
+            row = next(row for row in cli.EXIT_OF_ERROR
+                       if issubclass(error, row[0]))
+            rows.add(row)
+            assert row[1:] == (label, code), error
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                got = main(argv)
+            assert (got, out.getvalue()) == (code, ""), argv
+            assert err.getvalue().startswith(f"{label}: "), argv
+        assert rows == set(cli.EXIT_OF_ERROR)

@@ -7,7 +7,8 @@ Each mutant drops, duplicates or swaps one token of a text or one value of
 a document, or wraps the input 5000 levels deeper.  The generator is
 seeded, so every run sends the same mutants.  Apart from the mutants, each
 input is also sent with one of its numerals swapped for a 5000-digit one,
-past the digits Python converts between int and str.
+past the digits Python converts between int and str, and with one 0xff
+byte, which is not UTF-8, in front of it.
 """
 
 import contextlib
@@ -227,3 +228,23 @@ def test_mutants_answer(tmp_path, name, kind, original):
                          ids=[c[0] for c in _oversized_cases()])
 def test_oversized_numeral_answers(tmp_path, name, kind, text):
     _assert_answers(kind, text, tmp_path / "input.json", name)
+
+
+@pytest.mark.parametrize("name, kind, original", _cases(),
+                         ids=[c[0] for c in _cases()])
+def test_non_utf8_input_is_schema_error(tmp_path, name, kind, original):
+    """A document file that does not decode as UTF-8 is a parse error, exit
+    3.  A formula is argv text, where Python keeps an undecodable byte as a
+    lone surrogate; it cannot be read as a formula either."""
+    path = tmp_path / "input.json"
+    if kind == "formula":
+        chain = str(FIXTURES / "models" / "chain3.json")
+        runs = [["eval", "--model", chain, "--formula", "\udcff" + original]]
+    else:
+        path.write_bytes(b"\xff" + json.dumps(original).encode())
+        runs = [["check-proof", "--proof", str(path)]] \
+            if kind == "proof" else [
+            ["validate", "--model", str(path)],
+            ["eval", "--model", str(path), "--formula", "K[a] p"]]
+    for argv in runs:
+        assert _run(argv) == 3, argv

@@ -236,6 +236,18 @@ class TestModelDocuments:
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("table", ["functions", "relations"])
+    @pytest.mark.parametrize("arity", [True, False])
+    def test_bool_arity_rejected(self, fixtures_dir, table, arity):
+        doc = json.loads(
+            (fixtures_dir / "models" / "functions.json").read_text())
+        entry = doc[table][0]
+        entry["arity"] = arity
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        assert str(exc.value) == \
+            f"{table}.{entry['symbol']}: 'arity' must be int"
+
     def test_order_insensitive(self, fixtures_dir):
         text = (fixtures_dir / "models" / "functions.json").read_text()
         doc = json.loads(text)

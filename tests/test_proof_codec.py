@@ -211,6 +211,14 @@ _MALFORMED = [
      "bad integer 2.7"),
     ({"kind": "axiom", "name": "P1", "params": {"m": True}},
      "bad integer True"),
+    ({"kind": "hyp", "index": False}, "'index' must be int"),
+    ({"kind": "MP", "premise": False, "implication": True},
+     "'premise' must be int"),
+    ({"kind": "MP", "premise": 0, "implication": True},
+     "'implication' must be int"),
+    ({"kind": "RE", "spec": {"k": True}}, "'k' must be int"),
+    ({"kind": "RC", "spec": _SPEC_DOC,
+      "certificate": {"bound": True, "premises": {}}}, "'bound' must be int"),
 ]
 
 
