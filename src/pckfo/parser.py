@@ -538,14 +538,13 @@ def _need_opt(doc, key, cls, where):
 def _load_space(doc, where, parsed) -> ProbSpace:
     sample = _strings(_need(doc, "sample", list, where), where)
     if "atoms" in doc:
-        # Checking every atom member costs about a tenth of loading a large
-        # model, so only unhashable members are caught here; any other
-        # non-state member fails validate's partition check.
-        try:
-            atoms = [frozenset(a) for a in _need(doc, "atoms", list, where)]
-        except TypeError:
-            raise SchemaError(f"{where}: atoms must be lists of state names"
-                              ) from None
+        atoms = []
+        for names in _need(doc, "atoms", list, where):
+            if not (isinstance(names, list)
+                    and all(map(str.__instancecheck__, names))):
+                raise SchemaError(
+                    f"{where}: atoms must be lists of state names")
+            atoms.append(frozenset(names))
     else:
         atoms = [frozenset([s]) for s in sorted(sample)]
     weights_doc = _need(doc, "weights", dict, where)
@@ -555,6 +554,9 @@ def _load_space(doc, where, parsed) -> ProbSpace:
         if key not in weights_doc:
             raise SchemaError(f"{where}: missing weight for atom {ix}")
         raw = weights_doc[key]
+        if type(raw) is float:
+            raise SchemaError(f"{where}: weight {raw!r} is a JSON float,"
+                              f" which is not exact; write it as a string")
         text = str(raw)
         w = parsed.get(text)
         if w is None:

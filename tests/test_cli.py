@@ -257,6 +257,31 @@ class TestValidateClassify:
         path.write_text(json.dumps(doc))
         assert run("validate", "--model", str(path))[0] == 3
 
+    @pytest.mark.parametrize("edit, message", [
+        ('"atoms": [["s0", 5], ["s1"]]', "atoms must be lists of state names"),
+        ('"atoms": [["s0"], [null]]', "atoms must be lists of state names"),
+        ('"atoms": ["s0", "s1"]', "atoms must be lists of state names"),
+        ('"weights": {"0": 0.50000000000000001, "1": "1/2"}',
+         "weight 0.5 is a JSON float, which is not exact; write it as a"
+         " string"),
+    ], ids=["int-member", "null-member", "string-atoms", "float-weight"])
+    def test_malformed_space_is_schema_error(self, tmp_path, edit, message):
+        space = {"sample": '"sample": ["s0", "s1"]',
+                 "atoms": '"atoms": [["s0"], ["s1"]]',
+                 "weights": '"weights": {"0": "1/2", "1": "1/2"}'}
+        space[edit[1:edit.index('"', 1)]] = edit
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"states": ["s0", "s1"], "domain": ["d0"], "agents": ["a"],'
+            ' "prob": {"a": {"s0": {%s}}}}' % ", ".join(space.values()))
+        for argv in (["validate"], ["eval", "--formula", "P[a]>=1/2 p"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main([*argv, "--model", str(path)])
+            assert code == 3
+            assert err.getvalue() == f"parse error: prob.a.s0: {message}\n"
+
     def test_classify_con_model(self, fixtures_dir):
         code, out = run("classify", "--model",
                         str(fixtures_dir / "models" / "con.json"))

@@ -248,6 +248,53 @@ class TestModelDocuments:
         assert str(exc.value) == \
             f"{table}.{entry['symbol']}: 'arity' must be int"
 
+    @pytest.mark.parametrize("atoms", [
+        [["s0", 5], ["s1"]], [["s0"], [None]], ["s0", "s1"],
+        [{"s0": 1}, ["s1"]], [["s0", ["s1"]]],
+    ], ids=["int-member", "null-member", "string-atoms", "object-atom",
+            "list-member"])
+    def test_atoms_must_be_lists_of_names(self, atoms):
+        doc = {"states": ["s0", "s1"], "domain": ["d0"], "agents": ["a"],
+               "prob": {"a": {"s0": {"sample": ["s0", "s1"], "atoms": atoms,
+                                     "weights": {"0": "1/2", "1": "1/2"}}}}}
+        with pytest.raises(SchemaError) as exc:
+            load_model(doc)
+        assert str(exc.value) == \
+            "prob.a.s0: atoms must be lists of state names"
+
+    @pytest.mark.parametrize("weights, problem", [
+        ('{"0": 0.50000000000000001, "1": "1/2"}', "weight 0.5"),
+        ('{"0": 0.5, "1": 0.5}', "weight 0.5"),
+        ('{"0": 1.0, "1": 0}', "weight 1.0"),
+        ('{"0": 1e0, "1": 0}', "weight 1.0"),
+        ('{"0": "1/2", "1": "0.5"}', None),
+        ('{"0": 1, "1": 0}', None),
+        ('{"0": "0", "1": "1"}', None),
+    ], ids=["float-near-half", "float-halves", "float-one", "exponent",
+            "strings", "integers", "integer-strings"])
+    def test_weights_are_exact(self, weights, problem):
+        text = ('{"states": ["s0", "s1"], "domain": ["d0"], "agents": ["a"],'
+                ' "prob": {"a": {"s0": {"sample": ["s0", "s1"],'
+                ' "weights": %s}}}}' % weights)
+        if problem is None:
+            assert validate(parse_model(text)).passed
+            return
+        with pytest.raises(SchemaError) as exc:
+            parse_model(text)
+        assert str(exc.value) == (
+            f"prob.a.s0: {problem} is a JSON float, which is not exact;"
+            " write it as a string")
+
+    def test_weight_written_as_text_is_exact(self):
+        # the same near-half weight as text is read exactly, so it does
+        # not sum to 1 with 1/2
+        m = load_model({
+            "states": ["s0", "s1"], "domain": ["d0"], "agents": ["a"],
+            "prob": {"a": {"s0": {"sample": ["s0", "s1"], "weights": {
+                "0": "0.50000000000000001", "1": "1/2"}}}}})
+        assert [d["problem"] for d in validate(m).details] == \
+            ["measure not normalized: weights must sum to 1"]
+
     def test_order_insensitive(self, fixtures_dir):
         text = (fixtures_dir / "models" / "functions.json").read_text()
         doc = json.loads(text)
