@@ -28,14 +28,15 @@ Sharing comes from one program's roots: `Evaluator.extension` compiles
 its one formula into a program of its own and runs it, so formulas that
 should share their subformulas go into one `Program` as its roots.
 
-The evaluator expects a model that passes `model.validate`.  It compiles
-what it needs of the model on first use, one row per agent: the
-predecessor masks in one pass over the agent's edges, the spaces in one
-pass over the states.  A run keeps its values in lists of its own, and
-an evaluator keeps only these rows and the resolved groups, stored only
-when complete, with values that every thread computes alike.  So one
-evaluator over a Model that no one changes is safe to use from several
-threads, with no lock.
+The evaluator expects a model that passes `model.validate`.  It reads the
+model's rows as they stand (see `pckfo.model.Model`): per agent, the
+predecessor masks and the space entries by state position, built once
+when the model was loaded, enumerated or constructed.  An edge with an end
+outside the states adds no state to an extension and takes none away.  A
+run keeps its values in lists of its own, and an evaluator keeps only the
+state bits and the resolved groups, stored only when complete, with
+values that every thread computes alike.  So one evaluator is safe to use
+from several threads, with no lock.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import EvalError, NotMeasurable, PckfoError
-from .model import Model
+from .model import Model, positions
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Knows, Not, ProbAtLeast, Var, free_vars,
@@ -232,17 +233,6 @@ class Program:
 _ZEROS = itertools.repeat(0)
 
 
-def _positions(mask) -> list:
-    """Positions of the set bits of mask, ascending."""
-    bits = bin(mask)[:1:-1]
-    out = []
-    k = bits.find("1")
-    while k >= 0:
-        out.append(k)
-        k = bits.find("1", k + 1)
-    return out
-
-
 class Evaluator:
     """Runs programs on one model.  `full` is the mask of all its states."""
 
@@ -250,8 +240,6 @@ class Evaluator:
         self.model = model
         self._bit = {s: 1 << k for k, s in enumerate(model.states)}
         self.full = (1 << len(model.states)) - 1
-        self._pred = {}     # agent -> predecessor masks by state position
-        self._spaces = {}   # agent -> space entries by state position
         self._groups = {}   # group tokens -> sorted members
 
     # -- public API
@@ -330,7 +318,8 @@ class Evaluator:
                     vals[pc] = self._common(self._members(op[3]), vals[a])
                 elif code == _EP:
                     vals[pc] = self._everyone_prob(
-                        self._members(op[3]), op[4], op[5], vals[a], op[6])
+                        self._rows(self._members(op[3])), op[4], op[5],
+                        vals[a], op[6])
                 elif code == _CP:
                     vals[pc] = self._prob_common(
                         self._members(op[3]), op[4], op[5], vals[a], op[6])[-1]
@@ -349,40 +338,16 @@ class Evaluator:
 
     def _states(self, mask) -> frozenset:
         states = self.model.states
-        return frozenset([states[k] for k in _positions(mask)])
+        return frozenset([states[k] for k in positions(mask)])
 
-    def _predecessors(self, agent) -> list:
-        """The agent's predecessor mask per state position, built in one
-        pass over its edges on first use.  An edge with an end outside the
-        states adds nothing."""
-        row = self._pred.get(agent)
+    def _predecessors(self, agent) -> tuple:
+        """The agent's predecessor mask per state position (and past the
+        states, per name that is not a state)."""
+        row = self.model.pred.get(agent)
         if row is None:
-            m = self.model
-            pairs = m.access.get(agent)
-            if pairs is None:
-                if agent not in m.agents and m.states:
-                    raise EvalError(f"undeclared agent {agent!r}")
-                pairs = ()
-            bit = self._bit
-            into = {}   # state -> mask of the states with an edge into it
-            for s, t in pairs:
-                into[t] = into.get(t, 0) | bit.get(s, 0)
-            row = self._pred[agent] = [into.get(t, 0) for t in m.states]
-        return row
-
-    def _spaces_of(self, agent) -> list:
-        """The agent's [space, sample mask, sum of its numerators, atom
-        masks] per state position, built in one pass on first use; the
-        atom masks stay None until an event cuts the sample."""
-        row = self._spaces.get(agent)
-        if row is None:
-            m = self.model
-            row = []
-            for s in m.states:
-                space = m.space(agent, s)
-                row.append([space, self._mask(space.sample), sum(space._nums),
-                            None])
-            self._spaces[agent] = row
+            if self.model.states:
+                raise EvalError(f"undeclared agent {agent!r}")
+            row = ()
         return row
 
     def _members(self, group) -> tuple:
@@ -422,7 +387,7 @@ class Evaluator:
         member is only looked up while some state is still in, as the
         state-by-state definition would."""
         out = self.full
-        bad = _positions(out & ~body)
+        bad = positions(out & ~body)
         for i in members:
             if not out:
                 break
@@ -440,64 +405,68 @@ class Evaluator:
         if not frontier:
             return self.full
         rows = [self._predecessors(i) for i in members]
-        reached = 0
+        left = self.full    # the states not yet seen to reach outside
         while frontier:
             new = 0
-            for t in _positions(frontier):
+            for t in positions(frontier):
                 for row in rows:
                     new |= row[t]
-            frontier = new & ~reached
-            reached |= frontier
-        return self.full & ~reached
+            frontier = new & left
+            left ^= frontier
+        return left
 
     def _prob_ok(self, entry, agent, t, num, den, event, origin) -> bool:
-        """Whether the (agent, t) space, whose _spaces_of entry is given,
-        gives event at least num/den."""
-        space, sample, whole, atoms = entry
+        """Whether the (agent, t) space, whose entry is given, gives event
+        at least num/den.  The numerators of a valid space sum to its
+        denominator."""
+        sample, atoms, nums, whole = entry
         ev = event & sample
         if not ev:
             total = 0
         elif ev == sample:
             total = whole
         else:
-            if atoms is None:
-                atoms = entry[3] = tuple([self._mask(a) for a in space.atoms])
             total = 0
-            for k, (atom, w) in enumerate(zip(atoms, space._nums)):
+            for atom, w in zip(atoms, nums):
                 inside = atom & ev
                 if inside == atom:
                     total += w
                 elif inside:
-                    raise NotMeasurable(agent, self.model.states[t],
-                                        space.atoms[k], formula=origin)
-        return total * den >= num * space._den
+                    m = self.model
+                    raise NotMeasurable(agent, m.states[t], m.names_of(atom),
+                                        formula=origin)
+        return total * den >= num * whole
 
     def _prob(self, agent, num, den, event, origin) -> int:
         out = 0
-        for t, entry in enumerate(self._spaces_of(agent)):
+        for t, entry in enumerate(self.model.space_row(agent)):
             if self._prob_ok(entry, agent, t, num, den, event, origin):
                 out |= 1 << t
         return out
 
-    def _everyone_prob(self, members, num, den, event, origin) -> int:
+    def _rows(self, members) -> list:
+        """(agent, predecessor row, space row) of each member."""
+        m = self.model
+        return [(i, self._predecessors(i), m.space_row(i)) for i in members]
+
+    def _everyone_prob(self, rows, num, den, event, origin) -> int:
         """States where every member gives the event at least num/den at
-        every successor.  Strict: every (member, successor) space is
-        measured once, in sorted (agent, state) order, before any state is
-        decided."""
-        rows = [(i, self._predecessors(i), self._spaces_of(i))
-                for i in members]
+        every successor; rows are the members' `_rows`.  Strict: every
+        (member, successor) space is measured once, in sorted (agent,
+        state) order, before any state is decided."""
         failed = 0
-        for i, row, spaces in rows:
-            for t, mask in enumerate(row):
-                if mask and not self._prob_ok(spaces[t], i, t, num, den,
+        for i, pred, spaces in rows:
+            for t, (mask, entry) in enumerate(zip(pred, spaces)):
+                if mask and not self._prob_ok(entry, i, t, num, den,
                                               event, origin):
                     failed |= mask
         return self.full & ~failed
 
     def _prob_common(self, members, num, den, event, origin) -> list:
+        rows = self._rows(members)
         stages = [self.full]
         while True:
-            nxt = self._everyone_prob(members, num, den, event & stages[-1],
+            nxt = self._everyone_prob(rows, num, den, event & stages[-1],
                                       origin)
             stages.append(nxt)
             if nxt == stages[-2]:

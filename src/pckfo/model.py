@@ -5,6 +5,11 @@ state (rigid functions, per-state relations), one accessibility relation per
 agent, and one finitely additive probability space per (agent, state).  The
 algebra of each space is represented by its atoms: a partition of the sample
 set whose finite unions are exactly the measurable sets.
+
+A model keeps its relations and spaces in one compiled form, integer rows
+over bit masks (see `Model`); the loader, the enumerator and the evaluator
+work on those rows, and edge sets and `ProbSpace` objects are views built
+from them for the callers that ask.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import EvalError, NotMeasurable, SchemaError
 from .report import CheckReport, INVALID, OK
@@ -20,6 +27,17 @@ CLASS_CON = "CON"
 CLASS_OBJ = "OBJ"
 CLASS_SDP = "SDP"
 CLASS_UNIF = "UNIF"
+
+
+def positions(mask) -> list:
+    """Positions of the set bits of mask, ascending."""
+    bits = bin(mask)[:1:-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,48 +90,194 @@ def point_space(state) -> ProbSpace:
     return ProbSpace(frozenset([state]), (frozenset([state]),), (Fraction(1),))
 
 
-@dataclass(frozen=True)
-class Model:
-    """A finite model as plain data.
+class Positions(dict):
+    """Name -> bit position while a model is compiled: the k-th sorted
+    state at k, then each other name at the next free position, in the
+    order `add` first meets it.  `names` lists them by position and `bit`
+    maps each to its bit.  Only an invalid model has a name that is not a
+    state; its bit keeps the set algebra on masks exact, so `validate`
+    reports it as given."""
 
-    Construction only sorts `states`, `domain` and `agents`; nothing is
-    derived from the other fields, so every reader sees them as they
-    stand, and an evaluator compiles what it needs for itself (see
-    `pckfo.evaluator`).  Edges outside the state set and relations of
-    undeclared agents are kept as given, so `validate` still reports
-    them.
+    def __init__(self, states):
+        super().__init__(zip(states, range(len(states))))
+        self.names = list(states)
+        self.bit = {s: 1 << k for k, s in enumerate(states)}
+
+    def add(self, name) -> int:
+        k = self.get(name)
+        if k is None:
+            k = self[name] = len(self.names)
+            self.names.append(name)
+            self.bit[name] = 1 << k
+        return k
+
+    def mask(self, names) -> int:
+        out = 0
+        for s in names:
+            out |= 1 << self.add(s)
+        return out
+
+
+def canonical(atoms, nums, names, n) -> tuple:
+    """Atom masks and their numerators, both as lists, in canonical order:
+    by the sorted names of their members.  While all names are states
+    (the first n), that is the order of the atoms' lowest bits if those
+    are distinct, which they are in a partition; the names are sorted
+    only otherwise."""
+    low = [a & -a for a in atoms]
+    if len(names) == n:
+        if sorted(set(low)) == low:
+            return atoms, nums
+        if len(set(low)) == len(low):
+            order = sorted(range(len(atoms)), key=low.__getitem__)
+            return [atoms[i] for i in order], [nums[i] for i in order]
+    keys = [sorted([names[k] for k in positions(a)]) for a in atoms]
+    order = sorted(range(len(atoms)), key=keys.__getitem__)
+    return [atoms[i] for i in order], [nums[i] for i in order]
+
+
+def point_entry(k) -> tuple:
+    """The space entry of the one-point space at the state of position k."""
+    bit = 1 << k
+    return (bit, (bit,), (1,), 1)
+
+
+@dataclass(frozen=True, init=False)
+class Model:
+    """A finite model, compiled once into integer rows.
+
+    `states`, `domain` and `agents` are sorted.  Bit k of a mask stands for
+    `names[k]`: the states, then any name that is not a state, which only
+    an invalid model has.  The rows:
+
+    - `pred[agent]`: per name position, the mask of the names with an
+      edge of the agent into it; every declared agent has a row.
+    - `spaces[agent]`: per state position, the space entry `(sample,
+      atoms, nums, den)`: the sample mask, the atom masks in canonical
+      order (see `canonical`), their weights as integer numerators over
+      the common denominator den; None where a space is missing.  Every
+      declared agent has a row.
+    - `strays`: the (agent, state) keys of spaces outside agents x states,
+      in the order given; their spaces are not kept.
+
+    Construction compiles `access` (agent -> {(s, t)}) and `prob`
+    ((agent, state) -> ProbSpace); `Model.compiled` takes rows as they
+    stand.  Reading `access` or `prob` builds a view from the rows, so
+    `dataclasses.replace` compiles the model again.
     """
 
     states: tuple
     domain: tuple
     agents: tuple
-    functions: dict = field(default_factory=dict)   # name -> (arity, {args: value})
-    relations: dict = field(default_factory=dict)   # name -> (arity, {state: {tuples}})
-    access: dict = field(default_factory=dict)      # agent -> {(s, t)}
-    prob: dict = field(default_factory=dict)        # (agent, state) -> ProbSpace
-    groups: dict = field(default_factory=dict)      # name -> (members)
+    functions: dict     # name -> (arity, {args: value})
+    relations: dict     # name -> (arity, {state: {tuples}})
+    access: dict        # a view: agent -> {(s, t)}
+    prob: dict          # a view: (agent, state) -> ProbSpace
+    groups: dict        # name -> (members)
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(sorted(set(self.states))))
-        object.__setattr__(self, "domain", tuple(sorted(set(self.domain))))
-        object.__setattr__(self, "agents", tuple(sorted(set(self.agents))))
+    def __init__(self, states, domain, agents, functions=None, relations=None,
+                 access=None, prob=None, groups=None):
+        states = tuple(sorted(set(states)))
+        agents = tuple(sorted(set(agents)))
+        n = len(states)
+        index = Positions(states)
+        pred = {}
+        for agent, pairs in (access or {}).items():
+            into = {}
+            for s, t in pairs:
+                k = index.add(t)
+                into[k] = into.get(k, 0) | 1 << index.add(s)
+            size = max(n, max(into, default=0) + 1)
+            pred[agent] = tuple([into.get(k, 0) for k in range(size)])
+        spaces = {agent: [None] * n for agent in agents}
+        strays = []
+        for (agent, state), sp in (prob or {}).items():
+            row, k = spaces.get(agent), index.get(state, n)
+            if row is None or k >= n:
+                strays.append((agent, state))
+                continue
+            row[k] = (index.mask(sp.sample),
+                      tuple([index.mask(a) for a in sp.atoms]),
+                      sp._nums, sp._den)
+        for agent in agents:
+            pred.setdefault(agent, (0,) * n)
+        vars(self).update(
+            states=states, domain=tuple(sorted(set(domain))), agents=agents,
+            functions=functions or {}, relations=relations or {},
+            groups=groups or {}, names=tuple(index.names), pred=pred,
+            spaces={agent: tuple(row) for agent, row in spaces.items()},
+            strays=tuple(strays))
+
+    @classmethod
+    def compiled(cls, states, domain, agents, functions, relations, groups,
+                 names, pred, spaces, strays=()) -> "Model":
+        """A model made of its rows, taken as they stand: sorted states,
+        domain and agents, names starting with the states, and the rows
+        as the class describes them."""
+        m = object.__new__(cls)
+        vars(m).update(
+            states=states, domain=domain, agents=agents, functions=functions,
+            relations=relations, groups=groups, names=names, pred=pred,
+            spaces=spaces, strays=strays)
+        return m
+
+    # -- views
+
+    def names_of(self, mask) -> list:
+        """The names of the bits of mask."""
+        names = self.names
+        return [names[k] for k in positions(mask)]
+
+    @property
+    def access(self) -> dict:
+        names = self.names
+        return {agent: frozenset([(names[s], names[t])
+                                  for t, into in enumerate(row)
+                                  for s in positions(into)])
+                for agent, row in self.pred.items()}
+
+    @property
+    def prob(self) -> dict:
+        return {(agent, state): self._space(entry)
+                for agent in self.agents
+                for state, entry in zip(self.states, self.spaces[agent])
+                if entry is not None}
+
+    def _space(self, entry) -> ProbSpace:
+        sample, atoms, nums, den = entry
+        return ProbSpace(frozenset(self.names_of(sample)),
+                         tuple([frozenset(self.names_of(a)) for a in atoms]),
+                         tuple([Fraction(x, den) for x in nums]))
 
     def successors(self, agent: str, state: str) -> frozenset:
-        """States with an `agent` edge from `state`: a scan of its edges."""
-        pairs = self.access.get(agent)
-        if pairs is None:
-            if agent not in self.agents:
-                raise EvalError(f"undeclared agent {agent!r}")
+        """States with an `agent` edge from `state`."""
+        row = self.pred.get(agent)
+        if row is None:
+            raise EvalError(f"undeclared agent {agent!r}")
+        if state not in self.names:
             return frozenset()
-        return frozenset([t for (s, t) in pairs if s == state])
+        bit = 1 << self.names.index(state)
+        return frozenset([self.names[t] for t, into in enumerate(row)
+                          if into & bit])
 
     def space(self, agent: str, state: str) -> ProbSpace:
-        try:
-            return self.prob[(agent, state)]
-        except KeyError:
-            raise EvalError(
-                f"no probability space for agent {agent!r} at state {state!r}"
-            ) from None
+        row = self.spaces.get(agent)
+        if row is not None and state in self.states:
+            entry = row[self.states.index(state)]
+            if entry is not None:
+                return self._space(entry)
+        raise EvalError(
+            f"no probability space for agent {agent!r} at state {state!r}")
+
+    def space_row(self, agent: str) -> tuple:
+        """The agent's space entry per state position; EvalError if the
+        agent has a space missing."""
+        row = self.spaces.get(agent, ())
+        if len(row) == len(self.states) and None not in row:
+            return row
+        k = row.index(None) if None in row else 0
+        raise EvalError(f"no probability space for agent {agent!r} at"
+                        f" state {self.states[k]!r}")
 
     def resolve_group(self, tokens) -> tuple:
         """Resolve group-member tokens against declared groups and agents."""
@@ -185,41 +349,53 @@ def validate(m: Model) -> CheckReport:
                 elif any(d not in domain for d in tup):
                     bad(f"relations.{rel}@{state}", f"tuple {tup!r} outside domain")
 
-    for agent, pairs in sorted(m.access.items()):
+    n = len(m.states)
+    full = (1 << n) - 1
+    names = m.names
+    for agent, row in sorted(m.pred.items()):
         if agent not in m.agents:
             bad(f"access.{agent}", "accessibility for undeclared agent")
             continue
-        for (s, t) in sorted((s, t) for (s, t) in pairs
-                             if s not in states or t not in states):
+        if len(row) == n and reduce(or_, row, 0) <= full:
+            continue
+        for (s, t) in sorted((names[s], names[t])
+                             for t, into in enumerate(row)
+                             for s in positions(into if t >= n
+                                                else into & ~full)):
             bad(f"access.{agent}", f"edge ({s!r}, {t!r}) outside state set")
 
     for agent in m.agents:
-        for state in m.states:
-            sp = m.prob.get((agent, state))
-            where = f"prob.{agent}@{state}"
-            if sp is None:
-                bad(where, "missing probability space")
+        for state, entry in zip(m.states, m.spaces[agent]):
+            if entry is None:
+                bad(f"prob.{agent}@{state}", "missing probability space")
                 continue
-            if not sp.sample:
+            sample, atoms, nums, den = entry
+            if (sample and sample <= full and all(atoms)
+                    and reduce(or_, atoms, 0) == sample
+                    and sum(map(int.bit_count, atoms)) == sample.bit_count()
+                    and min(nums) >= 0 and max(nums) <= den
+                    and sum(nums) == den):
+                continue
+            where = f"prob.{agent}@{state}"
+            if not sample:
                 bad(where, "sample set must be nonempty")
-            if not sp.sample <= states:
+            if sample & ~full:
                 bad(where, "sample set must be a subset of the states")
-            union = set()
-            for atom in sp.atoms:
+            union = 0
+            for atom in atoms:
                 if not atom:
                     bad(where, "empty atom in the partition")
                 if atom & union:
                     bad(where, "atoms must be pairwise disjoint")
                 union |= atom
-            if union != sp.sample:
+            if union != sample:
                 bad(where, "atoms must partition the sample set")
-            if any(n < 0 or n > sp._den for n in sp._nums):
+            if any(x < 0 or x > den for x in nums):
                 bad(where, "weights must lie in [0, 1]")
-            if sum(sp._nums) != sp._den:
+            if sum(nums) != den:
                 bad(where, "measure not normalized: weights must sum to 1")
-    for (agent, state) in m.prob:
-        if agent not in m.agents or state not in states:
-            bad(f"prob.{agent}@{state}", "space keyed by unknown agent or state")
+    for (agent, state) in m.strays:
+        bad(f"prob.{agent}@{state}", "space keyed by unknown agent or state")
 
     if rep.details:
         rep.verdict = INVALID
@@ -238,27 +414,32 @@ def classify(m: Model) -> frozenset:
     probability-operator application during evaluation.
     """
     flags = set()
-    succ = {}   # (agent, state) -> successors, from one pass over the edges
+    n = len(m.states)
+    full = (1 << n) - 1
+    rows = [m.space_row(i) for i in m.agents]
+    succ = []   # per agent, the successor mask of each state position
     for i in m.agents:
-        for s, t in m.access.get(i, ()):
-            succ.setdefault((i, s), set()).add(t)
-    none = frozenset()
+        out = [0] * n
+        for t, into in enumerate(m.pred[i][:n]):
+            for s in positions(into & full):
+                out[s] |= 1 << t
+        succ.append(out)
 
-    if all(m.space(i, s).sample <= succ.get((i, s), none)
-           for i in m.agents for s in m.states):
+    if all(entry[0] & ~after == 0
+           for row, out in zip(rows, succ) for entry, after in zip(row, out)):
         flags.add(CLASS_CON)
 
-    if all(m.space(i, s) == m.space(j, s)
-           for s in m.states for i in m.agents for j in m.agents):
+    if all(row == rows[0] for row in rows):
         flags.add(CLASS_OBJ)
 
-    if all(m.space(i, s) == m.space(i, t)
-           for i in m.agents for s in m.states
-           for t in succ.get((i, s), none)):
+    if all(row[t] == entry
+           for row, out in zip(rows, succ) for entry, after in zip(row, out)
+           for t in positions(after)):
         flags.add(CLASS_SDP)
 
-    if all(m.space(i, s) == m.space(i, t)
-           for i in m.agents for s in m.states for t in m.space(i, s).sample):
+    if all(row[t] == entry
+           for row in rows for entry in row
+           for t in positions(entry[0] & full)):
         flags.add(CLASS_UNIF)
 
     return frozenset(flags)

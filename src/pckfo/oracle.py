@@ -22,7 +22,7 @@ from .errors import (
     BudgetError, EvalError, NonSentenceError, NotMeasurable, PckfoError,
 )
 from .evaluator import Evaluator, Program, satisfies, value_or_raise
-from .model import Model, ProbSpace, classify, validate
+from .model import Model, ProbSpace, canonical, classify, validate
 from .parser import model_to_doc, print_formula
 from .report import (
     CheckReport, NOT_FOUND, OK, REJECTED, SAT, VALID_IN_SUITE,
@@ -111,7 +111,9 @@ def _weight_rows(grid, k) -> list:
 
 
 def _space_options(states, budget) -> list:
-    """Every probability space over the given states allowed by the budget."""
+    """Every probability space over the given sorted states allowed by the
+    budget, as a space entry (see `Model`)."""
+    bit = {s: 1 << k for k, s in enumerate(states)}
     if budget.sample_mode == "full":
         samples = [tuple(states)]
     else:
@@ -126,10 +128,15 @@ def _space_options(states, budget) -> list:
             partitions = [[list(sample)]]
         else:
             partitions = _set_partitions(list(sample))
+        mask = sum([bit[s] for s in sample])
         for part in partitions:
-            atoms = tuple(frozenset(b) for b in part)
+            atoms = [sum([bit[s] for s in b]) for b in part]
             for row in _weight_rows(budget.weight_grid, len(atoms)):
-                out.append(ProbSpace(frozenset(sample), atoms, row))
+                den = math.lcm(*[w.denominator for w in row])
+                order, nums = canonical(
+                    atoms, [w.numerator * (den // w.denominator) for w in row],
+                    states, len(states))
+                out.append((mask, tuple(order), tuple(nums), den))
     return out
 
 
@@ -147,11 +154,18 @@ def _relation_options(states, budget) -> list:
 
 
 def _access_options(states) -> list:
-    pairs = list(itertools.product(states, states))
+    """Every accessibility relation over the given sorted states, as a
+    predecessor row (see `Model`)."""
+    n = len(states)
+    pairs = list(itertools.product(range(n), range(n)))
     out = []
     for size in range(len(pairs) + 1):
-        out.extend(itertools.combinations(pairs, size))
-    return [frozenset(s) for s in out]
+        for edges in itertools.combinations(pairs, size):
+            row = [0] * n
+            for s, t in edges:
+                row[t] |= 1 << s
+            out.append(tuple(row))
+    return out
 
 
 def _assemble(symbols, domain, agents, states, rel_choice, rel_slots,
@@ -161,25 +175,19 @@ def _assemble(symbols, domain, agents, states, rel_choice, rel_slots,
         relations[sym] = (arity, {})
     for (sym, state, _), chosen in zip(rel_slots, rel_choice):
         relations[sym][1][state] = chosen
-    access = {agent: access_choice[ix] for ix, agent in enumerate(agents)}
-    prob = {}
-    ix = 0
-    for agent in agents:
-        for state in states:
-            prob[(agent, state)] = spaces[ix]
-            ix += 1
-    return Model(
-        states=tuple(states), domain=domain, agents=agents,
-        functions={}, relations=relations, access=access, prob=prob,
-        groups={"G": tuple(agents)},
-    )
+    n = len(states)
+    return Model.compiled(
+        states, domain, agents, {}, relations, {"G": agents}, states,
+        dict(zip(agents, access_choice)),
+        {agent: spaces[k * n:(k + 1) * n] for k, agent in enumerate(agents)})
 
 
 def _shapes(budget: SearchBudget):
     """Per state count, from 1 to max_states and built only when reached:
-    the states, their relation slots, access options and space options."""
+    the states, sorted as a Model sorts them, their relation slots, access
+    options and space options."""
     for n in range(1, budget.max_states + 1):
-        states = [f"s{i}" for i in range(n)]
+        states = tuple(sorted(f"s{i}" for i in range(n)))
         yield (states, _relation_options(states, budget),
                _access_options(states), _space_options(states, budget))
 
@@ -247,7 +255,8 @@ def enumerate_models(budget: SearchBudget):
 def _all_models(budget: SearchBudget):
     """Every model of each shape, in a fixed order: enumerate_models
     without the cap, for callers that take a prefix."""
-    domain, agents = budget.domain, budget.agents   # each a new tuple
+    # each a new tuple, sorted as a Model sorts them
+    domain, agents = tuple(sorted(budget.domain)), budget.agents
     for states, rel_slots, access_opts, space_opts in _shapes(budget):
         rel_lists = [options for (_, _, options) in rel_slots]
         for rel_choice in itertools.product(*rel_lists):

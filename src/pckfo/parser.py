@@ -15,13 +15,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import re
 import string
 from fractions import Fraction
 
 from . import proofcheck as pc
 from .errors import ParseError, SchemaError
-from .model import Model, ProbSpace, point_space, validate
+from .model import Model, Positions, canonical, point_entry, validate
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var,
@@ -456,7 +457,9 @@ def _fraction(text, where) -> Fraction:
 
 
 def load_model(doc: dict) -> Model:
-    """Build a Model from a decoded model document (schema checks only)."""
+    """Build a Model from a decoded model document, compiling it into its
+    rows in the same pass (schema checks only; `validate` checks the model
+    invariants)."""
     if not isinstance(doc, dict):
         raise SchemaError("model document must be an object")
     states = _strings(_need(doc, "states", list, "model"), "model.states")
@@ -494,39 +497,57 @@ def load_model(doc: dict) -> Model:
             raise SchemaError(f"relations.{sym}: duplicate symbol")
         relations[sym] = (arity, table)
 
-    access = {}
+    states = sorted(set(states))
+    n = len(states)
+    index = Positions(states)
+    bit = index.bit
+    pred = {}
     for agent, pairs in _need_opt(doc, "access", dict, "model").items():
         if not isinstance(pairs, list):
             raise SchemaError(f"access.{agent}: must be a list of [s, t] pairs")
-        edges = set()
+        row = [0] * n
         for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
-                raise SchemaError(f"access.{agent}: bad edge {pair!r}")
-            edges.add((pair[0], pair[1]))
-        access[agent] = frozenset(edges)
+            if isinstance(pair, list) and len(pair) == 2:
+                s, t = pair
+                try:
+                    row[index[t]] |= bit[s]
+                    continue
+                except (KeyError, IndexError, TypeError):
+                    # an end that is not a state, or not a name at all
+                    if isinstance(s, str) and isinstance(t, str):
+                        k = index.add(t)
+                        row += [0] * (k + 1 - len(row))
+                        row[k] |= 1 << index.add(s)
+                        continue
+            raise SchemaError(f"access.{agent}: bad edge {pair!r}")
+        pred[agent] = tuple(row)
     for agent in agents:
-        access.setdefault(agent, frozenset())
+        pred.setdefault(agent, (0,) * n)
 
-    prob = {}
-    weights = {}   # weight text -> Fraction, so each distinct text parses once
-    prob_doc = _need_opt(doc, "prob", dict, "model")
-    for agent, per_state in prob_doc.items():
+    spaces = {agent: [None] * n for agent in agents}
+    strays = []
+    weights = {}   # weight texts -> (numerators, denominator)
+    for agent, per_state in _need_opt(doc, "prob", dict, "model").items():
         if not isinstance(per_state, dict):
             raise SchemaError(f"prob.{agent}: must map states to spaces")
+        row = spaces.get(agent)
         for state, space_doc in per_state.items():
-            prob[(agent, state)] = _load_space(
-                space_doc, f"prob.{agent}.{state}", weights)
-    for agent in agents:
-        for state in states:
-            if (agent, state) not in prob:
-                prob[(agent, state)] = point_space(state)
+            entry = _load_space(space_doc, f"prob.{agent}.{state}", index, n,
+                                weights)
+            k = index.get(state, n)
+            if row is None or k >= n:
+                strays.append((agent, state))
+            else:
+                row[k] = entry
+    for row in spaces.values():
+        for k, entry in enumerate(row):
+            if entry is None:
+                row[k] = point_entry(k)
 
-    return Model(
-        states=tuple(states), domain=tuple(domain), agents=tuple(agents),
-        functions=functions, relations=relations, access=access, prob=prob,
-        groups=groups,
-    )
+    return Model.compiled(
+        tuple(states), tuple(sorted(set(domain))), tuple(sorted(set(agents))),
+        functions, relations, groups, tuple(index.names), pred,
+        {agent: tuple(row) for agent, row in spaces.items()}, tuple(strays))
 
 
 def _need_opt(doc, key, cls, where):
@@ -535,21 +556,57 @@ def _need_opt(doc, key, cls, where):
     return _need(doc, key, cls, where)
 
 
-def _load_space(doc, where, parsed) -> ProbSpace:
+def _load_space(doc, where, index, n, parsed) -> tuple:
+    """The space entry (see `Model`) of a space document; index gives the
+    bit positions of names, the n states first, and parsed maps each run
+    of weight texts met so far to its numerators and denominator."""
     sample = _strings(_need(doc, "sample", list, where), where)
+    bit = index.bit
+    mask = 0
+    try:
+        for s in sample:
+            mask |= bit[s]
+    except KeyError:   # a name that is not a state
+        mask = index.mask(sample)
     if "atoms" in doc:
         atoms = []
         for names in _need(doc, "atoms", list, where):
-            if not (isinstance(names, list)
-                    and all(map(str.__instancecheck__, names))):
-                raise SchemaError(
-                    f"{where}: atoms must be lists of state names")
-            atoms.append(frozenset(names))
+            try:
+                if type(names) is not list:
+                    raise TypeError
+                m = 0
+                for s in names:
+                    m |= bit[s]
+            except (KeyError, TypeError):
+                # every name met so far is a string; check this atom's
+                if not (isinstance(names, list)
+                        and all(map(str.__instancecheck__, names))):
+                    raise SchemaError(
+                        f"{where}: atoms must be lists of state names"
+                    ) from None
+                m = index.mask(names)
+            atoms.append(m)
     else:
-        atoms = [frozenset([s]) for s in sorted(sample)]
+        atoms = [bit[s] for s in sorted(sample)]
     weights_doc = _need(doc, "weights", dict, where)
+    try:
+        texts = tuple([weights_doc[key] for key in map(str, range(len(atoms)))])
+        nums, den = parsed[texts]
+    except (KeyError, TypeError):   # a weight missing, or a new run
+        nums, den = _weights(weights_doc, len(atoms), where)
+        if all(map(str.__instancecheck__, texts)):
+            parsed[texts] = nums, den
+    if len(weights_doc) != len(atoms):
+        raise SchemaError(f"{where}: one weight per atom required")
+    atoms, nums = canonical(atoms, nums, index.names, n)
+    return (mask, tuple(atoms), tuple(nums), den)
+
+
+def _weights(weights_doc, count, where) -> tuple:
+    """The weights "0" .. count - 1, each checked in turn, as integer
+    numerators over their common denominator."""
     weights = []
-    for ix in range(len(atoms)):
+    for ix in range(count):
         key = str(ix)
         if key not in weights_doc:
             raise SchemaError(f"{where}: missing weight for atom {ix}")
@@ -557,14 +614,9 @@ def _load_space(doc, where, parsed) -> ProbSpace:
         if type(raw) is float:
             raise SchemaError(f"{where}: weight {raw!r} is a JSON float,"
                               f" which is not exact; write it as a string")
-        text = str(raw)
-        w = parsed.get(text)
-        if w is None:
-            w = parsed[text] = _fraction(raw, where)
-        weights.append(w)
-    if len(weights_doc) != len(atoms):
-        raise SchemaError(f"{where}: one weight per atom required")
-    return ProbSpace(frozenset(sample), tuple(atoms), tuple(weights))
+        weights.append(_fraction(raw, where))
+    den = math.lcm(*[w.denominator for w in weights])
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def decode_json(text: str, not_valid: str):

@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import json
 import weakref
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ from pckfo.errors import EvalError, NotMeasurable
 from pckfo.evaluator import (
     Evaluator, Program, eval_term, extension, satisfies,
 )
-from pckfo.model import CLASS_CON, Model, ProbSpace, classify, point_space
+from pckfo.model import Model, ProbSpace, classify, point_space
 from pckfo.oracle import chain_model
-from pckfo.parser import parse_formula, parse_model
+from pckfo.parser import load_model, model_to_json, parse_formula, parse_model
 from pckfo.syntax import (
     And, App, Atom, CommonProb, Forall, Knows, Not, ProbAtLeast, Var, bot,
     free_vars, implies, iterate_everyone, knows_prob, prob_common_stage, top,
@@ -310,18 +310,20 @@ class TestCommonKnowledge:
             assert ev.common_knowledge(("a",), ext) == bounded
 
 
-class TestPlainModel:
-    def test_model_changed_in_place_is_read_as_it_stands(self):
-        m = chain_model(3)   # s0 -> s1 -> s2, p at s0 and s1, point spaces
-        assert Evaluator(m).extension(parse_formula("C{G} p")) == {"s2"}
-        m.access["a"] = frozenset({("s0", "s0"), ("s0", "s1"),
-                                   ("s1", "s1"), ("s2", "s2")})
-        ev = Evaluator(m)
-        assert ev.extension(parse_formula("K[a] p")) == {"s0", "s1"}
-        assert ev.extension(parse_formula("C{G} p")) == {"s0", "s1"}
-        assert CLASS_CON in classify(m)
-        assert classify(m) == classify(dataclasses.replace(m))
+class TestCompiledModel:
+    def test_views_of_the_rows_round_trip_the_fixtures(self, fixtures_dir):
+        # model_to_doc reads the access and prob views of the rows
+        for path in sorted((fixtures_dir / "models").glob("*.json")):
+            text = path.read_text()
+            m = load_model(json.loads(text))
+            assert model_to_json(m) == text, path.name
+            again = Model(m.states, m.domain, m.agents, m.functions,
+                          m.relations, m.access, m.prob, m.groups)
+            assert (again.pred, again.spaces) == (m.pred, m.spaces)
+            assert classify(again) == classify(m)
 
+
+class TestPlainModel:
     def test_edges_outside_the_states_add_nothing(self):
         # Not a valid model: validate reports both edges; evaluation
         # ignores them.
