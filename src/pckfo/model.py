@@ -65,14 +65,13 @@ class ProbSpace:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         weights = tuple([w if isinstance(w, Fraction) else Fraction(w)
                          for w in map(self.weights.__getitem__, order)])
-        den = math.lcm(*[w.denominator for w in weights])
+        nums, den = over_common_denominator(weights)
         object.__setattr__(self, "sample", frozenset(self.sample))
         object.__setattr__(
             self, "atoms", tuple([frozenset(self.atoms[i]) for i in order]))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_nums", tuple(
-            [w.numerator * (den // w.denominator) for w in weights]))
+        object.__setattr__(self, "_nums", tuple(nums))
 
     def measure(self, event, *, agent=None, state=None) -> Fraction:
         """Exact measure of event ∩ sample; the event must be a union of atoms."""
@@ -84,6 +83,13 @@ class ProbSpace:
             elif not atom.isdisjoint(ev):
                 raise NotMeasurable(agent, state, atom)
         return Fraction(total, self._den)
+
+
+def over_common_denominator(weights) -> tuple:
+    """Fractions as a list of integer numerators over the lcm of their
+    denominators, and that lcm."""
+    den = math.lcm(*[w.denominator for w in weights])
+    return [w.numerator * (den // w.denominator) for w in weights], den
 
 
 def point_space(state) -> ProbSpace:
@@ -118,22 +124,22 @@ class Positions(dict):
         return out
 
 
-def canonical(atoms, nums, names, n) -> tuple:
-    """Atom masks and their numerators, both as lists, in canonical order:
-    by the sorted names of their members.  While all names are states
-    (the first n), that is the order of the atoms' lowest bits if those
-    are distinct, which they are in a partition; the names are sorted
-    only otherwise."""
+def space_entry(sample, atoms, nums, den, names, n) -> tuple:
+    """The space entry (see `Model`) of a sample mask, atom masks and their
+    numerators over den, with the atoms put in canonical order: by the
+    sorted names of their members.  While all names are states (the first
+    n), that is the order of the atoms' lowest bits if those are distinct,
+    which they are in a partition; the names are sorted only otherwise."""
     low = [a & -a for a in atoms]
-    if len(names) == n:
-        if sorted(set(low)) == low:
-            return atoms, nums
-        if len(set(low)) == len(low):
-            order = sorted(range(len(atoms)), key=low.__getitem__)
-            return [atoms[i] for i in order], [nums[i] for i in order]
-    keys = [sorted([names[k] for k in positions(a)]) for a in atoms]
+    if len(names) == n and sorted(set(low)) == low:
+        return (sample, tuple(atoms), tuple(nums), den)
+    if len(names) == n and len(set(low)) == len(low):
+        keys = low
+    else:
+        keys = [sorted([names[k] for k in positions(a)]) for a in atoms]
     order = sorted(range(len(atoms)), key=keys.__getitem__)
-    return [atoms[i] for i in order], [nums[i] for i in order]
+    return (sample, tuple([atoms[i] for i in order]),
+            tuple([nums[i] for i in order]), den)
 
 
 def point_entry(k) -> tuple:
@@ -154,7 +160,7 @@ class Model:
       edge of the agent into it; every declared agent has a row.
     - `spaces[agent]`: per state position, the space entry `(sample,
       atoms, nums, den)`: the sample mask, the atom masks in canonical
-      order (see `canonical`), their weights as integer numerators over
+      order (see `space_entry`), their weights as integer numerators over
       the common denominator den; None where a space is missing.  Every
       declared agent has a row.
     - `strays`: the (agent, state) keys of spaces outside agents x states,

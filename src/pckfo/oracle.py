@@ -22,7 +22,10 @@ from .errors import (
     BudgetError, EvalError, NonSentenceError, NotMeasurable, PckfoError,
 )
 from .evaluator import Evaluator, Program, satisfies, value_or_raise
-from .model import Model, ProbSpace, canonical, classify, validate
+from .model import (
+    Model, ProbSpace, classify, over_common_denominator, space_entry,
+    validate,
+)
 from .parser import model_to_doc, print_formula
 from .report import (
     CheckReport, NOT_FOUND, OK, REJECTED, SAT, VALID_IN_SUITE,
@@ -132,11 +135,9 @@ def _space_options(states, budget) -> list:
         for part in partitions:
             atoms = [sum([bit[s] for s in b]) for b in part]
             for row in _weight_rows(budget.weight_grid, len(atoms)):
-                den = math.lcm(*[w.denominator for w in row])
-                order, nums = canonical(
-                    atoms, [w.numerator * (den // w.denominator) for w in row],
-                    states, len(states))
-                out.append((mask, tuple(order), tuple(nums), den))
+                nums, den = over_common_denominator(row)
+                out.append(space_entry(mask, atoms, nums, den, states,
+                                       len(states)))
     return out
 
 

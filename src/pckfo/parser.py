@@ -15,14 +15,16 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import re
 import string
 from fractions import Fraction
 
 from . import proofcheck as pc
 from .errors import ParseError, SchemaError
-from .model import Model, Positions, canonical, point_entry, validate
+from .model import (
+    Model, Positions, over_common_denominator, point_entry, space_entry,
+    validate,
+)
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var,
@@ -598,8 +600,7 @@ def _load_space(doc, where, index, n, parsed) -> tuple:
             parsed[texts] = nums, den
     if len(weights_doc) != len(atoms):
         raise SchemaError(f"{where}: one weight per atom required")
-    atoms, nums = canonical(atoms, nums, index.names, n)
-    return (mask, tuple(atoms), tuple(nums), den)
+    return space_entry(mask, atoms, nums, den, index.names, n)
 
 
 def _weights(weights_doc, count, where) -> tuple:
@@ -615,8 +616,7 @@ def _weights(weights_doc, count, where) -> tuple:
             raise SchemaError(f"{where}: weight {raw!r} is a JSON float,"
                               f" which is not exact; write it as a string")
         weights.append(_fraction(raw, where))
-    den = math.lcm(*[w.denominator for w in weights])
-    return [w.numerator * (den // w.denominator) for w in weights], den
+    return over_common_denominator(weights)
 
 
 def decode_json(text: str, not_valid: str):
