@@ -349,7 +349,7 @@ def validate(m: Model) -> CheckReport:
             if state not in states:
                 bad(f"relations.{rel}", f"table keyed by unknown state {state!r}")
                 continue
-            for tup in tuples:
+            for tup in sorted(tuples):
                 if len(tup) != arity:
                     bad(f"relations.{rel}@{state}", f"tuple {tup!r} has wrong arity")
                 elif any(d not in domain for d in tup):

@@ -56,6 +56,17 @@ class TestValidate:
         rep = validate(m)
         assert any("outside domain" in d["problem"] for d in rep.details)
 
+    def test_relation_tuples_reported_in_sorted_order(self):
+        # a frozenset's order follows the hash seed; the report's must not
+        bad = [(f"d{k}",) for k in range(9, 1, -1)] + [(), ("d0", "d0")]
+        m = Model(states=("s0",), domain=("d0",), agents=("a",),
+                  relations={"R": (1, {"s0": frozenset(bad)})},
+                  prob={("a", "s0"): point_space("s0")})
+        assert [d["problem"] for d in validate(m).details] == [
+            f"tuple {t!r} " + ("outside domain" if len(t) == 1
+                              else "has wrong arity")
+            for t in sorted(bad)]
+
     def test_missing_space(self):
         m = Model(states=("s0",), domain=("d0",), agents=("a",),
                   access={"a": frozenset()}, prob={})
