@@ -202,9 +202,9 @@ class Model:
             if row is None or k >= n:
                 strays.append((agent, state))
                 continue
-            row[k] = (index.mask(sp.sample),
-                      tuple([index.mask(a) for a in sp.atoms]),
-                      sp._nums, sp._den)
+            row[k] = space_entry(index.mask(sp.sample),
+                                 [index.mask(a) for a in sp.atoms], sp._nums,
+                                 sp._den, index.names, n)
         for agent in agents:
             pred.setdefault(agent, (0,) * n)
         vars(self).update(
@@ -376,12 +376,6 @@ def validate(m: Model) -> CheckReport:
                 bad(f"prob.{agent}@{state}", "missing probability space")
                 continue
             sample, atoms, nums, den = entry
-            if (sample and sample <= full and all(atoms)
-                    and reduce(or_, atoms, 0) == sample
-                    and sum(map(int.bit_count, atoms)) == sample.bit_count()
-                    and min(nums) >= 0 and max(nums) <= den
-                    and sum(nums) == den):
-                continue
             where = f"prob.{agent}@{state}"
             if not sample:
                 bad(where, "sample set must be nonempty")
