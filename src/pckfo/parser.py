@@ -580,7 +580,8 @@ def _load_space(doc, where, index, n, parsed) -> tuple:
                 for s in names:
                     m |= bit[s]
             except (KeyError, TypeError):
-                # every name met so far is a string; check this atom's
+                # not a list, or a member that is no state: every name with
+                # a bit is a string, so only such an atom needs checking
                 if not (isinstance(names, list)
                         and all(map(str.__instancecheck__, names))):
                     raise SchemaError(
@@ -594,7 +595,9 @@ def _load_space(doc, where, index, n, parsed) -> tuple:
     try:
         texts = tuple([weights_doc[key] for key in map(str, range(len(atoms)))])
         nums, den = parsed[texts]
-    except (KeyError, TypeError):   # a weight missing, or a new run
+    except (KeyError, TypeError):
+        # a run not met before; _weights raises if a weight is missing or
+        # not a rational
         nums, den = _weights(weights_doc, len(atoms), where)
         if all(map(str.__instancecheck__, texts)):
             parsed[texts] = nums, den
