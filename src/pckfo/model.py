@@ -163,8 +163,8 @@ class Model:
       order (see `space_entry`), their weights as integer numerators over
       the common denominator den; None where a space is missing.  Every
       declared agent has a row.
-    - `strays`: the (agent, state) keys of spaces outside agents x states,
-      in the order given; their spaces are not kept.
+    - `strays`: ((agent, state), space entry) of each space keyed outside
+      agents x states, in the order given.
 
     Construction compiles `access` (agent -> {(s, t)}) and `prob`
     ((agent, state) -> ProbSpace); `Model.compiled` takes rows as they
@@ -198,13 +198,14 @@ class Model:
         spaces = {agent: [None] * n for agent in agents}
         strays = []
         for (agent, state), sp in (prob or {}).items():
+            entry = space_entry(index.mask(sp.sample),
+                                [index.mask(a) for a in sp.atoms], sp._nums,
+                                sp._den, index.names, n)
             row, k = spaces.get(agent), index.get(state, n)
             if row is None or k >= n:
-                strays.append((agent, state))
-                continue
-            row[k] = space_entry(index.mask(sp.sample),
-                                 [index.mask(a) for a in sp.atoms], sp._nums,
-                                 sp._den, index.names, n)
+                strays.append(((agent, state), entry))
+            else:
+                row[k] = entry
         for agent in agents:
             pred.setdefault(agent, (0,) * n)
         vars(self).update(
@@ -244,10 +245,12 @@ class Model:
 
     @property
     def prob(self) -> dict:
-        return {(agent, state): self._space(entry)
-                for agent in self.agents
-                for state, entry in zip(self.states, self.spaces[agent])
-                if entry is not None}
+        out = {(agent, state): self._space(entry)
+               for agent in self.agents
+               for state, entry in zip(self.states, self.spaces[agent])
+               if entry is not None}
+        out.update((key, self._space(entry)) for key, entry in self.strays)
+        return out
 
     def _space(self, entry) -> ProbSpace:
         sample, atoms, nums, den = entry
@@ -394,7 +397,7 @@ def validate(m: Model) -> CheckReport:
                 bad(where, "weights must lie in [0, 1]")
             if sum(nums) != den:
                 bad(where, "measure not normalized: weights must sum to 1")
-    for (agent, state) in m.strays:
+    for (agent, state), _ in m.strays:
         bad(f"prob.{agent}@{state}", "space keyed by unknown agent or state")
 
     if rep.details:

@@ -538,7 +538,7 @@ def load_model(doc: dict) -> Model:
                                 weights)
             k = index.get(state, n)
             if row is None or k >= n:
-                strays.append((agent, state))
+                strays.append(((agent, state), entry))
             else:
                 row[k] = entry
     for row in spaces.values():

@@ -109,6 +109,21 @@ class TestValidate:
         assert "weights must lie in [0, 1]" in problems
         assert not any("not normalized" in pr for pr in problems)
 
+    def test_replace_keeps_spaces_keyed_outside(self):
+        m = two_state()
+        prob = {**m.prob, ("zz", "s0"): point_space("s0"),
+                ("a", "s9"): point_space("s9")}
+        bad = Model(states=m.states, domain=m.domain, agents=m.agents,
+                    relations=m.relations, access=m.access, prob=prob)
+        problems = [(d["where"], d["problem"]) for d in validate(bad).details]
+        assert problems == [
+            ("prob.zz@s0", "space keyed by unknown agent or state"),
+            ("prob.a@s9", "space keyed by unknown agent or state")]
+        again = dataclasses.replace(bad, functions={})
+        assert again == bad
+        assert [(d["where"], d["problem"])
+                for d in validate(again).details] == problems
+
     def test_every_bad_edge_reported(self):
         m = two_state()
         bad = dataclasses.replace(m, access={
