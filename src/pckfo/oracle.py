@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import axioms as ax
@@ -23,8 +23,8 @@ from .errors import (
 )
 from .evaluator import Evaluator, Program, satisfies, value_or_raise
 from .model import (
-    Model, ProbSpace, classify, over_common_denominator, space_entry,
-    validate,
+    Model, ProbSpace, classify, over_common_denominator, positions,
+    space_entry, validate,
 )
 from .parser import model_to_doc, print_formula
 from .report import (
@@ -279,11 +279,13 @@ def _rng_for(budget: SearchBudget, tag) -> random.Random:
 
 
 def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
-    """One seeded random model.  `rows` keeps the weight rows of each
-    partition size, and the partitions of each sorted sample, between the
-    calls of one generation run."""
+    """One seeded random model, built as rows (see `Model`).  `rows` keeps
+    the weight rows of each partition size, and the partitions of each
+    sorted sample, between the calls of one generation run."""
     n = rng.randint(1, budget.max_states)
     states = [f"s{i}" for i in range(n)]
+    names = sorted(states)
+    bit = {s: 1 << k for k, s in enumerate(names)}
     domain = budget.domain
     relations = {}
     for sym, arity in budget.relation_symbols:
@@ -292,24 +294,27 @@ def random_model(budget: SearchBudget, rng: random.Random, rows) -> Model:
         for state in states:
             table[state] = frozenset(t for t in tuples if rng.random() < 0.5)
         relations[sym] = (arity, table)
-    access = {}
+    pred = {}
     for agent in budget.agents:
-        pairs = [p for p in itertools.product(states, states)
-                 if rng.random() < 0.5]
-        access[agent] = frozenset(pairs)
-    prob = {}
+        into = dict.fromkeys(states, 0)
+        for s, t in itertools.product(states, states):
+            if rng.random() < 0.5:
+                into[t] |= bit[s]
+        pred[agent] = tuple([into[t] for t in names])
+    spaces = {}
     for agent in budget.agents:
-        for state in states:
-            prob[(agent, state)] = _random_space(budget, rng, states, rows)
-    m = Model(states=tuple(states), domain=domain, agents=budget.agents,
-              functions={}, relations=relations, access=access, prob=prob,
-              groups={"G": tuple(budget.agents)})
+        entries = {s: _random_space(budget, rng, states, rows) for s in states}
+        spaces[agent] = tuple([entries[s] for s in names])
+    m = Model.compiled(tuple(names), tuple(sorted(domain)), budget.agents, {},
+                       relations, {"G": budget.agents}, tuple(names), pred,
+                       spaces)
     if not validate(m).passed:
         raise EvalError("generated model failed validation")
     return m
 
 
-def _random_space(budget, rng, states, rows) -> ProbSpace:
+def _random_space(budget, rng, states, rows) -> tuple:
+    """A random space entry over the states, as the budget allows."""
     if budget.sample_mode == "full":
         sample = list(states)
     else:
@@ -331,8 +336,12 @@ def _random_space(budget, rng, states, rows) -> ProbSpace:
         # Grid cannot normalize this partition; a point mass always can.
         part = [list(sample)]
         options = [(Fraction(1),)]
-    return ProbSpace(frozenset(sample), tuple(frozenset(b) for b in part),
-                     rng.choice(options))
+    names = sorted(states)
+    bit = {s: 1 << k for k, s in enumerate(names)}
+    nums, den = over_common_denominator(rng.choice(options))
+    return space_entry(sum([bit[s] for s in sample]),
+                       [sum([bit[s] for s in b]) for b in part], nums, den,
+                       names, len(names))
 
 
 def random_models(budget: SearchBudget, count: int, tag="models") -> list:
@@ -348,27 +357,25 @@ def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
     out = []
     while len(out) < count:
         m = random_model(budget, rng, rows)
+        pred, spaces = dict(m.pred), dict(m.spaces)
         if flag == "CON":
-            access = {
-                agent: m.access[agent] | frozenset(
-                    (s, t) for s in m.states
-                    for t in m.space(agent, s).sample)
-                for agent in m.agents}
-            m = replace(m, access=access)
+            # each state reaches every state of its sample
+            for agent, row in spaces.items():
+                into = list(pred[agent])
+                for s, entry in enumerate(row):
+                    for t in positions(entry[0]):
+                        into[t] |= 1 << s
+                pred[agent] = tuple(into)
         elif flag == "OBJ":
-            first = m.agents[0]
-            prob = {(agent, s): m.prob[(first, s)]
-                    for agent in m.agents for s in m.states}
-            m = replace(m, prob=prob)
+            spaces = dict.fromkeys(m.agents, spaces[m.agents[0]])
         elif flag in ("SDP", "UNIF"):
-            prob = {}
             for agent in m.agents:
                 shared = _random_space(budget, rng, m.states, rows)
-                for s in m.states:
-                    prob[(agent, s)] = shared
-            m = replace(m, prob=prob)
+                spaces[agent] = (shared,) * len(m.states)
         else:
             raise BudgetError(f"unknown class flag {flag!r}")
+        m = Model.compiled(m.states, m.domain, m.agents, m.functions,
+                           m.relations, m.groups, m.names, pred, spaces)
         if not (validate(m).passed and flag in classify(m)):
             raise EvalError(f"generated model is invalid or not {flag}")
         out.append(m)
