@@ -157,7 +157,8 @@ class Model:
     an invalid model has.  The rows:
 
     - `pred[agent]`: per name position, the mask of the names with an
-      edge of the agent into it; every declared agent has a row.
+      edge of the agent into it; a row covers the states and any later
+      name with an edge into it.  Every declared agent has a row.
     - `spaces[agent]`: per state position, the space entry `(sample,
       atoms, nums, den)`: the sample mask, the atom masks in canonical
       order (see `space_entry`), their weights as integer numerators over
