@@ -8,6 +8,13 @@ one of u v w x y z are variables; all other identifiers are constants,
 function or relation symbols depending on position.  Derived connectives are
 expanded while parsing, so the printer only ever emits ! & forall and the six
 modal/probability operators.
+
+Every formula text is read against a table of parenthesized groups
+(`_Groups`): `load_proof` makes one for all the formula texts of a document,
+and `parse_formula` one per call.  A group is keyed by its tokens, with each
+inner group standing as its id, so keys are linear in the text; a group read
+as a formula once is taken as that one object at every later copy, and not
+read again.
 """
 
 from __future__ import annotations
@@ -74,6 +81,21 @@ def _tokenize(text: str) -> list:
     return toks
 
 
+class _Groups:
+    """The parenthesized groups of the formula texts of one document, or
+    of one text.  `ids` interns each group's key to an integer id: the
+    tuple of the tokens directly inside it, with each inner group replaced
+    by its id, so a token is in one key and keys are linear in the text.
+    `formulas` maps the id of each group read as a formula to that formula.
+    The parse of a group depends on its tokens alone, and a group is stored
+    only once it was read without error, so a stored formula stands for
+    every copy of its group."""
+
+    def __init__(self):
+        self.ids = {}
+        self.formulas = {}
+
+
 class _FormulaParser:
     """A reader over the token strings of one text.  Formulas and terms
     are read in loops that keep their open levels on lists, so nesting has
@@ -81,13 +103,40 @@ class _FormulaParser:
 
     `toks` ends with "", so the parser indexes it without bounds checks.
     Spans are found again from the text only when an error is raised.
+    `groups` maps the position of each matched "(" to its id in `table` and
+    the position of its ")".  Only `_formula` stores and looks up formulas
+    by id, so a group read as the arguments of a term or an atom never
+    stands in for a formula.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, table: _Groups):
         self.text = text
         self.toks = _tokenize(text)
         self.toks.append("")
         self.pos = 0
+        self.table = table
+        self.groups = self._key_groups()
+
+    def _key_groups(self) -> dict:
+        """Key each matched group, innermost first, in one pass over the
+        tokens with a stack of the enclosing keys."""
+        ids = self.table.ids
+        groups = {}
+        stack = []      # (position of "(", enclosing key) of the open groups
+        key = []        # the key so far of the innermost open group
+        for ix, tok in enumerate(self.toks):
+            if tok == "(":
+                stack.append((ix, key))
+                key = []
+            elif tok == ")" and stack:
+                start, outer = stack.pop()
+                gid = ids.setdefault(tuple(key), len(ids))
+                groups[start] = (gid, ix)
+                outer.append(gid)
+                key = outer
+            else:
+                key.append(tok)
+        return groups
 
     # -- token plumbing
 
@@ -128,12 +177,16 @@ class _FormulaParser:
         """A formula, read in one loop.  A level is the prefix run before
         the current operand and the operands and open connectives around
         it; "(" saves the open level on `levels` and starts a new one, and
-        the matching ")" restores it and applies its prefixes."""
+        the matching ")" restores it and applies its prefixes.  A group
+        whose formula is in the table is taken from there as the operand,
+        and the reader jumps past its ")"."""
         toks = self.toks
+        groups, formulas = self.groups, self.table.formulas
         levels = []     # the enclosing levels, innermost last
         prefixes = []   # (constructor, leading arguments), outermost first
         operands = []
         pending = []    # (precedence, constructor) of the open connectives
+        gid = None      # the id of the group the current level reads
         while True:
             tok = toks[self.pos]
             if tok == "!":
@@ -141,20 +194,26 @@ class _FormulaParser:
                 prefixes.append((Not, ()))
                 continue
             if tok == "(":
-                self.pos += 1
-                levels.append((prefixes, operands, pending))
-                prefixes, operands, pending = [], [], []
-                continue
-            if not tok:
+                # an unmatched "(" has no id, and its level never closes
+                inner, end = groups.get(self.pos, (None, None))
+                f = formulas.get(inner)
+                if f is None:
+                    self.pos += 1
+                    levels.append((prefixes, operands, pending, gid))
+                    prefixes, operands, pending, gid = [], [], [], inner
+                    continue
+                self.pos = end + 1
+            elif not tok:
                 raise ParseError("unexpected end of input",
                                  self._span(self.pos))
-            if tok[0] not in _ID_START:
+            elif tok[0] not in _ID_START:
                 raise ParseError(f"unexpected {tok!r}", self._span(self.pos))
-            if tok in _PREFIX_WORDS and (
+            elif tok in _PREFIX_WORDS and (
                     prefix := self._prefix(tok, toks[self.pos + 1])):
                 prefixes.append(prefix)
                 continue
-            f = self._atom()
+            else:
+                f = self._atom()
             while True:
                 for build, args in reversed(prefixes):
                     f = build(*args, f)
@@ -179,7 +238,8 @@ class _FormulaParser:
                 if closing != ")":
                     raise ParseError(f"expected ')', found {closing!r}",
                                      self._span(self.pos - 1))
-                prefixes, operands, pending = levels.pop()
+                formulas[gid] = f
+                prefixes, operands, pending, gid = levels.pop()
 
     def _prefix(self, word, follows):
         """Read the prefix operator `word` starts, up to its body; None
@@ -352,15 +412,20 @@ class _FormulaParser:
                 return term
 
 
+def _read_formula(text: str, table: _Groups):
+    """Parse formula text, sharing the groups of `table`."""
+    p = _FormulaParser(text, table)
+    return p.parse(p._formula)
+
+
 def parse_formula(text: str):
     """Parse concrete syntax into a core formula (abbreviations expanded)."""
-    p = _FormulaParser(text)
-    return p.parse(p._formula)
+    return _read_formula(text, _Groups())
 
 
 def parse_term(text: str):
     """Parse a bare term (used for axiom parameters in proof documents)."""
-    p = _FormulaParser(text)
+    p = _FormulaParser(text, _Groups())
     return p.parse(p._term)
 
 
@@ -721,20 +786,21 @@ def _dump_params(params) -> dict:
     return {key: _PARAMS[key][2](value) for key, value in params}
 
 
-def _formulas(texts, where) -> tuple:
+def _formulas(texts, where, table) -> tuple:
     """Each entry of the list texts, parsed as formula text."""
     out = []
     for ix, text in enumerate(texts):
         if not isinstance(text, str):
             raise SchemaError(
                 f"{where}[{ix}]: expected formula text, got {text!r}")
-        out.append(parse_formula(text))
+        out.append(_read_formula(text, table))
     return tuple(out)
 
 
-def _load_spec(doc, where) -> NestedImplicationSpec:
+def _load_spec(doc, where, table) -> NestedImplicationSpec:
     k = _need(doc, "k", int, where)
-    thetas = _formulas(_need(doc, "thetas", list, where), f"{where}.thetas")
+    thetas = _formulas(_need(doc, "thetas", list, where), f"{where}.thetas",
+                       table)
     guards = []
     for g in _need(doc, "guards", list, where):
         op = _need(g, "op", str, where)
@@ -778,7 +844,9 @@ _KINDS = {
 }
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
-# Justification field -> (document key, JSON type, load, dump).
+# Justification field -> (document key, JSON type, load, dump).  A spec's
+# load also takes the document's group table; the formulas of an axiom's
+# params are read each with a table of its own.
 _INT = (int, _as_is, _as_is)
 _FIELDS = {
     "name": ("name", *_NAME),
@@ -796,7 +864,7 @@ _FIELDS = {
 }
 
 
-def _load_just(doc, where):
+def _load_just(doc, where, table):
     kind = _need(doc, "kind", str, where)
     if kind == "CON-axiom":
         kind, doc = "axiom", {**doc, "name": "CON"}
@@ -807,7 +875,9 @@ def _load_just(doc, where):
     for f in dataclasses.fields(cls):
         key, json_type, load, _ = _FIELDS[f.name]
         if f.default is dataclasses.MISSING or key in doc:
-            values[f.name] = load(_need(doc, key, json_type, where), where)
+            value = _need(doc, key, json_type, where)
+            values[f.name] = _load_spec(value, where, table) \
+                if load is _load_spec else load(value, where)
     return cls(**values)
 
 
@@ -830,13 +900,14 @@ def load_proof(doc: dict) -> pc.Proof:
     mode = doc.get("mode", pc.MODE_PLAIN)
     if mode not in (pc.MODE_PLAIN, pc.MODE_CON):
         raise SchemaError(f"mode must be plain or con, got {mode!r}")
+    table = _Groups()
     hypotheses = _formulas(_need_opt(doc, "hypotheses", list, "proof"),
-                           "proof.hypotheses")
+                           "proof.hypotheses", table)
     steps = []
     for ix, entry in enumerate(_need(doc, "steps", list, "proof")):
         where = f"steps[{ix}]"
-        formula = parse_formula(_need(entry, "formula", str, where))
-        just = _load_just(_need(entry, "just", dict, where), where)
+        formula = _read_formula(_need(entry, "formula", str, where), table)
+        just = _load_just(_need(entry, "just", dict, where), where, table)
         for ref in pc._refs(just):
             if not (0 <= ref < ix):
                 raise SchemaError(

@@ -290,4 +290,8 @@ def test_index_matches_edge_scan(access):
     assert rebuilt.successors("b", "s0") == frozenset()
     assert m == Model(states=_STATES, domain=("d0",), agents=("a", "b"),
                       access=access)
-    assert all(f.init for f in dataclasses.fields(m))   # nothing derived
+    # only the declared data and the rows are stored; access and prob are
+    # views built on each read
+    assert set(vars(m)) == {"states", "domain", "agents", "functions",
+                            "relations", "groups", "names", "pred", "spaces",
+                            "strays"}
