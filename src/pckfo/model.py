@@ -167,6 +167,11 @@ class Model:
     - `strays`: ((agent, state), space entry) of each space keyed outside
       agents x states, in the order given.
 
+    `orbit` is carried beside the rows: None, or the model's place in its
+    class under renamings of its states, which `oracle.enumerate_models`
+    sets and `oracle._scan` reads (see `oracle._all_models`).  It takes no
+    part in equality.
+
     Construction compiles `access` (agent -> {(s, t)}) and `prob`
     ((agent, state) -> ProbSpace); `Model.compiled` takes rows as they
     stand.  Reading `access` or `prob` builds a view from the rows, so
@@ -181,6 +186,7 @@ class Model:
     access: dict        # a view: agent -> {(s, t)}
     prob: dict          # a view: (agent, state) -> ProbSpace
     groups: dict        # name -> (members)
+    orbit = None
 
     def __init__(self, states, domain, agents, functions=None, relations=None,
                  access=None, prob=None, groups=None):
@@ -218,7 +224,7 @@ class Model:
 
     @classmethod
     def compiled(cls, states, domain, agents, functions, relations, groups,
-                 names, pred, spaces, strays=()) -> "Model":
+                 names, pred, spaces, strays=(), orbit=None) -> "Model":
         """A model made of its rows, taken as they stand: sorted states,
         domain and agents, names starting with the states, and the rows
         as the class describes them."""
@@ -226,7 +232,7 @@ class Model:
         vars(m).update(
             states=states, domain=domain, agents=agents, functions=functions,
             relations=relations, groups=groups, names=names, pred=pred,
-            spaces=spaces, strays=strays)
+            spaces=spaces, strays=strays, orbit=orbit)
         return m
 
     # -- views

@@ -7,13 +7,22 @@ Every one of them evaluates through `_scan`, the one loop that builds an
 evaluator per model.  Nothing here is a decision procedure: a search that
 ends without a witness reports not-found-within-budget, never
 unsatisfiability.
+
+Satisfaction and measurability do not change when the states of a model
+are renamed, so `_scan` evaluates one enumerated model per class under
+renaming, the first of its class that `enumerate_models` yields, and
+replays that outcome at the others.  Counts such as `models_checked` and
+`models` still count every labelled model, and a replayed NotMeasurable
+may name another state of the class than the model's own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +59,8 @@ class SearchBudget:
     Enumeration ranges over 1..max_states states with exactly max_agents
     agents and max_domain domain elements; sample_mode/atom_mode restrict the
     probability spaces ("full" forces the sample to be the whole state set,
-    "singleton"/"merged" fix the partition).  The cap is a hard error, not a
+    "singleton"/"merged" fix the partition).  The weight grid keeps each
+    value once, in the order first given.  The cap is a hard error, not a
     truncation.
     """
 
@@ -73,7 +83,9 @@ class SearchBudget:
             raise BudgetError(f"unknown sample_mode {self.sample_mode!r}")
         if self.atom_mode not in ("any", "singleton", "merged"):
             raise BudgetError(f"unknown atom_mode {self.atom_mode!r}")
-        grid = tuple(Fraction(w) for w in self.weight_grid)
+        # first occurrences only: a repeated value would repeat models,
+        # and make the space options of a shape ambiguous
+        grid = tuple(dict.fromkeys(Fraction(w) for w in self.weight_grid))
         if not grid:
             raise BudgetError("the weight grid must not be empty")
         if any(w < 0 or w > 1 for w in grid):
@@ -169,20 +181,6 @@ def _access_options(states) -> list:
     return out
 
 
-def _assemble(symbols, domain, agents, states, rel_choice, rel_slots,
-              access_choice, spaces):
-    relations = {}
-    for (sym, arity) in symbols:
-        relations[sym] = (arity, {})
-    for (sym, state, _), chosen in zip(rel_slots, rel_choice):
-        relations[sym][1][state] = chosen
-    n = len(states)
-    return Model.compiled(
-        states, domain, agents, {}, relations, {"G": agents}, states,
-        dict(zip(agents, access_choice)),
-        {agent: spaces[k * n:(k + 1) * n] for k, agent in enumerate(agents)})
-
-
 def _shapes(budget: SearchBudget):
     """Per state count, from 1 to max_states and built only when reached:
     the states, sorted as a Model sorts them, their relation slots, access
@@ -244,30 +242,146 @@ def enumeration_size(budget: SearchBudget) -> int:
 
 def enumerate_models(budget: SearchBudget):
     """Deterministic stream of every valid model over the budget's shape.
-    The cap is checked from counts, before any option list is built."""
+    The cap is checked from counts, before any option list is built.
+
+    Each model carries its class under renamings of its states as its
+    `orbit` (see `_all_models`), so that `_scan` evaluates one model per
+    class; the stream itself is every labelled model, once."""
     size = enumeration_size(budget)
     if size > budget.max_models:
         raise BudgetError(
             f"enumeration space has {size} models, over the cap of"
             f" {budget.max_models}; shrink the budget")
-    yield from _all_models(budget)
+    yield from _all_models(budget, orbits=True)
 
 
-def _all_models(budget: SearchBudget):
+# A renaming pi of the n states of a shape (pi[i] is the new position of
+# the state at position i), as tables over option indices:
+#   slots   the relation slot whose choice lands in each slot of pi.M
+#   access  per access option, the index of its image under pi
+#   space   per space option, the index of its image (atoms put back in
+#           canonical order by space_entry), as a lookup
+#   take    the space choices of M in the order of their images' positions
+#   back    per mask of pi.M, the mask of the same states of M
+_Renaming = namedtuple("_Renaming", "slots access space take back")
+
+
+def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
+    """The tables of every renaming of the shape's states but the
+    identity.  The option lists are closed under renaming, and their
+    entries are distinct (the grid has no duplicates), so every image is
+    found, at exactly one index."""
+    n = len(states)
+    access_ix = {row: k for k, row in enumerate(access_opts)}
+    space_ix = {entry: k for k, entry in enumerate(space_opts)}
+    out = []
+    for pi in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inv = sorted(range(n), key=pi.__getitem__)
+        move = [sum([1 << pi[i] for i in positions(mask)])
+                for mask in range(1 << n)]
+        back = [sum([1 << inv[j] for j in positions(mask)])
+                for mask in range(1 << n)]
+        access = [access_ix[tuple([move[row[i]] for i in inv])]
+                  for row in access_opts]
+        space = [space_ix[space_entry(move[sample], [move[a] for a in atoms],
+                                      nums, den, states, n)]
+                 for sample, atoms, nums, den in space_opts]
+        out.append(_Renaming(
+            [k - k % n + inv[k % n] for k in range(n_slots)], access,
+            space.__getitem__,
+            operator.itemgetter(*[k * n + i for k in range(n_agents)
+                                  for i in inv]),
+            back))
+    return out
+
+
+def _rank(digits, radices, start=0) -> int:
+    """The position of the index tuple `digits` in `itertools.product`
+    order over ranges of the given sizes, after `start` whole rounds of
+    that product."""
+    for digit, radix in zip(digits, radices):
+        start = start * radix + digit
+    return start
+
+
+def _least(part, least, images) -> tuple:
+    """One level of the search for the least image of a model.  `images`
+    pairs each renaming that ties so far with its image of this level's
+    option indices `part`, and `least` tells whether the identity ties
+    too.  The least image of the level, whether the identity still ties,
+    and the renamings that reach the least image."""
+    best = min([img for img, _ in images] + ([part] if least else []))
+    return (best, least and best == part,
+            [ren for img, ren in images if img == best])
+
+
+def _all_models(budget: SearchBudget, orbits=False):
     """Every model of each shape, in a fixed order: enumerate_models
-    without the cap, for callers that take a prefix."""
+    without the cap, for callers that take a prefix.
+
+    Within a shape, models come in `itertools.product` order of their
+    option indices (relation choice per slot, access option per agent,
+    space option per agent and state), so that order is the lexicographic
+    order of the index tuples.  A renaming pi of the states maps a model M
+    of the shape to a model pi.M of the shape, and the image with the
+    least index tuple is the least member of M's class, which comes first
+    in the stream.  With `orbits`, each model carries as its `orbit`: a
+    token of this shape in this call, the position of that least member
+    in the shape's stream, and None if the model is that least member,
+    else the `back` table of a renaming pi with pi.M least.  The least
+    image is found level by level: only the renamings that tie on the
+    relation choice are tried on the access, and only those that tie on
+    both on the spaces, so an outer loop settles most renamings."""
     # each a new tuple, sorted as a Model sorts them
     domain, agents = tuple(sorted(budget.domain)), budget.agents
+    groups = {"G": agents}
     for states, rel_slots, access_opts, space_opts in _shapes(budget):
+        if not space_opts:
+            continue   # the grid normalizes no space over these states
+        n = len(states)
         rel_lists = [options for (_, _, options) in rel_slots]
-        for rel_choice in itertools.product(*rel_lists):
-            for access_choice in itertools.product(
-                    access_opts, repeat=len(agents)):
-                for spaces in itertools.product(
-                        space_opts, repeat=len(agents) * len(states)):
-                    yield _assemble(budget.relation_symbols, domain,
-                                    agents, states, rel_choice, rel_slots,
-                                    access_choice, spaces)
+        renamings = _renamings(states, len(rel_slots), access_opts,
+                               space_opts, len(agents)) if orbits else []
+        token = object()
+        rel_radices = [len(o) for o in rel_lists]
+        acc_radices = [len(access_opts)] * len(agents)
+        sp_radices = [len(space_opts)] * (len(agents) * n)
+        # The models of one relation choice share their relations, and
+        # those of one access choice their predecessor rows.
+        for rel in itertools.product(*[range(len(o)) for o in rel_lists]):
+            relations = {sym: (arity, {})
+                         for sym, arity in budget.relation_symbols}
+            for (sym, state, options), k in zip(rel_slots, rel):
+                relations[sym][1][state] = options[k]
+            rel_key, least_rel, by_rel = _least(rel, True, [
+                (tuple([rel[k] for k in ren.slots]), ren)
+                for ren in renamings])
+            for acc in itertools.product(range(len(access_opts)),
+                                         repeat=len(agents)):
+                acc_key, least, ties = _least(acc, least_rel, [
+                    (tuple([ren.access[k] for k in acc]), ren)
+                    for ren in by_rel])
+                base = _rank(acc_key, acc_radices, _rank(
+                    rel_key, rel_radices)) * len(space_opts) ** len(sp_radices)
+                pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
+                for ix, sp in enumerate(itertools.product(
+                        range(len(space_opts)), repeat=len(sp_radices))):
+                    orbit = None
+                    if orbits:
+                        best, back = (sp, None) if least else (None, None)
+                        for ren in ties:
+                            img = tuple(map(ren.space, ren.take(sp)))
+                            if best is None or img < best:
+                                best, back = img, ren.back
+                        orbit = (token, base + (
+                            ix if back is None else _rank(best, sp_radices)),
+                            back)
+                    entries = tuple(map(space_opts.__getitem__, sp))
+                    yield Model.compiled(
+                        states, domain, agents, {}, relations, groups, states,
+                        pred, {agent: entries[k * n:(k + 1) * n]
+                               for k, agent in enumerate(agents)},
+                        orbit=orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +511,37 @@ def _scan(models, formulas):
     or the first error met.  Valuations are read in order up to the first
     that fails somewhere, whose mask it then is, so an earlier failure
     beats a later error.  Formulas are compiled once per domain; errors
-    are yielded, not raised: see `value_or_raise`."""
+    are yielded, not raised: see `value_or_raise`.
+
+    One model per class of enumerated models is evaluated.  Renaming the
+    states of a model by pi renames everything the evaluator computes:
+    the extension of every operation at pi.M is its extension at M moved
+    by pi, an empty or full extension stays empty or full, and a space
+    that cannot measure an event at M is the space of the same agent at
+    the renamed state of pi.M.  So each formula fails at the same
+    valuation at every member of a class, raises the same error type
+    for the same formula and agent, or has the renamed mask.  A model
+    whose `orbit` (see `_all_models`) names its class's least member has
+    that member's outcome replayed: masks are moved back through the
+    orbit's table, and errors are reused as they are, so a replayed
+    NotMeasurable may name another state of the class than the model's
+    own.  The outcomes of least members are kept for the rest of the
+    call, by token and position, never the models, and each distinct
+    error (by type, message and formula) and outcome is held once, so
+    the table stays small.  A model without an orbit, and one whose
+    least member this call has not met, is evaluated."""
     compiled = {}   # domain -> (program, per formula the range of its roots)
+    outcomes = {}   # token -> position of a least member met -> its outcome
+    kept = {}       # each distinct error and outcome stored, held once
     for m in models:
+        orbit = m.orbit
+        if orbit is not None:
+            token, position, back = orbit
+            known = outcomes.setdefault(token, {})
+            if back is not None and position in known:
+                yield m, [back[out] if type(out) is int else out
+                          for out in known[position]]
+                continue
         if m.domain not in compiled:
             roots, spans = [], []
             for f in formulas:
@@ -413,15 +555,26 @@ def _scan(models, formulas):
         results = Evaluator(m).run(program)
         full = _full(m)
         # per formula, its first error or failing valuation, else full
-        yield m, [next((out for out in results[start:end] if out != full),
-                       full) for start, end in spans]
+        masks = [next((out for out in results[start:end] if out != full),
+                      full) for start, end in spans]
+        if orbit is not None and back is None:
+            stored = tuple([out if type(out) is int else kept.setdefault(
+                (type(out), out.args, id(getattr(out, "formula", None))), out)
+                for out in masks])
+            known[position] = kept.setdefault(stored, stored)
+        yield m, masks
 
 
 def _witness(f, budget: SearchBudget) -> tuple:
     """The first enumerated model with a state where the sentence holds,
     that state, and how many models were checked; (None, None, count) on
     a miss.  A model on which f raises is passed over: f is not
-    measurable there, or mentions symbols beyond the model's signature."""
+    measurable there, or mentions symbols beyond the model's signature.
+
+    The witness and its state are those of the labelled enumeration:
+    whether f holds somewhere is the same at every member of a class, and
+    the least member comes first, so the first witness is a least member,
+    evaluated by `_scan`, not replayed."""
     checked = 0
     for m, (mask,) in _scan(enumerate_models(budget), [f]):
         checked += 1

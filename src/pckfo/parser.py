@@ -734,10 +734,11 @@ def model_to_doc(m: Model) -> dict:
                    for agent, pairs in sorted(m.access.items())},
         "prob": {},
     }
+    prob = m.prob   # a view: each read builds every space
     for agent in m.agents:
         per_state = {}
         for state in m.states:
-            sp = m.prob[(agent, state)]
+            sp = prob[(agent, state)]
             per_state[state] = {
                 "sample": sorted(sp.sample),
                 "atoms": [sorted(a) for a in sp.atoms],

@@ -466,6 +466,13 @@ class TestFindFuzzDemo:
         assert rep["verdict"] == "not-found-within-budget"
         assert rep["details"][0]["models_checked"] == 25608
 
+    @pytest.mark.parametrize("grid", ["0,1/2,1", "0,1/2,1/2,1"])
+    def test_find_counts_each_grid_value_once(self, grid):
+        code, out = run("find", "--formula", "p & !p", "--grid", grid,
+                        "--json")
+        assert code == 1
+        assert json.loads(out)["details"][0]["models_checked"] == 9224
+
     @pytest.mark.parametrize("grid", ["1/2", "1,1", "3/4,1"])
     def test_fuzz_grid_too_small_is_budget_error(self, grid):
         # P2 needs r < t on the grid and P5 needs r + t <= 1.

@@ -7,16 +7,19 @@ keeps no rows of its own.
 
 import ast
 import contextlib
+import importlib.util
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from pckfo.cli import main
 from pckfo.model import ProbSpace
-from pckfo.parser import parse_model
+from pckfo.parser import load_model, model_to_doc, parse_model
 
-EVALUATOR = Path(__file__).resolve().parents[1] / "src" / "pckfo" / "evaluator.py"
+ROOT = Path(__file__).resolve().parents[1]
+EVALUATOR = ROOT / "src" / "pckfo" / "evaluator.py"
 
 
 @pytest.fixture()
@@ -70,6 +73,20 @@ def test_views_build_prob_spaces(fixtures_dir, spaces_built):
     m = parse_model((fixtures_dir / "models" / "con.json").read_text())
     assert spaces_built == []
     assert len(m.prob) == len(spaces_built) == 2
+
+
+def test_model_to_doc_builds_each_space_once(spaces_built):
+    # 100 states and agents a, b, as the model-check workload writes them;
+    # the prob view builds every space on each read, so reading it per
+    # state made this quadratic
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.random_model_doc(100, random.Random(5))
+    m = load_model(doc)
+    assert model_to_doc(m)["prob"] == doc["prob"]
+    assert len(spaces_built) <= len(m.agents) * len(m.states) == 200
 
 
 def test_evaluator_keeps_no_rows():

@@ -2,6 +2,10 @@
 read from it, and the structure that keeps it one loop."""
 
 import ast
+import contextlib
+import io
+import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,11 +13,15 @@ import pytest
 
 import pckfo
 from pckfo import oracle
+from pckfo.cli import main
 from pckfo.errors import NotMeasurable
+from pckfo.evaluator import Evaluator
 from pckfo.model import Model, ProbSpace
-from pckfo.oracle import SearchBudget, holds_everywhere, random_models, \
-    validity_suite
-from pckfo.parser import model_to_doc, parse_formula
+from pckfo.oracle import (
+    SearchBudget, enumerate_models, enumeration_size, holds_everywhere,
+    random_formula, random_models, validity_suite,
+)
+from pckfo.parser import load_model, model_to_doc, parse_formula
 from pckfo.report import REJECTED
 
 ORACLE = Path(pckfo.__file__).parent / "oracle.py"
@@ -26,6 +34,12 @@ def _suite(monkeypatch, formulas, models):
                         lambda family, agents: list(formulas))
     return validity_suite("epistemic-distribution", SearchBudget(),
                           models=models)
+
+
+def _reloaded(budget):
+    """The budget's models as documents read back: the same models, in
+    the same order, carrying no class."""
+    return [load_model(model_to_doc(m)) for m in enumerate_models(budget)]
 
 
 def _p_states(m):
@@ -73,6 +87,18 @@ class TestFalsifiedSuite:
         assert summary["skipped_not_measurable"] == skipped
         assert summary["models"] == len(pool)
 
+    def test_enumerated_failures_replayed_at_every_member(self, monkeypatch):
+        budget = SearchBudget(max_states=2, sample_mode="full",
+                              atom_mode="merged")
+        classes = {m.orbit[:2] for m in enumerate_models(budget)}
+        assert len(classes) < enumeration_size(budget)
+        reduced = _suite(monkeypatch, self.FORMULAS, enumerate_models(budget))
+        full = _suite(monkeypatch, self.FORMULAS, _reloaded(budget))
+        assert reduced.verdict == full.verdict == REJECTED
+        assert reduced.details == full.details
+        assert reduced.artifacts == full.artifacts
+        assert json.dumps(reduced.artifacts) == json.dumps(full.artifacts)
+
 
 def _two_element_model(first, second):
     """Two states under one merged atom, and R holding at `first` of d0
@@ -106,6 +132,100 @@ class TestValuationOrder:
         summary = _suite(monkeypatch, [("open", self.F)], [m]).details[-1]
         assert (summary["failures"], summary["skipped_not_measurable"]) \
             == (0, 1)
+
+
+def _outcome(out):
+    """What a scan outcome must keep under renaming: the mask, or the
+    error's type, and the formula and agent a NotMeasurable names."""
+    if isinstance(out, int):
+        return out
+    return type(out), getattr(out, "formula", None), getattr(out, "agent",
+                                                              None)
+
+
+def _random_budget(rng, states, sample_mode=None, atom_mode=None,
+                   repeat=False):
+    """A random budget with a unary relation symbol, models at its largest
+    state count and no more than a few thousand models in all; `repeat`
+    gives its grid a repeated value."""
+    weights = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+               Fraction(2, 3), Fraction(3, 4)]
+    while True:
+        grid = rng.sample(weights, rng.randint(0, 2)) + [Fraction(1)]
+        rng.shuffle(grid)
+        if repeat:
+            grid.append(grid[0])
+        budget = SearchBudget(
+            max_states=states,
+            max_agents=rng.randint(1, 2), max_domain=rng.randint(1, 2),
+            weight_grid=grid, relation_symbols=(("R", 1),),
+            sample_mode=sample_mode or rng.choice(("any", "full")),
+            atom_mode=atom_mode or rng.choice(("any", "singleton", "merged")))
+        if (oracle._shape_size(budget, budget.max_states)
+                and enumeration_size(budget) <= 4500):
+            return budget
+
+
+def test_reduced_scan_matches_every_model_evaluated():
+    rng = random.Random(21)
+    budgets = [_random_budget(rng, 2, sample_mode, atom_mode,
+                              repeat=not k)
+               for k, (sample_mode, atom_mode) in enumerate(
+                   (s, a) for s in ("any", "full")
+                   for a in ("any", "singleton", "merged"))]
+    budgets.append(_random_budget(rng, 3))
+    states = set()
+    replayed = 0
+    for budget in budgets:
+        # agent b, where undeclared, makes some formulas raise EvalError
+        formulas = [random_formula(rng, agents, depth=3, vars_allowed=("x",))
+                    for agents in [budget.agents] * 6 + [("a", "b")] * 2]
+        expected = [[_outcome(out) for out in masks]
+                    for _, masks in oracle._scan(_reloaded(budget), formulas)]
+        got = []
+        for m, masks in oracle._scan(enumerate_models(budget), formulas):
+            got.append([_outcome(out) for out in masks])
+            replayed += m.orbit[2] is not None
+            states.add(len(m.states))
+        assert got == expected
+    assert replayed and states == {1, 2, 3}
+
+
+def _evaluator_runs(monkeypatch):
+    """The list of models that Evaluator.run is called on from now."""
+    runs = []
+    original = Evaluator.run
+
+    def counted(self, program):
+        runs.append(self.model)
+        return original(self, program)
+
+    monkeypatch.setattr(Evaluator, "run", counted)
+    return runs
+
+
+def _main(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("family", oracle.VALIDITY_FAMILIES)
+def test_validity_demo_evaluates_one_model_per_class(monkeypatch, family):
+    runs = _evaluator_runs(monkeypatch)
+    code, rep = _main("demo", "validity", "--family", family, "--json")
+    assert code == 0
+    assert rep["details"][-1]["models"] == 4112 + 50
+    assert len(runs) == 2096 + 50
+
+
+def test_find_evaluates_one_model_per_class(monkeypatch):
+    runs = _evaluator_runs(monkeypatch)
+    code, rep = _main("find", "--formula", "p & !p", "--json")
+    assert code == 1
+    assert rep["details"][0]["models_checked"] == 25608
+    assert len(runs) == 12888
 
 
 def _functions_constructing(tree, name):
