@@ -310,6 +310,8 @@ def _least(part, least, images) -> tuple:
     option indices `part`, and `least` tells whether the identity ties
     too.  The least image of the level, whether the identity still ties,
     and the renamings that reach the least image."""
+    if not images:
+        return part, least, images   # the identity alone ties
     best = min([img for img, _ in images] + ([part] if least else []))
     return (best, least and best == part,
             [ren for img, ren in images if img == best])
@@ -346,9 +348,10 @@ def _all_models(budget: SearchBudget, orbits=False):
         rel_radices = [len(o) for o in rel_lists]
         acc_radices = [len(access_opts)] * len(agents)
         sp_radices = [len(space_opts)] * (len(agents) * n)
+        block = len(space_opts) ** len(sp_radices)
         # The models of one relation choice share their relations, and
         # those of one access choice their predecessor rows.
-        for rel in itertools.product(*[range(len(o)) for o in rel_lists]):
+        for rel in itertools.product(*map(range, rel_radices)):
             relations = {sym: (arity, {})
                          for sym, arity in budget.relation_symbols}
             for (sym, state, options), k in zip(rel_slots, rel):
@@ -356,16 +359,15 @@ def _all_models(budget: SearchBudget, orbits=False):
             rel_key, least_rel, by_rel = _least(rel, True, [
                 (tuple([rel[k] for k in ren.slots]), ren)
                 for ren in renamings])
-            for acc in itertools.product(range(len(access_opts)),
-                                         repeat=len(agents)):
+            rel_rank = _rank(rel_key, rel_radices)
+            for acc in itertools.product(*map(range, acc_radices)):
                 acc_key, least, ties = _least(acc, least_rel, [
                     (tuple([ren.access[k] for k in acc]), ren)
                     for ren in by_rel])
-                base = _rank(acc_key, acc_radices, _rank(
-                    rel_key, rel_radices)) * len(space_opts) ** len(sp_radices)
+                base = _rank(acc_key, acc_radices, rel_rank) * block
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
-                for ix, sp in enumerate(itertools.product(
-                        range(len(space_opts)), repeat=len(sp_radices))):
+                for ix, sp in enumerate(
+                        itertools.product(*map(range, sp_radices))):
                     orbit = None
                     if orbits:
                         best, back = (sp, None) if least else (None, None)
