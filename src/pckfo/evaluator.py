@@ -138,10 +138,10 @@ class Program:
         todo = []
         for f, valuation in roots:
             v = dict(valuation) if valuation else {}
-            missing = free_vars(f) - v.keys()
-            if missing:
-                raise EvalError(
-                    f"valuation misses free variable {min(missing)!r}")
+            fv = free_vars(f)
+            if fv and not fv <= v.keys():
+                raise EvalError(f"valuation misses free variable"
+                                f" {min(fv - v.keys())!r}")
             todo.append((_VISIT, f, v, None))
         todo.reverse()
         ops = []
@@ -152,10 +152,17 @@ class Program:
         while todo:
             kind, f, v, x = pop()
             if kind == _VISIT:
-                # f's table key: f, with the values of its free variables
-                fv = free_vars(f)
-                x = (f, tuple([(y, v.get(y)) for y in sorted(fv)])) \
-                    if fv else f
+                # f's table key: f, with the values of its free variables.
+                # Under an empty valuation f is a sentence, and so is every
+                # node below a sentence but a binder's body, which gets a
+                # valuation again.
+                x = f
+                if v:
+                    fv = free_vars(f)
+                    if fv:
+                        x = (f, tuple([(y, v.get(y)) for y in sorted(fv)]))
+                    else:
+                        v = {}
                 at = table.get(x)
                 if at is not None:
                     done.append(at)

@@ -9,14 +9,14 @@ structural equality is the one and only formula identity.
 
 Terms (variables and applications of rigid function symbols) are nodes of
 the same kind as formulas.  This module alone decides the identity of both,
-and no walk here recurses: the first hash or free-variable question about a
-node seals it and every node below, the terms of an atom included
-(`_seal`), and equality walks a stack of node pairs.
+and no walk here recurses: a node is sealed when it is built, its hash and
+free variables made from its operands', which are built first (`_node`),
+and equality walks a stack of node pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, Union
@@ -58,36 +58,57 @@ def _check_bound(r: Fraction) -> Fraction:
 
 _NO_VARS = frozenset()
 
-
-class _Node:
-    """A node's hash and free variables, None until `_seal` writes them
-    into the instance dict (the dataclasses are frozen).  A pickled or
-    copied node starts unsealed, as string hashes differ by process."""
-
-    _hash = None
-    _fv = None
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_hash", "_fv")}
+# How a node's __init__ sets fv, its free variables, from its operands',
+# by the field that tells its kind.
+_FREE_VARS = (
+    ("name", ["fv = frozenset((name,))"]),
+    ("args", ["fv = _NO_VARS",
+              "for t in args:",
+              "    a = t._fv",
+              "    if a and a is not fv:",
+              "        fv = fv | a if fv else a"]),
+    ("left", ["a, b = left._fv, right._fv",
+              "fv = a | b if a and b and a is not b else a or b"]),
+    ("var", ["fv = body._fv",
+             "if var in fv:",
+             "    fv = fv - {var}"]),
+    ("body", ["fv = body._fv"]),
+)
+_NORMS = {"group": "_as_group", "bound": "_check_bound"}
 
 
 def _node(cls):
     """Make cls a frozen term or formula dataclass with this module's hash
-    and equality and its group and bound in normal form; `_data` reads the
-    fields that are not subnodes."""
-    norms = [(name, norm) for name, norm in (("group", _as_group),
-                                             ("bound", _check_bound))
-             if name in cls.__annotations__]
-    if norms:
-        def __post_init__(self):
-            for name, norm in norms:
-                object.__setattr__(self, name, norm(getattr(self, name)))
-        cls.__post_init__ = __post_init__
+    and equality, sealed when built.  Its `__init__`, generated here as a
+    dataclass generates one, writes the fields into the instance dict, a
+    group and a bound in normal form, then seals the node: it stores its
+    free variables, made from its operands', and its hash, that of the
+    tuple of its fields, as a frozen dataclass hashes.  The operands were
+    built before it, so they are sealed, and no walk is needed.  A node
+    is pickled and copied as a call of its constructor, so a copy is
+    sealed in its own process, whose string hashes differ.  `_data` reads
+    the fields that are not subnodes."""
     cls = dataclass(frozen=True)(cls)
-    cls._fields_hash = cls.__hash__
-    data = [fl.name for fl in fields(cls)
-            if fl.name not in ("body", "left", "right", "args")]
+    names = [fl.name for fl in fields(cls)]
+    params = [fl.name if fl.default is MISSING else f"{fl.name}={fl.default!r}"
+              for fl in fields(cls)]
+    free = next(lines for name, lines in _FREE_VARS if name in names)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        "    d = self.__dict__",
+        *[f"    d[{n!r}] = {n} = {_NORMS[n]}({n})" if n in _NORMS
+          else f"    d[{n!r}] = {n}" for n in names],
+        *["    " + line for line in free],
+        "    d['_fv'] = fv",
+        f"    d['_hash'] = hash(({', '.join(names)},))",
+        "def __reduce__(self):",
+        f"    return type(self), ({''.join(f'self.{n}, ' for n in names)})",
+    ])
+    made = {}
+    exec(source, {"_as_group": _as_group, "_check_bound": _check_bound,
+                  "_NO_VARS": _NO_VARS}, made)
+    cls.__init__, cls.__reduce__ = made["__init__"], made["__reduce__"]
+    data = [n for n in names if n not in ("body", "left", "right", "args")]
     cls._data = attrgetter(*data) if data else None
     cls.__hash__ = _stored_hash
     cls.__eq__ = _equal
@@ -95,55 +116,7 @@ def _node(cls):
 
 
 def _stored_hash(f) -> int:
-    h = f._hash
-    if h is None:
-        _seal(f)
-        h = f._hash
-    return h
-
-
-def _seal(root) -> None:
-    """Store the hash, then the free variables (which mark a node sealed),
-    of root and every unsealed node below it.  A node stays on the stack
-    until its children are sealed, so a shared node is sealed once."""
-    todo = [root]
-    pop, push = todo.pop, todo.append
-    while todo:
-        f = todo[-1]
-        if f._fv is not None:
-            pop()
-            continue
-        cls = type(f)
-        if cls is And:
-            a, b = f.left._fv, f.right._fv
-            if a is None or b is None:
-                todo += (f.right, f.left)   # a sealed one is popped at once
-                continue
-            fv = a | b if a and b and a is not b else a or b
-        elif cls is Atom or cls is App:
-            fv = _NO_VARS
-            for t in f.args:
-                a = t._fv
-                if a is None:
-                    fv = None
-                    break
-                if a and a is not fv:
-                    fv = fv | a if fv else a
-            if fv is None:
-                todo += f.args
-                continue
-        elif cls is Var:
-            fv = frozenset((f.name,))
-        else:
-            fv = f.body._fv
-            if fv is None:
-                push(f.body)
-                continue
-            if cls is Forall and f.var in fv:
-                fv = fv - {f.var}
-        pop()
-        f.__dict__["_hash"] = cls._fields_hash(f)
-        f.__dict__["_fv"] = fv
+    return f._hash
 
 
 def _equal(f, g):
@@ -155,8 +128,8 @@ def _equal(f, g):
     todo = []
     while True:
         if f is not g:
-            cls, a, b = type(f), f._hash, g._hash
-            if cls is not type(g) or a != b and not (a is None or b is None):
+            cls = type(f)
+            if cls is not type(g) or f._hash != g._hash:
                 return False
             if cls is And:
                 todo.append((f.right, g.right))
@@ -178,12 +151,12 @@ def _equal(f, g):
 
 
 @_node
-class Var(_Node):
+class Var:
     name: str
 
 
 @_node
-class App(_Node):
+class App:
     fn: str
     args: tuple = ()
 
@@ -192,62 +165,62 @@ Term = Union[Var, App]
 
 
 @_node
-class Atom(_Node):
+class Atom:
     rel: str
     args: tuple = ()
 
 
 @_node
-class Not(_Node):
+class Not:
     body: "Formula"
 
 
 @_node
-class And(_Node):
+class And:
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Forall(_Node):
+class Forall:
     var: str
     body: "Formula"
 
 
 @_node
-class Knows(_Node):
+class Knows:
     agent: str
     body: "Formula"
 
 
 @_node
-class EveryoneKnows(_Node):
+class EveryoneKnows:
     group: tuple
     body: "Formula"
 
 
 @_node
-class CommonKnows(_Node):
+class CommonKnows:
     group: tuple
     body: "Formula"
 
 
 @_node
-class ProbAtLeast(_Node):
+class ProbAtLeast:
     agent: str
     bound: Fraction
     body: "Formula"
 
 
 @_node
-class EveryoneProb(_Node):
+class EveryoneProb:
     group: tuple
     bound: Fraction
     body: "Formula"
 
 
 @_node
-class CommonProb(_Node):
+class CommonProb:
     group: tuple
     bound: Fraction
     body: "Formula"
@@ -351,8 +324,6 @@ def expand_abbrev(name: str, *args) -> Formula:
 
 def free_vars(f) -> frozenset:
     """Variables with at least one free occurrence in a formula or term."""
-    if f._fv is None:
-        _seal(f)
     return f._fv
 
 
