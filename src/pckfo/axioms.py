@@ -211,8 +211,10 @@ def instantiate(name: str, params: dict):
 
 
 def _rat(params, key) -> Fraction:
-    v = Fraction(params[key])
-    if v < 0 or v > 1:
+    v = params[key]
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    if not 0 <= v.numerator <= v.denominator:   # the denominator is positive
         raise SideConditionError(f"{key}={v} outside [0, 1]")
     return v
 

@@ -117,12 +117,12 @@ def _set_partitions(items: list) -> list:
 
 
 def _weight_rows(grid, k) -> list:
-    """All grid^k tuples summing exactly to 1."""
-    rows = []
-    for combo in itertools.product(grid, repeat=k):
-        if sum(combo) == 1:
-            rows.append(combo)
-    return rows
+    """All grid^k tuples summing exactly to 1, in `itertools.product`
+    order; the sums are taken over the grid's common denominator."""
+    nums, den = over_common_denominator(grid)
+    return [tuple([grid[i] for i in combo])
+            for combo in itertools.product(range(len(grid)), repeat=k)
+            if sum([nums[i] for i in combo]) == den]
 
 
 def _space_options(states, budget) -> list:
@@ -329,11 +329,17 @@ def _all_models(budget: SearchBudget, orbits=False):
     least index tuple is the least member of M's class, which comes first
     in the stream.  With `orbits`, each model carries as its `orbit`: a
     token of this shape in this call, the position of that least member
-    in the shape's stream, and None if the model is that least member,
-    else the `back` table of a renaming pi with pi.M least.  The least
-    image is found level by level: only the renamings that tie on the
-    relation choice are tried on the access, and only those that tie on
-    both on the spaces, so an outer loop settles most renamings."""
+    in the shape's stream, None if the model is that least member, else
+    the `back` table of a renaming pi with pi.M least, and for the least
+    member the size of its class (else None).  The least image is found
+    level by level: only the renamings that tie on the relation choice
+    are tried on the access, and only those that tie on both on the
+    spaces, so an outer loop settles most renamings.  The access level's
+    result depends only on the access choice, whether the identity ties
+    on the relation choice and which renamings do, so it is computed once
+    per such triple.  At a least member the renamings that tie on all
+    three levels with the identity are those that fix the model, and the
+    class has n!/(1 + their number) members."""
     # each a new tuple, sorted as a Model sorts them
     domain, agents = tuple(sorted(budget.domain)), budget.agents
     groups = {"G": agents}
@@ -345,10 +351,17 @@ def _all_models(budget: SearchBudget, orbits=False):
         renamings = _renamings(states, len(rel_slots), access_opts,
                                space_opts, len(agents)) if orbits else []
         token = object()
+        group_size = len(renamings) + 1
         rel_radices = [len(o) for o in rel_lists]
         acc_radices = [len(access_opts)] * len(agents)
         sp_radices = [len(space_opts)] * (len(agents) * n)
         block = len(space_opts) ** len(sp_radices)
+        accesses = len(access_opts) ** len(agents)
+        # (identity ties, ids of the tying renamings) on the relation
+        # choice -> per access choice, in product order: (rank of its
+        # least image, identity ties, renamings that tie)
+        acc_least = {}
+        tie_sets = {}   # ids -> each tuple of tying renamings, held once
         # The models of one relation choice share their relations, and
         # those of one access choice their predecessor rows.
         for rel in itertools.product(*map(range, rel_radices)):
@@ -360,24 +373,40 @@ def _all_models(budget: SearchBudget, orbits=False):
                 (tuple([rel[k] for k in ren.slots]), ren)
                 for ren in renamings])
             rel_rank = _rank(rel_key, rel_radices)
-            for acc in itertools.product(*map(range, acc_radices)):
-                acc_key, least, ties = _least(acc, least_rel, [
-                    (tuple([ren.access[k] for k in acc]), ren)
-                    for ren in by_rel])
-                base = _rank(acc_key, acc_radices, rel_rank) * block
+            key = (least_rel, tuple(map(id, by_rel)))
+            table = acc_least.get(key)
+            if table is None:
+                table = acc_least[key] = [None] * accesses
+            for at, acc in enumerate(
+                    itertools.product(*map(range, acc_radices))):
+                found = table[at]
+                if found is None:
+                    acc_key, least, ties = _least(acc, least_rel, [
+                        (tuple([ren.access[k] for k in acc]), ren)
+                        for ren in by_rel])
+                    ties = tie_sets.setdefault(tuple(map(id, ties)),
+                                               tuple(ties))
+                    found = table[at] = (_rank(acc_key, acc_radices), least,
+                                         ties)
+                acc_rank, least, ties = found
+                base = (rel_rank * accesses + acc_rank) * block
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
                 for ix, sp in enumerate(
                         itertools.product(*map(range, sp_radices))):
                     orbit = None
                     if orbits:
                         best, back = (sp, None) if least else (None, None)
+                        fixed = 0   # the renamings that map sp to itself
                         for ren in ties:
                             img = tuple(map(ren.space, ren.take(sp)))
                             if best is None or img < best:
                                 best, back = img, ren.back
+                            fixed += img == sp
                         orbit = (token, base + (
                             ix if back is None else _rank(best, sp_radices)),
-                            back)
+                            back,
+                            group_size // (1 + fixed) if back is None
+                            else None)
                     entries = tuple(map(space_opts.__getitem__, sp))
                     yield Model.compiled(
                         states, domain, agents, {}, relations, groups, states,
@@ -467,7 +496,11 @@ def random_models(budget: SearchBudget, count: int, tag="models") -> list:
 
 
 def targeted_class_models(budget: SearchBudget, flag: str, count: int) -> list:
-    """Random models guaranteed to carry the given class flag."""
+    """Random models guaranteed to carry the given class flag.  More than
+    the budget's model cap is a BudgetError."""
+    if count > budget.max_models:
+        raise BudgetError(f"class model count {count} is over the cap of"
+                          f" {budget.max_models}; ask for fewer models")
     rng = _rng_for(budget, f"class:{flag}")
     rows = {}
     out = []
@@ -527,22 +560,30 @@ def _scan(models, formulas):
     that member's outcome replayed: masks are moved back through the
     orbit's table, and errors are reused as they are, so a replayed
     NotMeasurable may name another state of the class than the model's
-    own.  The outcomes of least members are kept for the rest of the
-    call, by token and position, never the models, and each distinct
-    error (by type, message and formula) and outcome is held once, so
-    the table stays small.  A model without an orbit, and one whose
-    least member this call has not met, is evaluated."""
+    own.  The outcome of a least member is kept by token and position,
+    never the model, until as many other members as the orbit's class
+    size tells have replayed it, and each distinct error (by type,
+    message and formula) and outcome is held once, so the table stays
+    small.  A model without an orbit, and one whose least member this
+    call has not met, is evaluated."""
     compiled = {}   # domain -> (program, per formula the range of its roots)
-    outcomes = {}   # token -> position of a least member met -> its outcome
+    # token -> (position of a least member met -> its outcome, and where
+    # more than one other member is to replay it, how many are)
+    outcomes = {}
     kept = {}       # each distinct error and outcome stored, held once
     for m in models:
         orbit = m.orbit
         if orbit is not None:
-            token, position, back = orbit
-            known = outcomes.setdefault(token, {})
+            token, position, back, size = orbit
+            known, left = outcomes.setdefault(token, ({}, {}))
             if back is not None and position in known:
                 yield m, [back[out] if type(out) is int else out
                           for out in known[position]]
+                rest = left.pop(position, 1) - 1
+                if rest:
+                    left[position] = rest
+                else:
+                    del known[position]
                 continue
         if m.domain not in compiled:
             roots, spans = [], []
@@ -559,11 +600,13 @@ def _scan(models, formulas):
         # per formula, its first error or failing valuation, else full
         masks = [next((out for out in results[start:end] if out != full),
                       full) for start, end in spans]
-        if orbit is not None and back is None:
+        if orbit is not None and back is None and size > 1:
             stored = tuple([out if type(out) is int else kept.setdefault(
                 (type(out), out.args, id(getattr(out, "formula", None))), out)
                 for out in masks])
             known[position] = kept.setdefault(stored, stored)
+            if size > 2:
+                left[position] = size - 1
         yield m, masks
 
 
@@ -620,30 +663,65 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
 # random formulas and axiom instances
 
 
-def random_formula(rng, agents, depth=2, vars_allowed=()):
-    """Small random formula over the default fuzz signature."""
-    atoms = [Atom("p"), Atom("q")]
-    for v in vars_allowed:
-        atoms.append(Atom("R", (Var(v),)))
-    if depth <= 0:
-        return rng.choice(atoms)
-    roll = rng.random()
-    sub = lambda: random_formula(rng, agents, depth - 1, vars_allowed)
-    if roll < 0.30:
-        return rng.choice(atoms)
-    if roll < 0.45:
-        return Not(sub())
-    if roll < 0.60:
-        return And(sub(), sub())
-    if roll < 0.70:
-        return implies(sub(), sub())
-    if roll < 0.80:
-        return Knows(rng.choice(agents), sub())
-    if roll < 0.90:
-        return ProbAtLeast(rng.choice(agents),
-                           rng.choice((Fraction(0), Fraction(1, 2), Fraction(1))),
-                           sub())
-    return EveryoneKnows(_random_group(rng, agents), sub())
+_FUZZ_BOUNDS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+def random_formula(rng, agents, depth=2, vars_allowed=(), leaves=None,
+                   build=True):
+    """Small random formula over the default fuzz signature.
+
+    A formula of depth d > 0 draws a roll, then its operator's agent, bound
+    or group, then its operands left to right, each of depth d - 1; an
+    atom is drawn at depth 0 and on a low roll.  The draws are made in that
+    order from an explicit stack, and each node is built once its operands
+    are.  `leaves` maps `vars_allowed` to its atoms, so that the calls that
+    share one dict share their atoms too.  Without `build`, the same
+    numbers are drawn, nothing is built, and the result is None."""
+    if leaves is None:
+        leaves = {}
+    atoms = leaves.get(vars_allowed)
+    if atoms is None:
+        atoms = leaves[vars_allowed] = [Atom("p"), Atom("q")] + [
+            Atom("R", (Var(v),)) for v in vars_allowed]
+    choice, roll = rng.choice, rng.random
+    # depths still to draw, and under them the nodes to build from their
+    # operands: And or implies of two, or a constructor, its parameters
+    # and then one operand
+    todo, done = [depth], [None]
+    while todo:
+        d = todo.pop()
+        if type(d) is not int:
+            make = d[0]
+            if make is And or make is implies:
+                right = done.pop()
+                done[-1] = make(done[-1], right)
+            else:
+                done[-1] = make(*d[1:], done[-1])
+            continue
+        r = roll() if d > 0 else 0.0
+        if r < 0.30:
+            atom = choice(atoms)
+            if build:
+                done.append(atom)
+            continue
+        d -= 1
+        if r < 0.45:
+            node, operands = (Not,), (d,)
+        elif r < 0.60:
+            node, operands = (And,), (d, d)
+        elif r < 0.70:
+            node, operands = (implies,), (d, d)
+        elif r < 0.80:
+            node, operands = (Knows, choice(agents)), (d,)
+        elif r < 0.90:
+            node, operands = (ProbAtLeast, choice(agents),
+                              choice(_FUZZ_BOUNDS)), (d,)
+        else:
+            node, operands = (EveryoneKnows, _random_group(rng, agents)), (d,)
+        if build:
+            todo.append(node)
+        todo += operands
+    return done[-1]
 
 
 def _random_group(rng, agents) -> tuple:
@@ -666,30 +744,38 @@ FUZZ_AXIOMS = (ax.PROP, ax.FO1, ax.FO2, ax.FO3, ax.AK, ax.AE, ax.AC,
                ax.P1, ax.P2, ax.P3, ax.P4, ax.P5, ax.APE, ax.APC)
 
 
-def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
+def random_axiom_instance(name, rng, agents, grid,
+                          leaves=None) -> ax.AxiomInstance:
     """A random instance of the named schema with side conditions satisfied;
-    `grid` holds Fractions, as `SearchBudget.weight_grid` does."""
+    `grid` holds Fractions, as `SearchBudget.weight_grid` does.  `leaves`
+    is passed on to `random_formula`."""
+    if leaves is None:
+        leaves = {}
     agent = rng.choice(agents)
     group = _random_group(rng, agents)
     member = rng.choice(group)
-    phi = random_formula(rng, agents)
-    psi = random_formula(rng, agents)
+    # phi and psi are drawn for every schema, built only where used
+    phi = random_formula(rng, agents, leaves=leaves,
+                         build=name not in (ax.FO2, ax.FO3))
+    psi = random_formula(rng, agents, leaves=leaves,
+                         build=name in (ax.PROP, ax.AK, ax.P4, ax.P5))
 
     if name == ax.PROP:
-        template = rng.choice(_TAUT_TEMPLATES)
-        formula = template(phi, psi)
-        return ax.AxiomInstance(name, formula, {"formula": formula})
-    if name == ax.FO1:
-        open_psi = random_formula(rng, agents, vars_allowed=("x",))
+        params = {"formula": rng.choice(_TAUT_TEMPLATES)(phi, psi)}
+    elif name == ax.FO1:
+        open_psi = random_formula(rng, agents, vars_allowed=("x",),
+                                 leaves=leaves)
         params = {"x": "x", "phi": phi, "psi": open_psi}
     elif name == ax.FO2:
-        open_phi = random_formula(rng, agents, vars_allowed=("x",))
+        open_phi = random_formula(rng, agents, vars_allowed=("x",),
+                                 leaves=leaves)
         term = Var(rng.choice(("x", "y")))
         if not is_free_for(term, "x", open_phi):
             term = Var("x")
         params = {"x": "x", "phi": open_phi, "term": term}
     elif name == ax.FO3:
-        open_phi = random_formula(rng, agents, vars_allowed=("x",))
+        open_phi = random_formula(rng, agents, vars_allowed=("x",),
+                                 leaves=leaves)
         params = {"x": "x", "i": agent, "phi": open_phi}
     elif name == ax.AK:
         params = {"i": agent, "phi": phi, "psi": psi}
@@ -744,9 +830,20 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
                    models=None) -> CheckReport:
     """n seeded random (schema, instance, model) triples; every instance must
     hold at every state of its model.  A failure would point at an evaluator
-    or schema bug and ships a replayable counterexample."""
+    or schema bug and ships a replayable counterexample.
+
+    Each instance is fixed by its index ix alone, which makes the draws a
+    contract that `tests/golden/fuzz_draws.txt` holds: instance ix is of
+    schema `names[ix % len(names)]`, runs on pool model `ix % size`, and
+    draws from its own `random.Random(f"{budget.seed}:fuzz:{ix}")`, first
+    its agent, group, group member, phi and psi, then what its schema
+    needs, in the order of `random_axiom_instance`, each formula in the
+    order that `random_formula` states."""
     if n < 1:
         raise BudgetError("the number of fuzz instances must be at least 1")
+    if n > budget.max_models:
+        raise BudgetError(f"fuzz count {n} is over the cap of"
+                          f" {budget.max_models}; ask for fewer instances")
     grid = budget.weight_grid
     if ax.P2 in names and len(set(grid)) < 2:
         raise BudgetError("fuzzing P2 needs two distinct weight grid values")
@@ -770,13 +867,14 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     # is kept only as its outcome: True, the printed formula it falsified,
     # or the error that making or checking it raised.
     outcomes = [None] * n
+    agents, leaves = budget.agents, {}
     for k, m in enumerate(pool[:n]):
         batch = []
         for ix in range(k, n, size):
             rng = _rng_for(budget, f"fuzz:{ix}")
             try:
                 inst = random_axiom_instance(names[ix % len(names)], rng,
-                                             budget.agents, budget.weight_grid)
+                                             agents, grid, leaves)
             except PckfoError as exc:
                 outcomes[ix] = exc
                 continue

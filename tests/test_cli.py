@@ -478,6 +478,25 @@ class TestFindFuzzDemo:
         # P2 needs r < t on the grid and P5 needs r + t <= 1.
         assert run("fuzz", "--n", "20", "--grid", grid) == (2, "")
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "1" + "0" * 30], "fuzz count 1" + "0" * 30),
+        (["--n", "200001"], "fuzz count 200001"),
+        (["--class", "CON", "--class-models", "1" + "0" * 30],
+         "class model count 1" + "0" * 30),
+        (["--class", "UNIF", "--n", "10", "--class-models", "200001"],
+         "class model count 200001"),
+    ], ids=["n-overflow", "n", "class-models-overflow", "class-models"])
+    def test_fuzz_count_over_model_cap_is_budget_error(self, argv, what):
+        # rejected before any instance or model is made
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fuzz", *argv])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (f"budget error: {what} is over the cap of"
+                                  f" 200000; ask for fewer "
+                                  f"{'instances' if 'fuzz' in what else 'models'}"
+                                  "\n")
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_fuzz_empty_class_pool_is_budget_error(self, count):
         assert run("fuzz", "--n", "5", "--class", "CON",

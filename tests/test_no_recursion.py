@@ -13,11 +13,7 @@ import pckfo
 SOURCES = sorted(Path(pckfo.__file__).parent.glob("*.py"))
 
 # module -> {function: why its recursion is bounded}
-ALLOWED = {
-    "oracle.py": {
-        "random_formula": "callers bound its depth at 4",
-    },
-}
+ALLOWED = {}
 
 
 def _defs(body, qual, cls, scope, out):

@@ -143,6 +143,17 @@ class TestFuzz:
         assert got == outcome(models=full)
         assert got.startswith("budget error:") == (n < 1)
 
+    def test_counts_up_to_the_model_cap(self):
+        budget = SearchBudget(max_states=2, seed=4, max_models=12)
+        assert fuzz_soundness(budget, 12).details[-1]["instances"] == 12
+        assert len(targeted_class_models(budget, "CON", 12)) == 12
+        with pytest.raises(BudgetError, match="fuzz count 13 is over the cap"
+                                              " of 12"):
+            fuzz_soundness(budget, 13)
+        with pytest.raises(BudgetError, match="class model count 13 is over"
+                                              " the cap of 12"):
+            targeted_class_models(budget, "CON", 13)
+
     def test_seeded_determinism(self):
         budget = SearchBudget(max_states=2, seed=7, atom_mode="singleton")
         pool = random_models(budget, 10, tag="det")

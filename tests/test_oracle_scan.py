@@ -2,6 +2,7 @@
 read from it, and the structure that keeps it one loop."""
 
 import ast
+import collections
 import contextlib
 import io
 import json
@@ -189,6 +190,31 @@ def test_reduced_scan_matches_every_model_evaluated():
             states.add(len(m.states))
         assert got == expected
     assert replayed and states == {1, 2, 3}
+
+
+@pytest.mark.parametrize("budget", [
+    SearchBudget(),
+    SearchBudget(max_states=2, max_agents=2, sample_mode="full",
+                 atom_mode="merged",
+                 weight_grid=(Fraction(0), Fraction(1, 2), Fraction(1))),
+    SearchBudget(max_states=3, weight_grid=(Fraction(1, 3),),
+                 sample_mode="full", atom_mode="singleton",
+                 max_models=50_000),
+    SearchBudget(max_states=3, relation_symbols=(("p", 0),),
+                 weight_grid=(Fraction(0), Fraction(1)), sample_mode="full",
+                 atom_mode="merged"),
+], ids=["find", "demo", "invalid-distribution", "3-states-merged"])
+def test_orbit_class_size_counts_every_member(budget):
+    # `_scan` drops a class's outcome after size - 1 replays
+    members, sizes = collections.Counter(), {}
+    for m in enumerate_models(budget):
+        token, position, back, size = m.orbit
+        members[token, position] += 1
+        if back is None:
+            sizes[token, position] = size
+        else:
+            assert size is None
+    assert members == sizes
 
 
 def _evaluator_runs(monkeypatch):
