@@ -590,8 +590,11 @@ def _scan(models, formulas):
             for f in formulas:
                 fv = sorted(free_vars(f))
                 start = len(roots)
-                roots += [(f, dict(zip(fv, values))) for values
-                          in itertools.product(m.domain, repeat=len(fv))]
+                if fv:
+                    roots += [(f, dict(zip(fv, values))) for values
+                              in itertools.product(m.domain, repeat=len(fv))]
+                else:
+                    roots.append((f, None))   # a sentence is one root
                 spans.append((start, len(roots)))
             compiled[m.domain] = Program(roots, m.domain), spans
         program, spans = compiled[m.domain]
@@ -684,9 +687,10 @@ def random_formula(rng, agents, depth=2, vars_allowed=(), leaves=None,
         atoms = leaves[vars_allowed] = [Atom("p"), Atom("q")] + [
             Atom("R", (Var(v),)) for v in vars_allowed]
     choice, roll = rng.choice, rng.random
-    # depths still to draw, and under them the nodes to build from their
-    # operands: And or implies of two, or a constructor, its parameters
-    # and then one operand
+    # todo: the depths still to draw, and under them the nodes to build
+    # from their operands: And or implies of two, or a constructor, its
+    # parameters and then one operand.  done: the nodes built, on None,
+    # which is the result when nothing is built.
     todo, done = [depth], [None]
     while todo:
         d = todo.pop()
