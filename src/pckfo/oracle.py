@@ -358,10 +358,11 @@ def _all_models(budget: SearchBudget, orbits=False):
         block = len(space_opts) ** len(sp_radices)
         accesses = len(access_opts) ** len(agents)
         # (identity ties, ids of the tying renamings) on the relation
-        # choice -> per access choice, in product order: (rank of its
-        # least image, identity ties, renamings that tie)
+        # choice -> per access choice, in product order, the rank of its
+        # least image (-1 until found), and whether the identity ties and
+        # the renamings that tie, a pair held once
         acc_least = {}
-        tie_sets = {}   # ids -> each tuple of tying renamings, held once
+        tie_sets = {}   # (identity ties, ids) -> that pair
         # The models of one relation choice share their relations, and
         # those of one access choice their predecessor rows.
         for rel in itertools.product(*map(range, rel_radices)):
@@ -374,21 +375,20 @@ def _all_models(budget: SearchBudget, orbits=False):
                 for ren in renamings])
             rel_rank = _rank(rel_key, rel_radices)
             key = (least_rel, tuple(map(id, by_rel)))
-            table = acc_least.get(key)
-            if table is None:
-                table = acc_least[key] = [None] * accesses
+            if key not in acc_least:
+                acc_least[key] = [-1] * accesses, [None] * accesses
+            ranks, tie_of = acc_least[key]
             for at, acc in enumerate(
                     itertools.product(*map(range, acc_radices))):
-                found = table[at]
-                if found is None:
+                if ranks[at] < 0:
                     acc_key, least, ties = _least(acc, least_rel, [
                         (tuple([ren.access[k] for k in acc]), ren)
                         for ren in by_rel])
-                    ties = tie_sets.setdefault(tuple(map(id, ties)),
-                                               tuple(ties))
-                    found = table[at] = (_rank(acc_key, acc_radices), least,
-                                         ties)
-                acc_rank, least, ties = found
+                    ranks[at] = _rank(acc_key, acc_radices)
+                    tie_of[at] = tie_sets.setdefault(
+                        (least, tuple(map(id, ties))), (least, tuple(ties)))
+                least, ties = tie_of[at]
+                acc_rank = ranks[at]
                 base = (rel_rank * accesses + acc_rank) * block
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
                 for ix, sp in enumerate(
@@ -667,25 +667,19 @@ def find_model(f, budget: SearchBudget) -> CheckReport:
 
 
 _FUZZ_BOUNDS = (Fraction(0), Fraction(1, 2), Fraction(1))
+_FUZZ_ATOMS = (Atom("p"), Atom("q"))
 
 
-def random_formula(rng, agents, depth=2, vars_allowed=(), leaves=None,
-                   build=True):
+def random_formula(rng, agents, depth=2, vars_allowed=(), build=True):
     """Small random formula over the default fuzz signature.
 
     A formula of depth d > 0 draws a roll, then its operator's agent, bound
     or group, then its operands left to right, each of depth d - 1; an
     atom is drawn at depth 0 and on a low roll.  The draws are made in that
     order from an explicit stack, and each node is built once its operands
-    are.  `leaves` maps `vars_allowed` to its atoms, so that the calls that
-    share one dict share their atoms too.  Without `build`, the same
-    numbers are drawn, nothing is built, and the result is None."""
-    if leaves is None:
-        leaves = {}
-    atoms = leaves.get(vars_allowed)
-    if atoms is None:
-        atoms = leaves[vars_allowed] = [Atom("p"), Atom("q")] + [
-            Atom("R", (Var(v),)) for v in vars_allowed]
+    are.  Without `build`, the same numbers are drawn, nothing is built,
+    and the result is None."""
+    atoms = _FUZZ_ATOMS + tuple([Atom("R", (Var(v),)) for v in vars_allowed])
     choice, roll = rng.choice, rng.random
     # todo: the depths still to draw, and under them the nodes to build
     # from their operands: And or implies of two, or a constructor, its
@@ -748,38 +742,30 @@ FUZZ_AXIOMS = (ax.PROP, ax.FO1, ax.FO2, ax.FO3, ax.AK, ax.AE, ax.AC,
                ax.P1, ax.P2, ax.P3, ax.P4, ax.P5, ax.APE, ax.APC)
 
 
-def random_axiom_instance(name, rng, agents, grid,
-                          leaves=None) -> ax.AxiomInstance:
+def random_axiom_instance(name, rng, agents, grid) -> ax.AxiomInstance:
     """A random instance of the named schema with side conditions satisfied;
-    `grid` holds Fractions, as `SearchBudget.weight_grid` does.  `leaves`
-    is passed on to `random_formula`."""
-    if leaves is None:
-        leaves = {}
+    `grid` holds Fractions, as `SearchBudget.weight_grid` does."""
     agent = rng.choice(agents)
     group = _random_group(rng, agents)
     member = rng.choice(group)
     # phi and psi are drawn for every schema, built only where used
-    phi = random_formula(rng, agents, leaves=leaves,
-                         build=name not in (ax.FO2, ax.FO3))
-    psi = random_formula(rng, agents, leaves=leaves,
+    phi = random_formula(rng, agents, build=name not in (ax.FO2, ax.FO3))
+    psi = random_formula(rng, agents,
                          build=name in (ax.PROP, ax.AK, ax.P4, ax.P5))
 
     if name == ax.PROP:
         params = {"formula": rng.choice(_TAUT_TEMPLATES)(phi, psi)}
     elif name == ax.FO1:
-        open_psi = random_formula(rng, agents, vars_allowed=("x",),
-                                 leaves=leaves)
+        open_psi = random_formula(rng, agents, vars_allowed=("x",))
         params = {"x": "x", "phi": phi, "psi": open_psi}
     elif name == ax.FO2:
-        open_phi = random_formula(rng, agents, vars_allowed=("x",),
-                                 leaves=leaves)
+        open_phi = random_formula(rng, agents, vars_allowed=("x",))
         term = Var(rng.choice(("x", "y")))
         if not is_free_for(term, "x", open_phi):
             term = Var("x")
         params = {"x": "x", "phi": open_phi, "term": term}
     elif name == ax.FO3:
-        open_phi = random_formula(rng, agents, vars_allowed=("x",),
-                                 leaves=leaves)
+        open_phi = random_formula(rng, agents, vars_allowed=("x",))
         params = {"x": "x", "i": agent, "phi": open_phi}
     elif name == ax.AK:
         params = {"i": agent, "phi": phi, "psi": psi}
@@ -871,14 +857,14 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
     # is kept only as its outcome: True, the printed formula it falsified,
     # or the error that making or checking it raised.
     outcomes = [None] * n
-    agents, leaves = budget.agents, {}
+    agents = budget.agents
     for k, m in enumerate(pool[:n]):
         batch = []
         for ix in range(k, n, size):
             rng = _rng_for(budget, f"fuzz:{ix}")
             try:
                 inst = random_axiom_instance(names[ix % len(names)], rng,
-                                             agents, grid, leaves)
+                                             agents, grid)
             except PckfoError as exc:
                 outcomes[ix] = exc
                 continue

@@ -77,45 +77,35 @@ _FREE_VARS = (
 _NORMS = {"group": "_as_group", "bound": "_check_bound"}
 
 
-class _Node:
-    """The slots of a node's hash and free variables, and of weak
-    references to it."""
-
-    __slots__ = ("_hash", "_fv", "__weakref__")
-
-
 def _node(cls):
-    """Make cls a frozen, slotted term or formula dataclass with this
-    module's hash and equality, sealed when built.  Its `__init__`,
-    generated here as a dataclass generates one, sets the fields through
-    their slots, a group and a bound in normal form, then seals the node:
-    it stores its free variables, made from its operands', and its hash,
-    that of the tuple of its fields, as a frozen dataclass hashes.  The
-    operands were built before it, so they are sealed, and no walk is
-    needed.  A node is pickled and copied as a call of its constructor,
-    so a copy is sealed in its own process, whose string hashes differ.
-    `_data` reads the fields that are not subnodes."""
-    cls = dataclass(frozen=True, init=False, eq=False, slots=True)(cls)
+    """Make cls a frozen term or formula dataclass with this module's hash
+    and equality, sealed when built.  Its `__init__`, generated here as a
+    frozen dataclass generates one, sets the fields, a group and a bound
+    in normal form, then seals the node: it stores its free variables,
+    made from its operands', and its hash, that of the tuple of its
+    fields, as a frozen dataclass hashes.  The operands were built before
+    it, so they are sealed, and no walk is needed.  A node is pickled and
+    copied as a call of its constructor, so a copy is sealed in its own
+    process, whose string hashes differ.  `_data` reads the fields that
+    are not subnodes."""
+    cls = dataclass(frozen=True, init=False, eq=False)(cls)
     names = [fl.name for fl in fields(cls)]
     params = [fl.name if fl.default is MISSING else f"{fl.name}={fl.default!r}"
               for fl in fields(cls)]
     free = next(lines for name, lines in _FREE_VARS if name in names)
     source = "\n".join([
         f"def __init__(self, {', '.join(params)}):",
-        *[f"    _set_{n}(self, {n} := {_NORMS[n]}({n}))" if n in _NORMS
-          else f"    _set_{n}(self, {n})" for n in names],
+        *[f"    _set(self, {n!r}, {n} := {_NORMS[n]}({n}))" if n in _NORMS
+          else f"    _set(self, {n!r}, {n})" for n in names],
         *["    " + line for line in free],
-        "    _set__fv(self, fv)",
-        f"    _set__hash(self, hash(({', '.join(names)},)))",
+        "    _set(self, '_fv', fv)",
+        f"    _set(self, '_hash', hash(({', '.join(names)},)))",
         "def __reduce__(self):",
         f"    return type(self), ({''.join(f'self.{n}, ' for n in names)})",
     ])
-    # a slot's own setter, which the frozen __setattr__ does not guard
-    scope = {f"_set_{n}": getattr(cls, n).__set__
-             for n in names + ["_hash", "_fv"]}
     made = {}
     exec(source, {"_as_group": _as_group, "_check_bound": _check_bound,
-                  "_NO_VARS": _NO_VARS, **scope}, made)
+                  "_NO_VARS": _NO_VARS, "_set": object.__setattr__}, made)
     cls.__init__, cls.__reduce__ = made["__init__"], made["__reduce__"]
     data = [n for n in names if n not in ("body", "left", "right", "args")]
     cls._data = attrgetter(*data) if data else None
@@ -160,12 +150,12 @@ def _equal(f, g):
 
 
 @_node
-class Var(_Node):
+class Var:
     name: str
 
 
 @_node
-class App(_Node):
+class App:
     fn: str
     args: tuple = ()
 
@@ -174,62 +164,62 @@ Term = Union[Var, App]
 
 
 @_node
-class Atom(_Node):
+class Atom:
     rel: str
     args: tuple = ()
 
 
 @_node
-class Not(_Node):
+class Not:
     body: "Formula"
 
 
 @_node
-class And(_Node):
+class And:
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Forall(_Node):
+class Forall:
     var: str
     body: "Formula"
 
 
 @_node
-class Knows(_Node):
+class Knows:
     agent: str
     body: "Formula"
 
 
 @_node
-class EveryoneKnows(_Node):
+class EveryoneKnows:
     group: tuple
     body: "Formula"
 
 
 @_node
-class CommonKnows(_Node):
+class CommonKnows:
     group: tuple
     body: "Formula"
 
 
 @_node
-class ProbAtLeast(_Node):
+class ProbAtLeast:
     agent: str
     bound: Fraction
     body: "Formula"
 
 
 @_node
-class EveryoneProb(_Node):
+class EveryoneProb:
     group: tuple
     bound: Fraction
     body: "Formula"
 
 
 @_node
-class CommonProb(_Node):
+class CommonProb:
     group: tuple
     bound: Fraction
     body: "Formula"

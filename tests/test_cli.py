@@ -492,10 +492,9 @@ class TestFindFuzzDemo:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["fuzz", *argv])
         assert (code, out.getvalue()) == (2, "")
+        ask = "instances" if what.startswith("fuzz") else "models"
         assert err.getvalue() == (f"budget error: {what} is over the cap of"
-                                  f" 200000; ask for fewer "
-                                  f"{'instances' if 'fuzz' in what else 'models'}"
-                                  "\n")
+                                  f" 200000; ask for fewer {ask}\n")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_fuzz_empty_class_pool_is_budget_error(self, count):
