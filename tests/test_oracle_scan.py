@@ -217,6 +217,18 @@ def test_orbit_class_size_counts_every_member(budget):
     assert members == sizes
 
 
+def test_scan_evaluates_each_class_once_at_three_states(monkeypatch):
+    # classes of up to 3! members: each outcome is kept for all the others
+    budget = SearchBudget(max_states=3, relation_symbols=(("p", 0),),
+                          weight_grid=(Fraction(0), Fraction(1)),
+                          sample_mode="full", atom_mode="merged")
+    runs = _evaluator_runs(monkeypatch)
+    scanned = [m for m, _ in oracle._scan(enumerate_models(budget),
+                                          [parse_formula("K[a] p")])]
+    assert len(scanned) == enumeration_size(budget)
+    assert len(runs) == sum(m.orbit[2] is None for m in scanned) == 792
+
+
 def _evaluator_runs(monkeypatch):
     """The list of models that Evaluator.run is called on from now."""
     runs = []
