@@ -374,21 +374,26 @@ def _all_models(budget: SearchBudget, orbits=False):
                 (tuple([rel[k] for k in ren.slots]), ren)
                 for ren in renamings])
             rel_rank = _rank(rel_key, rel_radices)
-            key = (least_rel, tuple(map(id, by_rel)))
-            if key not in acc_least:
-                acc_least[key] = [-1] * accesses, [None] * accesses
-            ranks, tie_of = acc_least[key]
+            if by_rel:
+                key = (least_rel, tuple(map(id, by_rel)))
+                if key not in acc_least:
+                    acc_least[key] = [-1] * accesses, [None] * accesses
+                ranks, tie_of = acc_least[key]
             for at, acc in enumerate(
                     itertools.product(*map(range, acc_radices))):
-                if ranks[at] < 0:
-                    acc_key, least, ties = _least(acc, least_rel, [
-                        (tuple([ren.access[k] for k in acc]), ren)
-                        for ren in by_rel])
-                    ranks[at] = _rank(acc_key, acc_radices)
-                    tie_of[at] = tie_sets.setdefault(
-                        (least, tuple(map(id, ties))), (least, tuple(ties)))
-                least, ties = tie_of[at]
-                acc_rank = ranks[at]
+                if not by_rel:   # no renaming ties: acc is its least image
+                    acc_rank, least, ties = at, least_rel, ()
+                else:
+                    if ranks[at] < 0:
+                        acc_key, least, ties = _least(acc, least_rel, [
+                            (tuple([ren.access[k] for k in acc]), ren)
+                            for ren in by_rel])
+                        ranks[at] = _rank(acc_key, acc_radices)
+                        tie_of[at] = tie_sets.setdefault(
+                            (least, tuple(map(id, ties))),
+                            (least, tuple(ties)))
+                    acc_rank = ranks[at]
+                    least, ties = tie_of[at]
                 base = (rel_rank * accesses + acc_rank) * block
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
                 for ix, sp in enumerate(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,23 @@ class TestFuzz:
         with pytest.raises(BudgetError, match="class model count 13 is over"
                                               " the cap of 12"):
             targeted_class_models(budget, "CON", 13)
+
+    def test_pool_prefix_keeps_no_enumeration_table(self):
+        # The first shape with a space is at 3 states; the enumerator's
+        # table of least access images would there take 2 x 512**2 slots
+        # per tie set, and the pool takes only a prefix, without orbits.
+        budget = SearchBudget(max_states=3, max_agents=2, sample_mode="full",
+                              atom_mode="singleton",
+                              weight_grid=(Fraction(1, 3), Fraction(1, 6)))
+        fuzz_soundness(budget, 5)
+        tracemalloc.start()
+        try:
+            rep = fuzz_soundness(budget, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == VALID_IN_SUITE
+        assert peak < 1_000_000
 
     def test_seeded_determinism(self):
         budget = SearchBudget(max_states=2, seed=7, atom_mode="singleton")
