@@ -334,10 +334,11 @@ def _all_models(budget: SearchBudget, orbits=False):
     member the size of its class (else None).  The least image is found
     level by level: only the renamings that tie on the relation choice
     are tried on the access, and only those that tie on both on the
-    spaces, so an outer loop settles most renamings.  The access level's
-    result depends only on the access choice, whether the identity ties
-    on the relation choice and which renamings do, so it is computed once
-    per such triple.  At a least member the renamings that tie on all
+    spaces, so an outer loop settles most renamings.  Where some renaming
+    ties on the relation choice, the access level's result depends only
+    on the access choice, whether the identity ties on the relation
+    choice and which renamings do, so it is computed once per such
+    triple.  At a least member the renamings that tie on all
     three levels with the identity are those that fix the model, and the
     class has n!/(1 + their number) members."""
     # each a new tuple, sorted as a Model sorts them
