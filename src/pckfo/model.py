@@ -15,6 +15,7 @@ from them for the callers that ask.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -265,23 +266,35 @@ class Model:
                          tuple([frozenset(self.names_of(a)) for a in atoms]),
                          tuple([Fraction(x, den) for x in nums]))
 
+    def _position(self, name):
+        """The position of name among the sorted states, or None."""
+        states = self.states
+        try:
+            k = bisect_left(states, name)
+        except TypeError:   # not a string, so no state
+            return None
+        return k if k < len(states) and states[k] == name else None
+
     def successors(self, agent: str, state: str) -> frozenset:
         """States with an `agent` edge from `state`."""
         row = self.pred.get(agent)
         if row is None:
             raise EvalError(f"undeclared agent {agent!r}")
-        if state not in self.names:
-            return frozenset()
-        bit = 1 << self.names.index(state)
+        k = self._position(state)
+        if k is None:
+            try:   # only an invalid model has names past the states
+                k = self.names.index(state, len(self.states))
+            except ValueError:
+                return frozenset()
+        bit = 1 << k
         return frozenset([self.names[t] for t, into in enumerate(row)
                           if into & bit])
 
     def space(self, agent: str, state: str) -> ProbSpace:
         row = self.spaces.get(agent)
-        if row is not None and state in self.states:
-            entry = row[self.states.index(state)]
-            if entry is not None:
-                return self._space(entry)
+        k = self._position(state)
+        if row is not None and k is not None and row[k] is not None:
+            return self._space(row[k])
         raise EvalError(
             f"no probability space for agent {agent!r} at state {state!r}")
 

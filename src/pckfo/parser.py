@@ -509,9 +509,14 @@ def _int(raw, where) -> int:
     raise SchemaError(f"{where}: bad integer {raw!r}")
 
 
+def _is_names(raw) -> bool:
+    """Whether raw is a list of strings (state, agent or element names)."""
+    return isinstance(raw, list) and all(map(str.__instancecheck__, raw))
+
+
 def _strings(raw, where) -> list:
     """raw, checked to be a list of strings (state, agent or element names)."""
-    if not (isinstance(raw, list) and all(map(str.__instancecheck__, raw))):
+    if not _is_names(raw):
         raise SchemaError(f"{where}: expected a list of names, got {raw!r}")
     return raw
 
@@ -556,10 +561,13 @@ def load_model(doc: dict) -> Model:
         arity = _need(entry, "arity", int, f"relations.{sym}")
         table = {}
         for state, rows in _need(entry, "table", dict, f"relations.{sym}").items():
-            where = f"relations.{sym}.{state}"
-            if not isinstance(rows, list):
-                raise SchemaError(f"{where}: rows must be a list")
-            table[state] = frozenset(tuple(_strings(row, where)) for row in rows)
+            if not (isinstance(rows, list) and all(map(_is_names, rows))):
+                where = f"relations.{sym}.{state}"
+                if not isinstance(rows, list):
+                    raise SchemaError(f"{where}: rows must be a list")
+                for row in rows:
+                    _strings(row, where)
+            table[state] = frozenset(map(tuple, rows))
         if sym in relations:
             raise SchemaError(f"relations.{sym}: duplicate symbol")
         relations[sym] = (arity, table)
@@ -599,8 +607,7 @@ def load_model(doc: dict) -> Model:
             raise SchemaError(f"prob.{agent}: must map states to spaces")
         row = spaces.get(agent)
         for state, space_doc in per_state.items():
-            entry = _load_space(space_doc, f"prob.{agent}.{state}", index, n,
-                                weights)
+            entry = _load_space(space_doc, agent, state, index, n, weights)
             k = index.get(state, n)
             if row is None or k >= n:
                 strays.append(((agent, state), entry))
@@ -623,57 +630,77 @@ def _need_opt(doc, key, cls, where):
     return _need(doc, key, cls, where)
 
 
-def _load_space(doc, where, index, n, parsed) -> tuple:
-    """The space entry (see `Model`) of a space document; index gives the
-    bit positions of names, the n states first, and parsed maps each run
-    of weight texts met so far to its numerators and denominator."""
-    sample = _strings(_need(doc, "sample", list, where), where)
+def _load_space(doc, agent, state, index, n, parsed) -> tuple:
+    """The space entry (see `Model`) of agent's space document at state.
+    index gives the bit positions of names, the n states first, and parsed
+    maps each run of weight texts met so far to its numerators and
+    denominator.  The checks run in the order of docs/model_schema.md, and
+    each asks for the error location only when it fails."""
+    sample = doc.get("sample") if type(doc) is dict else None
+    if type(sample) is not list:
+        sample = _need(doc, "sample", list, f"prob.{agent}.{state}")
     bit = index.bit
     mask = 0
     try:
         for s in sample:
             mask |= bit[s]
-    except KeyError:   # a name that is not a state
-        mask = index.mask(sample)
-    if "atoms" in doc:
-        atoms = []
-        for names in _need(doc, "atoms", list, where):
-            try:
-                if type(names) is not list:
-                    raise TypeError
-                m = 0
-                for s in names:
-                    m |= bit[s]
-            except (KeyError, TypeError):
-                # not a list, or a member that is no state: every name with
-                # a bit is a string, so only such an atom needs checking
-                if not (isinstance(names, list)
-                        and all(map(str.__instancecheck__, names))):
-                    raise SchemaError(
-                        f"{where}: atoms must be lists of state names"
-                    ) from None
-                m = index.mask(names)
-            atoms.append(m)
-    else:
-        atoms = [bit[s] for s in sorted(sample)]
-    weights_doc = _need(doc, "weights", dict, where)
-    try:
-        texts = tuple([weights_doc[key] for key in map(str, range(len(atoms)))])
-        nums, den = parsed[texts]
     except (KeyError, TypeError):
-        # a run not met before; _weights raises if a weight is missing or
-        # not a rational
+        # a name that is not a state, or no name: every name with a bit is
+        # a string, so only such a sample needs checking
+        mask = index.mask(_strings(sample, f"prob.{agent}.{state}"))
+    if "atoms" in doc:
+        atoms_doc = doc["atoms"]
+        if type(atoms_doc) is not list:
+            atoms_doc = _need(doc, "atoms", list, f"prob.{agent}.{state}")
+    else:
+        atoms_doc = [[s] for s in sorted(sample)]
+    atoms = []
+    low = 0
+    canonical = True    # while each atom's lowest bit is above the last's
+    for names in atoms_doc:
+        try:
+            if type(names) is not list:
+                raise TypeError
+            m = 0
+            for s in names:
+                m |= bit[s]
+        except (KeyError, TypeError):
+            # not a list, or a member that is no state
+            if not _is_names(names):
+                raise SchemaError(f"prob.{agent}.{state}: atoms must be"
+                                  f" lists of state names") from None
+            m = index.mask(names)
+        if m & -m <= low:
+            canonical = False
+        low = m & -m
+        atoms.append(m)
+    weights_doc = doc.get("weights")
+    if type(weights_doc) is not dict:
+        weights_doc = _need(doc, "weights", dict, f"prob.{agent}.{state}")
+    # A run is keyed by its items, so a hit has the same keys in the same
+    # order and the same weights.  It is kept once its keys proved to be
+    # "0" .. k - 1 and only if its weights are strings: as 1 == 1.0 == True,
+    # a kept run of numbers would also stand for runs that must fail.
+    run = tuple(weights_doc.items())
+    try:
+        nums, den = parsed[run]
+    except (KeyError, TypeError):   # not met, or a weight that is unhashable
+        nums = None
+    if nums is None or len(nums) != len(atoms):
+        where = f"prob.{agent}.{state}"
         nums, den = _weights(weights_doc, len(atoms), where)
-        if all(map(str.__instancecheck__, texts)):
-            parsed[texts] = nums, den
-    if len(weights_doc) != len(atoms):
-        raise SchemaError(f"{where}: one weight per atom required")
+        if len(weights_doc) != len(atoms):
+            raise SchemaError(f"{where}: one weight per atom required")
+        if all(map(str.__instancecheck__, weights_doc.values())):
+            parsed[run] = nums, den
+    if canonical and len(index.names) == n:
+        return (mask, tuple(atoms), nums, den)
     return space_entry(mask, atoms, nums, den, index.names, n)
 
 
 def _weights(weights_doc, count, where) -> tuple:
-    """The weights "0" .. count - 1, each checked in turn, as integer
-    numerators over their common denominator."""
+    """The weights "0" .. count - 1, each checked in turn, as a tuple of
+    integer numerators over their common denominator."""
     weights = []
     for ix in range(count):
         key = str(ix)
@@ -684,7 +711,8 @@ def _weights(weights_doc, count, where) -> tuple:
             raise SchemaError(f"{where}: weight {raw!r} is a JSON float,"
                               f" which is not exact; write it as a string")
         weights.append(_fraction(raw, where))
-    return over_common_denominator(weights)
+    nums, den = over_common_denominator(weights)
+    return tuple(nums), den
 
 
 def decode_json(text: str, not_valid: str):

@@ -217,6 +217,53 @@ class TestMeasure:
             assert measure(m, "a", "s0", atom) + measure(m, "a", "s0", rest) == 1
 
 
+class TestStateLookup:
+    """`space` and `successors` find a state by its sorted position."""
+
+    N = 100
+
+    @classmethod
+    def model(cls):
+        # s000 -> s001 -> ... -> s099 -> s000, and each state's space
+        # halves over the state and its successor
+        states = [f"s{k:03d}" for k in range(cls.N)]
+        nxt = dict(zip(states, states[1:] + states[:1]))
+        return Model(
+            states=states[::-1], domain=("d0",), agents=("a",),
+            access={"a": frozenset(nxt.items())},
+            prob={("a", s): ProbSpace(frozenset([s, t]),
+                                      (frozenset([s]), frozenset([t])),
+                                      (F(1, 3), F(2, 3)))
+                  for s, t in nxt.items()}), nxt
+
+    def test_every_state(self):
+        m, nxt = self.model()
+        assert (m.states[0], m.states[-1]) == ("s000", "s099")
+        for s, t in nxt.items():
+            assert m.successors("a", s) == {t}
+            sp = m.space("a", s)
+            assert sp.sample == {s, t}
+            assert measure(m, "a", s, {s}) == F(1, 3)
+
+    @pytest.mark.parametrize("name", ["zz", "s", "s0", "s100", "", 5, None])
+    def test_unknown_name(self, name):
+        m, _ = self.model()
+        assert m.successors("a", name) == frozenset()
+        with pytest.raises(EvalError, match="no probability space"):
+            m.space("a", name)
+        with pytest.raises(EvalError, match="undeclared agent"):
+            m.successors("b", "s000")
+
+    def test_name_past_the_states(self):
+        # an invalid model keeps an edge from a name that is no state
+        m = Model(states=("s0", "s1"), domain=("d0",), agents=("a",),
+                  access={"a": frozenset({("zz", "s1"), ("s0", "zz")})})
+        assert m.successors("a", "zz") == {"s1"}
+        assert m.successors("a", "s0") == {"zz"}
+        with pytest.raises(EvalError, match="no probability space"):
+            m.space("a", "zz")
+
+
 class TestClassify:
     def test_con_when_sample_within_successors(self):
         m = two_state(access=(("s0", "s0"), ("s0", "s1"),
