@@ -3,10 +3,10 @@
 Exhaustive model enumeration over a small budget, seeded random generation,
 satisfiability search, soundness fuzzing of the axiom schemata, the
 non-compactness demonstrations and the derived-theorem validity suites.
-Every one of them evaluates through `_scan`, the one loop that builds an
-evaluator per model.  Nothing here is a decision procedure: a search that
-ends without a witness reports not-found-within-budget, never
-unsatisfiability.
+Every one of them evaluates through `_scan`, the one loop that builds
+evaluators, one per batch of models.  Nothing here is a decision
+procedure: a search that ends without a witness reports
+not-found-within-budget, never unsatisfiability.
 
 Satisfaction and measurability do not change when the states of a model
 are renamed, so `_scan` evaluates one enumerated model per class under
@@ -546,6 +546,10 @@ def _full(m: Model) -> int:
     return (1 << len(m.states)) - 1
 
 
+_BATCH = 32   # the most models evaluated in one run
+_HELD = 128   # the most models met and held until their batch is run
+
+
 def _scan(models, formulas):
     """Yield each model with, per formula, its outcome there: the mask of
     the states where it holds under every valuation of its free variables,
@@ -553,6 +557,18 @@ def _scan(models, formulas):
     that fails somewhere, whose mask it then is, so an earlier failure
     beats a later error.  Formulas are compiled once per domain; errors
     are yielded, not raised: see `value_or_raise`.
+
+    The models to evaluate are run in batches, each batch as one disjoint
+    union (see `pckfo.evaluator`), which gives every member the outcome it
+    has alone.  A batch is consecutive models to evaluate that agree on
+    domain, agents and groups, and have states and no name past them.
+    Batches grow 1, 2, 4, ... up to `_BATCH` models, so a caller that
+    stops at an early model, as `_witness` does, has at most about twice
+    the models it needed evaluated.  Until a batch is run, the models met
+    after its first wait with it: at most `_BATCH` models to evaluate and
+    `_HELD` models in all, replays included, so a long run of replays
+    runs the batch early.  Then all of them are yielded, in the order
+    met, each replay after the run that evaluated its least member.
 
     One model per class of enumerated models is evaluated.  Renaming the
     states of a model by pi renames everything the evaluator computes:
@@ -563,60 +579,121 @@ def _scan(models, formulas):
     valuation at every member of a class, raises the same error type
     for the same formula and agent, or has the renamed mask.  A model
     whose `orbit` (see `_all_models`) names its class's least member has
-    that member's outcome replayed: masks are moved back through the
-    orbit's table, and errors are reused as they are, so a replayed
-    NotMeasurable may name another state of the class than the model's
-    own.  The outcome of a least member is kept by token and position,
-    never the model, until as many other members as the orbit's class
-    size tells have replayed it, and each distinct error (by type,
+    that member's outcome replayed, when it is yielded: masks are moved
+    back through the orbit's table, and errors are reused as they are, so
+    a replayed NotMeasurable may name another state of the class than the
+    model's own.  The outcome of a least member is kept by token and
+    position, never the model, until as many other members as the orbit's
+    class size tells have replayed it, and each distinct error (by type,
     message and formula) and outcome is held once, so the table stays
     small.  A model without an orbit, and one whose least member this
     call has not met, is evaluated."""
     compiled = {}   # domain -> (program, per formula the range of its roots)
-    # token -> (position of a least member met -> its outcome, and where
-    # more than one other member is to replay it, how many are)
+    # token -> (position of a least member met -> its outcome, None while
+    # it waits to be run, and where more than one other member is to
+    # replay it, how many are)
     outcomes = {}
     kept = {}       # each distinct error and outcome stored, held once
-    for m in models:
-        orbit = m.orbit
-        if orbit is not None:
-            token, position, back, size = orbit
-            known, left = outcomes.setdefault(token, ({}, {}))
-            if back is not None and position in known:
-                yield m, [back[out] if type(out) is int else out
-                          for out in known[position]]
-                rest = left.pop(position, 1) - 1
-                if rest:
-                    left[position] = rest
-                else:
-                    del known[position]
-                continue
-        if m.domain not in compiled:
-            roots, spans = [], []
-            for f in formulas:
-                fv = sorted(free_vars(f))
-                start = len(roots)
-                if fv:
-                    roots += [(f, dict(zip(fv, values))) for values
-                              in itertools.product(m.domain, repeat=len(fv))]
-                else:
-                    roots.append((f, None))   # a sentence is one root
-                spans.append((start, len(roots)))
-            compiled[m.domain] = Program(roots, m.domain), spans
-        program, spans = compiled[m.domain]
-        results = Evaluator(m).run(program)
-        full = _full(m)
-        # per formula, its first error or failing valuation, else full
-        masks = [next((out for out in results[start:end] if out != full),
-                      full) for start, end in spans]
-        if orbit is not None and back is None and size > 1:
-            stored = tuple([out if type(out) is int else kept.setdefault(
-                (type(out), out.args, id(getattr(out, "formula", None))), out)
-                for out in masks])
-            known[position] = kept.setdefault(stored, stored)
-            if size > 2:
-                left[position] = size - 1
-        yield m, masks
+    batch = []      # the models to evaluate in the next run
+    queue = []      # each model met since the last run, and None if it is
+                    # in the batch, else the table it replays from
+    size = 1        # the batch is run when it has this many models
+    for m in itertools.chain(models, (None,)):
+        evaluate = m is not None
+        if evaluate:
+            orbit = m.orbit
+            if orbit is not None and orbit[2] is not None:
+                table = outcomes.get(orbit[0])
+                if table is not None and orbit[1] in table[0]:
+                    if not queue:
+                        yield m, _replayed(table, orbit)
+                        continue
+                    queue.append((m, table))
+                    if len(queue) < _HELD:
+                        continue
+                    evaluate = False   # run the batch now
+        if batch and (not evaluate or len(batch) == size
+                      or not _shares_run(batch[0], m)):
+            domain = batch[0].domain
+            if domain not in compiled:
+                roots, spans = [], []
+                for f in formulas:
+                    fv = sorted(free_vars(f))
+                    start = len(roots)
+                    if fv:
+                        roots += [(f, dict(zip(fv, values))) for values
+                                  in itertools.product(domain,
+                                                       repeat=len(fv))]
+                    else:
+                        roots.append((f, None))   # a sentence is one root
+                    spans.append((start, len(roots)))
+                compiled[domain] = Program(roots, domain), spans
+            program, spans = compiled[domain]
+            results = Evaluator(*batch).run(program)
+            if size < _BATCH:
+                size *= 2
+            at, width = 0, len(program.slots)
+            for q, table in queue:
+                if table is not None:
+                    yield q, _replayed(table, q.orbit)
+                    continue
+                full = (1 << len(q.states)) - 1
+                # per formula, its first error or failing valuation, else
+                # full
+                masks = []
+                for start, end in spans:
+                    for out in results[at + start:at + end]:
+                        if out != full:
+                            break
+                    else:
+                        out = full
+                    masks.append(out)
+                at += width
+                if q.orbit is not None and q.orbit[2] is None \
+                        and q.orbit[3] > 1:
+                    token, position, _, count = q.orbit
+                    known, left = outcomes[token]
+                    stored = tuple([out if type(out) is int else
+                                    kept.setdefault((type(out), out.args, id(
+                                        getattr(out, "formula", None))), out)
+                                    for out in masks])
+                    known[position] = kept.setdefault(stored, stored)
+                    if count > 2:
+                        left[position] = count - 1
+                yield q, masks
+            batch, queue = [], []
+        if evaluate:
+            batch.append(m)
+            queue.append((m, None))
+            if orbit is not None and orbit[2] is None and orbit[3] > 1:
+                if orbit[0] not in outcomes:
+                    outcomes[orbit[0]] = {}, {}
+                outcomes[orbit[0]][0][orbit[1]] = None
+
+
+def _shares_run(first: Model, m: Model) -> bool:
+    """Whether m may join the batch that starts with first: both have
+    states and no name past them, and they agree on domain, agents and
+    groups, against which the program and its group tokens resolve."""
+    return (len(first.names) == len(first.states) > 0
+            and len(m.names) == len(m.states) > 0 and m.domain == first.domain
+            and m.agents == first.agents
+            and (m.groups is first.groups or m.groups == first.groups))
+
+
+def _replayed(table, orbit) -> list:
+    """The outcome of orbit's least member, kept in table, replayed at
+    orbit's model: masks are moved back through the orbit's table.  The
+    outcome is dropped after its last replay."""
+    known, left = table
+    _, position, back, _ = orbit
+    out = [back[x] if type(x) is int else x for x in known[position]]
+    rest = left.pop(position, 1) - 1
+    if rest:
+        left[position] = rest
+    else:
+        del known[position]
+    return out
 
 
 def _witness(f, budget: SearchBudget) -> tuple:
@@ -1072,9 +1149,12 @@ def validity_suite(family: str, budget: SearchBudget, *,
         models_seen += 1
         full = _full(m)
         for (label, f), out in zip(formulas, masks):
+            if out == full:
+                continue
             if isinstance(out, NotMeasurable):
                 skipped += 1
-            elif value_or_raise(out) != full:
+            else:
+                value_or_raise(out)   # any other error is raised
                 failures += 1
                 rep.add(family=family, instance=label,
                         formula=print_formula(f), problem="falsified")

@@ -126,8 +126,8 @@ def test_evaluator_keeps_no_rows():
                         filled.add(t.attr)
                 elif _on_self(t):
                     set_in.setdefault(t.attr, set()).add(fn.name)
-    assert set_in == dict.fromkeys(("model", "full", "_bit", "_groups"),
-                                   {"__init__"})
+    assert set_in == dict.fromkeys(
+        ("model", "models", "full", "_starts", "_groups"), {"__init__"})
     assert filled == {"_groups"}
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}

@@ -230,12 +230,13 @@ def test_scan_evaluates_each_class_once_at_three_states(monkeypatch):
 
 
 def _evaluator_runs(monkeypatch):
-    """The list of models that Evaluator.run is called on from now."""
+    """The list of models that Evaluator.run evaluates from now: every
+    model of each run's batch."""
     runs = []
     original = Evaluator.run
 
     def counted(self, program):
-        runs.append(self.model)
+        runs.extend(self.models)
         return original(self, program)
 
     monkeypatch.setattr(Evaluator, "run", counted)
