@@ -172,45 +172,57 @@ class Program:
         while todo:
             kind, f, v, x = pop()
             if kind == _VISIT:
-                # f's table key: f, with the values of its free variables.
-                # Under an empty valuation f is a sentence, and so is every
-                # node below a sentence but a binder's body, which gets a
-                # valuation again.
-                key = f
-                if v:
-                    fv = free_vars(f)
-                    if fv:
-                        key = (f, tuple([(y, v.get(y)) for y in sorted(fv)]))
+                # Lay out f, going down a chain of unary nodes with no
+                # frame for each body.
+                while True:
+                    # f's table key: f, with the values of its free
+                    # variables.  Under an empty valuation f is a sentence,
+                    # and so is every node below a sentence but a binder's
+                    # body, which gets a valuation again.
+                    key = f
+                    if v:
+                        fv = free_vars(f)
+                        if fv:
+                            key = (f, tuple([(y, v.get(y))
+                                             for y in sorted(fv)]))
+                        else:
+                            v = {}
+                    # A met key has its position: a subformula is laid
+                    # out before any equal one is met.
+                    x = [key, None]
+                    cell = table.setdefault(key, x)
+                    if cell is not x:
+                        done.append(cell[1])
+                        break
+                    code = _CODES[type(f)]
+                    if code == _AND:
+                        push((code, f, v, x))
+                        push((_VISIT, f.right, v, None))
+                        push((_VISIT, f.left, v, None))
+                        break
+                    if code == _ATOM:
+                        ops.append((_ATOM, -1, -1, f.rel, f.args, v))
+                    elif code != _FORALL:
+                        push((code, f, v, x))
+                        f = f.body
+                        continue
+                    elif not domain:
+                        ops.append((_ALL, -1, -1))
                     else:
-                        v = {}
-                # A met key has its position: a subformula is laid out
-                # before any equal one is met.
-                x = [key, None]
-                cell = table.setdefault(key, x)
-                if cell is not x:
-                    done.append(cell[1])
-                    continue
-                code = _CODES[type(f)]
-                if code == _AND:
-                    push((code, f, v, x))
-                    push((_VISIT, f.right, v, None))
-                    push((_VISIT, f.left, v, None))
-                    continue
-                if code == _ATOM:
-                    ops.append((_ATOM, -1, -1, f.rel, f.args, v))
-                elif code != _FORALL:
-                    push((code, f, v, x))
-                    push((_VISIT, f.body, v, None))
-                    continue
-                elif not domain:
-                    ops.append((_ALL, -1, -1))
-                else:
-                    steps = []
-                    push((_CLOSE, f, v, (x, steps)))
-                    for k in range(len(domain) - 1, -1, -1):
-                        push((_STEP, None, None, (k, steps)))
-                        push((_VISIT, f.body, {**v, f.var: domain[k]}, None))
-                    continue
+                        steps = []
+                        push((_CLOSE, f, v, (x, steps)))
+                        for k in range(len(domain) - 1, -1, -1):
+                            push((_STEP, None, None, (k, steps)))
+                            push((_VISIT, f.body, {**v, f.var: domain[k]},
+                                  None))
+                        break
+                    # an operation for the cell x was just appended
+                    x[1] = at = len(ops) - 1
+                    done.append(at)
+                    if scopes:
+                        scopes[-1].append(key)
+                    break
+                continue
             elif kind >= 0:
                 a, b = done.pop(), -1
                 if kind == _AND:
