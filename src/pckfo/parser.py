@@ -11,10 +11,11 @@ modal/probability operators.
 
 Every formula text is read against a table of parenthesized groups
 (`_Groups`): `load_proof` makes one for all the formula texts of a document,
-and `parse_formula` one per call.  A group is keyed by its tokens, with each
-inner group standing as its id, so keys are linear in the text; a group read
-as a formula once is taken as that one object at every later copy, and not
-read again.
+and `parse_formula` one per call.  Each distinct run of text between
+parentheses (a chunk) is tokenized once per table, and a group is keyed by
+the ids of the chunks and inner groups directly inside it, so whitespace
+does not matter and keys are linear in the text; a group read as a formula
+once is taken as that one object at every later copy, and not read again.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _TOKEN_RE = re.compile(
     r"|<->|->|>=|<=|[!&|()\[\]{},<>=/])"
 )
 _ID_START = frozenset(string.ascii_letters + "_")
+_PARENS = re.compile(r"([()])")     # splits a text into chunks and parentheses
 
 _VAR_INITIALS = "uvwxyz"
 
@@ -69,7 +71,9 @@ def is_variable_name(name: str) -> bool:
     return bool(name) and name[0] in _VAR_INITIALS
 
 
-def _tokenize(text: str) -> list:
+def _tokenize(text: str, offset: int = 0) -> list:
+    """The tokens of text, which starts at offset in the formula text whose
+    spans an error reports."""
     toks = _TOKEN_RE.findall(text)
     if sum(map(len, toks)) != sum(map(len, text.split())):
         pos = 0
@@ -77,21 +81,27 @@ def _tokenize(text: str) -> list:
             pos = m.end()
         rest = text[pos:]
         pos += len(rest) - len(rest.lstrip())
-        raise ParseError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         (offset + pos, offset + pos + 1))
     return toks
 
 
 class _Groups:
     """The parenthesized groups of the formula texts of one document, or
-    of one text.  `ids` interns each group's key to an integer id: the
-    tuple of the tokens directly inside it, with each inner group replaced
-    by its id, so a token is in one key and keys are linear in the text.
-    `formulas` maps the id of each group read as a formula to that formula.
-    The parse of a group depends on its tokens alone, and a group is stored
-    only once it was read without error, so a stored formula stands for
-    every copy of its group."""
+    of one text.  A chunk is a run of text between two parentheses or an
+    end of the text.  `chunks` maps the raw text of each chunk met to its
+    tokens and the id of their tuple in `ids` (None when it has none), so
+    each distinct chunk is tokenized once.  `ids` interns keys to integer
+    ids from one counter: a chunk's key is its token tuple, so whitespace
+    does not matter, and a group's key is the tuple of the ids of the
+    chunks with tokens and of the inner groups directly inside it, so keys
+    are linear in the text.  `formulas` maps the id of each group read as a
+    formula to that formula.  The parse of a group depends on its tokens
+    alone, and a group is stored only once it was read without error, so a
+    stored formula stands for every copy of its group."""
 
     def __init__(self):
+        self.chunks = {"": ([], None)}
         self.ids = {}
         self.formulas = {}
 
@@ -110,33 +120,46 @@ class _FormulaParser:
     """
 
     def __init__(self, text: str, table: _Groups):
+        """Tokenize the chunks of text not yet in `table` and key each
+        matched group, innermost first, in one pass over the chunks and
+        parentheses with a stack of the enclosing keys.  Every chunk is
+        tokenized before reading starts, so the first bad character is
+        reported before any parse error."""
         self.text = text
-        self.toks = _tokenize(text)
-        self.toks.append("")
         self.pos = 0
         self.table = table
-        self.groups = self._key_groups()
-
-    def _key_groups(self) -> dict:
-        """Key each matched group, innermost first, in one pass over the
-        tokens with a stack of the enclosing keys."""
-        ids = self.table.ids
-        groups = {}
+        chunks, ids = table.chunks, table.ids
+        self.toks = toks = []
+        self.groups = groups = {}
         stack = []      # (position of "(", enclosing key) of the open groups
         key = []        # the key so far of the innermost open group
-        for ix, tok in enumerate(self.toks):
-            if tok == "(":
-                stack.append((ix, key))
+        offset = 0      # where the part starts in the text
+        for ix, part in enumerate(_PARENS.split(text)):
+            if not ix & 1:      # a chunk
+                entry = chunks.get(part)
+                if entry is None:
+                    run = _tokenize(part, offset)
+                    entry = chunks[part] = (
+                        run, ids.setdefault(tuple(run), len(ids)) if run
+                        else None)
+                run, cid = entry
+                if run:
+                    toks += run
+                    key.append(cid)
+            elif part == "(":
+                stack.append((len(toks), key))
+                toks.append("(")
                 key = []
-            elif tok == ")" and stack:
-                start, outer = stack.pop()
-                gid = ids.setdefault(tuple(key), len(ids))
-                groups[start] = (gid, ix)
-                outer.append(gid)
-                key = outer
             else:
-                key.append(tok)
-        return groups
+                if stack:
+                    start, outer = stack.pop()
+                    gid = ids.setdefault(tuple(key), len(ids))
+                    groups[start] = (gid, len(toks))
+                    outer.append(gid)
+                    key = outer
+                toks.append(")")
+            offset += len(part)
+        toks.append("")
 
     # -- token plumbing
 

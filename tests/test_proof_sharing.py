@@ -20,6 +20,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,56 @@ def test_deep_document_keys_are_linear(monkeypatch):
         assert first[k].formula.body is again[k].formula.body \
             is proof.hypotheses[k].body
     assert first[2].formula == again[2].formula == proof.hypotheses[2]
+
+
+def _tokenized(monkeypatch) -> list:
+    """The chunks passed to parser._tokenize while the test runs."""
+    calls = []
+    original = parser._tokenize
+
+    def counted(chunk, offset=0):
+        calls.append(chunk)
+        return original(chunk, offset)
+
+    monkeypatch.setattr(parser, "_tokenize", counted)
+    return calls
+
+
+_CHUNK_DOCUMENTS = [(name, doc) for name, doc in DOCUMENTS
+                    if name in ("fixture-fixed_point", "fixed_point-9",
+                                "random-3-deduction", "random-7-necessitation",
+                                "deep-0")]
+
+
+@pytest.mark.parametrize("name, doc", _CHUNK_DOCUMENTS,
+                         ids=[name for name, _ in _CHUNK_DOCUMENTS])
+def test_each_distinct_chunk_tokenized_once(monkeypatch, name, doc):
+    """Over the texts of a document, `_tokenize` runs once per distinct
+    non-empty run of text between parentheses, however often the texts
+    repeat it."""
+    proof = load_proof(doc)
+    chunks = [chunk for text, _ in _texts_and_formulas(doc, proof)
+              for chunk in re.split(r"[()]", text) if chunk]
+    assert len(chunks) > len(set(chunks))
+    calls = _tokenized(monkeypatch)
+    assert _digest(load_proof(doc)) == _digest(proof)
+    assert sorted(calls) == sorted(set(chunks))
+
+
+def test_chunks_with_equal_tokens_share_a_group():
+    doc = {"hypotheses": ["(p & q) -> r", "K[a]( p&q )"], "steps": [
+        {"formula": "(p&q)", "just": {"kind": "axiom", "name": "Prop"}}]}
+    proof = load_proof(doc)
+    first, second = proof.hypotheses
+    assert first.body.left is second.body is proof.steps[0].formula
+
+
+def test_chunks_live_for_one_call(monkeypatch):
+    """Each parse_formula call tokenizes its chunks again."""
+    calls = _tokenized(monkeypatch)
+    text = "(p & q) -> (p & q)"
+    assert parse_formula(text) == parse_formula(text)
+    assert calls == ["p & q", " -> "] * 2
 
 
 def test_term_group_never_stands_for_a_formula():
