@@ -168,10 +168,10 @@ class Model:
     - `strays`: ((agent, state), space entry) of each space keyed outside
       agents x states, in the order given.
 
-    `orbit` is carried beside the rows: None, or the model's place in its
-    class under renamings of its states, which `oracle.enumerate_models`
-    sets and `oracle._scan` reads (see `oracle._all_models`).  It takes no
-    part in equality.
+    `orbit` is carried beside the rows: None, or, for a model that
+    `oracle.enumerate_models` yields as the least member of its class
+    under renamings of its states, that class (see `oracle._all_models`).
+    It takes no part in equality.
 
     Construction compiles `access` (agent -> {(s, t)}) and `prob`
     ((agent, state) -> ProbSpace); `Model.compiled` takes rows as they

@@ -9,11 +9,12 @@ procedure: a search that ends without a witness reports
 not-found-within-budget, never unsatisfiability.
 
 Satisfaction and measurability do not change when the states of a model
-are renamed, so `_scan` evaluates one enumerated model per class under
-renaming, the first of its class that `enumerate_models` yields, and
-replays that outcome at the others.  Counts such as `models_checked` and
-`models` still count every labelled model, and a replayed NotMeasurable
-may name another state of the class than the model's own.
+are renamed, so `enumerate_models` generates one model per class under
+renaming: the least member, the one the labelled enumeration meets first,
+with the class size (see `_all_models`).  Counts still count every
+labelled model: `models_checked` is the witness's labelled position plus
+1 (all of them on a miss), and a validity suite's `models` and
+`skipped_not_measurable` add each class's size.
 """
 
 from __future__ import annotations
@@ -241,18 +242,20 @@ def enumeration_size(budget: SearchBudget) -> int:
 
 
 def enumerate_models(budget: SearchBudget):
-    """Deterministic stream of every valid model over the budget's shape.
-    The cap is checked from counts, before any option list is built.
+    """Deterministic stream of the valid models over the budget's shape,
+    one per class under renamings of their states: the least member of
+    each class, in the order of the labelled enumeration.  The cap is
+    checked from counts, before any option list is built.
 
-    Each model carries its class under renamings of its states as its
-    `orbit` (see `_all_models`), so that `_scan` evaluates one model per
-    class; the stream itself is every labelled model, once."""
+    Each model carries its class as its `orbit` (see `_all_models`), whose
+    size counts the labelled models it stands for; `_members` builds them.
+    The stream of every labelled model is `_all_models(budget)`."""
     size = enumeration_size(budget)
     if size > budget.max_models:
         raise BudgetError(
             f"enumeration space has {size} models, over the cap of"
             f" {budget.max_models}; shrink the budget")
-    yield from _all_models(budget, orbits=True)
+    yield from _all_models(budget, classes=True)
 
 
 # A renaming pi of the n states of a shape (pi[i] is the new position of
@@ -262,8 +265,18 @@ def enumerate_models(budget: SearchBudget):
 #   space   per space option, the index of its image (atoms put back in
 #           canonical order by space_entry), as a lookup
 #   take    the space choices of M in the order of their images' positions
-#   back    per mask of pi.M, the mask of the same states of M
-_Renaming = namedtuple("_Renaming", "slots access space take back")
+_Renaming = namedtuple("_Renaming", "slots access space take")
+
+# One shape of one enumeration: the token of the call, how many labelled
+# models the earlier shapes have, the radices of an index tuple, what a
+# model of the shape is built from, and the renamings of its states.
+_Shape = namedtuple("_Shape", "call offset radices budget states domain"
+                              " agents groups rel_slots access_opts"
+                              " space_opts renamings")
+
+# The class of a least member: its shape, its index tuple as relation,
+# access and space choices, and how many labelled models it has.
+_Orbit = namedtuple("_Orbit", "shape rel acc sp size")
 
 
 def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
@@ -279,8 +292,6 @@ def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
         inv = sorted(range(n), key=pi.__getitem__)
         move = [sum([1 << pi[i] for i in positions(mask)])
                 for mask in range(1 << n)]
-        back = [sum([1 << inv[j] for j in positions(mask)])
-                for mask in range(1 << n)]
         access = [access_ix[tuple([move[row[i]] for i in inv])]
                   for row in access_opts]
         space = [space_ix[space_entry(move[sample], [move[a] for a in atoms],
@@ -290,135 +301,157 @@ def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
             [k - k % n + inv[k % n] for k in range(n_slots)], access,
             space.__getitem__,
             operator.itemgetter(*[k * n + i for k in range(n_agents)
-                                  for i in inv]),
-            back))
+                                  for i in inv])))
     return out
 
 
-def _rank(digits, radices, start=0) -> int:
-    """The position of the index tuple `digits` in `itertools.product`
-    order over ranges of the given sizes, after `start` whole rounds of
-    that product."""
-    for digit, radix in zip(digits, radices):
-        start = start * radix + digit
-    return start
+def _position(shape, rel, acc, sp) -> int:
+    """The position in the labelled enumeration of the shape's model with
+    that index tuple: the labelled models of the earlier shapes, then its
+    rank in `itertools.product` order over the shape's radices."""
+    rank = 0
+    for digit, radix in zip(rel + acc + sp, shape.radices):
+        rank = rank * radix + digit
+    return shape.offset + rank
 
 
-def _least(part, least, images) -> tuple:
-    """One level of the search for the least image of a model.  `images`
-    pairs each renaming that ties so far with its image of this level's
-    option indices `part`, and `least` tells whether the identity ties
-    too.  The least image of the level, whether the identity still ties,
-    and the renamings that reach the least image."""
-    if not images:
-        return part, least, images   # the identity alone ties
-    best = min([img for img, _ in images] + ([part] if least else []))
-    return (best, least and best == part,
-            [ren for img, ren in images if img == best])
+def _ties(key, images):
+    """Of (image, renaming) pairs, the renamings whose image is key, or
+    None if some image is less than key."""
+    ties = []
+    for image, ren in images:
+        if image < key:
+            return None
+        if image == key:
+            ties.append(ren)
+    return ties
 
 
-def _all_models(budget: SearchBudget, orbits=False):
-    """Every model of each shape, in a fixed order: enumerate_models
-    without the cap, for callers that take a prefix.
+def _access_choices(ties, options, agents):
+    """The access choices (an option index per agent) in product order
+    that no renaming of ties maps to a less choice, each with the
+    renamings that map it to itself.  A renaming maps each agent's option
+    on its own, so the choices grow an agent at a time, depth first, and a
+    prefix that a renaming maps to a less one is dropped with every choice
+    it starts."""
+    if not ties:
+        yield from ((acc, ()) for acc in
+                    itertools.product(range(options), repeat=agents))
+        return
+    todo = [((), ties)]   # prefixes to grow, the next one last
+    while todo:
+        acc, kept = todo.pop()
+        if len(acc) == agents:
+            yield acc, kept
+            continue
+        grown = []
+        for k in range(options):
+            still = _ties(k, [(ren.access[k], ren) for ren in kept])
+            if still is not None:
+                grown.append((acc + (k,), still))
+        todo += reversed(grown)
+
+
+def _relations(shape, rel) -> dict:
+    """The relations of the shape's relation choice rel."""
+    relations = {sym: (arity, {})
+                 for sym, arity in shape.budget.relation_symbols}
+    for (sym, state, options), k in zip(shape.rel_slots, rel):
+        relations[sym][1][state] = options[k]
+    return relations
+
+
+def _all_models(budget: SearchBudget, classes=False):
+    """Every model of each shape, in a fixed order: with `classes`, the
+    stream of enumerate_models without the cap, else every labelled
+    model, for callers that take a prefix or referee the classes.
 
     Within a shape, models come in `itertools.product` order of their
     option indices (relation choice per slot, access option per agent,
     space option per agent and state), so that order is the lexicographic
     order of the index tuples.  A renaming pi of the states maps a model M
-    of the shape to a model pi.M of the shape, and the image with the
-    least index tuple is the least member of M's class, which comes first
-    in the stream.  With `orbits`, each model carries as its `orbit`: a
-    token of this shape in this call, the position of that least member
-    in the shape's stream, None if the model is that least member, else
-    the `back` table of a renaming pi with pi.M least, and for the least
-    member the size of its class (else None).  The least image is found
-    level by level: only the renamings that tie on the relation choice
-    are tried on the access, and only those that tie on both on the
-    spaces, so an outer loop settles most renamings.  Where some renaming
-    ties on the relation choice, the access level's result depends only
-    on the access choice, whether the identity ties on the relation
-    choice and which renamings do, so it is computed once per such
-    triple.  At a least member the renamings that tie on all
-    three levels with the identity are those that fix the model, and the
-    class has n!/(1 + their number) members."""
-    # each a new tuple, sorted as a Model sorts them
+    of the shape to a model pi.M of the shape; the members of M's class
+    are the distinct images, and the one with the least index tuple is the
+    least member, which the labelled order meets first of its class.
+
+    With `classes`, a model is yielded only if no renaming maps it to a
+    less index tuple (orderly generation).  A renaming maps the relation,
+    access and space choices each on their own, so the comparison is made
+    a level at a time: a relation choice that some renaming maps to a less
+    one is skipped with every model under it, and so is an access prefix;
+    only the renamings that map a level to itself are tried on the next.
+    Those that map all three levels to themselves fix M, and M's class has
+    n!/(1 + their number) members.  Each such M carries its `orbit`, an
+    `_Orbit`; the stream without `classes` carries none."""
     domain, agents = tuple(sorted(budget.domain)), budget.agents
     groups = {"G": agents}
+    call, offset = object(), 0
     for states, rel_slots, access_opts, space_opts in _shapes(budget):
         if not space_opts:
             continue   # the grid normalizes no space over these states
         n = len(states)
-        rel_lists = [options for (_, _, options) in rel_slots]
-        renamings = _renamings(states, len(rel_slots), access_opts,
-                               space_opts, len(agents)) if orbits else []
-        token = object()
-        group_size = len(renamings) + 1
-        rel_radices = [len(o) for o in rel_lists]
-        acc_radices = [len(access_opts)] * len(agents)
+        rel_radices = [len(options) for (_, _, options) in rel_slots]
         sp_radices = [len(space_opts)] * (len(agents) * n)
-        block = len(space_opts) ** len(sp_radices)
-        accesses = len(access_opts) ** len(agents)
-        # (identity ties, ids of the tying renamings) on the relation
-        # choice -> per access choice, in product order, the rank of its
-        # least image (-1 until found), and whether the identity ties and
-        # the renamings that tie, a pair held once
-        acc_least = {}
-        tie_sets = {}   # (identity ties, ids) -> that pair
+        renamings = _renamings(states, len(rel_slots), access_opts,
+                               space_opts, len(agents)) if classes else []
+        radices = rel_radices + [len(access_opts)] * len(agents) + sp_radices
+        shape = _Shape(call, offset, radices, budget, states, domain, agents,
+                       groups, rel_slots, access_opts, space_opts, renamings)
+        offset += math.prod(radices)
+        group_size = math.factorial(n)
         # The models of one relation choice share their relations, and
         # those of one access choice their predecessor rows.
         for rel in itertools.product(*map(range, rel_radices)):
-            relations = {sym: (arity, {})
-                         for sym, arity in budget.relation_symbols}
-            for (sym, state, options), k in zip(rel_slots, rel):
-                relations[sym][1][state] = options[k]
-            rel_key, least_rel, by_rel = _least(rel, True, [
-                (tuple([rel[k] for k in ren.slots]), ren)
-                for ren in renamings])
-            rel_rank = _rank(rel_key, rel_radices)
-            if by_rel:
-                key = (least_rel, tuple(map(id, by_rel)))
-                if key not in acc_least:
-                    acc_least[key] = [-1] * accesses, [None] * accesses
-                ranks, tie_of = acc_least[key]
-            for at, acc in enumerate(
-                    itertools.product(*map(range, acc_radices))):
-                if not by_rel:   # no renaming ties: acc is its least image
-                    acc_rank, least, ties = at, least_rel, ()
-                else:
-                    if ranks[at] < 0:
-                        acc_key, least, ties = _least(acc, least_rel, [
-                            (tuple([ren.access[k] for k in acc]), ren)
-                            for ren in by_rel])
-                        ranks[at] = _rank(acc_key, acc_radices)
-                        tie_of[at] = tie_sets.setdefault(
-                            (least, tuple(map(id, ties))),
-                            (least, tuple(ties)))
-                    acc_rank = ranks[at]
-                    least, ties = tie_of[at]
-                base = (rel_rank * accesses + acc_rank) * block
+            rel_ties = _ties(rel, [(tuple([rel[k] for k in ren.slots]), ren)
+                                   for ren in renamings])
+            if rel_ties is None:
+                continue
+            relations = _relations(shape, rel)
+            for acc, ties in _access_choices(rel_ties, len(access_opts),
+                                             len(agents)):
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
-                for ix, sp in enumerate(
-                        itertools.product(*map(range, sp_radices))):
-                    orbit = None
-                    if orbits:
-                        best, back = (sp, None) if least else (None, None)
-                        fixed = 0   # the renamings that map sp to itself
-                        for ren in ties:
-                            img = tuple(map(ren.space, ren.take(sp)))
-                            if best is None or img < best:
-                                best, back = img, ren.back
-                            fixed += img == sp
-                        orbit = (token, base + (
-                            ix if back is None else _rank(best, sp_radices)),
-                            back,
-                            group_size // (1 + fixed) if back is None
-                            else None)
-                    entries = tuple(map(space_opts.__getitem__, sp))
-                    yield Model.compiled(
-                        states, domain, agents, {}, relations, groups, states,
-                        pred, {agent: entries[k * n:(k + 1) * n]
-                               for k, agent in enumerate(agents)},
-                        orbit=orbit)
+                for sp in itertools.product(*map(range, sp_radices)):
+                    size = group_size
+                    if ties:
+                        fixed = _ties(sp, [(tuple(map(ren.space,
+                                                      ren.take(sp))), ren)
+                                           for ren in ties])
+                        if fixed is None:
+                            continue
+                        size //= 1 + len(fixed)
+                    yield _model(shape, relations, pred, sp,
+                                 _Orbit(shape, rel, acc, sp, size)
+                                 if classes else None)
+
+
+def _model(shape, relations, pred, sp, orbit=None) -> Model:
+    """The shape's model of the given relations, predecessor rows and
+    space choice sp: every enumerated model is built here."""
+    n = len(shape.states)
+    entries = tuple(map(shape.space_opts.__getitem__, sp))
+    return Model.compiled(
+        shape.states, shape.domain, shape.agents, {}, relations,
+        shape.groups, shape.states, pred,
+        {agent: entries[k * n:(k + 1) * n]
+         for k, agent in enumerate(shape.agents)}, orbit=orbit)
+
+
+def _members(orbit) -> list:
+    """(labelled position, model) of each member of the orbit's class, in
+    the order of the labelled enumeration: the distinct images of its
+    least member under the renamings of its shape."""
+    shape = orbit.shape
+    rel, acc, sp = orbit.rel, orbit.acc, orbit.sp
+    images = {(rel, acc, sp)}
+    images.update((tuple([rel[k] for k in ren.slots]),
+                   tuple([ren.access[k] for k in acc]),
+                   tuple(map(ren.space, ren.take(sp))))
+                  for ren in shape.renamings)
+    return [(_position(shape, rel, acc, sp),
+             _model(shape, _relations(shape, rel),
+                    {agent: shape.access_opts[k]
+                     for agent, k in zip(shape.agents, acc)}, sp))
+            for rel, acc, sp in sorted(images)]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +580,6 @@ def _full(m: Model) -> int:
 
 
 _BATCH = 32   # the most models evaluated in one run
-_HELD = 128   # the most models met and held until their batch is run
 
 
 def _scan(models, formulas):
@@ -558,61 +590,29 @@ def _scan(models, formulas):
     beats a later error.  Formulas are compiled once per domain; errors
     are yielded, not raised: see `value_or_raise`.
 
-    The models to evaluate are run in batches, each batch as one disjoint
-    union (see `pckfo.evaluator`), which gives every member the outcome it
-    has alone.  A batch is consecutive models to evaluate that agree on
-    domain, agents and groups, and have states and no name past them.
-    Batches grow 1, 2, 4, ... up to `_BATCH` models, so a caller that
-    stops at an early model, as `_witness` does, has at most about twice
-    the models it needed evaluated.  Until a batch is run, the models met
-    after its first wait with it: at most `_BATCH` models to evaluate and
-    `_HELD` models in all, replays included, so a long run of replays
-    runs the batch early.  Then all of them are yielded, in the order
-    met, each replay after the run that evaluated its least member.
+    Every model is evaluated, in batches, each batch as one disjoint union
+    (see `pckfo.evaluator`), which gives every member the outcome it has
+    alone.  A batch is consecutive models that agree on domain, agents and
+    groups, and have states and no name past them.  Batches grow 1, 2, 4,
+    ... up to `_BATCH` models, so a caller that stops at an early model,
+    as `_witness` does, has at most about twice the models it needed
+    evaluated.  The models of a batch are yielded, in order, once it has
+    run.
 
-    One model per class of enumerated models is evaluated.  Renaming the
-    states of a model by pi renames everything the evaluator computes:
-    the extension of every operation at pi.M is its extension at M moved
-    by pi, an empty or full extension stays empty or full, and a space
-    that cannot measure an event at M is the space of the same agent at
-    the renamed state of pi.M.  So each formula fails at the same
-    valuation at every member of a class, raises the same error type
-    for the same formula and agent, or has the renamed mask.  A model
-    whose `orbit` (see `_all_models`) names its class's least member has
-    that member's outcome replayed, when it is yielded: masks are moved
-    back through the orbit's table, and errors are reused as they are, so
-    a replayed NotMeasurable may name another state of the class than the
-    model's own.  The outcome of a least member is kept by token and
-    position, never the model, until as many other members as the orbit's
-    class size tells have replayed it, and each distinct error (by type,
-    message and formula) and outcome is held once, so the table stays
-    small.  A model without an orbit, and one whose least member this
-    call has not met, is evaluated."""
+    An enumerated model stands for its class (see `enumerate_models`).
+    Renaming the states of a model by pi renames everything the evaluator
+    computes: the extension of every operation at pi.M is its extension at
+    M moved by pi, an empty or full extension stays empty or full, and a
+    space that cannot measure an event at M is the space of the same agent
+    at the renamed state of pi.M.  So each formula fails at the same
+    valuation at every member of a class, raises the same error type for
+    the same formula and agent, or has the renamed mask, and the callers
+    read the outcome of the least member as that of each member."""
     compiled = {}   # domain -> (program, per formula the range of its roots)
-    # token -> (position of a least member met -> its outcome, None while
-    # it waits to be run, and where more than one other member is to
-    # replay it, how many are)
-    outcomes = {}
-    kept = {}       # each distinct error and outcome stored, held once
-    batch = []      # the models to evaluate in the next run
-    queue = []      # each model met since the last run, and None if it is
-                    # in the batch, else the table it replays from
+    batch = []      # the models of the next run
     size = 1        # the batch is run when it has this many models
     for m in itertools.chain(models, (None,)):
-        evaluate = m is not None
-        if evaluate:
-            orbit = m.orbit
-            if orbit is not None and orbit[2] is not None:
-                table = outcomes.get(orbit[0])
-                if table is not None and orbit[1] in table[0]:
-                    if not queue:
-                        yield m, _replayed(table, orbit)
-                        continue
-                    queue.append((m, table))
-                    if len(queue) < _HELD:
-                        continue
-                    evaluate = False   # run the batch now
-        if batch and (not evaluate or len(batch) == size
+        if batch and (m is None or len(batch) == size
                       or not _shares_run(batch[0], m)):
             domain = batch[0].domain
             if domain not in compiled:
@@ -633,10 +633,7 @@ def _scan(models, formulas):
             if size < _BATCH:
                 size *= 2
             at, width = 0, len(program.slots)
-            for q, table in queue:
-                if table is not None:
-                    yield q, _replayed(table, q.orbit)
-                    continue
+            for q in batch:
                 full = (1 << len(q.states)) - 1
                 # per formula, its first error or failing valuation, else
                 # full
@@ -649,26 +646,10 @@ def _scan(models, formulas):
                         out = full
                     masks.append(out)
                 at += width
-                if q.orbit is not None and q.orbit[2] is None \
-                        and q.orbit[3] > 1:
-                    token, position, _, count = q.orbit
-                    known, left = outcomes[token]
-                    stored = tuple([out if type(out) is int else
-                                    kept.setdefault((type(out), out.args, id(
-                                        getattr(out, "formula", None))), out)
-                                    for out in masks])
-                    known[position] = kept.setdefault(stored, stored)
-                    if count > 2:
-                        left[position] = count - 1
                 yield q, masks
-            batch, queue = [], []
-        if evaluate:
+            batch = []
+        if m is not None:
             batch.append(m)
-            queue.append((m, None))
-            if orbit is not None and orbit[2] is None and orbit[3] > 1:
-                if orbit[0] not in outcomes:
-                    outcomes[orbit[0]] = {}, {}
-                outcomes[orbit[0]][0][orbit[1]] = None
 
 
 def _shares_run(first: Model, m: Model) -> bool:
@@ -681,40 +662,27 @@ def _shares_run(first: Model, m: Model) -> bool:
             and (m.groups is first.groups or m.groups == first.groups))
 
 
-def _replayed(table, orbit) -> list:
-    """The outcome of orbit's least member, kept in table, replayed at
-    orbit's model: masks are moved back through the orbit's table.  The
-    outcome is dropped after its last replay."""
-    known, left = table
-    _, position, back, _ = orbit
-    out = [back[x] if type(x) is int else x for x in known[position]]
-    rest = left.pop(position, 1) - 1
-    if rest:
-        left[position] = rest
-    else:
-        del known[position]
-    return out
-
-
 def _witness(f, budget: SearchBudget) -> tuple:
     """The first enumerated model with a state where the sentence holds,
-    that state, and how many models were checked; (None, None, count) on
-    a miss.  A model on which f raises is passed over: f is not
+    that state, and how many labelled models were checked; (None, None,
+    count) on a miss.  A model on which f raises is passed over: f is not
     measurable there, or mentions symbols beyond the model's signature.
 
-    The witness and its state are those of the labelled enumeration:
-    whether f holds somewhere is the same at every member of a class, and
-    the least member comes first, so the first witness is a least member,
-    evaluated by `_scan`, not replayed."""
-    checked = 0
+    Whether f holds somewhere is the same at every member of a class, and
+    the least member comes first in the labelled order, so the first
+    labelled witness is a least member: the first witness of
+    `enumerate_models`.  The labelled models checked are those up to it:
+    its `_position` plus 1, the `_shape_size` of each earlier shape plus
+    its rank in its own and 1; on a miss, all of them
+    (`enumeration_size`)."""
     for m, (mask,) in _scan(enumerate_models(budget), [f]):
-        checked += 1
         if isinstance(mask, int) and mask:
             s = m.states[(mask & -mask).bit_length() - 1]
             if not satisfies(m, s, f):
                 raise EvalError(f"witness state {s!r} fails to re-verify")
-            return m, s, checked
-    return None, None, checked
+            o = m.orbit
+            return m, s, _position(o.shape, o.rel, o.acc, o.sp) + 1
+    return None, None, enumeration_size(budget)
 
 
 def find_model(f, budget: SearchBudget) -> CheckReport:
@@ -1137,28 +1105,55 @@ def validity_suite(family: str, budget: SearchBudget, *,
     budget still fixes the agents the instances mention).  Non-measurable
     (model, instance) pairs are counted and skipped: the derived laws are
     stated over measurable models only.
-    """
+
+    An enumerated model counts as its class: `models` and
+    `skipped_not_measurable` add its class size, and each member of a
+    class whose least member falsifies an instance is a counterexample of
+    its own, built only then.  Counterexamples are numbered in the order
+    of the models they stand for, and an enumeration's members in the
+    labelled order, as though every labelled model had been scanned."""
     formulas = _family_formulas(family, budget.agents)
     rep = CheckReport(VALID_IN_SUITE)
     models_seen = 0
-    failures = 0
     skipped = 0
+    # (order, model, the indices of the instances it falsifies); an
+    # enumeration's members are ordered by their labelled positions, after
+    # the stream position of its first falsified class
+    falsified = []
+    starts = {}   # enumeration call -> that stream position
     if models is None:
         models = enumerate_models(budget)
-    for m, masks in _scan(models, [f for _, f in formulas]):
-        models_seen += 1
+    for at, (m, masks) in enumerate(_scan(models, [f for _, f in formulas])):
+        orbit = m.orbit
+        weight = 1 if orbit is None else orbit.size
+        models_seen += weight
         full = _full(m)
-        for (label, f), out in zip(formulas, masks):
+        bad = []
+        for k, out in enumerate(masks):
             if out == full:
                 continue
             if isinstance(out, NotMeasurable):
-                skipped += 1
+                skipped += weight
             else:
                 value_or_raise(out)   # any other error is raised
-                failures += 1
-                rep.add(family=family, instance=label,
-                        formula=print_formula(f), problem="falsified")
-                rep.artifacts[f"counterexample-{failures}"] = model_to_doc(m)
+                bad.append(k)
+        if not bad:
+            continue
+        if orbit is None:
+            falsified.append(((at,), m, bad))
+        else:
+            start = starts.setdefault(orbit.shape.call, at)
+            falsified += [((start, position), member, bad)
+                          for position, member in _members(orbit)]
+    falsified.sort(key=operator.itemgetter(0))
+    failures = 0
+    for _, m, bad in falsified:
+        for k in bad:
+            failures += 1
+            label, f = formulas[k]
+            rep.add(family=family, instance=label, formula=print_formula(f),
+                    problem="falsified")
+            rep.artifacts[f"counterexample-{failures}"] = model_to_doc(m)
     rep.add(family=family, instances=len(formulas), models=models_seen,
             failures=failures, skipped_not_measurable=skipped)
     if failures:

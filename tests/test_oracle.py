@@ -61,8 +61,10 @@ class TestEnumeration:
                              weight_grid=(F(0), F(1, 2), F(1)),
                              relation_symbols=(("r", 1),),
                              sample_mode=sample_mode, atom_mode=atom_mode)
-        assert enumeration_size(budget) == \
-            sum(1 for _ in enumerate_models(budget))
+        # one model per class, standing for its class size of them
+        assert enumeration_size(budget) \
+            == sum(m.orbit.size for m in enumerate_models(budget)) \
+            == sum(1 for _ in _all_models(budget))
 
     def test_deterministic(self):
         budget = tiny_budget(max_states=2, weight_grid=(F(0), F(1, 2), F(1)))
@@ -156,9 +158,9 @@ class TestFuzz:
             targeted_class_models(budget, "CON", 13)
 
     def test_pool_prefix_keeps_no_enumeration_table(self):
-        # The first shape with a space is at 3 states; the enumerator's
-        # table of least access images would there take 2 x 512**2 slots
-        # per tie set, and the pool takes only a prefix, without orbits.
+        # The first shape with a space is at 3 states, with 512**2 access
+        # choices; the pool takes only a prefix of the labelled stream,
+        # which holds no table of them.
         budget = SearchBudget(max_states=3, max_agents=2, sample_mode="full",
                               atom_mode="singleton",
                               weight_grid=(Fraction(1, 3), Fraction(1, 6)))

@@ -2,9 +2,10 @@
 read from it, and the structure that keeps it one loop."""
 
 import ast
-import collections
 import contextlib
+import functools
 import io
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pckfo import oracle
 from pckfo.cli import main
 from pckfo.errors import NotMeasurable
 from pckfo.evaluator import Evaluator
-from pckfo.model import Model, ProbSpace
+from pckfo.model import Model, ProbSpace, positions
 from pckfo.oracle import (
     SearchBudget, enumerate_models, enumeration_size, holds_everywhere,
     random_formula, random_models, validity_suite,
@@ -38,9 +39,68 @@ def _suite(monkeypatch, formulas, models):
 
 
 def _reloaded(budget):
-    """The budget's models as documents read back: the same models, in
-    the same order, carrying no class."""
-    return [load_model(model_to_doc(m)) for m in enumerate_models(budget)]
+    """Every labelled model of the budget as a document read back: the
+    same models, in the labelled order, carrying no class."""
+    return [load_model(model_to_doc(m)) for m in oracle._all_models(budget)]
+
+
+def _rows_key(m):
+    """A key of m read from its rows: two models of the same states,
+    domain and agents are equal if and only if their keys are."""
+    return (len(m.states),
+            tuple([tuple([table.get(s, frozenset()) for s in m.states])
+                   for _, (_, table) in sorted(m.relations.items())]),
+            tuple([row for _, row in sorted(m.pred.items())]),
+            tuple([row for _, row in sorted(m.spaces.items())]))
+
+
+@functools.lru_cache(maxsize=None)
+def _renaming_tables(pi):
+    """The positions in the order of their images under pi (the state at
+    position i moves to pi[i]), and per mask its image."""
+    return (sorted(range(len(pi)), key=pi.__getitem__),
+            [sum(1 << pi[i] for i in positions(mask))
+             for mask in range(1 << len(pi))])
+
+
+@functools.lru_cache(maxsize=None)
+def _renamed_space(entry, pi):
+    sample, atoms, nums, den = entry
+    move = _renaming_tables(pi)[1]
+    # atoms in canonical order: by their least state
+    pairs = sorted(((move[a], x) for a, x in zip(atoms, nums)),
+                   key=lambda pair: pair[0] & -pair[0])
+    return (move[sample], tuple(a for a, _ in pairs),
+            tuple(x for _, x in pairs), den)
+
+
+def _renamed(key, pi):
+    """The key of the model of `key` with its states renamed by pi."""
+    n, relations, pred, spaces = key
+    inv, move = _renaming_tables(pi)
+    return (n, tuple([tuple([row[i] for i in inv]) for row in relations]),
+            tuple([tuple([move[row[i]] for i in inv]) for row in pred]),
+            tuple([tuple([_renamed_space(row[i], pi) for i in inv])
+                   for row in spaces]))
+
+
+def _brute_force_classes(budget):
+    """Per labelled model of the budget, in order: the model and the
+    labelled position of the least member of its class, found by renaming
+    it every way and looking each image up among all labelled models."""
+    labelled = list(oracle._all_models(budget))
+    keys = [_rows_key(m) for m in labelled]
+    position = {key: k for k, key in enumerate(keys)}
+    return [(m, min([position[_renamed(key, pi)] for pi in
+                     itertools.permutations(range(len(m.states)))]))
+            for m, key in zip(labelled, keys)]
+
+
+def _renaming_between(least, member):
+    """A renaming of the states that maps least to member."""
+    key, target = _rows_key(least), _rows_key(member)
+    return next(pi for pi in itertools.permutations(range(len(least.states)))
+                if _renamed(key, pi) == target)
 
 
 def _p_states(m):
@@ -91,8 +151,7 @@ class TestFalsifiedSuite:
     def test_enumerated_failures_replayed_at_every_member(self, monkeypatch):
         budget = SearchBudget(max_states=2, sample_mode="full",
                               atom_mode="merged")
-        classes = {m.orbit[:2] for m in enumerate_models(budget)}
-        assert len(classes) < enumeration_size(budget)
+        assert len(list(enumerate_models(budget))) < enumeration_size(budget)
         reduced = _suite(monkeypatch, self.FORMULAS, enumerate_models(budget))
         full = _suite(monkeypatch, self.FORMULAS, _reloaded(budget))
         assert reduced.verdict == full.verdict == REJECTED
@@ -167,7 +226,17 @@ def _random_budget(rng, states, sample_mode=None, atom_mode=None,
             return budget
 
 
+def _moved(out, pi):
+    """A scan outcome at a model, moved to its renaming by pi."""
+    if isinstance(out, int):
+        return sum(1 << pi[i] for i in positions(out))
+    return out
+
+
 def test_reduced_scan_matches_every_model_evaluated():
+    # Each labelled model, reloaded and scanned on its own, has the
+    # outcome of its class's least member, moved by the renaming between
+    # them; the members of the classes are every labelled model, once.
     rng = random.Random(21)
     budgets = [_random_budget(rng, 2, sample_mode, atom_mode,
                               repeat=not k)
@@ -176,20 +245,25 @@ def test_reduced_scan_matches_every_model_evaluated():
                    for a in ("any", "singleton", "merged"))]
     budgets.append(_random_budget(rng, 3))
     states = set()
-    replayed = 0
+    shared = 0
     for budget in budgets:
         # agent b, where undeclared, makes some formulas raise EvalError
         formulas = [random_formula(rng, agents, depth=3, vars_allowed=("x",))
                     for agents in [budget.agents] * 6 + [("a", "b")] * 2]
         expected = [[_outcome(out) for out in masks]
                     for _, masks in oracle._scan(_reloaded(budget), formulas)]
-        got = []
-        for m, masks in oracle._scan(enumerate_models(budget), formulas):
-            got.append([_outcome(out) for out in masks])
-            replayed += m.orbit[2] is not None
-            states.add(len(m.states))
+        got = [None] * len(expected)
+        for least, masks in oracle._scan(enumerate_models(budget), formulas):
+            members = oracle._members(least.orbit)
+            assert len(members) == least.orbit.size
+            shared += len(members) > 1
+            states.add(len(least.states))
+            for position, member in members:
+                assert got[position] is None
+                pi = _renaming_between(least, member)
+                got[position] = [_outcome(_moved(out, pi)) for out in masks]
         assert got == expected
-    assert replayed and states == {1, 2, 3}
+    assert shared and states == {1, 2, 3}
 
 
 @pytest.mark.parametrize("budget", [
@@ -205,28 +279,37 @@ def test_reduced_scan_matches_every_model_evaluated():
                  atom_mode="merged"),
 ], ids=["find", "demo", "invalid-distribution", "3-states-merged"])
 def test_orbit_class_size_counts_every_member(budget):
-    # `_scan` drops a class's outcome after size - 1 replays
-    members, sizes = collections.Counter(), {}
-    for m in enumerate_models(budget):
-        token, position, back, size = m.orbit
-        members[token, position] += 1
-        if back is None:
-            sizes[token, position] = size
-        else:
-            assert size is None
-    assert members == sizes
+    # The class stream is exactly the labelled models that are least in
+    # their class, in the labelled order; each carries its labelled
+    # position and its members, whose number is its class size.
+    referee = _brute_force_classes(budget)
+    members = {}
+    for k, (m, least) in enumerate(referee):
+        members.setdefault(least, []).append((k, _rows_key(m)))
+    stream = list(enumerate_models(budget))
+    assert [_rows_key(m) for m in stream] \
+        == [_rows_key(m) for k, (m, least) in enumerate(referee) if k == least]
+    sizes = 0
+    for m in stream:
+        position = oracle._position(m.orbit.shape, m.orbit.rel, m.orbit.acc,
+                                    m.orbit.sp)
+        assert [(k, _rows_key(member)) for k, member
+                in oracle._members(m.orbit)] == members[position]
+        assert m.orbit.size == len(members[position])
+        sizes += m.orbit.size
+    assert sizes == enumeration_size(budget) == len(referee)
 
 
 def test_scan_evaluates_each_class_once_at_three_states(monkeypatch):
-    # classes of up to 3! members: each outcome is kept for all the others
+    # classes of up to 3! members, each evaluated once at its least member
     budget = SearchBudget(max_states=3, relation_symbols=(("p", 0),),
                           weight_grid=(Fraction(0), Fraction(1)),
                           sample_mode="full", atom_mode="merged")
     runs = _evaluator_runs(monkeypatch)
     scanned = [m for m, _ in oracle._scan(enumerate_models(budget),
                                           [parse_formula("K[a] p")])]
-    assert len(scanned) == enumeration_size(budget)
-    assert len(runs) == sum(m.orbit[2] is None for m in scanned) == 792
+    assert sum(m.orbit.size for m in scanned) == enumeration_size(budget)
+    assert len(runs) == len(scanned) == 792
 
 
 def _evaluator_runs(monkeypatch):
@@ -267,22 +350,59 @@ def test_find_evaluates_one_model_per_class(monkeypatch):
     assert len(runs) == 12888
 
 
-def _functions_constructing(tree, name):
-    """The functions whose own bodies call `name(...)`."""
+def _models_built(monkeypatch):
+    """The list that every `Model.compiled` call appends its model to from
+    now: every enumerated or random model built."""
+    built = []
+    original = Model.compiled.__func__
+
+    def counted(cls, *args, **kwargs):
+        m = original(cls, *args, **kwargs)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(Model, "compiled", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("family", oracle.VALIDITY_FAMILIES)
+def test_validity_demo_builds_one_model_per_class(monkeypatch, family):
+    built = _models_built(monkeypatch)
+    code, rep = _main("demo", "validity", "--family", family, "--json")
+    assert code == 0
+    assert rep["details"][-1]["models"] == 4112 + 50
+    assert len(built) <= 2096 + 50
+
+
+def test_find_builds_one_model_per_class(monkeypatch):
+    built = _models_built(monkeypatch)
+    code, rep = _main("find", "--formula", "p & !p", "--json")
+    assert code == 1
+    assert rep["details"][0]["models_checked"] == 25608
+    assert len(built) <= 12888
+
+
+def _functions_calling(tree, name):
+    """The functions whose own bodies call `name(...)`, a name or a dotted
+    attribute of a name."""
     found = set()
     todo = [(node, None) for node in tree.body]
     while todo:
         node, owner = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == name):
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == name:
             found.add(owner)
         todo.extend((child, owner) for child in ast.iter_child_nodes(node))
     return found
 
 
 def test_evaluator_is_built_only_in_scan():
-    # Every enumerate-and-evaluate loop of the oracle goes through _scan.
+    # Every enumerate-and-evaluate loop of the oracle goes through _scan,
+    # and every enumerated model is built by _model: the random models
+    # are the only others.
     tree = ast.parse(ORACLE.read_text())
-    assert _functions_constructing(tree, "Evaluator") == {"_scan"}
+    assert _functions_calling(tree, "Evaluator") == {"_scan"}
+    assert _functions_calling(tree, "Model.compiled") \
+        == {"_model", "random_model", "targeted_class_models"}
+    assert _functions_calling(tree, "_model") == {"_all_models", "_members"}
