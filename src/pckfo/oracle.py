@@ -194,17 +194,19 @@ def _shapes(budget: SearchBudget):
 
 def _weight_row_counts(grid, k_max) -> list:
     """counts[k]: how many grid^k tuples sum exactly to 1, for k <= k_max:
-    the sizes of _weight_rows, counted over partial sums."""
-    sums = {Fraction(0): 1}
+    the sizes of _weight_rows, counted over partial sums, which are taken
+    over the grid's common denominator."""
+    nums, den = over_common_denominator(grid)
+    sums = {0: 1}
     counts = [0]
     for _ in range(k_max):
         step = {}
         for total, ways in sums.items():
-            for w in grid:
-                if total + w <= 1:
+            for w in nums:
+                if total + w <= den:
                     step[total + w] = step.get(total + w, 0) + ways
         sums = step
-        counts.append(sums.get(1, 0))
+        counts.append(sums.get(den, 0))
     return counts
 
 

@@ -16,9 +16,9 @@ import pckfo.axioms as ax
 from pckfo.evaluator import Evaluator, satisfies
 from pckfo.model import classify, validate
 from pckfo.oracle import (
-    FUZZ_AXIOMS, SearchBudget, enumerate_models, expected_invalid_counterexample,
-    fuzz_soundness, noncompactness_demo, random_models, targeted_class_models,
-    validity_suite,
+    FUZZ_AXIOMS, SearchBudget, _all_models, enumerate_models,
+    expected_invalid_counterexample, fuzz_soundness, noncompactness_demo,
+    random_models, targeted_class_models, validity_suite,
 )
 from pckfo.parser import (
     load_model, model_to_json, parse_formula, parse_model, parse_proof,
@@ -101,14 +101,15 @@ def test_acceptance_2_class_relative_soundness(fixtures_dir):
 
 def test_acceptance_3_fixed_point_correctness():
     # exact-set comparison of the reachability/fixed-point computations
-    # against the unrolled operator iterations, zero tolerance
+    # against the unrolled operator iterations, zero tolerance, on every
+    # labelled model of each budget
     c_budget = SearchBudget(max_states=3, max_domain=1, max_agents=1,
                             weight_grid=(F(1),), sample_mode="full",
                             atom_mode="merged", relation_symbols=(("p", 0),),
                             max_models=10_000)
     group = ("a",)
     c_models = 0
-    for m in enumerate_models(c_budget):
+    for m in _all_models(c_budget):
         ev = Evaluator(m)
         n = len(m.states)
         for target in (p, Not(p)):
@@ -131,7 +132,7 @@ def test_acceptance_3_fixed_point_correctness():
     cr_models = 0
     rates = (F(0), F(1, 2), F(1))
     for budget in cr_budgets:
-        for m in enumerate_models(budget):
+        for m in _all_models(budget):
             ev = Evaluator(m)
             n = len(m.states)
             ext = ev.extension(p)
