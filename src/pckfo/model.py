@@ -7,9 +7,10 @@ algebra of each space is represented by its atoms: a partition of the sample
 set whose finite unions are exactly the measurable sets.
 
 A model keeps its relations and spaces in one compiled form, integer rows
-over bit masks (see `Model`); the loader, the enumerator and the evaluator
-work on those rows, and edge sets and `ProbSpace` objects are views built
-from them for the callers that ask.
+over bit masks (see `Model`); the loader, the enumerator, the evaluator and
+the document writer work on those rows.  `Model.space` and
+`Model.successors` build a `ProbSpace` or an edge set from them for the
+callers that ask.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ def point_entry(k) -> tuple:
     return (bit, (bit,), (1,), 1)
 
 
-@dataclass(frozen=True, init=False)
 class Model:
     """A finite model, compiled once into integer rows.
 
@@ -171,12 +171,15 @@ class Model:
     `orbit` is carried beside the rows: None, or, for a model that
     `oracle.enumerate_models` yields as the least member of its class
     under renamings of its states, that class (see `oracle._all_models`).
-    It takes no part in equality.
 
     Construction compiles `access` (agent -> {(s, t)}) and `prob`
     ((agent, state) -> ProbSpace); `Model.compiled` takes rows as they
-    stand.  Reading `access` or `prob` builds a view from the rows, so
-    `dataclasses.replace` compiles the model again.
+    stand.  Two models are equal when their declared data and their rows
+    are; `orbit` takes no part.  The rows of a valid model are canonical,
+    so two valid models are equal exactly when they have the same edges
+    and spaces; two invalid models whose names past the states or whose
+    stray spaces were met in another order compare unequal.  Models are
+    not hashable.
     """
 
     states: tuple
@@ -184,8 +187,6 @@ class Model:
     agents: tuple
     functions: dict     # name -> (arity, {args: value})
     relations: dict     # name -> (arity, {state: {tuples}})
-    access: dict        # a view: agent -> {(s, t)}
-    prob: dict          # a view: (agent, state) -> ProbSpace
     groups: dict        # name -> (members)
     orbit = None
 
@@ -236,35 +237,17 @@ class Model:
             spaces=spaces, strays=strays, orbit=orbit)
         return m
 
-    # -- views
+    def __eq__(self, other):
+        if not isinstance(other, Model):
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in (
+            "states", "domain", "agents", "functions", "relations", "groups",
+            "names", "pred", "spaces", "strays"))
 
     def names_of(self, mask) -> list:
         """The names of the bits of mask."""
         names = self.names
         return [names[k] for k in positions(mask)]
-
-    @property
-    def access(self) -> dict:
-        names = self.names
-        return {agent: frozenset([(names[s], names[t])
-                                  for t, into in enumerate(row)
-                                  for s in positions(into)])
-                for agent, row in self.pred.items()}
-
-    @property
-    def prob(self) -> dict:
-        out = {(agent, state): self._space(entry)
-               for agent in self.agents
-               for state, entry in zip(self.states, self.spaces[agent])
-               if entry is not None}
-        out.update((key, self._space(entry)) for key, entry in self.strays)
-        return out
-
-    def _space(self, entry) -> ProbSpace:
-        sample, atoms, nums, den = entry
-        return ProbSpace(frozenset(self.names_of(sample)),
-                         tuple([frozenset(self.names_of(a)) for a in atoms]),
-                         tuple([Fraction(x, den) for x in nums]))
 
     def _position(self, name):
         """The position of name among the sorted states, or None."""
@@ -293,10 +276,13 @@ class Model:
     def space(self, agent: str, state: str) -> ProbSpace:
         row = self.spaces.get(agent)
         k = self._position(state)
-        if row is not None and k is not None and row[k] is not None:
-            return self._space(row[k])
-        raise EvalError(
-            f"no probability space for agent {agent!r} at state {state!r}")
+        if row is None or k is None or row[k] is None:
+            raise EvalError(f"no probability space for agent {agent!r} at"
+                            f" state {state!r}")
+        sample, atoms, nums, den = row[k]
+        return ProbSpace(frozenset(self.names_of(sample)),
+                         tuple([frozenset(self.names_of(a)) for a in atoms]),
+                         tuple([Fraction(x, den) for x in nums]))
 
     def space_row(self, agent: str) -> tuple:
         """The agent's space entry per state position; EvalError if the

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .evaluator import Evaluator, Program, satisfies, value_or_raise
 from .model import (
-    Model, ProbSpace, classify, over_common_denominator, positions,
+    Model, classify, over_common_denominator, point_entry, positions,
     space_entry, validate,
 )
 from .parser import model_to_doc, print_formula
@@ -957,15 +957,17 @@ def fuzz_soundness(budget: SearchBudget, n: int, names=FUZZ_AXIOMS,
 
 def chain_model(length: int) -> Model:
     """A one-agent chain s0 -> s1 -> ... with p true everywhere but the end."""
-    states = tuple(f"s{i}" for i in range(length))
-    access = {"a": frozenset((f"s{i}", f"s{i+1}") for i in range(length - 1))}
+    chain = [f"s{i}" for i in range(length)]
+    states = tuple(sorted(chain))
+    at = {s: k for k, s in enumerate(states)}
+    into = [0] * length
+    for s, t in zip(chain, chain[1:]):
+        into[at[t]] |= 1 << at[s]
     relations = {"p": (0, {s: (frozenset([()]) if i < length - 1 else frozenset())
-                           for i, s in enumerate(states)})}
-    prob = {("a", s): ProbSpace(frozenset([s]), (frozenset([s]),), (Fraction(1),))
-            for s in states}
-    return Model(states=states, domain=("d0",), agents=("a",),
-                 functions={}, relations=relations, access=access, prob=prob,
-                 groups={"G": ("a",)})
+                           for i, s in enumerate(chain)})}
+    return Model.compiled(
+        states, ("d0",), ("a",), {}, relations, {"G": ("a",)}, states,
+        {"a": tuple(into)}, {"a": tuple(map(point_entry, range(length)))})
 
 
 def near_certain_model(n: int) -> Model:
@@ -973,13 +975,11 @@ def near_certain_model(n: int) -> Model:
     w = Fraction(1) - Fraction(1, n)
     states = ("s0", "s1")
     relations = {"p": (0, {"s0": frozenset([()]), "s1": frozenset()})}
-    space = ProbSpace(frozenset(states),
-                      (frozenset(["s0"]), frozenset(["s1"])),
-                      (w, 1 - w))
-    prob = {("a", s): space for s in states}
-    return Model(states=states, domain=("d0",), agents=("a",), functions={},
-                 relations=relations, access={"a": frozenset()}, prob=prob,
-                 groups={"G": ("a",)})
+    nums, den = over_common_denominator((w, 1 - w))
+    space = (0b11, (0b01, 0b10), tuple(nums), den)
+    return Model.compiled(
+        states, ("d0",), ("a",), {}, relations, {"G": ("a",)}, states,
+        {"a": (0, 0)}, {"a": (space, space)})
 
 
 def noncompactness_demo(bound: int) -> CheckReport:

@@ -30,8 +30,8 @@ from fractions import Fraction
 from . import proofcheck as pc
 from .errors import ParseError, SchemaError
 from .model import (
-    Model, Positions, over_common_denominator, point_entry, space_entry,
-    validate,
+    Model, Positions, over_common_denominator, point_entry, positions,
+    space_entry, validate,
 )
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
@@ -764,7 +764,9 @@ def parse_model(text: str) -> Model:
 
 
 def model_to_doc(m: Model) -> dict:
-    """Canonical document form (sorted, schema field order)."""
+    """Canonical document form (sorted, schema field order), written from
+    the model's rows.  A missing space is an EvalError."""
+    names = m.names
     doc = {
         "states": list(m.states),
         "domain": list(m.domain),
@@ -781,21 +783,30 @@ def model_to_doc(m: Model) -> dict:
              "table": {state: sorted(list(t) for t in tuples)
                        for state, tuples in sorted(table.items())}}
             for sym, (arity, table) in sorted(m.relations.items())],
-        "access": {agent: sorted([s, t] for (s, t) in pairs)
-                   for agent, pairs in sorted(m.access.items())},
+        "access": {agent: sorted([names[s], names[t]]
+                                 for t, into in enumerate(row)
+                                 for s in positions(into))
+                   for agent, row in sorted(m.pred.items())},
         "prob": {},
     }
-    prob = m.prob   # a view: each read builds every space
+    # Spaces share atoms and weights: each mask's sorted names and each
+    # run's weight texts are made once, and copied into every space.
+    listed, texts = {}, {}
     for agent in m.agents:
-        per_state = {}
-        for state in m.states:
-            sp = prob[(agent, state)]
+        per_state = doc["prob"][agent] = {}
+        for state, (sample, atoms, nums, den) in zip(m.states,
+                                                     m.space_row(agent)):
+            for mask in (sample, *atoms):
+                if mask not in listed:
+                    listed[mask] = sorted(m.names_of(mask))
+            if (nums, den) not in texts:
+                texts[nums, den] = {str(ix): str(Fraction(x, den))
+                                    for ix, x in enumerate(nums)}
             per_state[state] = {
-                "sample": sorted(sp.sample),
-                "atoms": [sorted(a) for a in sp.atoms],
-                "weights": {str(ix): str(w) for ix, w in enumerate(sp.weights)},
+                "sample": list(listed[sample]),
+                "atoms": [list(listed[a]) for a in atoms],
+                "weights": dict(texts[nums, den]),
             }
-        doc["prob"][agent] = per_state
     return doc
 
 

@@ -2,11 +2,11 @@
 straight from the satisfaction clauses with fixed points replaced by bounded
 unrolling, must agree with the production evaluator everywhere."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
 from pckfo.evaluator import Evaluator, Program
+from pckfo.model import Model
 from pckfo.oracle import SearchBudget, random_formula, random_models
 from pckfo.syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
@@ -125,10 +125,11 @@ def test_nested_terms_agree_with_naive():
     rng = random.Random("cross-check-terms")
     for m in random_models(budget, 20, tag="cross-terms"):
         dom = m.domain
-        m = dataclasses.replace(m, functions={
+        m = Model.compiled(m.states, dom, m.agents, {
             "c": (0, {(): rng.choice(dom)}),
             "f": (1, {(d,): rng.choice(dom) for d in dom}),
-            "g": (2, {(d, e): rng.choice(dom) for d in dom for e in dom})})
+            "g": (2, {(d, e): rng.choice(dom) for d in dom for e in dom})},
+            m.relations, m.groups, m.names, m.pred, m.spaces)
         roots = []
         for _ in range(6):
             f = Atom("R", (_random_term(rng, 4),))

@@ -174,8 +174,10 @@ class TestProgram:
         coarse = ProbSpace(frozenset(m.states), (frozenset(m.states),),
                            (F(1),))
         m = Model(states=m.states, domain=m.domain, agents=m.agents,
-                  relations=m.relations, access=m.access,
-                  prob={k: coarse for k in m.prob})
+                  relations=m.relations,
+                  access={"a": frozenset((s, t) for s in m.states
+                                         for t in m.states)},
+                  prob={("a", s): coarse for s in m.states})
         straddles = ProbAtLeast("a", F(1, 2), p)
         roots = [(straddles, None), (Knows("a", p), None),
                  (And(Knows("a", p), straddles), None), (Not(p), None)]
@@ -312,13 +314,17 @@ class TestCommonKnowledge:
 
 class TestCompiledModel:
     def test_views_of_the_rows_round_trip_the_fixtures(self, fixtures_dir):
-        # model_to_doc reads the access and prob views of the rows
+        # model_to_doc writes the edges and spaces from the rows
         for path in sorted((fixtures_dir / "models").glob("*.json")):
             text = path.read_text()
             m = load_model(json.loads(text))
             assert model_to_json(m) == text, path.name
+            access = {agent: frozenset(map(tuple, pairs)) for agent, pairs
+                      in json.loads(text)["access"].items()}
+            prob = {(agent, state): m.space(agent, state)
+                    for agent in m.agents for state in m.states}
             again = Model(m.states, m.domain, m.agents, m.functions,
-                          m.relations, m.access, m.prob, m.groups)
+                          m.relations, access, prob, m.groups)
             assert (again.pred, again.spaces) == (m.pred, m.spaces)
             assert classify(again) == classify(m)
 

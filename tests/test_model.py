@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -14,17 +13,25 @@ from pckfo.model import (
 F = Fraction
 
 
-def two_state(weights=(F(1, 2), F(1, 2)), access=(("s0", "s1"),)):
+def halves(weights=(F(1, 2), F(1, 2))):
+    """The space over s0, s1 with one atom each, weighted as given."""
+    return ProbSpace(frozenset(["s0", "s1"]),
+                     (frozenset(["s0"]), frozenset(["s1"])), weights)
+
+
+def two_state(weights=(F(1, 2), F(1, 2)), access=(("s0", "s1"),),
+              **declared):
+    """p at s0 only, one a-edge and the halves at both states; declared
+    replaces the domain, functions, relations or groups."""
+    declared = {"domain": ("d0",), "functions": {},
+                "relations": {"p": (0, {"s0": frozenset({()}),
+                                        "s1": frozenset()})},
+                **declared}
     return Model(
-        states=("s0", "s1"), domain=("d0",), agents=("a",),
-        functions={}, relations={"p": (0, {"s0": frozenset({()}),
-                                           "s1": frozenset()})},
+        states=("s0", "s1"), agents=("a",),
         access={"a": frozenset(access)},
-        prob={("a", s): ProbSpace(frozenset(["s0", "s1"]),
-                                  (frozenset(["s0"]), frozenset(["s1"])),
-                                  weights)
-              for s in ("s0", "s1")},
-    )
+        prob={("a", s): halves(weights) for s in ("s0", "s1")},
+        **declared)
 
 
 def three_atom_model():
@@ -75,11 +82,7 @@ class TestValidate:
                    for d in rep.details)
 
     def test_group_member_undeclared(self):
-        m = two_state()
-        bad = Model(states=m.states, domain=m.domain, agents=m.agents,
-                    relations=m.relations, access=m.access, prob=m.prob,
-                    groups={"G": ("zz",)})
-        rep = validate(bad)
+        rep = validate(two_state(groups={"G": ("zz",)}))
         assert any("not a declared agent" in d["problem"] for d in rep.details)
 
     @pytest.mark.parametrize("arity, problems", [
@@ -90,15 +93,14 @@ class TestValidate:
         (3, ["row ('d0',) has wrong arity", "table not total: 1 of 8 rows"]),
     ], ids=["negative", "huge", "ordinary"])
     def test_function_arity_problems(self, arity, problems):
-        m = two_state()
-        m = dataclasses.replace(m, domain=("d0", "d1"),
-                                functions={"f": (arity, {("d0",): "d0"})})
+        m = two_state(domain=("d0", "d1"),
+                      functions={"f": (arity, {("d0",): "d0"})})
         rep = validate(m)
         assert [d["problem"] for d in rep.details] == problems
         assert all(d["where"] == "functions.f" for d in rep.details)
 
     def test_negative_relation_arity(self):
-        m = dataclasses.replace(two_state(), relations={"p": (-1, {})})
+        m = two_state(relations={"p": (-1, {})})
         assert validate(m).details == [{"where": "relations.p",
                                         "problem": "negative arity -1"}]
 
@@ -109,26 +111,30 @@ class TestValidate:
         assert "weights must lie in [0, 1]" in problems
         assert not any("not normalized" in pr for pr in problems)
 
-    def test_replace_keeps_spaces_keyed_outside(self):
-        m = two_state()
-        prob = {**m.prob, ("zz", "s0"): point_space("s0"),
-                ("a", "s9"): point_space("s9")}
-        bad = Model(states=m.states, domain=m.domain, agents=m.agents,
-                    relations=m.relations, access=m.access, prob=prob)
-        problems = [(d["where"], d["problem"]) for d in validate(bad).details]
+    def test_spaces_keyed_outside_reported(self):
+        def bad():
+            prob = {("a", s): halves() for s in ("s0", "s1")}
+            prob.update({("zz", "s0"): point_space("s0"),
+                         ("a", "s9"): point_space("s9")})
+            return Model(states=("s0", "s1"), domain=("d0",), agents=("a",),
+                         access={"a": frozenset({("s0", "s1")})}, prob=prob)
+        first, again = bad(), bad()
+        problems = [(d["where"], d["problem"])
+                    for d in validate(first).details]
         assert problems == [
             ("prob.zz@s0", "space keyed by unknown agent or state"),
             ("prob.a@s9", "space keyed by unknown agent or state")]
-        again = dataclasses.replace(bad, functions={})
-        assert again == bad
+        assert again == first
         assert [(d["where"], d["problem"])
                 for d in validate(again).details] == problems
 
     def test_every_bad_edge_reported(self):
-        m = two_state()
-        bad = dataclasses.replace(m, access={
-            "a": frozenset({("s0", "s1"), ("s1", "zz"), ("yy", "s0")}),
-            "ghost": frozenset({("s0", "s0")})})
+        bad = Model(
+            states=("s0", "s1"), domain=("d0",), agents=("a",),
+            access={"a": frozenset({("s0", "s1"), ("s1", "zz"),
+                                    ("yy", "s0")}),
+                    "ghost": frozenset({("s0", "s0")})},
+            prob={("a", s): halves() for s in ("s0", "s1")})
         assert bad.successors("a", "s1") == {"zz"}
         rep = validate(bad)
         assert [(d["where"], d["problem"]) for d in rep.details] == [
@@ -197,7 +203,7 @@ class TestMeasure:
     def test_finite_additivity_exhaustive(self):
         # additivity over every pair of disjoint atom unions
         m = three_atom_model()
-        sp = m.prob[("a", "s0")]
+        sp = m.space("a", "s0")
         unions = []
         for k in range(len(sp.atoms) + 1):
             for combo in itertools.combinations(sp.atoms, k):
@@ -211,7 +217,7 @@ class TestMeasure:
 
     def test_complement_law(self):
         m = three_atom_model()
-        sp = m.prob[("a", "s0")]
+        sp = m.space("a", "s0")
         for atom in sp.atoms:
             rest = sp.sample - atom
             assert measure(m, "a", "s0", atom) + measure(m, "a", "s0", rest) == 1
@@ -273,10 +279,10 @@ class TestClassify:
 
     def test_obj_with_identical_tables(self):
         base = two_state()
-        sp = base.prob[("a", "s0")]
+        sp = base.space("a", "s0")
         m = Model(states=base.states, domain=base.domain, agents=("a", "b"),
                   relations=base.relations,
-                  access={"a": base.access["a"], "b": frozenset()},
+                  access={"a": frozenset({("s0", "s1")}), "b": frozenset()},
                   prob={(i, s): sp for i in ("a", "b")
                         for s in ("s0", "s1")})
         flags = classify(m)
@@ -286,15 +292,16 @@ class TestClassify:
     def test_sdp_unset_on_differing_successor_space(self):
         m = two_state()
         other = ProbSpace(frozenset(["s1"]), (frozenset(["s1"]),), (F(1),))
-        prob = dict(m.prob)
-        prob[("a", "s1")] = other
         m2 = Model(states=m.states, domain=m.domain, agents=m.agents,
-                   relations=m.relations, access=m.access, prob=prob)
+                   relations=m.relations,
+                   access={"a": frozenset({("s0", "s1")})},
+                   prob={("a", "s0"): m.space("a", "s0"), ("a", "s1"): other})
+        assert CLASS_SDP in classify(m)
         assert CLASS_SDP not in classify(m2)  # s1 in successors(a, s0)
 
     def test_renaming_invariance(self):
-        m = two_state(access=(("s0", "s0"), ("s0", "s1"),
-                              ("s1", "s0"), ("s1", "s1")))
+        edges = (("s0", "s0"), ("s0", "s1"), ("s1", "s0"), ("s1", "s1"))
+        m = two_state(access=edges)
         rename = {"s0": "t1", "s1": "t0"}
 
         def rn_space(sp):
@@ -308,10 +315,9 @@ class TestClassify:
             agents=m.agents,
             relations={sym: (ar, {rename[s]: rows for s, rows in tab.items()})
                        for sym, (ar, tab) in m.relations.items()},
-            access={i: frozenset((rename[s], rename[t]) for (s, t) in pairs)
-                    for i, pairs in m.access.items()},
-            prob={(i, rename[s]): rn_space(sp)
-                  for (i, s), sp in m.prob.items()})
+            access={"a": frozenset((rename[s], rename[t]) for (s, t) in edges)},
+            prob={("a", rename[s]): rn_space(m.space("a", s))
+                  for s in m.states})
         assert classify(m) == classify(m2)
 
 
@@ -332,13 +338,14 @@ def test_index_matches_edge_scan(access):
                 t for (x, t) in pairs if x == s)
     with pytest.raises(EvalError):
         m.successors("c", "s0")
-    rebuilt = dataclasses.replace(m, access={"a": frozenset({("s0", "s3")})})
+    rebuilt = Model(states=_STATES, domain=("d0",), agents=("a", "b"),
+                    access={"a": frozenset({("s0", "s3")})})
     assert rebuilt.successors("a", "s0") == {"s3"}
     assert rebuilt.successors("b", "s0") == frozenset()
     assert m == Model(states=_STATES, domain=("d0",), agents=("a", "b"),
                       access=access)
-    # only the declared data and the rows are stored; access and prob are
-    # views built on each read
+    # only the declared data and the rows are stored
+    assert not hasattr(m, "access") and not hasattr(m, "prob")
     assert set(vars(m)) == {"states", "domain", "agents", "functions",
                             "relations", "groups", "names", "pred", "spaces",
                             "strays"}

@@ -20,6 +20,7 @@ import pytest
 
 from pckfo import parser
 from pckfo.cli import main
+from pckfo.errors import EvalError
 from pckfo.model import Model, ProbSpace
 from pckfo.parser import load_model, model_to_doc, parse_model
 
@@ -53,17 +54,27 @@ def spaces_built(monkeypatch):
     return built
 
 
+CON = str(ROOT / "fixtures" / "models" / "con.json")
+
+
 @pytest.mark.parametrize("argv", [
-    ["validate"],
-    ["classify"],
-    ["eval", "--formula", "P[a]>=1/2 p"],
-    ["eval", "--formula", "Cs{G,1/2} p", "--state", "s0"],
-    ["eval", "--formula", "K[a] p & C{G} p & Es{G,1} p"],
-], ids=["validate", "classify", "P", "Cs", "K-C-Es"])
-def test_model_path_builds_no_prob_space(fixtures_dir, spaces_built, argv):
-    model = str(fixtures_dir / "models" / "con.json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--model", model, "--json"]) in (0, 1)
+    ["validate", "--model", CON],
+    ["classify", "--model", CON],
+    ["eval", "--formula", "P[a]>=1/2 p", "--model", CON],
+    ["eval", "--formula", "Cs{G,1/2} p", "--state", "s0", "--model", CON],
+    ["eval", "--formula", "K[a] p & C{G} p & Es{G,1} p", "--model", CON],
+    # these write model documents into their reports
+    ["find", "--formula", "P[a]>=1/2 p"],
+    ["demo", "validity", "--family", "invalid-distribution"],
+    ["demo", "noncompactness", "--m", "2"],
+], ids=["validate", "classify", "P", "Cs", "K-C-Es", "find", "validity-demo",
+        "noncompactness-demo"])
+def test_model_path_builds_no_prob_space(spaces_built, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--json"]) in (0, 1)
+    if "--model" not in argv:
+        assert '"states"' in out.getvalue()
     assert spaces_built == []
 
 
@@ -85,21 +96,45 @@ def test_not_measurable_builds_no_prob_space(tmp_path, spaces_built):
     assert spaces_built == []
 
 
-def test_views_build_prob_spaces(fixtures_dir, spaces_built):
-    # the counter does see the spaces that a view builds
+def test_space_builds_one_prob_space(fixtures_dir, spaces_built):
+    # the counter does see the space that Model.space builds
     m = parse_model((fixtures_dir / "models" / "con.json").read_text())
     assert spaces_built == []
-    assert len(m.prob) == len(spaces_built) == 2
+    sp = m.space("a", "s0")
+    assert spaces_built == [sp]
 
 
-def test_model_to_doc_builds_each_space_once(spaces_built):
-    # 100 states and agents a, b, as the model-check workload writes them;
-    # the prob view builds every space on each read, so reading it per
-    # state made this quadratic
+def test_model_to_doc_builds_no_prob_space(spaces_built):
+    # 100 states and agents a, b, as the model-check workload writes them
     doc = WORKLOADS.random_model_doc(100, random.Random(5))
     m = load_model(doc)
     assert model_to_doc(m)["prob"] == doc["prob"]
-    assert len(spaces_built) <= len(m.agents) * len(m.states) == 200
+    assert spaces_built == []
+
+
+def test_model_to_doc_missing_space_is_an_eval_error():
+    m = Model(states=["s0", "s1"], domain=["d"], agents=["a"], prob={})
+    with pytest.raises(EvalError, match="no probability space for agent"
+                       " 'a' at state 's0'"):
+        model_to_doc(m)
+
+
+def _names_in(path):
+    """Every name, attribute and imported name the module's code uses."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_prob_space_named_only_in_the_model_module():
+    # every other module works on the rows
+    named = sorted(path.name for path in (ROOT / "src" / "pckfo").glob("*.py")
+                   if "ProbSpace" in _names_in(path))
+    assert named == ["__init__.py", "model.py"]
 
 
 def test_evaluator_keeps_no_rows():
@@ -187,12 +222,70 @@ def _constructed(doc):
         state: frozenset(map(tuple, rows))
         for state, rows in entry["table"].items()})
         for entry in doc["relations"]}
+    functions = {entry["symbol"]: (entry["arity"], {
+        tuple(row["args"]): row["value"] for row in entry["table"]})
+        for entry in doc.get("functions", [])}
     return Model(states=doc["states"], domain=doc["domain"],
-                 agents=doc["agents"], relations=relations,
+                 agents=doc["agents"], functions=functions,
+                 relations=relations,
                  access={agent: frozenset(map(tuple, pairs))
                          for agent, pairs in doc["access"].items()},
                  prob=prob, groups={name: tuple(sorted(members))
                                     for name, members in doc["groups"].items()})
+
+
+def _first_space(doc):
+    """The first space of agent a with two atoms or more."""
+    return next(space for space in doc["prob"]["a"].values()
+                if len(space["atoms"]) > 1)
+
+
+def _drop_edge(doc):
+    doc["access"]["a"].pop()
+
+
+def _move_weight(doc):
+    weights = _first_space(doc)["weights"]
+    weights["0"] = str(Fraction(weights["0"]) + Fraction(weights["1"]))
+    weights["1"] = "0"
+
+
+def _merge_atoms(doc):
+    space = _first_space(doc)
+    atoms, weights = space["atoms"], space["weights"]
+    texts = [weights[str(k)] for k in range(len(atoms))]
+    atoms[:2] = [atoms[0] + atoms[1]]
+    texts[:2] = [str(Fraction(texts[0]) + Fraction(texts[1]))]
+    space["weights"] = {str(k): w for k, w in enumerate(texts)}
+
+
+def _toggle_tuple(doc):
+    table = doc["relations"][0]["table"]
+    first = doc["states"][0]
+    if table.pop(first, None) is None:
+        table[first] = [[]]
+
+
+def _drop_member(doc):
+    doc["groups"]["G"].pop()
+
+
+def _add_function_row(doc):
+    doc["functions"] = [{"symbol": "c", "arity": 0,
+                         "table": [{"args": [], "value": "d0"}]}]
+
+
+# Each changes one item of a document, which shows in one attribute.
+CHANGES = {
+    "edge": (_drop_edge, "pred"),
+    "weight": (_move_weight, "spaces"),
+    "split-atom": (_merge_atoms, "spaces"),
+    "relation-tuple": (_toggle_tuple, "relations"),
+    "group-member": (_drop_member, "groups"),
+    "function-row": (_add_function_row, "functions"),
+}
+COMPARED = ("states", "domain", "agents", "functions", "relations", "groups",
+            "names", "pred", "spaces", "strays")
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
@@ -204,6 +297,20 @@ def test_loaded_rows_are_the_constructed_rows(name):
     assert loaded.spaces == built.spaces
     assert loaded.strays == built.strays
     assert loaded == built
+    for change, attribute in CHANGES.values():
+        other = DOCS[name]()
+        change(other)
+        changed = load_model(other)
+        assert {key for key in COMPARED if getattr(changed, key)
+                != getattr(loaded, key)} == {attribute}
+        assert changed != loaded and loaded != changed
+        assert _constructed(other) != built
+    # the class an enumerated model carries takes no part
+    again = Model.compiled(*[getattr(loaded, key) for key in COMPARED],
+                           orbit=object())
+    assert again == loaded and again.orbit is not loaded.orbit
+    with pytest.raises(TypeError):
+        hash(loaded)
 
 
 def _counted(monkeypatch, name):

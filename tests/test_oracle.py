@@ -75,8 +75,11 @@ class TestEnumeration:
     def test_normalized_spaces_only(self):
         budget = tiny_budget(max_states=2, weight_grid=(F(0), F(1, 2), F(1)))
         for m in enumerate_models(budget):
-            for sp in m.prob.values():
-                assert sum(sp.weights, F(0)) == 1
+            assert not m.strays
+            for agent in m.agents:
+                for state in m.states:
+                    sp = m.space(agent, state)
+                    assert sum(sp.weights, F(0)) == 1
 
 
 class TestFindModel:

@@ -400,9 +400,10 @@ def _functions_calling(tree, name):
 def test_evaluator_is_built_only_in_scan():
     # Every enumerate-and-evaluate loop of the oracle goes through _scan,
     # and every enumerated model is built by _model: the random models
-    # are the only others.
+    # and the two non-compactness witnesses are the only others.
     tree = ast.parse(ORACLE.read_text())
     assert _functions_calling(tree, "Evaluator") == {"_scan"}
     assert _functions_calling(tree, "Model.compiled") \
-        == {"_model", "random_model", "targeted_class_models"}
+        == {"_model", "random_model", "targeted_class_models",
+            "chain_model", "near_certain_model"}
     assert _functions_calling(tree, "_model") == {"_all_models", "_members"}

@@ -217,7 +217,7 @@ class TestModelDocuments:
         m = parse_model((fixtures_dir / "models" / "tiny.json").read_text())
         assert m.states == ("s0",)
         assert m.domain == ("d0",)
-        assert m.prob[("a", "s0")].weights == (Fraction(1),)
+        assert m.space("a", "s0").weights == (Fraction(1),)
 
     def test_sample_outside_states_rejected(self, fixtures_dir):
         doc = json.loads((fixtures_dir / "models" / "tiny.json").read_text())
@@ -313,9 +313,9 @@ class TestModelDocuments:
                                      "weights": {"0": "1/3", "1": "2/3"}}}}}
         m = load_model(doc)
         # omitted atoms default to singletons over the sample
-        assert m.prob[("a", "s0")].atoms == (frozenset(["s0"]), frozenset(["s1"]))
+        assert m.space("a", "s0").atoms == (frozenset(["s0"]), frozenset(["s1"]))
         # omitted spaces default to the one-point space at that state
-        assert m.prob[("a", "s1")].sample == frozenset(["s1"])
+        assert m.space("a", "s1").sample == frozenset(["s1"])
 
 
 @st.composite
