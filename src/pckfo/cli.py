@@ -42,7 +42,7 @@ from .errors import (
 )
 from .evaluator import Evaluator
 from .model import classify, validate
-from .parser import decode_json, load_model, parse_formula, parse_proof
+from .parser import load_document, load_model, parse_formula, parse_proof
 from .proofcheck import Proof, check
 from .report import (
     ACCEPTED, ACCEPTED_BOUNDED, CheckReport, INVALID, NOT_FOUND, OK, REJECTED,
@@ -82,7 +82,7 @@ def _read(path) -> str:
 
 
 def _load_validated_model(path):
-    m = load_model(decode_json(_read(path), f"{path}: not valid JSON"))
+    m = load_document(_read(path), load_model, f"{path}: not valid JSON")
     rep = validate(m)
     return m, rep
 

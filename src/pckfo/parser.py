@@ -21,6 +21,7 @@ once is taken as that one object at every later copy, and not read again.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import re
@@ -753,9 +754,32 @@ def decode_json(text: str, not_valid: str):
                           ) from None
 
 
+def load_document(text: str, load, not_valid: str):
+    """load(the decoded JSON text), with Python's cyclic garbage collector
+    paused throughout; text that is not JSON is a SchemaError led by
+    not_valid (see `decode_json`).
+
+    Decoding and loading build many containers, and each young collection
+    started meanwhile walks them all, though it can free none of them: a
+    decoded document is a tree of fresh dicts and lists, the loaders build
+    acyclic values from it, and reference counting frees whatever is
+    dropped.  The pause lasts until the document is released, as a
+    collection started while it lives would walk it again.  The collector
+    is process-wide, so the pause holds for every thread meanwhile.  On
+    every exit, errors included, the collector is switched back on if it
+    was on at entry, and left off if it was off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return load(decode_json(text, not_valid))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_model(text: str) -> Model:
     """Decode, build and fully validate a model document."""
-    m = load_model(decode_json(text, "model document is not valid JSON"))
+    m = load_document(text, load_model, "model document is not valid JSON")
     rep = validate(m)
     if not rep.passed:
         raise SchemaError("model invalid: " + "; ".join(
@@ -765,7 +789,9 @@ def parse_model(text: str) -> Model:
 
 def model_to_doc(m: Model) -> dict:
     """Canonical document form (sorted, schema field order), written from
-    the model's rows.  A missing space is an EvalError."""
+    the model's rows.  A missing space is an EvalError.  The spaces keyed
+    outside agents x states (`Model.strays`, only in an invalid model)
+    follow the others under `prob`, in their order."""
     names = m.names
     doc = {
         "states": list(m.states),
@@ -792,21 +818,25 @@ def model_to_doc(m: Model) -> dict:
     # Spaces share atoms and weights: each mask's sorted names and each
     # run's weight texts are made once, and copied into every space.
     listed, texts = {}, {}
-    for agent in m.agents:
-        per_state = doc["prob"][agent] = {}
-        for state, (sample, atoms, nums, den) in zip(m.states,
-                                                     m.space_row(agent)):
-            for mask in (sample, *atoms):
-                if mask not in listed:
-                    listed[mask] = sorted(m.names_of(mask))
-            if (nums, den) not in texts:
-                texts[nums, den] = {str(ix): str(Fraction(x, den))
-                                    for ix, x in enumerate(nums)}
-            per_state[state] = {
-                "sample": list(listed[sample]),
+
+    def space_doc(entry) -> dict:
+        sample, atoms, nums, den = entry
+        for mask in (sample, *atoms):
+            if mask not in listed:
+                listed[mask] = sorted(m.names_of(mask))
+        if (nums, den) not in texts:
+            texts[nums, den] = {str(ix): str(Fraction(x, den))
+                                for ix, x in enumerate(nums)}
+        return {"sample": list(listed[sample]),
                 "atoms": [list(listed[a]) for a in atoms],
-                "weights": dict(texts[nums, den]),
-            }
+                "weights": dict(texts[nums, den])}
+
+    prob = doc["prob"]
+    for agent in m.agents:
+        prob[agent] = {state: space_doc(entry) for state, entry
+                       in zip(m.states, m.space_row(agent))}
+    for (agent, state), entry in m.strays:
+        prob.setdefault(agent, {})[state] = space_doc(entry)
     return doc
 
 
@@ -980,7 +1010,7 @@ def load_proof(doc: dict) -> pc.Proof:
 
 
 def parse_proof(text: str) -> pc.Proof:
-    return load_proof(decode_json(text, "proof document is not valid JSON"))
+    return load_document(text, load_proof, "proof document is not valid JSON")
 
 
 def proof_to_doc(p: pc.Proof) -> dict:

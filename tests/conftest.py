@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -14,6 +15,16 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return ROOT / "tests" / "golden"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """perfbench/workloads.py, which writes the benchmark's documents."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ from pckfo.model import (
     CLASS_CON, CLASS_OBJ, CLASS_SDP, CLASS_UNIF, Model, ProbSpace, classify,
     measure, point_space, validate,
 )
+from pckfo.parser import load_model, model_to_doc
 
 F = Fraction
 
@@ -142,6 +143,19 @@ class TestValidate:
             ("access.a", "edge ('yy', 's0') outside state set"),
             ("access.ghost", "accessibility for undeclared agent"),
         ]
+
+    def test_invalid_model_round_trips_through_its_document(self):
+        # the undeclared agent's edges and the stray space are both written
+        m = Model(["s0"], ["d"], ["a"],
+                  prob={("a", "s0"): point_space("s0"),
+                        ("zz", "s0"): point_space("s0")},
+                  access={"ghost": {("s0", "s0")}})
+        again = load_model(model_to_doc(m))
+        assert again == m
+        assert [(d["where"], d["problem"])
+                for d in validate(again).details] == [
+            ("access.ghost", "accessibility for undeclared agent"),
+            ("prob.zz@s0", "space keyed by unknown agent or state")]
 
 
 def _naive_measure(sp, event):

@@ -10,7 +10,6 @@ atoms that are already in canonical order.
 
 import ast
 import contextlib
-import importlib.util
 import io
 import random
 from fractions import Fraction
@@ -26,18 +25,6 @@ from pckfo.parser import load_model, model_to_doc, parse_model
 
 ROOT = Path(__file__).resolve().parents[1]
 EVALUATOR = ROOT / "src" / "pckfo" / "evaluator.py"
-
-
-def _workloads():
-    """perfbench/workloads.py, which writes the model-check documents."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-WORKLOADS = _workloads()
 
 
 @pytest.fixture()
@@ -104,9 +91,9 @@ def test_space_builds_one_prob_space(fixtures_dir, spaces_built):
     assert spaces_built == [sp]
 
 
-def test_model_to_doc_builds_no_prob_space(spaces_built):
+def test_model_to_doc_builds_no_prob_space(spaces_built, workloads):
     # 100 states and agents a, b, as the model-check workload writes them
-    doc = WORKLOADS.random_model_doc(100, random.Random(5))
+    doc = workloads.random_model_doc(100, random.Random(5))
     m = load_model(doc)
     assert model_to_doc(m)["prob"] == doc["prob"]
     assert spaces_built == []
@@ -194,16 +181,17 @@ def _name_outside(doc):
     return doc
 
 
+# Each makes its document with the workloads module w.
 DOCS = {
-    "random-60": lambda: WORKLOADS.random_model_doc(60, random.Random(1)),
-    "ladder-40": lambda: WORKLOADS.ladder_model_doc(40, random.Random(2)),
-    "coarse-30": lambda: WORKLOADS.coarse_model_doc(30, random.Random(3)),
-    "random-out-of-order": lambda: _out_of_order(
-        WORKLOADS.random_model_doc(30, random.Random(4))),
-    "coarse-out-of-order": lambda: _out_of_order(
-        WORKLOADS.coarse_model_doc(20, random.Random(5))),
-    "random-name-outside": lambda: _name_outside(
-        WORKLOADS.random_model_doc(30, random.Random(6))),
+    "random-60": lambda w: w.random_model_doc(60, random.Random(1)),
+    "ladder-40": lambda w: w.ladder_model_doc(40, random.Random(2)),
+    "coarse-30": lambda w: w.coarse_model_doc(30, random.Random(3)),
+    "random-out-of-order": lambda w: _out_of_order(
+        w.random_model_doc(30, random.Random(4))),
+    "coarse-out-of-order": lambda w: _out_of_order(
+        w.coarse_model_doc(20, random.Random(5))),
+    "random-name-outside": lambda w: _name_outside(
+        w.random_model_doc(30, random.Random(6))),
 }
 CANONICAL = ("random-60", "ladder-40", "coarse-30")
 
@@ -289,8 +277,8 @@ COMPARED = ("states", "domain", "agents", "functions", "relations", "groups",
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
-def test_loaded_rows_are_the_constructed_rows(name):
-    doc = DOCS[name]()
+def test_loaded_rows_are_the_constructed_rows(name, workloads):
+    doc = DOCS[name](workloads)
     loaded, built = load_model(doc), _constructed(doc)
     assert loaded.names == built.names
     assert loaded.pred == built.pred
@@ -298,7 +286,7 @@ def test_loaded_rows_are_the_constructed_rows(name):
     assert loaded.strays == built.strays
     assert loaded == built
     for change, attribute in CHANGES.values():
-        other = DOCS[name]()
+        other = DOCS[name](workloads)
         change(other)
         changed = load_model(other)
         assert {key for key in COMPARED if getattr(changed, key)
@@ -327,17 +315,17 @@ def _counted(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
-def test_canonical_atoms_are_not_sorted_again(name, monkeypatch):
+def test_canonical_atoms_are_not_sorted_again(name, monkeypatch, workloads):
     calls = _counted(monkeypatch, "space_entry")
-    load_model(DOCS[name]())
+    load_model(DOCS[name](workloads))
     if name in CANONICAL:
         assert calls == []
     else:
         assert calls
 
 
-def test_each_weight_run_parsed_once(monkeypatch):
-    doc = WORKLOADS.random_model_doc(400, random.Random(7))
+def test_each_weight_run_parsed_once(monkeypatch, workloads):
+    doc = workloads.random_model_doc(400, random.Random(7))
     # four of agent a's spaces get coarser atoms and other weights, one
     # run twice; the other 796 spaces share one run of eight weights
     for state, texts in zip(doc["states"], (
