@@ -9,8 +9,10 @@ input.  A formula can instantiate several schemata at once; match_axiom
 reports every such (name, parameters) pair.
 
 Prop, the schema of propositional tautologies, is decided by
-tautology_check: Tseitin's encoding of the negated formula over its opaque
-atoms and a DPLL search with a decision budget.
+tautology_check over the formula's opaque atoms: by a bit-parallel truth
+table when its rows fit within the decision budget, and otherwise by
+Tseitin's encoding of the negated formula and a DPLL search that stops at
+that budget.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ CLASS_AXIOMS = (CON, OBJ, SDP_A, UNIF_A)
 ALL_AXIOMS = PLAIN_AXIOMS + CLASS_AXIOMS
 
 #: Branching decisions one tautology check may take before it gives up.  A
-#: search that uses all of them costs about as much as an 18-atom truth table.
+#: formula over n opaque atoms with 2^n at most this many is decided by its
+#: truth table of 2^n rows instead, which the search would never exceed.
 _TAUT_DECISION_BUDGET = 1 << 14
 
 
@@ -70,53 +73,101 @@ def tautology_check(f) -> bool:
     """Is f a boolean tautology over its maximal non-boolean subformulas?
 
     Subformulas whose head is not negation/conjunction are treated as opaque
-    atoms (identified up to structural equality).  Tseitin's encoding puts
-    not-f into clause form, and f is a tautology iff a DPLL search finds
-    those clauses unsatisfiable.  The search branches on the opaque atoms
-    only, in first-occurrence order, so it never visits more than the 2^n
-    rows of a truth table.  A search past _TAUT_DECISION_BUDGET decisions
-    leaves the question undecided and raises BudgetError.
+    atoms (identified up to structural equality).  With n of them and 2^n
+    at most _TAUT_DECISION_BUDGET, f is decided by its truth table: atom k
+    is the int whose bit r is bit k of r, each negation and conjunction is
+    an `^` or `&` of those 2^n-bit columns, and f is a tautology iff its
+    column has every bit set.  Otherwise Tseitin's encoding puts not-f into
+    clause form, and f is a tautology iff a DPLL search finds those clauses
+    unsatisfiable.  A search past _TAUT_DECISION_BUDGET decisions leaves the
+    question undecided and raises BudgetError.
+
+    Both deciders are exact, so they give the same verdict wherever both
+    decide, and the truth table takes over only where the search would
+    decide too: the search branches on the n opaque atoms only, in a fixed
+    order, and flips each decision at most once, so its decisions are the
+    inner nodes of a binary tree of depth n, at most 2^n - 1 of them, which
+    is below the budget whenever 2^n is at most it.
     """
-    atoms, nvars, root, clauses = _tseitin(f)
-    return not _satisfiable(atoms, nvars, -root, clauses)
+    order, atoms = _spine(f)
+    n = len(atoms)
+    if 1 << n > _TAUT_DECISION_BUDGET:
+        atoms, nvars, root, clauses = _tseitin(order)
+        return not _satisfiable(atoms, nvars, -root, clauses)
+    full = (1 << (1 << n)) - 1
+    columns = []
+    for k in range(n):
+        width = 2 << k      # the period of column k, doubled to 2^n rows
+        column = (1 << (1 << k)) - 1 << (1 << k)
+        while width >> n == 0:
+            column |= column << width
+            width *= 2
+        columns.append(column)
+    rows = {}       # id(node) -> the rows where it holds
+    for g in order:
+        cls = type(g)
+        if cls is Not:
+            rows[id(g)] = rows[id(g.body)] ^ full
+        elif cls is And:
+            rows[id(g)] = rows[id(g.left)] & rows[id(g.right)]
+        else:
+            rows[id(g)] = columns[atoms[g]]
+    return rows[id(f)] == full
 
 
-def _tseitin(f):
-    """Clauses that define a literal for f over its opaque atoms.
+def _spine(f):
+    """The negations and conjunctions of f and the opaque atoms they stop
+    at, each distinct node object once and after its operands, the left
+    operand's first; and a map from each opaque atom, up to structural
+    equality, to its index in that order.
+
+    The walk keeps an explicit stack, on which a node is pushed again,
+    done, under its operands, and nodes are marked by id(), so each node
+    of a deep spine, or of the DAG that iff builds, costs one visit and
+    one lookup, without hashing."""
+    order = []
+    seen = set()    # id() of the nodes met
+    atoms = {}
+    stack = [(f, False)]
+    while stack:
+        g, done = stack.pop()
+        if done:
+            order.append(g)
+            continue
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        stack.append((g, True))
+        cls = type(g)
+        if cls is Not:
+            stack.append((g.body, False))
+        elif cls is And:
+            # the left operand on top, so its atoms are numbered first
+            stack += ((g.right, False), (g.left, False))
+        elif g not in atoms:
+            atoms[g] = len(atoms)
+    return order, atoms
+
+
+def _tseitin(order):
+    """Clauses that define a literal for the last node of `order`, a spine
+    as `_spine` lists it, over its opaque atoms.
 
     Returns (atoms, nvars, root, clauses): the opaque atoms' variables in
-    first-occurrence order, the number of variables, f's literal, and the
-    clauses.  Variables are positive ints and -v negates v.  A conjunction
-    gets a gate variable g with the clauses g -> a, g -> b and a & b -> g; a
-    negation flips its body's literal.  The walk keeps an explicit stack,
-    and spine nodes are keyed by id(), so each node of a deep spine, or of
-    the DAG that iff builds, costs one visit and one lookup, without hashing.
-    """
+    first-occurrence order, the number of variables, the root's literal,
+    and the clauses.  Variables are positive ints and -v negates v.  A
+    conjunction gets a gate variable g with the clauses g -> a, g -> b and
+    a & b -> g; a negation flips its body's literal."""
     atoms = {}      # opaque atom -> its variable
     lits = {}       # id(node) -> literal
     clauses = []
     nvars = 0
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if id(g) in lits:
-            stack.pop()
-            continue
-        if isinstance(g, Not):
-            body = lits.get(id(g.body))
-            if body is None:
-                stack.append(g.body)
-                continue
-            lits[id(g)] = -body
-        elif isinstance(g, And):
-            a, b = lits.get(id(g.left)), lits.get(id(g.right))
-            if a is None or b is None:
-                # the left operand on top, so its atoms are numbered first
-                if b is None:
-                    stack.append(g.right)
-                if a is None:
-                    stack.append(g.left)
-                continue
+    for g in order:
+        cls = type(g)
+        if cls is Not:
+            lits[id(g)] = -lits[id(g.body)]
+        elif cls is And:
+            a, b = lits[id(g.left)], lits[id(g.right)]
             nvars += 1
             clauses += ((-nvars, a), (-nvars, b), (nvars, -a, -b))
             lits[id(g)] = nvars
@@ -126,8 +177,7 @@ def _tseitin(f):
                 nvars += 1
                 v = atoms[g] = nvars
             lits[id(g)] = v
-        stack.pop()
-    return list(atoms.values()), nvars, lits[id(f)], clauses
+    return list(atoms.values()), nvars, lits[id(order[-1])], clauses
 
 
 def _satisfiable(atoms, nvars, unit, clauses) -> bool:

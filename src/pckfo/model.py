@@ -166,7 +166,9 @@ class Model:
       the common denominator den; None where a space is missing.  Every
       declared agent has a row.
     - `strays`: ((agent, state), space entry) of each space keyed outside
-      agents x states, in the order given.
+      agents x states, in the order given, but each agent's together,
+      from its first: a document lists each agent's spaces together, so
+      that is every order that a document reproduces.
 
     `orbit` is carried beside the rows: None, or, for a model that
     `oracle.enumerate_models` yields as the least member of its class
@@ -177,9 +179,8 @@ class Model:
     stand.  Two models are equal when their declared data and their rows
     are; `orbit` takes no part.  The rows of a valid model are canonical,
     so two valid models are equal exactly when they have the same edges
-    and spaces; two invalid models whose names past the states or whose
-    stray spaces were met in another order compare unequal.  Models are
-    not hashable.
+    and spaces; two invalid models whose names past the states were met in
+    another order compare unequal.  Models are not hashable.
     """
 
     states: tuple
@@ -206,6 +207,7 @@ class Model:
             pred[agent] = tuple([into.get(k, 0) for k in range(size)])
         spaces = {agent: [None] * n for agent in agents}
         strays = []
+        first = {}      # agent -> the index of its first stray space
         for (agent, state), sp in (prob or {}).items():
             entry = space_entry(index.mask(sp.sample),
                                 [index.mask(a) for a in sp.atoms], sp._nums,
@@ -213,6 +215,7 @@ class Model:
             row, k = spaces.get(agent), index.get(state, n)
             if row is None or k >= n:
                 strays.append(((agent, state), entry))
+                first.setdefault(agent, len(first))
             else:
                 row[k] = entry
         for agent in agents:
@@ -222,7 +225,7 @@ class Model:
             functions=functions or {}, relations=relations or {},
             groups=groups or {}, names=tuple(index.names), pred=pred,
             spaces={agent: tuple(row) for agent, row in spaces.items()},
-            strays=tuple(strays))
+            strays=tuple(sorted(strays, key=lambda item: first[item[0][0]])))
 
     @classmethod
     def compiled(cls, states, domain, agents, functions, relations, groups,

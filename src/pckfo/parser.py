@@ -9,13 +9,16 @@ function or relation symbols depending on position.  Derived connectives are
 expanded while parsing, so the printer only ever emits ! & forall and the six
 modal/probability operators.
 
-Every formula text is read against a table of parenthesized groups
-(`_Groups`): `load_proof` makes one for all the formula texts of a document,
-and `parse_formula` one per call.  Each distinct run of text between
-parentheses (a chunk) is tokenized once per table, and a group is keyed by
-the ids of the chunks and inner groups directly inside it, so whitespace
-does not matter and keys are linear in the text; a group read as a formula
-once is taken as that one object at every later copy, and not read again.
+Every formula text is read against one table (`_Groups`): `load_proof`
+makes one for all the formula texts of a document, and `parse_formula` one
+per call, so a proof costs what its distinct parts cost.  Each distinct run
+of text between parentheses (a chunk) is tokenized once per table, and a
+group is keyed by the ids of the chunks and inner groups directly inside
+it, so whitespace does not matter and keys are linear in the text; a group
+read as a formula once is taken as that one object at every later copy,
+and not read again, and a later text that repeats its raw text copies it
+without keying its inside.  Every node is built once per table
+(hash-consing), so equal subformulas are one object.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import operator
 import re
 import string
 from fractions import Fraction
@@ -37,8 +41,8 @@ from .model import (
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var,
-    disj, exists, iff, implies, knows_prob, prob_eq, prob_gt, prob_le,
-    prob_lt, top, bot,
+    _as_group, disj, exists, iff, implies, knows_prob, prob_eq, prob_gt,
+    prob_le, prob_lt, top, bot,
 )
 
 # One token, after any whitespace.  A character no token can start with is
@@ -51,6 +55,11 @@ _TOKEN_RE = re.compile(
 _ID_START = frozenset(string.ascii_letters + "_")
 _PARENS = re.compile(r"([()])")     # splits a text into chunks and parentheses
 
+# A group read as a formula is found again, in the texts read after it, by
+# its first _WINDOW characters, and then compared whole.  A shorter group
+# holds too little to be worth skipping, and is keyed as any other.
+_WINDOW = 16
+
 _VAR_INITIALS = "uvwxyz"
 
 # Words that can start a prefix operator; all but forall and exists only
@@ -61,6 +70,7 @@ _PREFIX_WORDS = frozenset(
 # Binary connective -> (precedence, constructor); higher binds tighter.
 _BINARY = {"&": (4, And), "|": (3, disj), "->": (2, implies), "<->": (1, iff)}
 _END = (0, None)    # any other token ends the run and closes every connective
+_UNMATCHED = (None, None, None, None)   # the entry of a "(" with no ")"
 
 _PROB_COMPARISONS = {
     ">=": ProbAtLeast, "<": prob_lt, "<=": prob_le, ">": prob_gt,
@@ -88,23 +98,85 @@ def _tokenize(text: str, offset: int = 0) -> list:
 
 
 class _Groups:
-    """The parenthesized groups of the formula texts of one document, or
-    of one text.  A chunk is a run of text between two parentheses or an
-    end of the text.  `chunks` maps the raw text of each chunk met to its
-    tokens and the id of their tuple in `ids` (None when it has none), so
-    each distinct chunk is tokenized once.  `ids` interns keys to integer
-    ids from one counter: a chunk's key is its token tuple, so whitespace
-    does not matter, and a group's key is the tuple of the ids of the
-    chunks with tokens and of the inner groups directly inside it, so keys
-    are linear in the text.  `formulas` maps the id of each group read as a
+    """The formula texts of one document, or of one text, as read so far.
+    A chunk is a run of text between two parentheses or an end of the
+    text.  `chunks` maps the raw text of each chunk met to its tokens and
+    the id of their tuple in `ids` (None when it has none), so each
+    distinct chunk is tokenized once.  `ids` interns keys to integer ids
+    from one counter: a chunk's key is its token tuple, so whitespace does
+    not matter, and a group's key is the tuple of the ids of the chunks
+    with tokens and of the inner groups directly inside it, so keys are
+    linear in the text.  `formulas` maps the id of each group read as a
     formula to that formula.  The parse of a group depends on its tokens
     alone, and a group is stored only once it was read without error, so a
-    stored formula stands for every copy of its group."""
+    stored formula stands for every copy of its group.
+
+    `raw` maps the first _WINDOW characters of each group read as a
+    formula, of at least that length, to the text, tokens and groups of
+    the reader that read it and the position of its "(" (the last such
+    group wins), so that a later text can copy that group's tokens and id
+    without splitting or keying its inside.
+
+    `nodes` makes equal subformulas one object (hash-consing): it maps how
+    each node was built to the node, an atom by (Atom, name, arguments), a
+    prefix operator by (constructor, (its leading arguments), id(operand))
+    and a connective by (constructor, id(left), id(right)).  Operands are
+    nodes of the table, which holds them, so their ids stay theirs.  The
+    node an abbreviation builds is shared node by node (`_share`), and a
+    node of the core classes is keyed the same either way."""
 
     def __init__(self):
         self.chunks = {"": ([], None)}
         self.ids = {}
         self.formulas = {}
+        self.raw = {}
+        self.nodes = {}
+        self.braces = {}
+
+    def node(self, key, build, *args):
+        """build(*args), whose node arguments are nodes of the table, as a
+        node of the table, stored under key; the caller found none there."""
+        f = build(*args)
+        if type(build) is not type:     # an abbreviation, not a node class
+            f = self._share(f, args)
+        self.nodes[key] = f
+        return f
+
+    def _share(self, f, operands):
+        """f, which an abbreviation built over `operands`, with each node
+        it made replaced by the table's equal node; a node the table lacks
+        is added under its key (see `_Groups`), and rebuilt first if one of
+        its operands was replaced.  Post-order over an explicit stack."""
+        nodes = self.nodes
+        shared = {id(g): g for g in operands}   # id -> the table's node
+        todo = [f]
+        while todo:
+            g = todo[-1]
+            if id(g) in shared:
+                todo.pop()
+                continue
+            cls = type(g)
+            kids = () if cls is Atom else (g.left, g.right) if cls is And \
+                else (g.body,)
+            new = [k for k in kids if id(k) not in shared]
+            if new:
+                todo += new
+                continue
+            todo.pop()
+            same = [shared[id(k)] for k in kids]
+            if cls is Atom:
+                key, data = (Atom, g.rel, g.args), ()
+            elif cls is And:
+                key, data = (And, *map(id, same)), ()
+            else:
+                data = g.__reduce__()[1][:-1]   # the fields but the body
+                key = (cls, data, id(same[0]))
+            h = nodes.get(key)
+            if h is None:
+                h = nodes[key] = g if all(map(operator.is_, same, kids)) \
+                    else cls(*data, *same)
+            shared[id(g)] = h
+        return shared[id(f)]
 
 
 class _FormulaParser:
@@ -114,52 +186,80 @@ class _FormulaParser:
 
     `toks` ends with "", so the parser indexes it without bounds checks.
     Spans are found again from the text only when an error is raised.
-    `groups` maps the position of each matched "(" to its id in `table` and
-    the position of its ")".  Only `_formula` stores and looks up formulas
-    by id, so a group read as the arguments of a term or an atom never
-    stands in for a formula.
+    `groups` maps the position of each matched "(" to its id in `table`,
+    the position of its ")", and the offsets of both in the text; a group
+    taken whole has no entries inside it, so only a known formula, which
+    the reader jumps over, and the arguments of a term or an atom, which
+    are read token by token, can be taken whole.  Only `_formula` stores
+    and looks up formulas by id, so a group read as the arguments of a
+    term or an atom never stands in for a formula.  Every node is made
+    through the table's `nodes`.
     """
 
     def __init__(self, text: str, table: _Groups):
         """Tokenize the chunks of text not yet in `table` and key each
         matched group, innermost first, in one pass over the chunks and
-        parentheses with a stack of the enclosing keys.  Every chunk is
-        tokenized before reading starts, so the first bad character is
-        reported before any parse error."""
+        parentheses with a stack of the enclosing keys.  A group that the
+        table knows as a formula by its raw text is taken whole: its tokens
+        and id are copied from the reader that read it, and its inside is
+        neither split nor keyed.  Every other chunk is tokenized before
+        reading starts, so the first bad character is reported before any
+        parse error; a known group has none.  Comparisons that fail cost at
+        most the length of the text in all, after which no group is looked
+        up, so the pass stays linear in the text."""
         self.text = text
         self.pos = 0
         self.table = table
-        chunks, ids = table.chunks, table.ids
+        chunks, ids, raw = table.chunks, table.ids, table.raw
         self.toks = toks = []
         self.groups = groups = {}
-        stack = []      # (position of "(", enclosing key) of the open groups
+        stack = []      # (position of "(", its offset, enclosing key)
         key = []        # the key so far of the innermost open group
         offset = 0      # where the part starts in the text
-        for ix, part in enumerate(_PARENS.split(text)):
-            if not ix & 1:      # a chunk
-                entry = chunks.get(part)
-                if entry is None:
-                    run = _tokenize(part, offset)
-                    entry = chunks[part] = (
-                        run, ids.setdefault(tuple(run), len(ids)) if run
-                        else None)
-                run, cid = entry
-                if run:
-                    toks += run
-                    key.append(cid)
-            elif part == "(":
-                stack.append((len(toks), key))
+        spent = 0       # characters of the known groups that did not match
+        parts = iter(_PARENS.split(text))
+        # a chunk and the parenthesis after it, None after the last chunk
+        for part, paren in itertools.zip_longest(parts, parts):
+            entry = chunks.get(part)
+            if entry is None:
+                run = _tokenize(part, offset)
+                entry = chunks[part] = (
+                    run, ids.setdefault(tuple(run), len(ids)) if run
+                    else None)
+            run, cid = entry
+            if run:
+                toks += run
+                key.append(cid)
+            offset += len(part)
+            if paren == "(":
+                known = raw.get(text[offset:offset + _WINDOW])
+                if known is not None and spent <= len(text):
+                    source, tokens, entries, start = known
+                    gid, end, first, last = entries[start]
+                    group = source[first:last + 1]
+                    if text.startswith(group, offset):
+                        groups[len(toks)] = (gid, len(toks) + end - start,
+                                             offset, offset + last - first)
+                        toks += tokens[start:end + 1]
+                        key.append(gid)
+                        offset += len(group)
+                        # the parts after its "(", through its ")"
+                        next(itertools.islice(
+                            parts, 4 * group.count("(") - 3, None))
+                        continue
+                    spent += len(group)
+                stack.append((len(toks), offset, key))
                 toks.append("(")
                 key = []
-            else:
+            elif paren == ")":
                 if stack:
-                    start, outer = stack.pop()
+                    start, first, outer = stack.pop()
                     gid = ids.setdefault(tuple(key), len(ids))
-                    groups[start] = (gid, len(toks))
+                    groups[start] = (gid, len(toks), first, offset)
                     outer.append(gid)
                     key = outer
                 toks.append(")")
-            offset += len(part)
+            offset += 1
         toks.append("")
 
     # -- token plumbing
@@ -204,13 +304,13 @@ class _FormulaParser:
         the matching ")" restores it and applies its prefixes.  A group
         whose formula is in the table is taken from there as the operand,
         and the reader jumps past its ")"."""
-        toks = self.toks
-        groups, formulas = self.groups, self.table.formulas
+        toks, table = self.toks, self.table
+        groups, formulas, nodes = self.groups, table.formulas, table.nodes
         levels = []     # the enclosing levels, innermost last
         prefixes = []   # (constructor, leading arguments), outermost first
         operands = []
         pending = []    # (precedence, constructor) of the open connectives
-        gid = None      # the id of the group the current level reads
+        start = None    # the position of the "(" of the level
         while True:
             tok = toks[self.pos]
             if tok == "!":
@@ -219,12 +319,13 @@ class _FormulaParser:
                 continue
             if tok == "(":
                 # an unmatched "(" has no id, and its level never closes
-                inner, end = groups.get(self.pos, (None, None))
+                inner, end, _, _ = groups.get(self.pos, _UNMATCHED)
                 f = formulas.get(inner)
                 if f is None:
+                    levels.append((prefixes, operands, pending, start))
+                    prefixes, operands, pending = [], [], []
+                    start = self.pos
                     self.pos += 1
-                    levels.append((prefixes, operands, pending, gid))
-                    prefixes, operands, pending, gid = [], [], [], inner
                     continue
                 self.pos = end + 1
             elif not tok:
@@ -240,7 +341,8 @@ class _FormulaParser:
                 f = self._atom()
             while True:
                 for build, args in reversed(prefixes):
-                    f = build(*args, f)
+                    key = (build, args, id(f))
+                    f = nodes.get(key) or table.node(key, build, *args, f)
                 operands.append(f)
                 op = _BINARY.get(toks[self.pos], _END)
                 # Close the connectives that bind at least as tightly; "->"
@@ -249,7 +351,10 @@ class _FormulaParser:
                 while pending and (pending[-1][0] > op[0] or (
                         pending[-1][0] == op[0] and op[1] is not implies)):
                     right = operands.pop()
-                    operands[-1] = pending.pop()[1](operands[-1], right)
+                    left, build = operands[-1], pending.pop()[1]
+                    key = (build, id(left), id(right))
+                    operands[-1] = nodes.get(key) or table.node(
+                        key, build, left, right)
                 if op is not _END:
                     self.pos += 1
                     pending.append(op)
@@ -262,8 +367,12 @@ class _FormulaParser:
                 if closing != ")":
                     raise ParseError(f"expected ')', found {closing!r}",
                                      self._span(self.pos - 1))
+                gid, _, first, last = groups[start]
                 formulas[gid] = f
-                prefixes, operands, pending, gid = levels.pop()
+                if last - first >= _WINDOW - 1:
+                    table.raw[self.text[first:first + _WINDOW]] = (
+                        self.text, toks, groups, start)
+                prefixes, operands, pending, start = levels.pop()
 
     def _prefix(self, word, follows):
         """Read the prefix operator `word` starts, up to its body; None
@@ -319,8 +428,18 @@ class _FormulaParser:
         return agent
 
     def _group(self, with_bound: bool):
-        """The members (and threshold) after an opening brace."""
-        toks = self.toks
+        """The members (and threshold) after an opening brace, read once
+        per distinct run of tokens up to the closing brace in the table: a
+        group ends at the first "}", and only one read without error is
+        stored."""
+        toks, start, known = self.toks, self.pos, self.table.braces
+        try:
+            key = (with_bound, *toks[start:toks.index("}", start)])
+        except ValueError:      # no "}": the read below fails
+            key = None
+        if key in known:
+            self.pos += len(key)
+            return known[key]
         members = []
         bound = None
         while True:
@@ -353,7 +472,9 @@ class _FormulaParser:
         if not members:
             raise ParseError("group must list at least one member",
                              self._span(self.pos - 1))
-        return (tuple(members), bound) if with_bound else tuple(members)
+        members = _as_group(tuple(members))
+        known[key] = (members, bound) if with_bound else members
+        return known[key]
 
     def _rational(self) -> Fraction:
         ix = self.pos
@@ -382,9 +503,11 @@ class _FormulaParser:
         return value
 
     def _atom(self):
+        """An atom, top or bot, as a node of the table."""
         ix = self.pos
         name = self.toks[ix]
         self.pos += 1
+        args = ()
         if self.toks[self.pos] == "(":
             if is_variable_name(name):
                 raise ParseError(
@@ -396,16 +519,18 @@ class _FormulaParser:
                 self.pos += 1
                 args.append(self._term())
             self.expect(")")
-            return Atom(name, tuple(args))
-        if name == "top":
-            return top()
-        if name == "bot":
-            return bot()
-        if is_variable_name(name):
+            args = tuple(args)
+        elif name == "top" or name == "bot":
+            build = top if name == "top" else bot
+            return self.table.nodes.get((build,)) or self.table.node(
+                (build,), build)
+        elif is_variable_name(name):
             raise ParseError(
                 f"variable {name!r} cannot stand alone as a formula",
                 self._span(ix))
-        return Atom(name, ())
+        key = (Atom, name, args)
+        return self.table.nodes.get(key) or self.table.node(
+            key, Atom, name, args)
 
     def _term(self):
         """One term; nested applications are kept on a list, not the
@@ -790,8 +915,11 @@ def parse_model(text: str) -> Model:
 def model_to_doc(m: Model) -> dict:
     """Canonical document form (sorted, schema field order), written from
     the model's rows.  A missing space is an EvalError.  The spaces keyed
-    outside agents x states (`Model.strays`, only in an invalid model)
-    follow the others under `prob`, in their order."""
+    outside agents x states (`Model.strays`, only in an invalid model) are
+    written under `prob` in their order, after the others: the agents with
+    such spaces come after the other declared agents, in the order of
+    their first stray space, so that the document loads them in the
+    model's order."""
     names = m.names
     doc = {
         "states": list(m.states),
@@ -832,11 +960,13 @@ def model_to_doc(m: Model) -> dict:
                 "weights": dict(texts[nums, den])}
 
     prob = doc["prob"]
-    for agent in m.agents:
+    strayed = dict.fromkeys(agent for (agent, _), _ in m.strays)
+    for agent in [a for a in m.agents if a not in strayed] + list(strayed):
         prob[agent] = {state: space_doc(entry) for state, entry
-                       in zip(m.states, m.space_row(agent))}
+                       in zip(m.states, m.space_row(agent))} \
+            if agent in m.spaces else {}
     for (agent, state), entry in m.strays:
-        prob.setdefault(agent, {})[state] = space_doc(entry)
+        prob[agent][state] = space_doc(entry)
     return doc
 
 

@@ -22,7 +22,7 @@ from .syntax import (
     And, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb, Forall, Guard,
     GUARD_KNOWS, Knows, NestedImplicationSpec, ProbAtLeast, implies,
     is_sentence, iterate_everyone, knows_prob, nested_implication, peel_nested,
-    prob_common_stage, top,
+    prob_common_stage, split_implies, top,
 )
 
 MODE_PLAIN = "plain"
@@ -300,7 +300,9 @@ def _check_step(proof, ix, step, flags, axiom_names):
     if isinstance(just, MPJust):
         a = proof.steps[just.premise].formula
         imp = proof.steps[just.implication].formula
-        if imp != implies(a, f):
+        # a tuple compares its items by identity first, so the operands of
+        # a loaded proof, one object each, are not walked
+        if split_implies(imp) != (a, f):
             return ("implication step is not 'premise -> this formula'", False)
         return (None, flags[just.premise] and flags[just.implication])
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,12 @@ def _skeletons():
             st.builds(implies, sub, sub), st.builds(disj, sub, sub),
             st.builds(iff, sub, sub), st.builds(lambda a: iff(a, Not(a)), sub)),
         max_leaves=24)
+
+
+def _search(tseitin):
+    """The arguments of `_satisfiable` that ask for not-f."""
+    atoms, nvars, root, clauses = tseitin
+    return atoms, nvars, -root, clauses
 
 
 def _truth_table(f) -> bool:
@@ -119,6 +126,51 @@ class TestTautologyCheck:
         assert ax.tautology_check(f) == _truth_table(f)
         assert ax.tautology_check(implies(f, f))
         assert ax.tautology_check(iff(f, Not(Not(f))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_skeletons())
+    def test_truth_table_agrees_with_the_search(self, f):
+        # every skeleton has at most ten opaque atoms, so 2^n rows fit the
+        # budget, the truth table decides, and the search would decide too
+        order, atoms = ax._spine(f)
+        assert 1 << len(atoms) <= ax._TAUT_DECISION_BUDGET
+        searched = not ax._satisfiable(*_search(ax._tseitin(order)))
+        with mock.patch.object(ax, "_satisfiable",
+                               side_effect=AssertionError("searched")):
+            assert ax.tautology_check(f) == searched
+
+    def test_truth_table_up_to_the_budget(self, monkeypatch):
+        # three atoms: 2^3 rows fit a budget of 8, and the search, which
+        # needs 7 decisions here, is not started
+        f = parse_formula("!(!(p <-> q) <-> r) <-> !(p <-> !(q <-> r))")
+        calls = []
+        search = ax._satisfiable
+        monkeypatch.setattr(ax, "_satisfiable",
+                            lambda *args: calls.append(args) or search(*args))
+        monkeypatch.setattr(ax, "_TAUT_DECISION_BUDGET", 8)
+        assert ax.tautology_check(f) and calls == []
+        monkeypatch.setattr(ax, "_TAUT_DECISION_BUDGET", 7)
+        assert ax.tautology_check(f) and len(calls) == 1
+
+    def test_past_the_budget_the_search_gives_up(self, monkeypatch):
+        # 15 atoms: 2^15 rows exceed the budget, so the search runs, and on
+        # this parity identity it runs out of decisions
+        rs = [Atom(f"r{k}") for k in range(15)]
+
+        def parity(atoms):
+            out = atoms[0]
+            for a in atoms[1:]:
+                out = Not(iff(out, a))
+            return out
+
+        calls = []
+        search = ax._satisfiable
+        monkeypatch.setattr(ax, "_satisfiable",
+                            lambda *args: calls.append(args) or search(*args))
+        with pytest.raises(BudgetError, match="over 15 opaque atoms exceeds"
+                                              " the decision budget of 16384"):
+            ax.tautology_check(iff(parity(rs), parity(rs[::-1])))
+        assert len(calls) == 1
 
 
 class TestMatch:

@@ -157,6 +157,31 @@ class TestValidate:
             ("access.ghost", "accessibility for undeclared agent"),
             ("prob.zz@s0", "space keyed by unknown agent or state")]
 
+    def test_interleaved_strays_round_trip_through_the_document(self):
+        # a document lists each agent's spaces together, after the declared
+        # agents without strays: the stray of the declared agent follows
+        # the undeclared agent's, and the model keeps each agent's together
+        strays = {("zz", "s0"): point_space("s0"),
+                  ("a", "s9"): point_space("s9"),
+                  ("zz", "s1"): point_space("s1")}
+        m = Model(("s0", "s1"), ("d0",), ("a", "b"),
+                  access={"a": {("s0", "s1")}},
+                  prob={**{(agent, state): halves() for agent in "ab"
+                           for state in ("s0", "s1")}, **strays})
+        assert [key for key, _ in m.strays] == [
+            ("zz", "s0"), ("zz", "s1"), ("a", "s9")]
+        doc = model_to_doc(m)
+        assert list(doc["prob"]) == ["b", "zz", "a"]
+        again = load_model(doc)
+        assert again == m
+        problems = [(d["where"], d["problem"]) for d in validate(m).details]
+        assert problems == [
+            ("prob.zz@s0", "space keyed by unknown agent or state"),
+            ("prob.zz@s1", "space keyed by unknown agent or state"),
+            ("prob.a@s9", "space keyed by unknown agent or state")]
+        assert [(d["where"], d["problem"])
+                for d in validate(again).details] == problems
+
 
 def _naive_measure(sp, event):
     ev = frozenset(event) & sp.sample

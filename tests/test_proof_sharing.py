@@ -131,6 +131,44 @@ def test_shared_table_changes_nothing(golden, name, doc):
     assert len({id(g) for g in groups}) == len(set(groups))
 
 
+def _subformulas(roots) -> list:
+    """Every formula node under roots, each node object once."""
+    out, seen, todo = [], set(), list(roots)
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            out.append(f)
+            todo += (f.left, f.right) if type(f) is And else \
+                [f.body] if hasattr(f, "body") else []
+    return out
+
+
+@pytest.mark.parametrize("name, doc", DOCUMENTS,
+                         ids=[name for name, _ in DOCUMENTS])
+def test_equal_subformulas_are_one_object(name, doc):
+    """Any two equal formula nodes of the hypotheses, step formulas and
+    spec thetas of a loaded document are one object, whether they were
+    written in parentheses or not, and whatever abbreviation built them."""
+    proof = load_proof(doc)
+    nodes = _subformulas(f for _, f in _texts_and_formulas(doc, proof))
+    assert len(nodes) == len(set(nodes))
+
+
+def test_abbreviations_share_their_nodes():
+    doc = {"hypotheses": ["p -> q", "!(p & !q)", "p <-> q", "E{b,a} p",
+                          "E{a,b,a} p", "top & !bot", "P[a]<1/2 p",
+                          "!P[a]>=1/2 p"],
+           "steps": [{"formula": "exists x R(x) | !!forall x !R(x)",
+                      "just": {"kind": "axiom", "name": "Prop"}}]}
+    proof = load_proof(doc)
+    imp, imp_again, iff, e, e_again, top, lt, lt_again = proof.hypotheses
+    assert imp is imp_again and iff.left is imp and e is e_again
+    assert top.left is top.right and lt is lt_again
+    f = proof.steps[0].formula
+    assert f.body.left is f.body.right.body
+
+
 def _outcome(text):
     try:
         return proof_to_json(parse_proof(text))
@@ -172,7 +210,8 @@ def test_deep_document_keys_are_linear(monkeypatch):
     """The 5000-deep shapes of test_parser.py, each a hypothesis and two
     steps: the document loads, its repeated groups are one object, and the
     table's keys hold no more entries than one copy of the texts has
-    tokens."""
+    tokens; so do its nodes, and its raw group keys are one window of text
+    for each group read as a formula, at most."""
     shapes = ["!(" * 5000 + "p" + ")" * 5000,
               "!(p & " * 5000 + "p" + ")" * 5000,
               "p(" + "f(" * 5000 + "c" + ")" * 5001]
@@ -189,8 +228,11 @@ def test_deep_document_keys_are_linear(monkeypatch):
         "steps": [{"formula": text, "just": {"kind": "axiom", "name": "Prop"}}
                   for text in shapes * 2]})
     [table] = tables
-    assert sum(map(len, table.ids)) <= sum(
-        len(parser._tokenize(text)) for text in shapes)
+    tokens = sum(len(parser._tokenize(text)) for text in shapes)
+    assert sum(map(len, table.ids)) <= tokens
+    assert len(table.nodes) <= tokens
+    assert len(table.raw) <= sum(text.count("(") for text in shapes)
+    assert {len(key) for key in table.raw} == {parser._WINDOW}
     first, again = proof.steps[:3], proof.steps[3:]
     for k in (0, 1):
         assert first[k].formula.body is again[k].formula.body \
@@ -230,6 +272,37 @@ def test_each_distinct_chunk_tokenized_once(monkeypatch, name, doc):
     calls = _tokenized(monkeypatch)
     assert _digest(load_proof(doc)) == _digest(proof)
     assert sorted(calls) == sorted(set(chunks))
+
+
+def test_known_group_is_taken_whole(monkeypatch):
+    """A group read as a formula in an earlier text is copied whole into a
+    later one: none of the parentheses inside it is keyed again, and the
+    later text reads as it reads alone."""
+    readers = []
+
+    class Recording(parser._FormulaParser):
+        def __init__(self, text, table):
+            super().__init__(text, table)
+            readers.append(self)
+
+    monkeypatch.setattr(parser, "_FormulaParser", Recording)
+    group = "(p & !(q & !(r & s)))"
+    later = f"K[a] !{group} & R(x,{group[1:-1]}) | {group}"
+    doc = {"hypotheses": [f"K[a] {group}"], "steps": [
+        {"formula": later, "just": {"kind": "axiom", "name": "Prop"}}]}
+    with pytest.raises(PckfoError, match="expected"):
+        load_proof(doc)     # the argument list of R is no term
+    first, second = readers
+    assert len(first.groups) == 3 and len(second.groups) == 5
+    monkeypatch.undo()
+    assert second.toks == parser._FormulaParser(later, parser._Groups()).toks
+    text = "K[a] !" + group + " & " + group
+    proof = load_proof({**doc, "steps": [
+        {"formula": text, "just": {"kind": "axiom", "name": "Prop"}}]})
+    assert proof.steps[0].formula == parse_formula(text)
+    inner = proof.hypotheses[0].body
+    f = proof.steps[0].formula
+    assert f.left.body.body is inner and f.right is inner
 
 
 def test_chunks_with_equal_tokens_share_a_group():
