@@ -123,8 +123,8 @@ def _spine(f):
 
     The walk keeps an explicit stack, on which a node is pushed again,
     done, under its operands, and nodes are marked by id(), so each node
-    of a deep spine, or of the DAG that iff builds, costs one visit and
-    one lookup, without hashing."""
+    of a deep spine, or of the DAG that iff builds, is expanded once and
+    looked up without hashing."""
     order = []
     seen = set()    # id() of the nodes met
     atoms = {}
