@@ -276,8 +276,10 @@ def test_each_distinct_chunk_tokenized_once(monkeypatch, name, doc):
 
 def test_known_group_is_taken_whole(monkeypatch):
     """A group read as a formula in an earlier text is copied whole into a
-    later one: none of the parentheses inside it is keyed again, and the
-    later text reads as it reads alone."""
+    later one: none of the parentheses inside it is keyed again, the later
+    text reads as it reads alone, and where the copy stands as the
+    arguments of a relation, it is read token by token, with the error of
+    the text alone."""
     readers = []
 
     class Recording(parser._FormulaParser):
@@ -285,24 +287,28 @@ def test_known_group_is_taken_whole(monkeypatch):
             super().__init__(text, table)
             readers.append(self)
 
-    monkeypatch.setattr(parser, "_FormulaParser", Recording)
-    group = "(p & !(q & !(r & s)))"
-    later = f"K[a] !{group} & R(x,{group[1:-1]}) | {group}"
+    group = "(p & !(q & !(rrrrrrrrrrrr & s)))"
+    later = f"K[a] !{group} & {group}"
     doc = {"hypotheses": [f"K[a] {group}"], "steps": [
         {"formula": later, "just": {"kind": "axiom", "name": "Prop"}}]}
-    with pytest.raises(PckfoError, match="expected"):
-        load_proof(doc)     # the argument list of R is no term
-    first, second = readers
-    assert len(first.groups) == 3 and len(second.groups) == 5
+    monkeypatch.setattr(parser, "_FormulaParser", Recording)
+    proof = load_proof(doc)
     monkeypatch.undo()
+    first, second = readers
+    assert len(first.groups) == 3 and len(second.groups) == 2
     assert second.toks == parser._FormulaParser(later, parser._Groups()).toks
-    text = "K[a] !" + group + " & " + group
-    proof = load_proof({**doc, "steps": [
-        {"formula": text, "just": {"kind": "axiom", "name": "Prop"}}]})
-    assert proof.steps[0].formula == parse_formula(text)
-    inner = proof.hypotheses[0].body
-    f = proof.steps[0].formula
+    f, inner = proof.steps[0].formula, proof.hypotheses[0].body
+    assert f == parse_formula(later)
     assert f.left.body.body is inner and f.right is inner
+
+    as_arguments = {**doc, "steps": [
+        {"formula": f"R{group}", "just": {"kind": "axiom", "name": "Prop"}}]}
+    with pytest.raises(PckfoError) as shared:
+        load_proof(as_arguments)
+    with pytest.raises(PckfoError) as alone:
+        parse_formula(f"R{group}")
+    assert (str(shared.value), shared.value.span) == (
+        str(alone.value), alone.value.span)
 
 
 def test_chunks_with_equal_tokens_share_a_group():
