@@ -1,7 +1,8 @@
 """Each proof document reads a repeated parenthesized group once.
 
 `load_proof` reads every formula text of a document against one table of
-parenthesized groups, so equal groups load as one object.  These tests
+parenthesized groups and nodes, so equal groups, and equal subformulas,
+load as one object.  These tests
 show that the sharing changes nothing else: each loaded formula equals the
 parse of its own text, the dump bytes are the ones pinned in
 `tests/golden/proof_dumps.json` (a SHA-256 per document), and a document
@@ -293,18 +294,18 @@ def test_known_group_is_taken_whole(monkeypatch):
         {"formula": later, "just": {"kind": "axiom", "name": "Prop"}}]}
     monkeypatch.setattr(parser, "_FormulaParser", Recording)
     proof = load_proof(doc)
-    monkeypatch.undo()
-    first, second = readers
-    assert len(first.groups) == 3 and len(second.groups) == 2
-    assert second.toks == parser._FormulaParser(later, parser._Groups()).toks
-    f, inner = proof.steps[0].formula, proof.hypotheses[0].body
-    assert f == parse_formula(later)
-    assert f.left.body.body is inner and f.right is inner
-
     as_arguments = {**doc, "steps": [
         {"formula": f"R{group}", "just": {"kind": "axiom", "name": "Prop"}}]}
     with pytest.raises(PckfoError) as shared:
         load_proof(as_arguments)
+    monkeypatch.undo()
+    first, second, _, relation = readers
+    assert len(first.groups) == 3
+    assert len(second.groups) == 2 and len(relation.groups) == 1
+    assert second.toks == parser._FormulaParser(later, parser._Groups()).toks
+    f, inner = proof.steps[0].formula, proof.hypotheses[0].body
+    assert f == parse_formula(later)
+    assert f.left.body.body is inner and f.right is inner
     with pytest.raises(PckfoError) as alone:
         parse_formula(f"R{group}")
     assert (str(shared.value), shared.value.span) == (
