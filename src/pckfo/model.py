@@ -166,9 +166,9 @@ class Model:
       the common denominator den; None where a space is missing.  Every
       declared agent has a row.
     - `strays`: ((agent, state), space entry) of each space keyed outside
-      agents x states, in the order given, but each agent's together,
-      from its first: a document lists each agent's spaces together, so
-      that is every order that a document reproduces.
+      agents x states, in the order given, except that each agent's are
+      kept together, where its first stands: a document lists each
+      agent's spaces together, so these are the orders it reproduces.
 
     `orbit` is carried beside the rows: None, or, for a model that
     `oracle.enumerate_models` yields as the least member of its class

@@ -115,7 +115,7 @@ class _Groups:
     formula, of at least that length, to the text, tokens and groups of
     the reader that read it and the position of its "(" (the last such
     group wins), so that a later text can copy that group's tokens and id
-    without splitting or keying its inside.
+    without walking or keying its inside.
 
     `nodes` makes equal subformulas one object (hash-consing): it maps how
     each node was built to the node, an atom by (Atom, name, arguments), a
@@ -201,12 +201,13 @@ class _FormulaParser:
         matched group, innermost first, in one pass over the chunks and
         parentheses with a stack of the enclosing keys.  A group that the
         table knows as a formula by its raw text is taken whole: its tokens
-        and id are copied from the reader that read it, and its inside is
-        neither split nor keyed.  Every other chunk is tokenized before
-        reading starts, so the first bad character is reported before any
-        parse error; a known group has none.  Comparisons that fail cost at
-        most the length of the text in all, after which no group is looked
-        up, so the pass stays linear in the text."""
+        and id are copied from the reader that read it, and the parts of
+        its inside are passed over, not keyed.  Every other chunk is
+        tokenized before reading starts, so the first bad character is
+        reported before any parse error; a known group has none.
+        Comparisons that fail cost at most the length of the text in all,
+        after which no group is looked up, so the pass stays linear in the
+        text."""
         self.text = text
         self.pos = 0
         self.table = table
