@@ -115,7 +115,9 @@ class _Groups:
     formula, of at least that length, to the text, tokens and groups of
     the reader that read it and the position of its "(" (the last such
     group wins), so that a later text can copy that group's tokens and id
-    without walking or keying its inside.
+    without walking or keying its inside.  `braces` maps the tokens of
+    each member list read between "{" and "}", with whether a threshold
+    was asked for, to what was read, so each distinct list is read once.
 
     `nodes` makes equal subformulas one object (hash-consing): it maps how
     each node was built to the node, an atom by (Atom, name, arguments), a

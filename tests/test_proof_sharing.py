@@ -211,8 +211,8 @@ def test_deep_document_keys_are_linear(monkeypatch):
     """The 5000-deep shapes of test_parser.py, each a hypothesis and two
     steps: the document loads, its repeated groups are one object, and the
     table's keys hold no more entries than one copy of the texts has
-    tokens; so do its nodes, and its raw group keys are one window of text
-    for each group read as a formula, at most."""
+    tokens; so do its nodes and member lists, and its raw group keys are
+    one window of text for each group read as a formula, at most."""
     shapes = ["!(" * 5000 + "p" + ")" * 5000,
               "!(p & " * 5000 + "p" + ")" * 5000,
               "p(" + "f(" * 5000 + "c" + ")" * 5001]
@@ -232,6 +232,7 @@ def test_deep_document_keys_are_linear(monkeypatch):
     tokens = sum(len(parser._tokenize(text)) for text in shapes)
     assert sum(map(len, table.ids)) <= tokens
     assert len(table.nodes) <= tokens
+    assert sum(map(len, table.braces)) <= tokens
     assert len(table.raw) <= sum(text.count("(") for text in shapes)
     assert {len(key) for key in table.raw} == {parser._WINDOW}
     first, again = proof.steps[:3], proof.steps[3:]
