@@ -16,9 +16,8 @@ of text between parentheses (a chunk) is tokenized once per table, and a
 group is keyed by the ids of the chunks and inner groups directly inside
 it, so whitespace does not matter and keys are linear in the text; a group
 read as a formula once is taken as that one object at every later copy,
-and not read again, and a later text that repeats its raw text copies it
-without keying its inside.  Every node is built once per table
-(hash-consing), so equal subformulas are one object.
+and not read again.  Every node is built once per table (hash-consing), so
+equal subformulas are one object.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ _TOKEN_RE = re.compile(
 _ID_START = frozenset(string.ascii_letters + "_")
 _PARENS = re.compile(r"([()])")     # splits a text into chunks and parentheses
 
-# A group read as a formula is found again, in the texts read after it, by
-# its first _WINDOW characters, and then compared whole.  A shorter group
-# holds too little to be worth skipping, and is keyed as any other.
-_WINDOW = 16
-
 _VAR_INITIALS = "uvwxyz"
 
 # Words that can start a prefix operator; all but forall and exists only
@@ -70,7 +64,7 @@ _PREFIX_WORDS = frozenset(
 # Binary connective -> (precedence, constructor); higher binds tighter.
 _BINARY = {"&": (4, And), "|": (3, disj), "->": (2, implies), "<->": (1, iff)}
 _END = (0, None)    # any other token ends the run and closes every connective
-_UNMATCHED = (None, None, None, None)   # the entry of a "(" with no ")"
+_UNMATCHED = (None, None)   # the entry of a "(" with no ")"
 
 _PROB_COMPARISONS = {
     ">=": ProbAtLeast, "<": prob_lt, "<=": prob_le, ">": prob_gt,
@@ -99,25 +93,17 @@ def _tokenize(text: str, offset: int = 0) -> list:
 
 class _Groups:
     """The formula texts of one document, or of one text, as read so far.
-    A chunk is a run of text between two parentheses or an end of the
-    text.  `chunks` maps the raw text of each chunk met to its tokens and
-    the id of their tuple in `ids` (None when it has none), so each
-    distinct chunk is tokenized once.  `ids` interns keys to integer ids
-    from one counter: a chunk's key is its token tuple, so whitespace does
-    not matter, and a group's key is the tuple of the ids of the chunks
-    with tokens and of the inner groups directly inside it, so keys are
-    linear in the text.  `formulas` maps the id of each group read as a
-    formula to that formula.  The parse of a group depends on its tokens
-    alone, and a group is stored only once it was read without error, so a
-    stored formula stands for every copy of its group.
-
-    `raw` maps the first _WINDOW characters of each group read as a
-    formula, of at least that length, to the text, tokens and groups of
-    the reader that read it and the position of its "(" (the last such
-    group wins), so that a later text can copy that group's tokens and id
-    without walking or keying its inside.  `braces` maps the tokens of
-    each member list read between "{" and "}", with whether a threshold
-    was asked for, to what was read, so each distinct list is read once.
+    A chunk is a run of text between two parentheses or an end of the text.
+    `chunks` maps the text of each chunk met to its tokens and the id of
+    their tuple in `ids` (None when it has none), so each distinct chunk is
+    tokenized once.  `ids` interns keys to integer ids from one counter: a
+    chunk's key is its token tuple, so whitespace does not matter, and a
+    group's key is the tuple of the ids of the chunks with tokens and of
+    the inner groups directly inside it, so keys are linear in the text.
+    `formulas` maps the id of each group read as a formula to that formula.
+    The parse of a group depends on its tokens alone, and a group is stored
+    only once it was read without error, so a stored formula stands for
+    every copy of its group.
 
     `nodes` makes equal subformulas one object (hash-consing): it maps how
     each node was built to the node, an atom by (Atom, name, arguments), a
@@ -131,9 +117,7 @@ class _Groups:
         self.chunks = {"": ([], None)}
         self.ids = {}
         self.formulas = {}
-        self.raw = {}
         self.nodes = {}
-        self.braces = {}
 
     def node(self, key, build, *args):
         """build(*args), whose node arguments are nodes of the table, as a
@@ -188,38 +172,28 @@ class _FormulaParser:
 
     `toks` ends with "", so the parser indexes it without bounds checks.
     Spans are found again from the text only when an error is raised.
-    `groups` maps the position of each matched "(" to its id in `table`,
-    the position of its ")", and the offsets of both in the text; a group
-    taken whole has no entries inside it, so only a known formula, which
-    the reader jumps over, and the arguments of a term or an atom, which
-    are read token by token, can be taken whole.  Only `_formula` stores
-    and looks up formulas by id, so a group read as the arguments of a
-    term or an atom never stands in for a formula.  Every node is made
-    through the table's `nodes`.
+    `groups` maps the position of each matched "(" to its id in `table`
+    and the position of its ")".  Only `_formula` stores and looks up
+    formulas by id, so a group read as the arguments of a term or an atom
+    never stands in for a formula.  Every node is made through the
+    table's `nodes`.
     """
 
     def __init__(self, text: str, table: _Groups):
         """Tokenize the chunks of text not yet in `table` and key each
         matched group, innermost first, in one pass over the chunks and
-        parentheses with a stack of the enclosing keys.  A group that the
-        table knows as a formula by its raw text is taken whole: its tokens
-        and id are copied from the reader that read it, and the parts of
-        its inside are passed over, not keyed.  Every other chunk is
+        parentheses with a stack of the enclosing keys.  Every chunk is
         tokenized before reading starts, so the first bad character is
-        reported before any parse error; a known group has none.
-        Comparisons that fail cost at most the length of the text in all,
-        after which no group is looked up, so the pass stays linear in the
-        text."""
+        reported before any parse error."""
         self.text = text
         self.pos = 0
         self.table = table
-        chunks, ids, raw = table.chunks, table.ids, table.raw
+        chunks, ids = table.chunks, table.ids
         self.toks = toks = []
         self.groups = groups = {}
-        stack = []      # (position of "(", its offset, enclosing key)
+        stack = []      # (position of "(", enclosing key)
         key = []        # the key so far of the innermost open group
         offset = 0      # where the part starts in the text
-        spent = 0       # characters of the known groups that did not match
         parts = iter(_PARENS.split(text))
         # a chunk and the parenthesis after it, None after the last chunk
         for part, paren in itertools.zip_longest(parts, parts):
@@ -233,36 +207,19 @@ class _FormulaParser:
             if run:
                 toks += run
                 key.append(cid)
-            offset += len(part)
+            offset += len(part) + 1
             if paren == "(":
-                known = raw.get(text[offset:offset + _WINDOW])
-                if known is not None and spent <= len(text):
-                    source, tokens, entries, start = known
-                    gid, end, first, last = entries[start]
-                    group = source[first:last + 1]
-                    if text.startswith(group, offset):
-                        groups[len(toks)] = (gid, len(toks) + end - start,
-                                             offset, offset + last - first)
-                        toks += tokens[start:end + 1]
-                        key.append(gid)
-                        offset += len(group)
-                        # the parts after its "(", through its ")"
-                        next(itertools.islice(
-                            parts, 4 * group.count("(") - 3, None))
-                        continue
-                    spent += len(group)
-                stack.append((len(toks), offset, key))
+                stack.append((len(toks), key))
                 toks.append("(")
                 key = []
             elif paren == ")":
                 if stack:
-                    start, first, outer = stack.pop()
+                    start, outer = stack.pop()
                     gid = ids.setdefault(tuple(key), len(ids))
-                    groups[start] = (gid, len(toks), first, offset)
+                    groups[start] = (gid, len(toks))
                     outer.append(gid)
                     key = outer
                 toks.append(")")
-            offset += 1
         toks.append("")
 
     # -- token plumbing
@@ -322,7 +279,7 @@ class _FormulaParser:
                 continue
             if tok == "(":
                 # an unmatched "(" has no id, and its level never closes
-                inner, end, _, _ = groups.get(self.pos, _UNMATCHED)
+                inner, end = groups.get(self.pos, _UNMATCHED)
                 f = formulas.get(inner)
                 if f is None:
                     levels.append((prefixes, operands, pending, start))
@@ -370,11 +327,7 @@ class _FormulaParser:
                 if closing != ")":
                     raise ParseError(f"expected ')', found {closing!r}",
                                      self._span(self.pos - 1))
-                gid, _, first, last = groups[start]
-                formulas[gid] = f
-                if last - first >= _WINDOW - 1:
-                    table.raw[self.text[first:first + _WINDOW]] = (
-                        self.text, toks, groups, start)
+                formulas[groups[start][0]] = f
                 prefixes, operands, pending, start = levels.pop()
 
     def _prefix(self, word, follows):
@@ -431,18 +384,9 @@ class _FormulaParser:
         return agent
 
     def _group(self, with_bound: bool):
-        """The members (and threshold) after an opening brace, read once
-        per distinct run of tokens up to the closing brace in the table: a
-        group ends at the first "}", and only one read without error is
-        stored."""
-        toks, start, known = self.toks, self.pos, self.table.braces
-        try:
-            key = (with_bound, *toks[start:toks.index("}", start)])
-        except ValueError:      # no "}": the read below fails
-            key = None
-        if key in known:
-            self.pos += len(key)
-            return known[key]
+        """The members (and threshold) after an opening brace, the members
+        sorted and without repeats, so that equal groups key one node."""
+        toks = self.toks
         members = []
         bound = None
         while True:
@@ -476,8 +420,7 @@ class _FormulaParser:
             raise ParseError("group must list at least one member",
                              self._span(self.pos - 1))
         members = _as_group(tuple(members))
-        known[key] = (members, bound) if with_bound else members
-        return known[key]
+        return (members, bound) if with_bound else members
 
     def _rational(self) -> Fraction:
         ix = self.pos

@@ -308,7 +308,7 @@ def _check_step(proof, ix, step, flags, axiom_names):
 
     if isinstance(just, FORJust):
         body = proof.steps[just.premise].formula
-        if f != Forall(just.var, body):
+        if type(f) is not Forall or f.var != just.var or f.body != body:
             return ("formula is not the universal closure of the premise"
                     " over the cited variable", False)
         return (None, flags[just.premise])
@@ -317,7 +317,7 @@ def _check_step(proof, ix, step, flags, axiom_names):
         body = proof.steps[just.premise].formula
         if not flags[just.premise]:
             return ("premise of knowledge necessitation is not a theorem", False)
-        if f != Knows(just.agent, body):
+        if type(f) is not Knows or f.agent != just.agent or f.body != body:
             return ("formula is not the knowledge-wrapped premise", False)
         return (None, True)
 
@@ -329,7 +329,8 @@ def _check_step(proof, ix, step, flags, axiom_names):
         if not flags[just.premise]:
             return ("premise of probabilistic necessitation is not a theorem",
                     False)
-        if f != ProbAtLeast(just.agent, Fraction(1), body):
+        if type(f) is not ProbAtLeast or f.agent != just.agent \
+                or f.bound != 1 or f.body != body:
             return ("formula is not the probability-one-wrapped premise", False)
         return (None, True)
 

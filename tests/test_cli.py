@@ -705,7 +705,17 @@ class TestCheckerRejections:
             "kind": "FOR", "premise": 0, "var": "x"}}],
          1, "formula is not the universal closure of the premise over the"
             " cited variable"),
+        ([], [_prop("p -> p"), {"formula": "forall y (p -> p)", "just": {
+            "kind": "FOR", "premise": 0, "var": "x"}}],
+         1, "formula is not the universal closure of the premise over the"
+            " cited variable"),
         ([], [_prop("p -> p"), {"formula": "K[a] (q -> q)", "just": {
+            "kind": "RK", "premise": 0, "agent": "a"}}],
+         1, "formula is not the knowledge-wrapped premise"),
+        ([], [_prop("p -> p"), {"formula": "K[b] (p -> p)", "just": {
+            "kind": "RK", "premise": 0, "agent": "a"}}],
+         1, "formula is not the knowledge-wrapped premise"),
+        ([], [_prop("p -> p"), {"formula": "P[a]>=1 (p -> p)", "just": {
             "kind": "RK", "premise": 0, "agent": "a"}}],
          1, "formula is not the knowledge-wrapped premise"),
         (["p"], [{"formula": "p", "just": {"kind": "hyp", "index": 0}},
@@ -713,6 +723,9 @@ class TestCheckerRejections:
                      "kind": "RP", "premise": 0, "agent": "a"}}],
          1, "premise of probabilistic necessitation is not a theorem"),
         ([], [_prop("p -> p"), {"formula": "P[a]>=1 (q -> q)", "just": {
+            "kind": "RP", "premise": 0, "agent": "a"}}],
+         1, "formula is not the probability-one-wrapped premise"),
+        ([], [_prop("p -> p"), {"formula": "P[a]>=1/2 (p -> p)", "just": {
             "kind": "RP", "premise": 0, "agent": "a"}}],
          1, "formula is not the probability-one-wrapped premise"),
         ([], [_prop("p -> p"), _prop("q -> q"), {
@@ -726,8 +739,9 @@ class TestCheckerRejections:
                         "certificate": {"bound": 0, "premises": {}}}}],
          0, "certificate bound 0 is below the first premise index 1"),
     ], ids=["axiom-params", "open-hypothesis", "hypothesis-index",
-            "hypothesis-differs", "for-closure", "rk-wrapping",
-            "rp-premise", "rp-wrapping", "group-member", "certificate-bound"])
+            "hypothesis-differs", "for-closure", "for-variable",
+            "rk-wrapping", "rk-agent", "rk-operator", "rp-premise",
+            "rp-wrapping", "rp-bound", "group-member", "certificate-bound"])
     def test_rejection(self, tmp_path, hypotheses, steps, step, problem):
         path = tmp_path / "proof.json"
         path.write_text(json.dumps({"hypotheses": hypotheses,

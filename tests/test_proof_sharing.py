@@ -211,8 +211,7 @@ def test_deep_document_keys_are_linear(monkeypatch):
     """The 5000-deep shapes of test_parser.py, each a hypothesis and two
     steps: the document loads, its repeated groups are one object, and the
     table's keys hold no more entries than one copy of the texts has
-    tokens; so do its nodes and member lists, and its raw group keys are
-    one window of text for each group read as a formula, at most."""
+    tokens, and neither do its nodes."""
     shapes = ["!(" * 5000 + "p" + ")" * 5000,
               "!(p & " * 5000 + "p" + ")" * 5000,
               "p(" + "f(" * 5000 + "c" + ")" * 5001]
@@ -232,9 +231,6 @@ def test_deep_document_keys_are_linear(monkeypatch):
     tokens = sum(len(parser._tokenize(text)) for text in shapes)
     assert sum(map(len, table.ids)) <= tokens
     assert len(table.nodes) <= tokens
-    assert sum(map(len, table.braces)) <= tokens
-    assert len(table.raw) <= sum(text.count("(") for text in shapes)
-    assert {len(key) for key in table.raw} == {parser._WINDOW}
     first, again = proof.steps[:3], proof.steps[3:]
     for k in (0, 1):
         assert first[k].formula.body is again[k].formula.body \
@@ -276,12 +272,12 @@ def test_each_distinct_chunk_tokenized_once(monkeypatch, name, doc):
     assert sorted(calls) == sorted(set(chunks))
 
 
-def test_known_group_is_taken_whole(monkeypatch):
-    """A group read as a formula in an earlier text is copied whole into a
-    later one: none of the parentheses inside it is keyed again, the later
-    text reads as it reads alone, and where the copy stands as the
-    arguments of a relation, it is read token by token, with the error of
-    the text alone."""
+def test_known_group_is_the_earlier_object(monkeypatch):
+    """A group read as a formula in an earlier text stands, in a later
+    text that repeats it, as the object read first: the later text reads
+    as it reads alone, and where the group stands as the arguments of a
+    relation, it is read token by token, with the error of the text
+    alone."""
     readers = []
 
     class Recording(parser._FormulaParser):
@@ -300,9 +296,8 @@ def test_known_group_is_taken_whole(monkeypatch):
     with pytest.raises(PckfoError) as shared:
         load_proof(as_arguments)
     monkeypatch.undo()
-    first, second, _, relation = readers
+    first, second, _, _ = readers
     assert len(first.groups) == 3
-    assert len(second.groups) == 2 and len(relation.groups) == 1
     assert second.toks == parser._FormulaParser(later, parser._Groups()).toks
     f, inner = proof.steps[0].formula, proof.hypotheses[0].body
     assert f == parse_formula(later)
