@@ -2,11 +2,18 @@
 
 A proof is a forward-referencing sequence of steps over a hypothesis list
 (the theory).  Knowledge/probabilistic necessitation premises must be
-theorems: each step carries a computed from-theory-only flag and the checker
-enforces the restriction.  The rules with countably many premises are checked
+theorems: `check` computes each step's from-theory-only flag (its report's
+`theorem_steps`) and enforces the restriction.
+
+The five nested-implication rules (RE, RPE, RC, RPC, RA) share one check:
+the cited premises cover the group's members, or the certificate's indices
+first..bound, exactly; then each premise's tower is peeled with the
+conclusion's spec and its head compared with the rule's premise body for
+that member or index.  The rules with countably many premises are checked
 against explicit bounded certificates and downgrade the verdict to
 "accepted-with-bounded-certificates"; a bounded check is never reported as
-full derivability.
+full derivability.  Both proof transforms re-apply a nested rule through
+`_nested_step`.
 """
 
 from __future__ import annotations
@@ -199,8 +206,9 @@ def _with_premises(just, spec, premises):
 def check(proof: Proof) -> CheckReport:
     """Verify every step; deterministic and total.
 
-    The returned report's details carry one entry per failing step plus the
-    computed theorem flags; artifacts stay empty.
+    The returned report's details carry one entry per failing step plus
+    `theorem_steps`, one flag per step: True iff the step is accepted and
+    uses no hypothesis.  Artifacts stay empty.
     """
     rep = CheckReport(ACCEPTED)
     if proof.mode not in (MODE_PLAIN, MODE_CON):
@@ -239,15 +247,6 @@ def check(proof: Proof) -> CheckReport:
     return rep
 
 
-def theorem_flags(proof: Proof) -> list:
-    """from-theory-only flag per step (True iff no hypothesis is used)."""
-    flags = []
-    for ix, step in enumerate(proof.steps):
-        _, flag = _check_step(proof, ix, step, flags, ax.ALL_AXIOMS)
-        flags.append(flag)
-    return flags
-
-
 def _refs(just) -> list:
     if isinstance(just, MPJust):
         return [just.premise, just.implication]
@@ -282,11 +281,19 @@ def _check_step(proof, ix, step, flags, axiom_names):
             return (f"formula is not an instance of {just.name}", False)
         if just.params:
             want = dict(just.params)
+            # An AC or APC depth above every match's cannot produce f: check
+            # the other parameters at the matched depth, and build no tower.
+            depths = [inst.params["m"] for inst in matches
+                      if "m" in inst.params]
+            too_deep = depths and isinstance(want.get("m"), int) \
+                and want["m"] > max(depths)
+            if too_deep:
+                want["m"] = max(depths)
             try:
                 built = ax.instantiate(just.name, want)
             except Exception as exc:  # side condition or missing key
                 return (f"axiom parameters rejected: {exc}", False)
-            if built != f:
+            if too_deep or built != f:
                 return ("axiom parameters do not produce this formula", False)
         return (None, True)
 
@@ -342,48 +349,39 @@ def _check_step(proof, ix, step, flags, axiom_names):
                     f" around {rule.head_name}", False)
         if any(getattr(just, a) != getattr(tau, a) for a in rule.cited):
             return (_CITED_MISMATCH[rule.cited], False)
-        expect = lambda key: nested_implication(just.spec, rule.body(tau, key))
-        if not isinstance(just, BOUNDED_RULES):
-            return _check_group_rule(proof, just, tau.group, flags, expect)
-        start = rule.first(tau)
-        if start is None:
-            return ("the Archimedean rule requires a strictly positive"
-                    " threshold", False)
-        return _check_certificate(proof, just.certificate, flags, start, expect)
+        given = dict(_premises(just))
+        if rule.first is None:
+            if set(given) != set(tau.group):
+                missing = sorted(set(tau.group) - set(given))
+                extra = sorted(set(given) - set(tau.group))
+                return (f"premise map must cover the group exactly"
+                        f" (missing {missing}, extra {extra})", False)
+            keys = tau.group
+            wrong = "premise for member {!r} is not the required nested" \
+                    " implication"
+        else:
+            start, bound = rule.first(tau), just.certificate.bound
+            if start is None:
+                return ("the Archimedean rule requires a strictly positive"
+                        " threshold", False)
+            if bound < start:
+                return (f"certificate bound {bound} is below the first"
+                        f" premise index {start}", False)
+            # as many distinct indices as first..bound holds, each in it: no
+            # range of the bound's size is built
+            if len(given) != bound - start + 1 or not all(
+                    isinstance(m, int) and start <= m <= bound for m in given):
+                return (f"certificate must cover indices {start}..{bound}"
+                        " exactly", False)
+            keys = sorted(given)
+            wrong = "certificate premise for index {} has the wrong formula"
+        for key in keys:
+            got = peel_nested(just.spec, proof.steps[given[key]].formula)
+            if got != rule.body(tau, key):
+                return (wrong.format(key), False)
+        return (None, all(flags[s] for s in given.values()))
 
     return (f"unknown justification {type(just).__name__}", False)
-
-
-def _check_group_rule(proof, just, group, flags, expect):
-    given = dict(just.premises)
-    if set(given) != set(group):
-        missing = sorted(set(group) - set(given))
-        extra = sorted(set(given) - set(group))
-        return (f"premise map must cover the group exactly"
-                f" (missing {missing}, extra {extra})", False)
-    for agent in group:
-        got = proof.steps[given[agent]].formula
-        if got != expect(agent):
-            return (f"premise for member {agent!r} is not the required"
-                    " nested implication", False)
-    return (None, all(flags[s] for s in given.values()))
-
-
-def _check_certificate(proof, cert, flags, start, expect):
-    if cert.bound < start:
-        return (f"certificate bound {cert.bound} is below the first premise"
-                f" index {start}", False)
-    given = dict(cert.premises)
-    want = set(range(start, cert.bound + 1))
-    if set(given) != want:
-        return (f"certificate must cover indices {start}..{cert.bound}"
-                " exactly", False)
-    for m in sorted(want):
-        got = proof.steps[given[m]].formula
-        if got != expect(m):
-            return (f"certificate premise for index {m} has the wrong"
-                    " formula", False)
-    return (None, all(flags[s] for s in given.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +412,11 @@ class ProofBuilder:
                         AxiomJust(ax.PROP))
 
     def mp(self, premise: int, implication: int) -> int:
-        imp = self.steps[implication].formula
-        body = imp.body.right.body  # consequent of the implication expansion
-        return self.add(body, MPJust(premise, implication))
+        pair = split_implies(self.steps[implication].formula)
+        if pair is None:
+            raise ProofTransformError(
+                f"step {implication} is not an implication")
+        return self.add(pair[1], MPJust(premise, implication))
 
     def build(self) -> Proof:
         return Proof(self.hypotheses, tuple(self.steps), self.mode)
@@ -430,12 +430,6 @@ def _ensure_accepted(proof: Proof) -> None:
     rep = check(proof)
     if not rep.passed:
         raise ProofTransformError(f"input proof rejected: {rep.details}")
-
-
-def _fresh_guarded_spec(spec: NestedImplicationSpec, extra) -> NestedImplicationSpec:
-    """Replace the outermost theta with (extra AND theta_k)."""
-    thetas = spec.thetas[:-1] + (And(extra, spec.thetas[-1]),)
-    return NestedImplicationSpec(spec.k, thetas, spec.guards)
 
 
 class _SubtreeCopier:
@@ -545,7 +539,11 @@ def deduction_transform(proof: Proof, phi) -> Proof:
             continue
 
         if type(just) in _NESTED:
-            done[ix] = _deduction_nested(out, proof, ix, done, phi)
+            # (phi AND theta_k) becomes the outermost antecedent
+            thetas = just.spec.thetas[:-1] + (And(phi, just.spec.thetas[-1]),)
+            spec = NestedImplicationSpec(just.spec.k, thetas, just.spec.guards)
+            done[ix] = _nested_step(out, proof, ix, done, spec,
+                                    lambda g: implies(phi, g))
             continue
 
         raise ProofTransformError(f"unsupported justification {just!r}")
@@ -553,34 +551,22 @@ def deduction_transform(proof: Proof, phi) -> Proof:
     return out.build()
 
 
-def _rebuild_nested(out, proof, ix, done, spec, lift):
-    """Re-apply the nested rule of step ix over `spec`; lift(body, step)
-    turns the new step proving the image of an old premise into one proving
-    Phi_spec(body).  Returns the rebuilt step and tau."""
-    just = proof.steps[ix].just
-    tau = peel_nested(just.spec, proof.steps[ix].formula)
+def _nested_step(out, proof, ix, done, spec, wrap) -> int:
+    """Re-apply the nested rule of step ix over `spec`, whose tower
+    Phi_spec(body) and wrap(Phi(body)) imply each other propositionally over
+    the tower's opaque head.  done maps each old step to the new step proving
+    its wrap; returns the step proving wrap of step ix's formula."""
+    just, f = proof.steps[ix].just, proof.steps[ix].formula
+    tau = peel_nested(just.spec, f)
     body = _NESTED[type(just)].body
-    premises = tuple((key, lift(body(tau, key), done[s]))
-                     for key, s in _premises(just))
+    premises = []
+    for key, s in _premises(just):
+        taut = out.prop(implies(wrap(proof.steps[s].formula),
+                                nested_implication(spec, body(tau, key))))
+        premises.append((key, out.mp(done[s], taut)))
     rebuilt = out.add(nested_implication(spec, tau),
-                      _with_premises(just, spec, premises))
-    return rebuilt, tau
-
-
-def _deduction_nested(out, proof, ix, done, phi):
-    spec = proof.steps[ix].just.spec
-    spec_bar = _fresh_guarded_spec(spec, phi)
-
-    def premise_in(body, step) -> int:
-        # phi -> Phi(body) and Phi_bar(body) imply each other propositionally
-        # over the tower's opaque head.
-        src = implies(phi, nested_implication(spec, body))
-        taut = out.prop(implies(src, nested_implication(spec_bar, body)))
-        return out.mp(step, taut)
-
-    rebuilt, tau = _rebuild_nested(out, proof, ix, done, spec_bar, premise_in)
-    back = out.prop(implies(nested_implication(spec_bar, tau),
-                            implies(phi, nested_implication(spec, tau))))
+                      _with_premises(just, spec, tuple(premises)))
+    back = out.prop(implies(nested_implication(spec, tau), wrap(f)))
     return out.mp(rebuilt, back)
 
 
@@ -641,33 +627,14 @@ def strong_necessitation_transform(proof: Proof, agent: str) -> Proof:
             continue
 
         if type(just) in _NESTED:
-            done[ix] = _necessitation_nested(out, proof, ix, done, agent)
+            # top -> K_agent(...) becomes the outermost layer
+            spec = NestedImplicationSpec(
+                just.spec.k + 1, just.spec.thetas + (top(),),
+                just.spec.guards + (Guard(GUARD_KNOWS, agent),))
+            done[ix] = _nested_step(out, proof, ix, done, spec,
+                                    lambda g: Knows(agent, g))
             continue
 
         raise ProofTransformError(f"unsupported justification {just!r}")
 
     return out.build()
-
-
-def _extended_spec(spec: NestedImplicationSpec, agent) -> NestedImplicationSpec:
-    return NestedImplicationSpec(
-        spec.k + 1,
-        spec.thetas + (top(),),
-        spec.guards + (Guard(GUARD_KNOWS, agent),))
-
-
-def _necessitation_nested(out, proof, ix, done, agent):
-    spec = proof.steps[ix].just.spec
-    spec_ext = _extended_spec(spec, agent)
-
-    def premise_ext(body, step) -> int:
-        # K_i Phi(body)  propositionally yields  top -> K_i Phi(body),
-        # which is Phi_ext(body).
-        src = Knows(agent, nested_implication(spec, body))
-        taut = out.prop(implies(src, nested_implication(spec_ext, body)))
-        return out.mp(step, taut)
-
-    rebuilt, tau = _rebuild_nested(out, proof, ix, done, spec_ext, premise_ext)
-    peel = out.prop(implies(nested_implication(spec_ext, tau),
-                            Knows(agent, nested_implication(spec, tau))))
-    return out.mp(rebuilt, peel)

@@ -685,6 +685,7 @@ def _prop(formula):
 
 _FP_SPEC = {"k": 1, "thetas": ["!(ff & !ff)", "C{a,b} p"],
             "guards": [{"op": "K", "agent": "a"}]}
+_TOP_SPEC = {"k": 0, "thetas": ["!(ff & !ff)"], "guards": []}
 
 
 class TestCheckerRejections:
@@ -738,10 +739,70 @@ class TestCheckerRejections:
                "just": {"kind": "RC", "spec": _FP_SPEC,
                         "certificate": {"bound": 0, "premises": {}}}}],
          0, "certificate bound 0 is below the first premise index 1"),
+        ([], [_prop("p -> p"), _prop("q -> q"), {
+            "formula": "!(K[a] p & K[b] p & !E{a,b} p)", "just": {
+                "kind": "RE", "spec": {"k": 0, "thetas": ["K[a] p & K[b] p"],
+                                       "guards": []},
+                "premises": {"a": 0, "c": 1}}}],
+         2, "premise map must cover the group exactly (missing ['b'],"
+            " extra ['c'])"),
+        ([], [_prop("p -> p"), {
+            "formula": "!(C{a,b} p & !K[a] !(!(ff & !ff) & !C{a,b} p))",
+            "just": {"kind": "RC", "spec": _FP_SPEC,
+                     "certificate": {"bound": 2, "premises": {"1": 0}}}}],
+         1, "certificate must cover indices 1..2 exactly"),
+        ([], [_prop("p -> p"), {
+            "formula": "!(C{a,b} p & !K[a] !(!(ff & !ff) & !C{a,b} p))",
+            "just": {"kind": "RC", "spec": _FP_SPEC,
+                     "certificate": {"bound": 1, "premises": {"1": 0}}}}],
+         1, "certificate premise for index 1 has the wrong formula"),
+        ([], [{"formula": "!(!(ff & !ff) & !P[a]>=0 p)", "just": {
+            "kind": "RA", "spec": _TOP_SPEC, "agent": "a", "r": "0",
+            "certificate": {"bound": 1, "premises": {}}}}],
+         0, "the Archimedean rule requires a strictly positive threshold"),
+        ([], [{"formula": "!(!(ff & !ff) & !Es{a,b,1/2} p)", "just": {
+            "kind": "RPE", "spec": _TOP_SPEC, "r": "1/3", "premises": {}}}],
+         0, "cited threshold differs from the conclusion's"),
+        ([], [{"formula": "!(!(ff & !ff) & !Cs{a,b,1/2} p)", "just": {
+            "kind": "RPC", "spec": _TOP_SPEC, "r": "1/3",
+            "certificate": {"bound": 1, "premises": {}}}}],
+         0, "cited threshold differs from the conclusion's"),
+        ([], [{"formula": "!(!(ff & !ff) & !P[a]>=1/2 p)", "just": {
+            "kind": "RA", "spec": _TOP_SPEC, "agent": "b", "r": "1/2",
+            "certificate": {"bound": 2, "premises": {}}}}],
+         0, "cited agent/threshold differ from the conclusion's"),
+        ([], [{"formula": "!(!(ff & !ff) & !P[a]>=1/2 p)", "just": {
+            "kind": "RA", "spec": _TOP_SPEC, "agent": "a", "r": "1/3",
+            "certificate": {"bound": 2, "premises": {}}}}],
+         0, "cited agent/threshold differ from the conclusion's"),
+        ([], [{"formula": "!(Cs{a,1/2} p & !Es{a,1/2} (p & !(ff & !ff)))",
+               "just": {"kind": "axiom", "name": "APC", "params": {
+                   "group": ["a"], "r": "3/2", "m": "1000000000",
+                   "phi": "p"}}}],
+         0, "axiom parameters rejected: r=3/2 outside [0, 1]"),
+        # Rows whose bound or depth the checker must never build: each is
+        # rejected at the size of the document.
+        ([], [{"formula": "!(C{a,b} p & !K[a] !(!(ff & !ff) & !C{a,b} p))",
+               "just": {"kind": "RC", "spec": _FP_SPEC, "certificate": {
+                   "bound": 10**12, "premises": {}}}}],
+         0, "certificate must cover indices 1..1000000000000 exactly"),
+        ([], [{"formula": "!(C{a} p & !E{a} p)", "just": {
+            "kind": "axiom", "name": "AC", "params": {
+                "group": ["a"], "m": "1000000000", "phi": "p"}}}],
+         0, "axiom parameters do not produce this formula"),
+        ([], [{"formula": "!(Cs{a,1/2} p & !Es{a,1/2} (p & !(ff & !ff)))",
+               "just": {"kind": "axiom", "name": "APC", "params": {
+                   "group": ["a"], "r": "1/2", "m": "1000000000",
+                   "phi": "p"}}}],
+         0, "axiom parameters do not produce this formula"),
     ], ids=["axiom-params", "open-hypothesis", "hypothesis-index",
             "hypothesis-differs", "for-closure", "for-variable",
             "rk-wrapping", "rk-agent", "rk-operator", "rp-premise",
-            "rp-wrapping", "rp-bound", "group-member", "certificate-bound"])
+            "rp-wrapping", "rp-bound", "group-member", "certificate-bound",
+            "group-cover", "certificate-cover", "certificate-premise",
+            "archimedean-zero", "rpe-threshold", "rpc-threshold", "ra-agent",
+            "ra-threshold", "apc-deep-side-condition", "certificate-huge-bound",
+            "ac-huge-depth", "apc-huge-depth"])
     def test_rejection(self, tmp_path, hypotheses, steps, step, problem):
         path = tmp_path / "proof.json"
         path.write_text(json.dumps({"hypotheses": hypotheses,

@@ -147,7 +147,7 @@ def test_accepted_theorems_hold_on_random_models():
     # rule soundness end to end: whatever the proof checker accepts from the
     # empty theory must be satisfied at every state of every sampled model
     from pckfo.oracle import holds_everywhere
-    from pckfo.proofcheck import check, theorem_flags
+    from pckfo.proofcheck import check
     from pckfo.prooflib import (
         fixed_point_proof, group_pair_proof, k_distribution_proof,
         random_finitary_proof,
@@ -163,8 +163,9 @@ def test_accepted_theorems_hold_on_random_models():
                    fixed_point_proof(4).conclusion]
     for seed in range(25):
         proof = random_finitary_proof(seed)
-        assert check(proof).passed
-        flags = theorem_flags(proof)
+        rep = check(proof)
+        assert rep.passed
+        flags = rep.details[-1]["theorem_steps"]
         theorems = [s.formula for s, fl in zip(proof.steps, flags) if fl]
         conclusions.extend(theorems[-2:])
 

@@ -9,7 +9,7 @@ from pckfo.proofcheck import (
     AxiomJust, Certificate, FORJust, HypJust, MODE_CON, MPJust, Proof,
     ProofBuilder, RAJust, RCJust, REJust, RKJust, RPCJust, RPEJust, RPJust,
     Step, _SubtreeCopier, check, deduction_transform,
-    strong_necessitation_transform, theorem_flags,
+    strong_necessitation_transform,
 )
 from pckfo.prooflib import (
     _trans, fixed_point_proof, group_pair_proof, k_distribution_proof,
@@ -222,8 +222,9 @@ class TestTheoremFlags:
     def test_flag_soundness_replay_with_no_hypotheses(self):
         # every theorem-flagged step replays as an accepted hypothesis-free proof
         proof = random_finitary_proof(11)
-        assert check(proof).passed
-        flags = theorem_flags(proof)
+        rep = check(proof)
+        assert rep.passed
+        flags = rep.details[-1]["theorem_steps"]
         for ix, flag in enumerate(flags):
             if not flag:
                 continue
@@ -317,6 +318,18 @@ def test_trans_refuses_steps_that_do_not_meet():
         _trans(out, ab, bc)
     ac = _trans(out, ab, ab)
     assert out.steps[ac].formula == implies(p, p)
+
+
+def test_builder_mp_needs_an_implication():
+    out = ProofBuilder((p, implies(p, q), Knows("a", implies(p, p)),
+                        Not(And(p, Knows("a", q)))))
+    a = out.hyp(0)
+    assert out.steps[out.mp(a, out.hyp(1))].formula == q
+    for ix in (2, 3):  # an implication's body, and a conjunction short of one
+        cited = out.hyp(ix)
+        with pytest.raises(ProofTransformError,
+                           match=f"step {cited} is not an implication"):
+            out.mp(a, cited)
 
 
 class TestStrongNecessitation:
