@@ -17,17 +17,15 @@ model, its successors and the spaces of its agents there, whose samples
 lie in that model.  So a disjoint union satisfies at each state exactly
 what the state's own model satisfies (Blackburn, de Rijke & Venema, Modal
 Logic, 2001, Prop. 2.3), and each model's part of a mask is its extension
-alone.  One model is a batch of one, and its rows are read as they stand.
+alone.  One model is a batch of one, run on the same path.
 
 Measurement is strict and canonical: a probability operator measures every
 (agent, state) space it consults, once, in sorted (agent, state) order,
 before it decides any state, and the first space that cannot measure the
 event raises NotMeasurable, which reports the offending formula, agent and
 state.  Everything else is evaluated in a fixed order too: conjunction left
-first, and quantifiers over the sorted domain, where a universal stops at
-the first value that leaves no state (the operations of the later values
-are skipped, errors included).  So whether and where an error is raised
-never depends on the hash seed.
+first, and every value of a quantifier over the sorted domain.  So
+whether and where an error is raised never depends on the hash seed.
 
 Errors are kept per model of the batch, as each model alone would raise
 them.  An operation with a failed operand takes the error of its first
@@ -37,8 +35,8 @@ some models fails only those, and runs on for the rest: each model gets
 the NotMeasurable of its own first space that cannot measure the event,
 and an undeclared agent or a missing space fails only the models where
 evaluating alone would look it up.  A universal stops for each model at
-the first value that leaves none of its states, and what its later
-values raise is not its error.
+the first value that leaves none of its states: its later values still
+run, but what they raise there is not that model's error.
 
 Sharing comes from one program's roots: `Evaluator.extension` compiles
 its one formula into a program of its own and runs it, so formulas that
@@ -47,14 +45,15 @@ should share their subformulas go into one `Program` as its roots.
 The evaluator expects models that pass `model.validate`.  It reads a
 model's rows as they stand (see `pckfo.model.Model`): per agent, the
 predecessor masks and the space entries by state position, built once
-when the model was loaded, enumerated or constructed.  A run over several
-models packs the rows its operators read into rows over the union, once
-per run and agent.  An edge with an end outside the states adds no state
-to an extension and takes none away.  A run keeps its values, packed rows
-and errors in containers of its own, and an evaluator keeps only its
-models, their first positions and the resolved groups, stored only when
-complete, with values that every thread computes alike.  So one evaluator
-is safe to use from several threads, with no lock.
+when the model was loaded, enumerated or constructed.  A run packs the
+rows its operators read into rows over the union, once per run and
+agent; the first model's, at position 0, are taken as they stand, not
+shifted.  An edge with an end outside the states of a lone model adds no
+state to an extension and takes none away.  A run keeps its values,
+packed rows and errors in containers of its own, and an evaluator keeps
+only its models, their first positions and the resolved groups, stored
+only when complete, with values that every thread computes alike.  So
+one evaluator is safe to use from several threads, with no lock.
 """
 
 from __future__ import annotations
@@ -113,9 +112,8 @@ def eval_term(m: Model, state: str, valuation, t):
 # its value goes.
 #   (_ATOM, -1, -1, rel, args, valuation)
 #   (_NOT, a, -1)                  (_AND, a, b)          (_ALL, -1, -1)
-#   (_FORALL, prev, body, last)    one per domain value; prev is the running
-#                                  intersection (-1 for the first value),
-#                                  last the position of the final one
+#   (_FORALL, prev, body)          one per domain value; prev is the running
+#                                  intersection (-1 for the first value)
 #   (_K, body, -1, agent)          (_E, body, -1, group)  (_C, body, -1, group)
 #   (_P, body, -1, agent, num, den, formula)
 #   (_EP, body, -1, group, num, den, formula)
@@ -126,11 +124,11 @@ def eval_term(m: Model, state: str, valuation, t):
 # The compile walk's frames are (kind, f, v, x):
 #   _VISIT  lay out f under the valuation v (x is None)
 #   a code  f's operands are laid out: add f's operation, which has that
-#           code; x is f's table cell [key, position]
-#   _STEP   one value of a universal is laid out: x is (k, steps), the
-#           value's index and the positions of the universal's steps
-#   _CLOSE  every value of the universal f is laid out: x is (cell, steps)
-_VISIT, _STEP, _CLOSE = -1, -2, -3
+#           code; x is f's table cell [key, position].  A universal has
+#           one such frame per domain value, v the value's index; each
+#           step takes the one before it from `done`, and the cell ends
+#           at the last.
+_VISIT = -1
 _CODES = {Atom: _ATOM, Not: _NOT, And: _AND, Forall: _FORALL, Knows: _K,
           EveryoneKnows: _E, CommonKnows: _C, ProbAtLeast: _P,
           EveryoneProb: _EP, CommonProb: _CP}
@@ -141,14 +139,10 @@ class Program:
 
     `roots` lists (formula, valuation) pairs; `slots[k]` is the position of
     the operation whose value is the extension of the k-th root, and the
-    roots share every operation they can.  The domain is sorted, as `Model`
-    sorts it.  Raises EvalError when a valuation misses a free variable of
-    its formula.
-
-    The roots are laid out in post-order, in one walk.  The operations of a
-    universal's second and later values run only while its running
-    intersection is not empty, so what they add to the table of shared
-    operations is dropped again at the end of their value.
+    roots share every operation they can, the bodies of every value of a
+    universal included.  The domain is sorted, as `Model` sorts it.
+    Raises EvalError when a valuation misses a free variable of its
+    formula.  The roots are laid out in post-order, in one walk.
     """
 
     def __init__(self, roots, domain):
@@ -167,7 +161,6 @@ class Program:
         # when the key is first met, so that a new key is hashed once
         table = {}
         done = []      # positions of the finished subformulas
-        scopes = []    # table keys added under each open skippable value
         pop, push = todo.pop, todo.append
         while todo:
             kind, f, v, x = pop()
@@ -209,59 +202,33 @@ class Program:
                     elif not domain:
                         ops.append((_ALL, -1, -1))
                     else:
-                        steps = []
-                        push((_CLOSE, f, v, (x, steps)))
                         for k in range(len(domain) - 1, -1, -1):
-                            push((_STEP, None, None, (k, steps)))
+                            push((code, f, k, x))
                             push((_VISIT, f.body, {**v, f.var: domain[k]},
                                   None))
                         break
                     # an operation for the cell x was just appended
                     x[1] = at = len(ops) - 1
                     done.append(at)
-                    if scopes:
-                        scopes[-1].append(key)
                     break
                 continue
-            elif kind >= 0:
-                a, b = done.pop(), -1
-                if kind == _AND:
-                    a, b = done.pop(), a
-                if kind == _AND or kind == _NOT:
-                    ops.append((kind, a, b))
-                elif kind == _K:
-                    ops.append((kind, a, b, f.agent))
-                elif kind == _E or kind == _C:
-                    ops.append((kind, a, b, f.group))
-                else:
-                    ops.append((kind, a, b, f.agent if kind == _P else f.group,
-                                f.bound.numerator, f.bound.denominator, f))
-            elif kind == _STEP:
-                k, steps = x
-                steps.append(len(ops))
-                ops.append((_FORALL, steps[-2] if k else -1, done.pop(), None))
-                if k:                      # this value may have been skipped
-                    for key in scopes.pop():
-                        del table[key]
-                if k + 1 < len(domain):    # the next value may be
-                    scopes.append([])
-                continue
+            a, b = done.pop(), -1
+            if kind == _AND:
+                a, b = done.pop(), a
+            elif kind == _FORALL:   # v is the index of the value
+                a, b = done.pop() if v else -1, a
+            if kind == _AND or kind == _NOT or kind == _FORALL:
+                ops.append((kind, a, b))
+            elif kind == _K:
+                ops.append((kind, a, b, f.agent))
+            elif kind == _E or kind == _C:
+                ops.append((kind, a, b, f.group))
             else:
-                x, steps = x
-                last = steps[-1]
-                for at in steps:
-                    ops[at] = ops[at][:3] + (last,)
-                done.append(last)
-                x[1] = last
-                if scopes:
-                    scopes[-1].append(x[0])
-                continue
+                ops.append((kind, a, b, f.agent if kind == _P else f.group,
+                            f.bound.numerator, f.bound.denominator, f))
             # an operation for the cell x was just appended
-            at = len(ops) - 1
+            x[1] = at = len(ops) - 1
             done.append(at)
-            x[1] = at
-            if scopes:
-                scopes[-1].append(x[0])
         self.ops = tuple(ops)
         self.slots = tuple(done)   # one position per root, in order
 
@@ -343,7 +310,7 @@ class Evaluator:
         if program.domain != self.model.domain:
             raise ValueError("the program was compiled for another domain")
         ops, full = program.ops, self.full
-        one = self.model if len(self.models) == 1 else None
+        every = (1 << len(self.models)) - 1   # bit j for the j-th model
         vals = [0] * len(ops)
         bad, own = {}, {}   # by operation position: failed models, own errors
         cache, fail = {}, []   # rows and errors made in this run; new failures
@@ -361,7 +328,7 @@ class Evaluator:
                         gone = bad.get(a, 0) | (
                             bad.get(b, 0) & self._holders(vals[a]))
                     bad[pc] = gone
-                    if code != _FORALL and gone == (1 << len(self.models)) - 1:
+                    if code != _FORALL and gone == every:
                         pc += 1   # failed in every model
                         continue
             if code == _AND:
@@ -371,24 +338,11 @@ class Evaluator:
             elif code == _FORALL:
                 x = vals[b] if a < 0 else vals[a] & vals[b]
                 gone = bad.get(pc, 0) if bad else 0
-                if gone:
-                    x &= ~self._span(gone)
-                if not x:   # every model stopped or failed: skip on
-                    last = op[3]
-                    vals[last] = 0
-                    k = last
-                    while gone and k != pc:   # failed as this step
-                        bad[k] = gone
-                        k = ops[k][1]
-                    pc = last + 1
-                    continue
-                vals[pc] = x
+                vals[pc] = x & ~self._span(gone) if gone else x
             else:   # an operator that reads the models, and may fail some
                 try:
                     if code == _ATOM:
-                        vals[pc] = (self._atom(op[3], op[4], op[5], fail)
-                                    if one is None else
-                                    _atom_mask(one, op[3], op[4], op[5]))
+                        vals[pc] = self._atom(op[3], op[4], op[5], fail)
                     elif code == _K:
                         vals[pc] = self._knows((op[3],), vals[a], cache, fail)
                     elif code == _P:
@@ -411,14 +365,11 @@ class Evaluator:
                     else:
                         vals[pc] = full
                 except PckfoError as exc:
-                    fail.append(((1 << len(self.models)) - 1,
-                                 exc.with_traceback(None)))
+                    fail.append((every, exc.with_traceback(None)))
                 if fail:
                     bad[pc] = bad.get(pc, 0) | _failed(fail)
                     own[pc], fail = fail, []
             pc += 1
-        if not bad and one is not None:
-            return [vals[k] for k in program.slots]
         starts = self._starts
         return [_error_of(ops, bad, own, k, 1 << j) if bad.get(k, 0) >> j & 1
                 else vals[k] >> start & (1 << (stop - start)) - 1
@@ -459,18 +410,13 @@ class Evaluator:
             members = self._groups[group] = self.model.resolve_group(group)
         return members
 
-    # -- rows: one model's as they stand, a union's packed when first read
+    # -- rows over the union, packed when first read
 
     def _predecessors(self, agent, cache) -> tuple:
-        """The agent's predecessor mask per state position (and past the
-        states, per name that is not a state), and the models (bit j for
-        the j-th) that have states but no row: the agent is undeclared
-        there."""
-        if len(self.models) == 1:
-            row = self.model.pred.get(agent)
-            if row is None:
-                return (), 1 if self.model.states else 0
-            return row, 0
+        """The agent's predecessor mask per state position, and the models
+        (bit j for the j-th) that have states but no row: the agent is
+        undeclared there.  A row at start 0 is taken as it stands, so a
+        lone model's also covers its names past the states."""
         key = (agent, "pred")
         out = cache.get(key)
         if out is None:
@@ -478,20 +424,18 @@ class Evaluator:
             for j, (m, start) in enumerate(zip(self.models, self._starts)):
                 own_row = m.pred.get(agent)
                 if own_row is None:
-                    missing |= 1 << j
+                    if m.states:
+                        missing |= 1 << j
                     row += [0] * len(m.states)
                 else:
-                    row += [x << start for x in own_row]
+                    row += [x << start for x in own_row] if start else own_row
             out = cache[key] = row, missing
         return out
 
     def _space_row(self, agent, cache, fail) -> tuple:
-        """The agent's space entry per state position.  One model's row
-        is as it stands, and EvalError is raised if a space is missing;
-        over several models, the error of each model that misses a space
-        of the agent is added to fail as (bit, error)."""
-        if len(self.models) == 1:
-            return self.model.space_row(agent)
+        """The agent's space entry per state position; the error of each
+        model that misses a space of the agent is added to fail as (bit,
+        error).  A row at start 0 is taken as it stands."""
         key = (agent, "space")
         out = cache.get(key)
         if out is None:
@@ -503,9 +447,11 @@ class Evaluator:
                     errors.append((1 << j, exc.with_traceback(None)))
                     row += [_NO_SPACE] * len(m.states)
                     continue
-                row += [(sample << start, tuple([x << start for x in atoms]),
-                         nums, whole)
-                        for sample, atoms, nums, whole in own_row]
+                if start:
+                    own_row = [(sample << start,
+                                tuple([x << start for x in atoms]), nums, whole)
+                               for sample, atoms, nums, whole in own_row]
+                row += own_row
             out = cache[key] = row, errors
         fail += out[1]
         return out[0]
@@ -513,7 +459,7 @@ class Evaluator:
     # -- operators
 
     def _atom(self, rel, args, v, fail) -> int:
-        """The atom over several models; `_atom_mask` is one model's."""
+        """The atom over the models; `_atom_mask` is one model's."""
         out = 0
         for j, m in enumerate(self.models):
             try:

@@ -6,14 +6,14 @@ theorems: `check` computes each step's from-theory-only flag (its report's
 `theorem_steps`) and enforces the restriction.
 
 The five nested-implication rules (RE, RPE, RC, RPC, RA) share one check:
-the cited premises cover the group's members, or the certificate's indices
-first..bound, exactly; then each premise's tower is peeled with the
-conclusion's spec and its head compared with the rule's premise body for
-that member or index.  The rules with countably many premises are checked
-against explicit bounded certificates and downgrade the verdict to
-"accepted-with-bounded-certificates"; a bounded check is never reported as
-full derivability.  Both proof transforms re-apply a nested rule through
-`_nested_step`.
+the cited premises name no member or index twice and cover the group's
+members, or the certificate's indices first..bound, exactly; then each
+premise's tower is peeled with the conclusion's spec and its head compared
+with the rule's premise body for that member or index.  The rules with
+countably many premises are checked against explicit bounded certificates
+and downgrade the verdict to "accepted-with-bounded-certificates"; a
+bounded check is never reported as full derivability.  Both proof
+transforms re-apply a nested rule through `_nested_step`.
 """
 
 from __future__ import annotations
@@ -349,7 +349,10 @@ def _check_step(proof, ix, step, flags, axiom_names):
                     f" around {rule.head_name}", False)
         if any(getattr(just, a) != getattr(tau, a) for a in rule.cited):
             return (_CITED_MISMATCH[rule.cited], False)
-        given = dict(_premises(just))
+        premises = _premises(just)
+        given = dict(premises)
+        if len(given) != len(premises):
+            return ("premises list a member or index more than once", False)
         if rule.first is None:
             if set(given) != set(tau.group):
                 missing = sorted(set(tau.group) - set(given))

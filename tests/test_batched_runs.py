@@ -2,13 +2,15 @@
 what it gives when run alone: each mask, and for each error its type,
 message, agent, state, atom and formula."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pckfo import oracle
+from pckfo import evaluator, oracle
 from pckfo.evaluator import Evaluator, Program
 from pckfo.model import Model, ProbSpace
 from pckfo.oracle import SearchBudget, random_models
@@ -97,20 +99,24 @@ def _budget(rng, states, atom_mode, domain):
         seed=rng.randrange(1 << 20))
 
 
-@pytest.mark.parametrize("atom_mode", ["any", "singleton", "merged"])
-@pytest.mark.parametrize("domain", [1, 2, 3])
-def test_random_batches_match_runs_alone(atom_mode, domain):
-    rng = random.Random(f"batched:{atom_mode}:{domain}")
+def _pool(rng, atom_mode, domain):
+    """Enumerated models of one and two states, mixed with random ones of
+    up to three over the same signature."""
     budget = _budget(rng, 2, atom_mode, domain)
-    # enumerated models of one and two states, mixed with random ones of
-    # up to three over the same signature
     enumerated = list(itertools.islice(oracle._all_models(budget), 0,
                                        4000, 61))
-    pool = enumerated + random_models(
+    return enumerated + random_models(
         SearchBudget(max_states=3, max_domain=domain,
                      max_agents=len(budget.agents),
                      relation_symbols=budget.relation_symbols,
                      atom_mode=atom_mode, seed=budget.seed), 24)
+
+
+@pytest.mark.parametrize("atom_mode", ["any", "singleton", "merged"])
+@pytest.mark.parametrize("domain", [1, 2, 3])
+def test_random_batches_match_runs_alone(atom_mode, domain):
+    rng = random.Random(f"batched:{atom_mode}:{domain}")
+    pool = _pool(rng, atom_mode, domain)
     assert {len(m.states) for m in pool} == {1, 2, 3}
     failed = 0
     for _ in range(6):
@@ -241,3 +247,33 @@ def test_batches_grow_to_the_cap(monkeypatch):
     assert m is None and checked == 25608
     assert sizes[:6] == [1, 2, 4, 8, 16, 32]
     assert max(sizes) == oracle._BATCH and sum(sizes) == 12888
+
+
+def _functions_comparing(tree, left, right):
+    """The functions whose own bodies compare `left` with `right`, in
+    either order, in any link of a comparison chain."""
+    found = set()
+    todo = [(node, None) for node in tree.body]
+    while todo:
+        node, owner = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Compare):
+            sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
+            if any({a, b} == {left, right} for a, b in zip(sides, sides[1:])):
+                found.add(owner)
+        todo.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_function_runs_a_lone_model_apart():
+    # A lone model is a batch of one: no function of the evaluator takes
+    # a path of its own for it.
+    tree = ast.parse(Path(evaluator.__file__).read_text())
+    assert _functions_comparing(tree, "len(self.models)", "1") == set()
+    planted = ast.parse("class E:\n    def run(self):\n"
+                        "        one = self.m if len(self.models) == 1 else 0"
+                        "\n    def rows(self):\n"
+                        "        return 1 < len(self.models) < 3\n")
+    assert _functions_comparing(planted, "len(self.models)", "1") \
+        == {"run", "rows"}

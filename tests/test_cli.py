@@ -22,8 +22,9 @@ from pckfo.errors import (
 )
 from pckfo.evaluator import satisfies
 from pckfo.model import validate
-from pckfo.parser import load_model, parse_formula, proof_to_json
+from pckfo.parser import load_model, parse_formula, proof_to_doc, proof_to_json
 from pckfo.proofcheck import ProofBuilder
+from pckfo.prooflib import fixed_point_proof
 from pckfo.report import CheckReport, OK
 from pckfo.syntax import Atom
 
@@ -812,6 +813,22 @@ class TestCheckerRejections:
         assert (code, rep["verdict"]) == (1, "rejected")
         assert [d for d in rep["details"] if "problem" in d] == \
             [{"step": step, "problem": problem}]
+
+    def test_repeated_certificate_index(self, tmp_path):
+        # " 1" reads as index 1, as "1" does: step 56 (RC, bound 4) cites
+        # index 1 twice, once by step 0, which does not prove its premise
+        doc = proof_to_doc(fixed_point_proof(4))
+        premises = doc["steps"][56]["just"]["certificate"]["premises"]
+        assert premises == {"1": 13, "2": 27, "3": 41, "4": 55}
+        premises[" 1"] = 0
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(doc))
+        code, out = run("check-proof", "--proof", str(path), "--json")
+        rep = json.loads(out)
+        assert (code, rep["verdict"]) == (1, "rejected")
+        assert [d for d in rep["details"] if "problem" in d] == [{
+            "step": 56,
+            "problem": "premises list a member or index more than once"}]
 
 
 class TestExitCodes:

@@ -5,6 +5,8 @@ unrolling, must agree with the production evaluator everywhere."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from pckfo.evaluator import Evaluator, Program
 from pckfo.model import Model
 from pckfo.oracle import SearchBudget, random_formula, random_models
@@ -13,6 +15,7 @@ from pckfo.syntax import (
     Forall, Knows, Not, ProbAtLeast, Var, implies, iterate_everyone,
     prob_common_stage,
 )
+from test_batched_runs import _pool, _roots
 
 F = Fraction
 
@@ -105,6 +108,29 @@ def test_one_program_for_many_formulas_agrees_with_naive():
             want = sum(1 << k for k, s in enumerate(m.states)
                        if naive(m, s, v, f))
             assert mask == want, (f, v)
+
+
+@pytest.mark.parametrize("atom_mode", ["any", "singleton", "merged"])
+@pytest.mark.parametrize("domain", [1, 2, 3])
+def test_batch_draws_run_alone_agree_with_naive(atom_mode, domain):
+    # The draws of test_random_batches_match_runs_alone, each model run
+    # alone: every outcome that is a mask is naive's.  That test compares
+    # a batch with its members run alone, which take the same path.
+    rng = random.Random(f"batched:{atom_mode}:{domain}")
+    pool = _pool(rng, atom_mode, domain)
+    masks = 0
+    for _ in range(6):
+        models = rng.sample(pool, rng.randint(2, 12))
+        roots = _roots(rng, models, 8)
+        program = Program(roots, models[0].domain)
+        for m in models:
+            for (f, v), out in zip(roots, Evaluator(m).run(program)):
+                if isinstance(out, int):
+                    want = sum(1 << k for k, s in enumerate(m.states)
+                               if naive(m, s, v or {}, f))
+                    assert out == want, (f, v)
+                    masks += 1
+    assert masks
 
 
 def _random_term(rng, depth):

@@ -224,14 +224,21 @@ class TestProgram:
 class TestSharedQueries:
     """Queries share their subformulas as the roots of one program."""
 
-    def test_skipped_universal_values_are_not_reused(self):
+    def test_later_universal_values_are_shared(self):
         m = function_model()
         x = Var("x")
         body = And(Atom("R", (x,)), Atom("Q", (App("f", (x,)),)))
         f = Forall("x", body)
-        # the first root skips body under x = d1; the second evaluates it
+        # The first root stops at x = d0, so what body raises under x = d1
+        # is not its error; the second root reads that same body and
+        # takes its error.
         roots = [(f, None), (And(f, body), {"x": "d1"})]
-        first, second = Evaluator(m).run(Program(roots, m.domain))
+        program = Program(roots, m.domain)
+        # per value: R(x), Q(f(x)), their conjunction and the step; then
+        # the second root's conjunction, with body under x = d1 laid out
+        # once
+        assert len(program.ops) == 2 * 4 + 1
+        first, second = Evaluator(m).run(program)
         assert first == 0
         assert isinstance(second, EvalError)
         assert "no row for" in str(second)

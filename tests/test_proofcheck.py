@@ -76,6 +76,27 @@ class TestCheck:
         assert rep.verdict == REJECTED
         assert "cover the group" in problems(rep)[0]["problem"]
 
+    def test_group_rule_repeated_member(self):
+        # the second premise for a cites a step that proves b's premise;
+        # read as a map the two pairs for a collapse to one that is right
+        spec = NestedImplicationSpec(0, (top(),), ())
+        out = ProofBuilder((Knows("a", p), Knows("b", p)))
+        ka = out.hyp(0)
+        kb = out.hyp(1)
+        pads = {}
+        for agent, step in (("a", ka), ("b", kb)):
+            kf = out.steps[step].formula
+            taut = out.prop(implies(kf, nested_implication(spec, kf)))
+            pads[agent] = out.mp(step, taut)
+        conclusion = nested_implication(spec, EveryoneKnows(("a", "b"), p))
+        out.add(conclusion, REJust(spec, (("a", pads["b"]), ("a", pads["a"]),
+                                          ("b", pads["b"]))))
+        rep = check(out.build())
+        assert rep.verdict == REJECTED
+        assert problems(rep) == [{
+            "step": len(out.steps) - 1,
+            "problem": "premises list a member or index more than once"}]
+
     def test_wrong_modus_ponens(self):
         proof = Proof((), (
             Step(implies(p, p), AxiomJust(ax.PROP)),
@@ -141,6 +162,23 @@ class TestCertificates:
         rep = check(bad)
         assert rep.verdict == REJECTED
         assert "cover indices" in problems(rep)[0]["problem"]
+
+    def test_certificate_repeated_index(self):
+        # index 1 cited twice, the first time by index 2's step: as many
+        # distinct indices as 1..3 holds, each in range, and the later
+        # pair for index 1 is right
+        proof = self._rc_proof()
+        just = proof.steps[-1].just
+        cited = just.certificate.premises
+        doubled = Certificate(just.certificate.bound,
+                              ((1, cited[1][1]),) + cited)
+        bad = Proof(proof.hypotheses, proof.steps[:-1] + (
+            Step(proof.steps[-1].formula, RCJust(just.spec, doubled)),))
+        rep = check(bad)
+        assert rep.verdict == REJECTED
+        assert problems(rep) == [{
+            "step": len(proof.steps) - 1,
+            "problem": "premises list a member or index more than once"}]
 
     def test_archimedean_rule(self):
         spec = NestedImplicationSpec(0, (bot(),), ())
