@@ -23,9 +23,12 @@ Measurement is strict and canonical: a probability operator measures every
 (agent, state) space it consults, once, in sorted (agent, state) order,
 before it decides any state, and the first space that cannot measure the
 event raises NotMeasurable, which reports the offending formula, agent and
-state.  Everything else is evaluated in a fixed order too: conjunction left
-first, and every value of a quantifier over the sorted domain.  So
-whether and where an error is raised never depends on the hash seed.
+state.  `P`, `Es` and `Cs` decide spaces in one loop, `_everyone_prob`:
+`P` runs there over the identity rows of its one agent, which link each
+state to itself alone.  Everything else is evaluated in a fixed order
+too: conjunction left first, and every value of a quantifier over the
+sorted domain.  So whether and where an error is raised never depends on
+the hash seed.
 
 Errors are kept per model of the batch, as each model alone would raise
 them.  An operation with a failed operand takes the error of its first
@@ -309,7 +312,7 @@ class Evaluator:
         operands, the first operand before the second."""
         if program.domain != self.model.domain:
             raise ValueError("the program was compiled for another domain")
-        ops, full = program.ops, self.full
+        ops, full, n = program.ops, self.full, self._starts[-1]   # n states
         every = (1 << len(self.models)) - 1   # bit j for the j-th model
         vals = [0] * len(ops)
         bad, own = {}, {}   # by operation position: failed models, own errors
@@ -345,19 +348,20 @@ class Evaluator:
                         vals[pc] = self._atom(op[3], op[4], op[5], fail)
                     elif code == _K:
                         vals[pc] = self._knows((op[3],), vals[a], cache, fail)
-                    elif code == _P:
-                        vals[pc] = self._prob(op[3], op[4], op[5], vals[a],
-                                              op[6], cache, fail)
+                    elif code == _P or code == _EP:
+                        if code == _P:   # each state linked to itself alone
+                            rows = [(op[3], [1 << t for t in range(n)],
+                                     self._space_row(op[3], cache, fail))]
+                        else:
+                            rows = self._rows(self._members(op[3]), cache, fail)
+                        vals[pc] = self._everyone_prob(
+                            rows, op[4], op[5], vals[a], op[6], cache, fail)
                     elif code == _E:
                         vals[pc] = self._knows(self._members(op[3]), vals[a],
                                                cache, fail)
                     elif code == _C:
                         vals[pc] = self._common(self._members(op[3]), vals[a],
                                                 cache, fail)
-                    elif code == _EP:
-                        vals[pc] = self._everyone_prob(
-                            self._rows(self._members(op[3]), cache, fail),
-                            op[4], op[5], vals[a], op[6], cache, fail)
                     elif code == _CP:
                         vals[pc] = self._prob_common(
                             self._members(op[3]), op[4], op[5], vals[a],
@@ -559,21 +563,6 @@ class Evaluator:
         fail.append((1 << j, exc))
         return (1 << end) - (1 << start)
 
-    def _prob(self, agent, num, den, event, origin, cache, fail) -> int:
-        row = self._space_row(agent, cache, fail)
-        dead = self._span(_failed(fail)) if fail else 0   # failed states
-        out = 0
-        for t, entry in enumerate(row):
-            ok = self._decide(entry, num, den, event)
-            if ok:
-                out |= 1 << t
-            elif ok is None and not dead >> t & 1:
-                dead |= self._straddled(agent, t, entry, event, origin,
-                                        cache, fail)
-                if dead == self.full:
-                    break
-        return out
-
     def _rows(self, members, cache, fail) -> list:
         """(agent, predecessor row, space row) of each member.  A model
         fails at its first member without a row, the predecessors before
@@ -599,9 +588,10 @@ class Evaluator:
     def _everyone_prob(self, rows, num, den, event, origin, cache,
                        fail) -> int:
         """States where every member gives the event at least num/den at
-        every successor; rows are the members' `_rows`.  Strict: every
-        (member, successor) space is measured once, in sorted (agent,
-        state) order, before any state is decided."""
+        every successor; rows are the members' `_rows`, or for `P` the
+        identity rows of its one agent.  Strict: every (member, successor)
+        space is measured once, in sorted (agent, state) order, before any
+        state is decided."""
         dead = self._span(_failed(fail)) if fail else 0   # failed states
         failed = 0
         for i, pred, spaces in rows:

@@ -592,13 +592,15 @@ def _need(doc, key, cls, where):
 
 
 def _int(raw, where) -> int:
-    """raw as an integer: a JSON integer, or a string of one (an object
-    key); a float or a bool is no integer."""
+    """raw as an integer: a JSON integer, or a string that spells one as
+    `str` does (an object key), so that an integer has one spelling; a
+    float or a bool is no integer."""
     if type(raw) is int:
         return raw
     if type(raw) is str:
         try:
-            return int(raw)
+            if raw == str(value := int(raw)):
+                return value
         except ValueError:
             pass
     raise SchemaError(f"{where}: bad integer {raw!r}")

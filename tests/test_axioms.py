@@ -10,8 +10,9 @@ from pckfo.errors import BudgetError, SideConditionError
 from pckfo.oracle import random_axiom_instance, DEFAULT_GRID
 from pckfo.parser import parse_formula
 from pckfo.syntax import (
-    And, Atom, CommonKnows, EveryoneKnows, Forall, Knows, Not, ProbAtLeast,
-    Var, disj, iff, implies, iterate_everyone, prob_le, prob_lt,
+    And, Atom, CommonKnows, CommonProb, EveryoneKnows, Forall, Knows, Not,
+    ProbAtLeast, Var, disj, iff, implies, iterate_everyone, prob_le, prob_lt,
+    top,
 )
 
 F = Fraction
@@ -236,6 +237,19 @@ class TestInstantiate:
     def test_prop_rejects_non_tautology(self):
         with pytest.raises(SideConditionError):
             ax.instantiate(ax.PROP, {"formula": p})
+
+    def test_unknown_axiom_name(self):
+        with pytest.raises(SideConditionError) as exc:
+            ax.instantiate("P9", {"phi": p})
+        assert str(exc.value) == "unknown axiom name 'P9'"
+
+    def test_apc_needs_a_natural_stage(self):
+        params = {"group": ("a",), "r": F(1, 2), "phi": p}
+        assert ax.instantiate(ax.APC, {**params, "m": 0}) == implies(
+            CommonProb(("a",), F(1, 2), p), top())
+        with pytest.raises(SideConditionError) as exc:
+            ax.instantiate(ax.APC, {**params, "m": -1})
+        assert str(exc.value) == "stage index m must be a natural number"
 
 
 class TestRoundTrip:

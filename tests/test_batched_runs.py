@@ -249,21 +249,29 @@ def test_batches_grow_to_the_cap(monkeypatch):
     assert max(sizes) == oracle._BATCH and sum(sizes) == 12888
 
 
-def _functions_comparing(tree, left, right):
-    """The functions whose own bodies compare `left` with `right`, in
-    either order, in any link of a comparison chain."""
+def _functions_where(tree, hit):
+    """The functions whose own bodies hold a node that `hit` accepts."""
     found = set()
     todo = [(node, None) for node in tree.body]
     while todo:
         node, owner = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif isinstance(node, ast.Compare):
-            sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
-            if any({a, b} == {left, right} for a, b in zip(sides, sides[1:])):
-                found.add(owner)
+        elif hit(node):
+            found.add(owner)
         todo.extend((child, owner) for child in ast.iter_child_nodes(node))
     return found
+
+
+def _functions_comparing(tree, left, right):
+    """The functions whose own bodies compare `left` with `right`, in
+    either order, in any link of a comparison chain."""
+    def hit(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [ast.unparse(x) for x in (node.left, *node.comparators)]
+        return any({a, b} == {left, right} for a, b in zip(sides, sides[1:]))
+    return _functions_where(tree, hit)
 
 
 def test_no_function_runs_a_lone_model_apart():
@@ -277,3 +285,26 @@ def test_no_function_runs_a_lone_model_apart():
                         "        return 1 < len(self.models) < 3\n")
     assert _functions_comparing(planted, "len(self.models)", "1") \
         == {"run", "rows"}
+
+
+def _functions_calling(tree, callee):
+    """The functions whose own bodies call `callee`, such as
+    `self._decide`."""
+    return _functions_where(tree, lambda node: isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == callee)
+
+
+def test_one_function_decides_spaces():
+    # P, Es and every Cs stage decide their spaces in one loop: P runs it
+    # over the identity rows of its one agent.
+    tree = ast.parse(Path(evaluator.__file__).read_text())
+    for callee in ("self._decide", "self._straddled"):
+        assert _functions_calling(tree, callee) == {"_everyone_prob"}
+    planted = ast.parse("class E:\n    def _everyone_prob(self):\n"
+                        "        return self._decide(1) or self._straddled()"
+                        "\n    def _prob(self):\n"
+                        "        if self._decide(2) is None:\n"
+                        "            self._straddled()\n")
+    for callee in ("self._decide", "self._straddled"):
+        assert _functions_calling(planted, callee) \
+            == {"_everyone_prob", "_prob"}

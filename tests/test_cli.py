@@ -322,8 +322,17 @@ class TestCheckProof:
             "kind": "axiom", "name": "AE", "params": {"group": 3}}}]},
         {"steps": [{"formula": "p", "just": {
             "kind": "axiom", "name": "P1", "params": {"phi": 3}}}]},
+        # a certificate index spelled otherwise than `str` spells it
+        *[{"steps": [
+            {"formula": "p -> p", "just": {"kind": "axiom", "name": "Prop"}},
+            {"formula": "p", "just": {
+                "kind": "RC", "spec": {"k": 0, "thetas": ["p"], "guards": []},
+                "certificate": {"bound": 1, "premises": {key: 0}}}}]}
+          for key in (" 1", "+1", "1_0", "0010", "\uff11")],
     ], ids=["step-not-object", "axiom-param-m", "premise-step",
-            "axiom-param-group", "axiom-param-phi"])
+            "axiom-param-group", "axiom-param-phi", "index-space",
+            "index-plus", "index-underscore", "index-zeros",
+            "index-fullwidth"])
     def test_malformed_document_is_schema_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -815,20 +824,21 @@ class TestCheckerRejections:
             [{"step": step, "problem": problem}]
 
     def test_repeated_certificate_index(self, tmp_path):
-        # " 1" reads as index 1, as "1" does: step 56 (RC, bound 4) cites
-        # index 1 twice, once by step 0, which does not prove its premise
+        # " 1" is no spelling of index 1, so step 56 (RC, bound 4) cannot
+        # cite index 1 twice this way: the document is malformed (exit 3).
+        # tests/test_proofcheck.py pins the check of a repeated index.
         doc = proof_to_doc(fixed_point_proof(4))
         premises = doc["steps"][56]["just"]["certificate"]["premises"]
         assert premises == {"1": 13, "2": 27, "3": 41, "4": 55}
         premises[" 1"] = 0
         path = tmp_path / "proof.json"
         path.write_text(json.dumps(doc))
-        code, out = run("check-proof", "--proof", str(path), "--json")
-        rep = json.loads(out)
-        assert (code, rep["verdict"]) == (1, "rejected")
-        assert [d for d in rep["details"] if "problem" in d] == [{
-            "step": 56,
-            "problem": "premises list a member or index more than once"}]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["check-proof", "--proof", str(path), "--json"])
+        assert code == 3
+        assert err.getvalue() == "parse error: steps[56]: bad integer ' 1'\n"
 
 
 class TestExitCodes:

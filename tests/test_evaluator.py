@@ -60,6 +60,12 @@ class TestEvalTerm:
         with pytest.raises(EvalError, match="unbound"):
             eval_term(one_point_model(), "s0", {}, Var("x"))
 
+    def test_function_arity(self, fixtures_dir):
+        m = parse_model((fixtures_dir / "models" / "functions.json").read_text())
+        with pytest.raises(EvalError) as exc:
+            eval_term(m, "s0", {}, App("f", (App("c"), App("c"))))
+        assert str(exc.value) == "function 'f' expects 1 arguments, got 2"
+
 
 class TestSatisfies:
     def test_prob_at_least_zero_everywhere(self):

@@ -44,6 +44,19 @@ class TestEnumeration:
         with pytest.raises(BudgetError, match="weight grid"):
             SearchBudget(weight_grid=())
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_agents": 9}, "at most 8 agents supported"),
+        ({"sample_mode": "some"}, "unknown sample_mode 'some'"),
+        ({"atom_mode": "coarse"}, "unknown atom_mode 'coarse'"),
+        ({"weight_grid": (Fraction(1, 2), Fraction(3, 2))},
+         "weight grid entries must lie in [0, 1]"),
+        ({"weight_grid": (-1, 1)}, "weight grid entries must lie in [0, 1]"),
+    ], ids=["agents", "sample-mode", "atom-mode", "grid-above", "grid-below"])
+    def test_budget_fields_checked(self, fields, message):
+        with pytest.raises(BudgetError) as exc:
+            SearchBudget(**fields)
+        assert str(exc.value) == message
+
     def test_cap_enforced(self):
         budget = SearchBudget(max_states=3, max_agents=2, max_models=100)
         with pytest.raises(BudgetError, match="cap"):

@@ -236,6 +236,15 @@ class TestModelDocuments:
         with pytest.raises(SchemaError):
             parse_model(json.dumps(doc))
 
+    def test_duplicate_function_symbol_rejected(self, fixtures_dir):
+        doc = json.loads(
+            (fixtures_dir / "models" / "functions.json").read_text())
+        doc["functions"].append({"symbol": "c", "arity": 0, "table": [
+            {"args": [], "value": "d1"}]})
+        with pytest.raises(SchemaError) as exc:
+            load_model(doc)
+        assert str(exc.value) == "functions.c: duplicate symbol"
+
     @pytest.mark.parametrize("table", ["functions", "relations"])
     @pytest.mark.parametrize("arity", [True, False])
     def test_bool_arity_rejected(self, fixtures_dir, table, arity):

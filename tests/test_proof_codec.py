@@ -195,6 +195,11 @@ _MALFORMED = [
      "missing 'premises'"),
     ({"kind": "RC", "spec": _SPEC_DOC,
       "certificate": {"bound": 3, "premises": {"a": 0}}}, "bad integer 'a'"),
+    # an integer has one spelling, the one `str` gives it
+    *[({"kind": "RC", "spec": _SPEC_DOC,
+        "certificate": {"bound": 3, "premises": {key: 0}}},
+       f"bad integer {key!r}")
+      for key in (" 1", "+1", "1_0", "0010", "\uff11")],
     ({"kind": "RPC", "spec": _SPEC_DOC, "certificate": _CERT_DOC},
      "missing 'r'"),
     ({"kind": "RPC", "spec": _SPEC_DOC, "r": None}, "'r' must be str"),

@@ -120,6 +120,12 @@ class TestCheck:
         assert check(Proof((), (step,), MODE_CON)).verdict == ACCEPTED
         assert check(Proof((), (step,))).verdict == REJECTED
 
+    def test_unknown_mode(self):
+        rep = check(Proof((), (Step(p, HypJust(0)),), "modal"))
+        assert rep.verdict == REJECTED
+        assert problems(rep) == [{"step": None,
+                                  "problem": "unknown mode 'modal'"}]
+
     def test_axiom_params_cross_checked(self):
         good = Step(ProbAtLeast("i", F(0), p), AxiomJust(ax.P1, (("i", "i"), ("phi", p))))
         assert check(Proof((), (good,))).verdict == ACCEPTED
@@ -242,6 +248,79 @@ def test_nested_rule_rejection_messages(just, tau, message):
     assert problems(rep) == [{"step": 0, "problem": message}]
 
 
+def _tower(tau, inner=None, outer=None, wrap=lambda f: Knows("a", f)):
+    """outer -> wrap(inner -> tau), the thetas top unless given."""
+    return implies(outer or top(), wrap(implies(inner or top(), tau)))
+
+
+_K_SPEC = NestedImplicationSpec(1, (top(), top()), (Guard("K", "a"),))
+_P1_SPEC = NestedImplicationSpec(1, (top(), top()), (Guard("P1", "a"),))
+_CERTAIN = {"wrap": lambda f: ProbAtLeast("a", F(1), f)}   # the P1 guard
+_EAB = EveryoneKnows(("a", "b"), p)
+_NEAR = {
+    "outer-theta": {"outer": q},
+    "inner-theta": {"inner": q},
+    # K[a](top -> K[a] p) and K[a](top -> K[b] p) do not give
+    # K[b](top -> E{a,b} p)
+    "guard-agent": {"wrap": lambda f: Knows("b", f)},
+    "guard-kind": _CERTAIN,
+}
+_NEAR_P1 = {
+    "half": {"wrap": lambda f: ProbAtLeast("a", F(1, 2), f)},
+    "guard-agent": {"wrap": lambda f: ProbAtLeast("b", F(1), f)},
+    "guard-kind": {"wrap": lambda f: Knows("a", f)},
+}
+
+
+def _tower_proof(spec, guard, conclusion=None, premise_b=None):
+    """An RE step from the towers of K[a] p and K[b] p, as hypotheses, to
+    the tower of E{a,b} p; the conclusion, or the premise for b, is
+    replaced by a near miss when one is given."""
+    hyps = (_tower(Knows("a", p), **guard),
+            premise_b or _tower(Knows("b", p), **guard))
+    steps = (Step(hyps[0], HypJust(0)), Step(hyps[1], HypJust(1)),
+             Step(conclusion or _tower(_EAB, **guard),
+                  REJust(spec, (("a", 0), ("b", 1)))))
+    return Proof(hyps, steps)
+
+
+_SHAPE = ("conclusion does not have the nested-implication shape around a"
+          " group-knowledge formula")
+_PREMISE = "premise for member 'b' is not the required nested implication"
+
+
+class TestNestedTowers:
+    """`peel_nested` checks every layer of a guarded tower: each theta and
+    each guard's kind and agent, and a P1 guard's bound of 1."""
+
+    def test_towers_accepted(self):
+        assert check(_tower_proof(_K_SPEC, {})).verdict == ACCEPTED
+        assert check(_tower_proof(_P1_SPEC, _CERTAIN)).verdict == ACCEPTED
+
+    @pytest.mark.parametrize("near", sorted(_NEAR))
+    def test_near_miss_conclusion(self, near):
+        rep = check(_tower_proof(_K_SPEC, {},
+                                 conclusion=_tower(_EAB, **_NEAR[near])))
+        assert rep.verdict == REJECTED
+        assert problems(rep) == [{"step": 2, "problem": _SHAPE}]
+
+    @pytest.mark.parametrize("near", sorted(_NEAR))
+    def test_near_miss_premise(self, near):
+        rep = check(_tower_proof(_K_SPEC, {}, premise_b=_tower(
+            Knows("b", p), **_NEAR[near])))
+        assert rep.verdict == REJECTED
+        assert problems(rep) == [{"step": 2, "problem": _PREMISE}]
+
+    @pytest.mark.parametrize("near", sorted(_NEAR_P1))
+    def test_near_miss_certain_guard(self, near):
+        rep = check(_tower_proof(_P1_SPEC, _CERTAIN,
+                                 conclusion=_tower(_EAB, **_NEAR_P1[near])))
+        assert problems(rep) == [{"step": 2, "problem": _SHAPE}]
+        rep = check(_tower_proof(_P1_SPEC, _CERTAIN, premise_b=_tower(
+            Knows("b", p), **_NEAR_P1[near])))
+        assert problems(rep) == [{"step": 2, "problem": _PREMISE}]
+
+
 def test_prop_over_the_decision_budget_is_undecided(monkeypatch):
     f = parse_formula("!(!(p <-> q) <-> r) <-> !(p <-> !(q <-> r))")
     proof = Proof((), (Step(f, AxiomJust(ax.PROP)),))
@@ -335,6 +414,32 @@ class TestDeduction:
         # the rebuilt rule step carries (q AND bot) as outermost antecedent
         rebuilt = [s for s in ded.steps if isinstance(s.just, RPCJust)]
         assert rebuilt and rebuilt[0].just.spec.thetas == (And(q, bot()),)
+
+    def test_copies_a_group_rule_under_necessitation(self):
+        # K[b](top -> E{a} (p -> p)): the RE step lies in the premise
+        # subtree of RK, which is copied as it stands, its premise remapped
+        spec = NestedImplicationSpec(0, (top(),), ())
+        out = ProofBuilder((q,))
+        taut = out.prop(implies(p, p))
+        ka = out.add(Knows("a", implies(p, p)), RKJust(taut, "a"))
+        pad = out.mp(ka, out.prop(implies(
+            out.steps[ka].formula,
+            nested_implication(spec, out.steps[ka].formula))))
+        group = out.add(nested_implication(
+            spec, EveryoneKnows(("a",), implies(p, p))),
+            REJust(spec, (("a", pad),)))
+        out.add(Knows("b", out.steps[group].formula), RKJust(group, "b"))
+        proof = out.build()
+        assert check(proof).verdict == ACCEPTED
+        ded = deduction_transform(proof, q)
+        assert check(ded).verdict == ACCEPTED
+        assert ded.conclusion == implies(q, proof.conclusion)
+        copied = [s for s in ded.steps
+                  if isinstance(s.just, REJust) and s.just.spec == spec]
+        assert [s.formula for s in copied] == [proof.steps[group].formula]
+        [(member, cited)] = copied[0].just.premises
+        assert member == "a"
+        assert ded.steps[cited].formula == proof.steps[pad].formula
 
     def test_requires_hypothesis(self):
         proof = Proof((p,), (Step(p, HypJust(0)),))
