@@ -15,6 +15,10 @@ with the class size (see `_all_models`).  Counts still count every
 labelled model: `models_checked` is the witness's labelled position plus
 1 (all of them on a miss), and a validity suite's `models` and
 `skipped_not_measurable` add each class's size.
+
+A search for one formula (`find_model`) enumerates less: only the
+coordinates of a model that the formula reads, every other held at its
+first option (the cone of influence, see `_witness`).
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ DEFAULT_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                 Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
 _AGENT_POOL = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+# Counts are reported as decimal numerals, and Python writes an int of at
+# most 4 300 digits by default: a count at or past this bound is refused.
+_COUNT_LIMIT = 10 ** 4300
 
 
 @dataclass(frozen=True)
@@ -102,74 +110,143 @@ class SearchBudget:
         return tuple(f"d{i}" for i in range(self.max_domain))
 
 
-def _set_partitions(items: list) -> list:
-    """All partitions of items into nonempty blocks, deterministic order:
-    the partitions of each suffix of items, from the empty one up, give
-    those of the suffix one item longer."""
-    parts = [[]]
-    for head in reversed(items):
-        out = []
-        for part in parts:
-            for ix in range(len(part)):
-                out.append(part[:ix] + [[head] + part[ix]] + part[ix + 1:])
-            out.append([[head]] + part)
-        parts = out
-    return parts
+def _set_partitions(items: list, counts=None):
+    """The partitions of items into nonempty blocks, made as they are read,
+    in a fixed order: the partitions of each suffix of items, from the
+    empty one up, give those of the suffix one item longer, each in turn,
+    with the new head put into each of its blocks and then into a block of
+    its own.  With `counts`, only those with an allowed number of blocks:
+    the order is walked depth first, and a partial partition that cannot
+    end with an allowed number is dropped with every partition under it."""
+    todo = [(len(items), [])]   # (items still to place, blocks so far)
+    while todo:
+        left, part = todo.pop()
+        if counts is not None and not any(
+                max(len(part), 1) <= k <= len(part) + left for k in counts):
+            continue
+        if not left:
+            yield part
+            continue
+        head = items[left - 1]
+        kids = [part[:ix] + [[head] + part[ix]] + part[ix + 1:]
+                for ix in range(len(part))]
+        kids.append([[head]] + part)
+        todo += [(left - 1, kid) for kid in reversed(kids)]
 
 
-def _weight_rows(grid, k) -> list:
-    """All grid^k tuples summing exactly to 1, in `itertools.product`
-    order; the sums are taken over the grid's common denominator."""
-    nums, den = over_common_denominator(grid)
-    return [tuple([grid[i] for i in combo])
-            for combo in itertools.product(range(len(grid)), repeat=k)
-            if sum([nums[i] for i in combo]) == den]
+def _step(sums, nums, den) -> dict:
+    """The sums up to den of one numerator more than the sums given, each
+    with how many tuples of numerators add up to it."""
+    step = {}
+    for total, ways in sums.items():
+        for w in nums:
+            if total + w <= den:
+                step[total + w] = step.get(total + w, 0) + ways
+    return step
 
 
-def _space_options(states, budget) -> list:
+def _sums(nums, den, k) -> list:
+    """reach[r], for r <= k: the sums up to den that r of the numerators
+    nums add up to, each with how many tuples make it."""
+    reach = [{0: 1}]
+    for _ in range(k):
+        reach.append(_step(reach[-1], nums, den))
+    return reach
+
+
+def _weight_rows(grid, k, sums=None):
+    """The grid^k tuples summing exactly to 1, in `itertools.product`
+    order, made as they are read; the sums are taken over the grid's
+    common denominator.  The order is walked depth first, and a prefix
+    that the values left cannot bring to 1 is dropped with every tuple it
+    starts.  `sums` is the grid's numerators, denominator and `_sums` for
+    k or more values, if known."""
+    if sums is None:
+        nums, den = over_common_denominator(grid)
+        sums = nums, den, _sums(nums, den, k)
+    nums, den, reach = sums
+    todo = [((), 0)] if den in reach[k] else []
+    while todo:
+        combo, total = todo.pop()
+        left = k - len(combo)
+        if not left:
+            yield tuple([grid[i] for i in combo])
+            continue
+        todo += [(combo + (i,), total + nums[i])
+                 for i in range(len(nums) - 1, -1, -1)
+                 if den - total - nums[i] in reach[left - 1]]
+
+
+def _space_options(states, budget):
     """Every probability space over the given sorted states allowed by the
-    budget, as a space entry (see `Model`)."""
+    budget, as a space entry (see `Model`), made as it is read: samples by
+    size, each size in `itertools.combinations` order, each sample with
+    its partitions in `_set_partitions` order and each partition with its
+    weight rows.  A sample size or a partition whose number of atoms no
+    weight row fits is passed over unmade."""
+    n = len(states)
+    nums, den = over_common_denominator(budget.weight_grid)
+    reach = _sums(nums, den, n)
+    sums = nums, den, reach
     bit = {s: 1 << k for k, s in enumerate(states)}
-    if budget.sample_mode == "full":
-        samples = [tuple(states)]
-    else:
-        samples = []
-        for size in range(1, len(states) + 1):
-            samples.extend(itertools.combinations(states, size))
-    out = []
-    for sample in samples:
+    made = {}   # atoms -> its weight rows over their own denominators,
+                # kept once every one of them has been read
+    for size in [n] if budget.sample_mode == "full" else range(1, n + 1):
         if budget.atom_mode == "singleton":
-            partitions = [[[s] for s in sample]]
+            counts = [size]
         elif budget.atom_mode == "merged":
-            partitions = [[list(sample)]]
+            counts = [1]
         else:
-            partitions = _set_partitions(list(sample))
-        mask = sum([bit[s] for s in sample])
-        for part in partitions:
-            atoms = [sum([bit[s] for s in b]) for b in part]
-            for row in _weight_rows(budget.weight_grid, len(atoms)):
-                nums, den = over_common_denominator(row)
-                out.append(space_entry(mask, atoms, nums, den, states,
-                                       len(states)))
-    return out
+            counts = range(1, size + 1)
+        counts = [k for k in counts if den in reach[k]]
+        if not counts:
+            continue
+        for sample in itertools.combinations(states, size):
+            if budget.atom_mode == "singleton":
+                partitions = [[[s] for s in sample]]
+            elif budget.atom_mode == "merged" or size == 1:
+                partitions = [[list(sample)]]
+            else:   # pruned only if some number of atoms does not fit
+                partitions = _set_partitions(
+                    list(sample), None if len(counts) == size else counts)
+            mask = sum([bit[s] for s in sample])
+            for part in partitions:
+                atoms = [sum([bit[s] for s in b]) for b in part]
+                rows = made.get(len(atoms))
+                if rows is not None:
+                    for row_nums, row_den in rows:
+                        yield space_entry(mask, atoms, row_nums, row_den,
+                                          states, n)
+                    continue
+                rows = []
+                for row in _weight_rows(budget.weight_grid, len(atoms),
+                                        sums):
+                    rows.append(over_common_denominator(row))
+                    yield space_entry(mask, atoms, *rows[-1], states, n)
+                made[len(atoms)] = rows
 
 
-def _relation_options(states, budget) -> list:
-    """Per (symbol, state) lists of possible tuple sets."""
+def _relation_options(states, budget, symbols) -> list:
+    """Per (symbol, state) the list of its possible tuple sets: every one
+    for the given symbols, only the first, the empty set, for the rest."""
     slots = []
     for sym, arity in budget.relation_symbols:
-        tuples = list(itertools.product(budget.domain, repeat=arity))
-        subsets = []
-        for size in range(len(tuples) + 1):
-            subsets.extend(itertools.combinations(tuples, size))
+        if sym in symbols:
+            tuples = list(itertools.product(budget.domain, repeat=arity))
+            options = []
+            for size in range(len(tuples) + 1):
+                options.extend(map(frozenset,
+                                   itertools.combinations(tuples, size)))
+        else:
+            options = [frozenset()]
         for state in states:
-            slots.append((sym, state, [frozenset(s) for s in subsets]))
+            slots.append((sym, state, options))
     return slots
 
 
 def _access_options(states) -> list:
     """Every accessibility relation over the given sorted states, as a
-    predecessor row (see `Model`)."""
+    predecessor row (see `Model`); the first is the empty one."""
     n = len(states)
     pairs = list(itertools.product(range(n), range(n)))
     out = []
@@ -182,65 +259,139 @@ def _access_options(states) -> list:
     return out
 
 
-def _shapes(budget: SearchBudget):
-    """Per state count, from 1 to max_states and built only when reached:
-    the states, sorted as a Model sorts them, their relation slots, access
-    options and space options."""
-    for n in range(1, budget.max_states + 1):
-        states = tuple(sorted(f"s{i}" for i in range(n)))
-        yield (states, _relation_options(states, budget),
-               _access_options(states), _space_options(states, budget))
+# The coordinates of a model that a formula can read (see `_witness`): the
+# relation symbols it names, the agents whose access it reads and those
+# whose spaces it reads, each in the budget's order.
+_Cone = namedtuple("_Cone", "symbols access spaces")
 
 
-def _weight_row_counts(grid, k_max) -> list:
-    """counts[k]: how many grid^k tuples sum exactly to 1, for k <= k_max:
-    the sizes of _weight_rows, counted over partial sums, which are taken
-    over the grid's common denominator."""
-    nums, den = over_common_denominator(grid)
-    sums = {0: 1}
-    counts = [0]
-    for _ in range(k_max):
-        step = {}
-        for total, ways in sums.items():
-            for w in nums:
-                if total + w <= den:
-                    step[total + w] = step.get(total + w, 0) + ways
-        sums = step
-        counts.append(sums.get(den, 0))
-    return counts
+def _everything(budget) -> _Cone:
+    """The cone of every coordinate: the labelled enumeration itself."""
+    return _Cone(tuple([sym for sym, _ in budget.relation_symbols]),
+                 budget.agents, budget.agents)
 
 
-def _partition_counts(size, atom_mode) -> dict:
-    """Blocks -> how many partitions of `size` states _space_options uses."""
-    if atom_mode == "singleton":
-        return {size: 1}
-    if atom_mode == "merged":
-        return {1: 1}
-    # Stirling numbers of the second kind
-    return {k: sum((-1) ** j * math.comb(k, j) * (k - j) ** size
-                   for j in range(k + 1)) // math.factorial(k)
-            for k in range(1, size + 1)}
+def _cone(f, budget) -> _Cone:
+    """The coordinates of the budget's models that f's outcome depends on.
+    An atom reads its symbol's tables, `K`, `E` and `C` the predecessor
+    rows of their agents, `P` the spaces of its agent (over identity rows,
+    see `pckfo.evaluator`), and `Es` and `Cs` both.  A group token names
+    its members through the budget's groups: `G` names every agent.  An
+    agent outside the budget names nothing: the evaluator raises for it
+    whatever the coordinates are.  Shared subformulas are walked once."""
+    names, access, spaces = set(), set(), set()
+    todo, seen = [f], set()
+    while todo:
+        g = todo.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        kind = type(g)
+        if kind is Atom:
+            names.add(g.rel)
+            continue
+        if kind is And:
+            todo += (g.left, g.right)
+            continue
+        todo.append(g.body)
+        if kind is Knows:
+            access.add(g.agent)
+        elif kind is ProbAtLeast:
+            spaces.add(g.agent)
+        elif kind is not Not and kind is not Forall:
+            members = set()
+            for token in g.group:
+                members.update(budget.agents if token == "G" else (token,))
+            access |= members
+            if kind is EveryoneProb or kind is CommonProb:
+                spaces |= members
+    return _Cone(tuple([sym for sym, _ in budget.relation_symbols
+                        if sym in names]),
+                 tuple([a for a in budget.agents if a in access]),
+                 tuple([a for a in budget.agents if a in spaces]))
 
 
-def _shape_size(budget: SearchBudget, n) -> int:
-    """How many models of n states the enumeration yields, from counts:
-    2^(d^arity) tuple sets per relation slot, 2^(n*n) access sets per
-    agent, and the space options per (agent, state)."""
-    rows = _weight_row_counts(budget.weight_grid, n)
-    sizes = [n] if budget.sample_mode == "full" else range(1, n + 1)
-    spaces = sum(math.comb(n, size) * sum(
-        parts * rows[k]
-        for k, parts in _partition_counts(size, budget.atom_mode).items())
-        for size in sizes)
-    rel = 1
-    for _, arity in budget.relation_symbols:
-        rel *= 2 ** (budget.max_domain ** arity)
+def _space_counts(budget):
+    """len(list(_space_options(states, budget))) over n = 1, 2, ...
+    states, from counts: per sample size, the partitions of each number of
+    blocks (Stirling numbers of the second kind, by their recurrence)
+    times the weight rows of that many atoms, counted over partial sums."""
+    nums, den = over_common_denominator(budget.weight_grid)
+    sums = {0: 1}     # partial sum -> how many k-tuples of the grid make it
+    rows = [0]        # rows[k]: the k-tuples that sum to 1
+    stirling = [1]    # the partitions of a sample of size k - 1, by blocks
+    one_sample = [0]  # per sample size, the spaces over one sample
+    n = 0
+    while True:
+        n += 1
+        sums = _step(sums, nums, den)
+        rows.append(sums.get(den, 0))
+        stirling = [0] + [k * stirling[k] + stirling[k - 1]
+                          for k in range(1, n)] + [1]
+        if budget.atom_mode == "singleton":
+            one_sample.append(rows[n])
+        elif budget.atom_mode == "merged":
+            one_sample.append(rows[1])
+        else:
+            one_sample.append(sum(map(operator.mul, stirling, rows)))
+        if budget.sample_mode == "full":
+            yield one_sample[n]
+        else:
+            yield sum([math.comb(n, size) * one_sample[size]
+                       for size in range(1, n + 1)])
+
+
+def _shape_counts(budget: SearchBudget, cone: _Cone):
+    """Per state count n from 1 to max_states, from counts and made only
+    when reached: n, the labelled models of n states, and how many of them
+    differ in the cone's coordinates: 2^(d^arity) tuple sets per relation
+    slot, 2^(n*n) access sets per agent and the space options per (agent,
+    state).  A state count with no space option has no model, and is left
+    out."""
+    radix = [2 ** (budget.max_domain ** arity)
+             for _, arity in budget.relation_symbols]
+    every = math.prod(radix)
+    read = math.prod([r for r, (sym, _) in zip(radix, budget.relation_symbols)
+                      if sym in cone.symbols])
     agents = budget.max_agents
-    return rel ** n * 2 ** (n * n * agents) * spaces ** (agents * n)
+    for n, spaces in zip(range(1, budget.max_states + 1),
+                         _space_counts(budget)):
+        if spaces:
+            yield (n,
+                   every ** n * 2 ** (n * n * agents) * spaces ** (agents * n),
+                   read ** n * 2 ** (n * n * len(cone.access))
+                   * spaces ** (len(cone.spaces) * n))
 
 
 def enumeration_size(budget: SearchBudget) -> int:
-    return sum(_shape_size(budget, n) for n in range(1, budget.max_states + 1))
+    """How many labelled models the budget has."""
+    return sum([labelled for _, labelled, _ in
+                _shape_counts(budget, _everything(budget))])
+
+
+def _check_cap(budget: SearchBudget, cone: _Cone) -> None:
+    """BudgetError if the labelled models that differ in the cone's
+    coordinates are more than the budget's cap.  They are counted shape by
+    shape, over the shapes that `_shapes` reaches, and counting stops once
+    the cap is passed: no count past it is made or printed."""
+    total = offset = 0
+    for _, labelled, read in _shape_counts(budget, cone):
+        if offset >= _COUNT_LIMIT:
+            return
+        total += read
+        if total > budget.max_models:
+            raise BudgetError(
+                f"enumeration space has more than the cap of"
+                f" {budget.max_models} models; shrink the budget")
+        offset += labelled
+
+
+def _reportable(count: int) -> int:
+    """count, if it can be printed; else a BudgetError."""
+    if count >= _COUNT_LIMIT:
+        raise BudgetError("the count of models checked has more than 4300"
+                          " digits; shrink the budget")
+    return count
 
 
 def enumerate_models(budget: SearchBudget):
@@ -252,12 +403,46 @@ def enumerate_models(budget: SearchBudget):
     Each model carries its class as its `orbit` (see `_all_models`), whose
     size counts the labelled models it stands for; `_members` builds them.
     The stream of every labelled model is `_all_models(budget)`."""
-    size = enumeration_size(budget)
-    if size > budget.max_models:
-        raise BudgetError(
-            f"enumeration space has {size} models, over the cap of"
-            f" {budget.max_models}; shrink the budget")
+    _check_cap(budget, _everything(budget))
     yield from _all_models(budget, classes=True)
+
+
+def _shapes(budget: SearchBudget, cone: _Cone):
+    """Per state count with a space option, from 1 to max_states and built
+    only when reached: how many labelled models the earlier shapes have,
+    the radices of an index tuple, the states, sorted as a Model sorts
+    them, their relation slots, access options and space options.  An
+    option list is whole where the cone reads it, and else holds only the
+    first option; the space options are then counted (`_space_counts`).
+    Reaching a shape whose models' positions could not be printed (see
+    `_COUNT_LIMIT`) is a BudgetError."""
+    counts = None if cone.spaces else _space_counts(budget)
+    rel_radices = [2 ** (budget.max_domain ** arity)
+                   for _, arity in budget.relation_symbols]
+    offset = 0
+    for n in range(1, budget.max_states + 1):
+        if offset >= _COUNT_LIMIT:
+            raise BudgetError(
+                f"the models of fewer than {n} states are too many to count"
+                f" in a report (10^4300 or more); shrink the budget")
+        states = tuple(sorted(f"s{i}" for i in range(n)))
+        options = _space_options(states, budget)
+        if counts is None:
+            space_opts = list(options)
+            spaces = len(space_opts)
+        else:
+            spaces = next(counts)
+            space_opts = [next(options)] if spaces else []
+        if not spaces:
+            continue   # the grid normalizes no space over these states
+        radices = ([radix for radix in rel_radices for _ in states]
+                   + [2 ** (n * n)] * budget.max_agents
+                   + [spaces] * (budget.max_agents * n))
+        yield (offset, radices, states,
+               _relation_options(states, budget, cone.symbols),
+               _access_options(states) if cone.access else [(0,) * n],
+               space_opts)
+        offset += math.prod(radices)
 
 
 # A renaming pi of the n states of a shape (pi[i] is the new position of
@@ -283,9 +468,10 @@ _Orbit = namedtuple("_Orbit", "shape rel acc sp size")
 
 def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
     """The tables of every renaming of the shape's states but the
-    identity.  The option lists are closed under renaming, and their
-    entries are distinct (the grid has no duplicates), so every image is
-    found, at exactly one index."""
+    identity, whose `take` reads the space choices of n_agents agents.
+    The option lists are closed under renaming, and their entries are
+    distinct (the grid has no duplicates), so every image is found, at
+    exactly one index."""
     n = len(states)
     access_ix = {row: k for k, row in enumerate(access_opts)}
     space_ix = {entry: k for k, entry in enumerate(space_opts)}
@@ -299,11 +485,11 @@ def _renamings(states, n_slots, access_opts, space_opts, n_agents) -> list:
         space = [space_ix[space_entry(move[sample], [move[a] for a in atoms],
                                       nums, den, states, n)]
                  for sample, atoms, nums, den in space_opts]
+        take = [k * n + i for k in range(n_agents) for i in inv]
         out.append(_Renaming(
             [k - k % n + inv[k % n] for k in range(n_slots)], access,
             space.__getitem__,
-            operator.itemgetter(*[k * n + i for k in range(n_agents)
-                                  for i in inv])))
+            operator.itemgetter(*take) if take else lambda sp: ()))
     return out
 
 
@@ -329,29 +515,37 @@ def _ties(key, images):
     return ties
 
 
-def _access_choices(ties, options, agents):
-    """The access choices (an option index per agent) in product order
-    that no renaming of ties maps to a less choice, each with the
-    renamings that map it to itself.  A renaming maps each agent's option
-    on its own, so the choices grow an agent at a time, depth first, and a
-    prefix that a renaming maps to a less one is dropped with every choice
-    it starts."""
+def _access_choices(ties, radices):
+    """The access choices (an option index per agent, below its radix) in
+    product order that no renaming of ties maps to a less choice, each
+    with the renamings that map it to itself.  A renaming maps each
+    agent's option on its own, so the choices grow an agent at a time,
+    depth first, and a prefix that a renaming maps to a less one is
+    dropped with every choice it starts."""
     if not ties:
         yield from ((acc, ()) for acc in
-                    itertools.product(range(options), repeat=agents))
+                    itertools.product(*map(range, radices)))
         return
     todo = [((), ties)]   # prefixes to grow, the next one last
     while todo:
         acc, kept = todo.pop()
-        if len(acc) == agents:
+        if len(acc) == len(radices):
             yield acc, kept
             continue
         grown = []
-        for k in range(options):
+        for k in range(radices[len(acc)]):
             still = _ties(k, [(ren.access[k], ren) for ren in kept])
             if still is not None:
                 grown.append((acc + (k,), still))
         todo += reversed(grown)
+
+
+def _put(width, at, values) -> tuple:
+    """width zeros, with values put at the positions at."""
+    out = [0] * width
+    for k, x in zip(at, values):
+        out[k] = x
+    return tuple(out)
 
 
 def _relations(shape, rel) -> dict:
@@ -363,7 +557,7 @@ def _relations(shape, rel) -> dict:
     return relations
 
 
-def _all_models(budget: SearchBudget, classes=False):
+def _all_models(budget: SearchBudget, classes=False, cone=None):
     """Every model of each shape, in a fixed order: with `classes`, the
     stream of enumerate_models without the cap, else every labelled
     model, for callers that take a prefix or referee the classes.
@@ -384,43 +578,72 @@ def _all_models(budget: SearchBudget, classes=False):
     only the renamings that map a level to itself are tried on the next.
     Those that map all three levels to themselves fix M, and M's class has
     n!/(1 + their number) members.  Each such M carries its `orbit`, an
-    `_Orbit`; the stream without `classes` carries none."""
+    `_Orbit`; the stream without `classes` carries none.
+
+    With a `cone` (see `_witness`), only the coordinates it reads are
+    enumerated, and every other is held at index 0; the models come in the
+    labelled order still, and their orbits hold their whole index tuples.
+    Those coordinates are closed under renaming: a symbol's slots at every
+    state, an agent's access option, an agent's spaces at every state.  So
+    a renaming acts on them alone, and the classes and their sizes are
+    those of the cone's coordinates.  Index 0 of a relation slot or of an
+    access option is empty, which every renaming fixes, so those levels
+    are compared on the whole tuples; the space level compares the cone's
+    space choices only (`take` reads those alone), since the first space
+    option is not fixed.  A renaming check costs up to n! image
+    comparisons, so a shape of the cone is enumerated in classes only if
+    (n!)^2 is at most its models, and else labelled; every shape of the
+    whole enumeration has at least 2^(n*n) models, and so is in
+    classes."""
     domain, agents = tuple(sorted(budget.domain)), budget.agents
     groups = {"G": agents}
-    call, offset = object(), 0
-    for states, rel_slots, access_opts, space_opts in _shapes(budget):
-        if not space_opts:
-            continue   # the grid normalizes no space over these states
+    cone = cone or _everything(budget)
+    readers = [k for k, agent in enumerate(agents) if agent in cone.spaces]
+    call = object()
+    for offset, radices, states, rel_slots, access_opts, space_opts in \
+            _shapes(budget, cone):
         n = len(states)
-        rel_radices = [len(options) for (_, _, options) in rel_slots]
-        sp_radices = [len(space_opts)] * (len(agents) * n)
-        renamings = _renamings(states, len(rel_slots), access_opts,
-                               space_opts, len(agents)) if classes else []
-        radices = rel_radices + [len(access_opts)] * len(agents) + sp_radices
+        free = [k for k, (sym, _, _) in enumerate(rel_slots)
+                if sym in cone.symbols]
+        rel_radices = [len(rel_slots[k][2]) for k in free]
+        acc_radices = [len(access_opts) if agent in cone.access else 1
+                       for agent in agents]
+        sp_at = [k * n + i for k in readers for i in range(n)]
+        sp_radices = [len(space_opts)] * len(sp_at)
+        every_rel = len(free) == len(rel_slots)
+        every_sp = len(sp_at) == len(agents) * n
+        renamings = []
+        if classes and math.factorial(n) ** 2 <= (
+                math.prod(rel_radices) * math.prod(acc_radices)
+                * math.prod(sp_radices)):
+            renamings = _renamings(states, len(rel_slots), access_opts,
+                                   space_opts if readers else [],
+                                   len(readers))
         shape = _Shape(call, offset, radices, budget, states, domain, agents,
                        groups, rel_slots, access_opts, space_opts, renamings)
-        offset += math.prod(radices)
-        group_size = math.factorial(n)
+        group_size = 1 + len(renamings)
         # The models of one relation choice share their relations, and
         # those of one access choice their predecessor rows.
-        for rel in itertools.product(*map(range, rel_radices)):
+        for chosen in itertools.product(*map(range, rel_radices)):
+            rel = chosen if every_rel else _put(len(rel_slots), free, chosen)
             rel_ties = _ties(rel, [(tuple([rel[k] for k in ren.slots]), ren)
                                    for ren in renamings])
             if rel_ties is None:
                 continue
             relations = _relations(shape, rel)
-            for acc, ties in _access_choices(rel_ties, len(access_opts),
-                                             len(agents)):
+            for acc, ties in _access_choices(rel_ties, acc_radices):
                 pred = {agent: access_opts[k] for agent, k in zip(agents, acc)}
-                for sp in itertools.product(*map(range, sp_radices)):
+                for chosen in itertools.product(*map(range, sp_radices)):
                     size = group_size
                     if ties:
-                        fixed = _ties(sp, [(tuple(map(ren.space,
-                                                      ren.take(sp))), ren)
-                                           for ren in ties])
+                        fixed = _ties(chosen, [(tuple(map(ren.space,
+                                                          ren.take(chosen))),
+                                                ren) for ren in ties])
                         if fixed is None:
                             continue
                         size //= 1 + len(fixed)
+                    sp = chosen if every_sp else _put(len(agents) * n, sp_at,
+                                                      chosen)
                     yield _model(shape, relations, pred, sp,
                                  _Orbit(shape, rel, acc, sp, size)
                                  if classes else None)
@@ -441,7 +664,8 @@ def _model(shape, relations, pred, sp, orbit=None) -> Model:
 def _members(orbit) -> list:
     """(labelled position, model) of each member of the orbit's class, in
     the order of the labelled enumeration: the distinct images of its
-    least member under the renamings of its shape."""
+    least member under the renamings of its shape, which is one of the
+    whole enumeration."""
     shape = orbit.shape
     rel, acc, sp = orbit.rel, orbit.acc, orbit.sp
     images = {(rel, acc, sp)}
@@ -513,11 +737,12 @@ def _random_space(budget, rng, states, rows) -> tuple:
     else:
         key = tuple(sorted(sample))
         if key not in rows:
-            rows[key] = _set_partitions(list(key))
+            rows[key] = list(_set_partitions(list(key)))
         part = rng.choice(rows[key])
     options = rows.get(len(part))
     if options is None:
-        options = rows[len(part)] = _weight_rows(budget.weight_grid, len(part))
+        options = rows[len(part)] = list(_weight_rows(budget.weight_grid,
+                                                      len(part)))
     if not options:
         # Grid cannot normalize this partition; a point mass always can.
         part = [list(sample)]
@@ -670,21 +895,33 @@ def _witness(f, budget: SearchBudget) -> tuple:
     count) on a miss.  A model on which f raises is passed over: f is not
     measurable there, or mentions symbols beyond the model's signature.
 
-    Whether f holds somewhere is the same at every member of a class, and
-    the least member comes first in the labelled order, so the first
-    labelled witness is a least member: the first witness of
-    `enumerate_models`.  The labelled models checked are those up to it:
-    its `_position` plus 1, the `_shape_size` of each earlier shape plus
-    its rank in its own and 1; on a miss, all of them
-    (`enumeration_size`)."""
-    for m, (mask,) in _scan(enumerate_models(budget), [f]):
+    Only the coordinates that f reads are enumerated (its `_cone`), each
+    other held at index 0, and the cap counts the labelled models that
+    differ in them.  f's outcome is the same at two models that differ
+    only elsewhere: the evaluator never reads there.  The labelled order
+    is lexicographic in index tuples, so the first labelled witness W has
+    every other coordinate at 0: setting them to 0 keeps a witness and
+    makes no tuple greater.  And W's part in the cone, R, is the least
+    member of its class under renamings of the cone's coordinates: were
+    pi.R less, the model of pi.R with the others at 0 would have the
+    outcome of pi.W, which holds somewhere as W does, and its tuple would
+    come first.  So the first witness of the cone's classes (see
+    `_all_models`) is W, with the same bytes, and the labelled models
+    checked are those up to it: its `_position` plus 1.  On a miss, all
+    of them (`enumeration_size`).  A count too long to print is a
+    BudgetError."""
+    cone = _cone(f, budget)
+    _check_cap(budget, cone)
+    for m, (mask,) in _scan(_all_models(budget, classes=True, cone=cone),
+                            [f]):
         if isinstance(mask, int) and mask:
             s = m.states[(mask & -mask).bit_length() - 1]
             if not satisfies(m, s, f):
                 raise EvalError(f"witness state {s!r} fails to re-verify")
             o = m.orbit
-            return m, s, _position(o.shape, o.rel, o.acc, o.sp) + 1
-    return None, None, enumeration_size(budget)
+            return m, s, _reportable(_position(o.shape, o.rel, o.acc,
+                                               o.sp) + 1)
+    return None, None, _reportable(enumeration_size(budget))
 
 
 def find_model(f, budget: SearchBudget) -> CheckReport:

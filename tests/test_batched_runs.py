@@ -243,7 +243,9 @@ def test_batches_grow_to_the_cap(monkeypatch):
         return original(self, program)
 
     monkeypatch.setattr(Evaluator, "run", counted)
-    m, _, checked = oracle._witness(parse_formula("p & !p"), SearchBudget())
+    # a miss that reads every coordinate, so every class is evaluated
+    m, _, checked = oracle._witness(
+        parse_formula("K[a] p & !K[a] p & P[a]>=1/2 q"), SearchBudget())
     assert m is None and checked == 25608
     assert sizes[:6] == [1, 2, 4, 8, 16, 32]
     assert max(sizes) == oracle._BATCH and sum(sizes) == 12888

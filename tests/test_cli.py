@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -505,6 +506,32 @@ class TestFindFuzzDemo:
         ask = "instances" if what.startswith("fuzz") else "models"
         assert err.getvalue() == (f"budget error: {what} is over the cap of"
                                   f" 200000; ask for fewer {ask}\n")
+
+    _CAP = "enumeration space has more than the cap of 200000 models"
+    # bot reads no coordinate, so every shape is one model, but the labelled
+    # models before 57 states have 4 300 digits or more
+    _COUNT = ("the models of fewer than 57 states are too many to count in a"
+              " report (10^4300 or more)")
+
+    @pytest.mark.parametrize("states, argv, what", [
+        ("80", ["p"], _CAP), ("300", ["p"], _CAP),
+        ("80", ["bot"], _COUNT), ("300", ["bot"], _COUNT),
+        # a space only over all 300 states, each its own atom of weight
+        # 1/300: one model, found without listing the others' spaces
+        ("300", ["bot", "--grid", "1/300", "--sample-mode", "full"],
+         "the count of models checked has more than 4300 digits"),
+    ], ids=["cap-80", "cap-300", "count-80", "count-300", "one-space-300"])
+    def test_find_many_states_is_budget_error(self, states, argv, what):
+        # refused from counts: no count past the cap or too long to print
+        # is made, and no shape that large is built
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["find", "--budget-states", states, "--formula",
+                         *argv])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"budget error: {what}; shrink the budget\n"
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_fuzz_empty_class_pool_is_budget_error(self, count):

@@ -23,7 +23,9 @@ from pckfo.oracle import (
     SearchBudget, enumerate_models, enumeration_size, holds_everywhere,
     random_formula, random_models, validity_suite,
 )
-from pckfo.parser import load_model, model_to_doc, parse_formula
+from pckfo.parser import (
+    load_model, model_to_doc, parse_formula, print_formula,
+)
 from pckfo.report import REJECTED
 
 ORACLE = Path(pckfo.__file__).parent / "oracle.py"
@@ -221,8 +223,9 @@ def _random_budget(rng, states, sample_mode=None, atom_mode=None,
             weight_grid=grid, relation_symbols=(("R", 1),),
             sample_mode=sample_mode or rng.choice(("any", "full")),
             atom_mode=atom_mode or rng.choice(("any", "singleton", "merged")))
-        if (oracle._shape_size(budget, budget.max_states)
-                and enumeration_size(budget) <= 4500):
+        sizes = {n: labelled for n, labelled, _ in oracle._shape_counts(
+            budget, oracle._everything(budget))}
+        if budget.max_states in sizes and sum(sizes.values()) <= 4500:
             return budget
 
 
@@ -343,11 +346,24 @@ def test_validity_demo_evaluates_one_model_per_class(monkeypatch, family):
 
 
 def test_find_evaluates_one_model_per_class(monkeypatch):
+    # only the classes of p's tables: 2 at one state, 3 at two
     runs = _evaluator_runs(monkeypatch)
     code, rep = _main("find", "--formula", "p & !p", "--json")
     assert code == 1
     assert rep["details"][0]["models_checked"] == 25608
-    assert len(runs) == 12888
+    assert len(runs) == 5
+
+
+@pytest.mark.parametrize("formula, classes", [
+    ("K[a] q & !K[a] q", 40), ("K[a] p & !K[a] p & P[a]>=1/2 q", 12888)])
+def test_find_evaluates_the_classes_its_formula_reads(monkeypatch, formula,
+                                                      classes):
+    # the classes of q's tables and a's access; of every coordinate
+    runs = _evaluator_runs(monkeypatch)
+    code, rep = _main("find", "--formula", formula, "--json")
+    assert code == 1
+    assert rep["details"][0]["models_checked"] == 25608
+    assert len(runs) == classes
 
 
 def _models_built(monkeypatch):
@@ -379,7 +395,23 @@ def test_find_builds_one_model_per_class(monkeypatch):
     code, rep = _main("find", "--formula", "p & !p", "--json")
     assert code == 1
     assert rep["details"][0]["models_checked"] == 25608
-    assert len(built) <= 12888
+    assert len(built) <= 5
+
+
+@pytest.mark.parametrize("formula", [
+    "p & !p", "K[a] q & !K[a] q", "P[a]>=1/2 p & P[a]>=1/2 !p & !p & !q",
+    "Cs{a,1/2} p & !p", "C{a} p & !p & K[a] q"])
+def test_find_builds_as_many_models_for_a_second_agent(monkeypatch, formula):
+    # Growth contract: the models find builds grow with the coordinates
+    # its formula reads, not with the budget's other agents.
+    built = _models_built(monkeypatch)
+    counts = []
+    for agents in ("1", "2"):
+        built.clear()
+        code, rep = _main("find", "--formula", formula, "--budget-agents",
+                          agents, "--json")
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def _functions_calling(tree, name):
@@ -407,3 +439,55 @@ def test_evaluator_is_built_only_in_scan():
         == {"_model", "random_model", "targeted_class_models",
             "chain_model", "near_certain_model"}
     assert _functions_calling(tree, "_model") == {"_all_models", "_members"}
+
+
+# Budgets small enough to scan every labelled model: two agents over
+# singleton spaces and the one symbol p (q reads empty everywhere), and
+# the default budget, where agent b is undeclared.
+_REFEREE_BUDGETS = {
+    "two-agents": SearchBudget(
+        max_agents=2, relation_symbols=(("p", 0),),
+        weight_grid=(Fraction(0), Fraction(1)), sample_mode="full",
+        atom_mode="singleton"),
+    "default": SearchBudget(),
+}
+
+_REFEREE_FORMULAS = [
+    "P[b]>=1/2 p & !p", "P[b]>=1 p & !P[a]>=1 p & K[a] !p", "E{G} p & !p",
+    "C{G} !q & K[a] p", "Es{G,1/2} p & !K[a] p", "Cs{G,1/2} p & !p",
+    "K[b] p", "E{a,b} q & !K[b] q", "!P[b]>=1/2 q & K[b] p & !p",
+    "p & !p", "P[a]>=1/3 p & !P[a]>=2/3 p", "p & !K[a] p", "q & !K[a] q",
+    "p & P[b]>=1 !p & !K[a] !(!p & P[b]>=1 p)",
+]
+
+
+def _labelled_witnesses(budget, formulas):
+    """Per formula, the first labelled model where it holds somewhere, as
+    a document, that state and its position plus 1; on a miss, None, None
+    and every labelled model."""
+    found = [None] * len(formulas)
+    for k, (m, masks) in enumerate(oracle._scan(oracle._all_models(budget),
+                                                formulas)):
+        for j, mask in enumerate(masks):
+            if found[j] is None and isinstance(mask, int) and mask:
+                found[j] = (model_to_doc(m),
+                            m.states[(mask & -mask).bit_length() - 1], k + 1)
+    return [out or (None, None, enumeration_size(budget)) for out in found]
+
+
+@pytest.mark.parametrize("name", sorted(_REFEREE_BUDGETS))
+def test_find_witness_matches_the_labelled_enumeration(name):
+    # The cone of influence changes no byte of find: its witness, state
+    # and models_checked are those of the full labelled enumeration.
+    budget = _REFEREE_BUDGETS[name]
+    rng = random.Random(37)
+    formulas = [parse_formula(text) for text in _REFEREE_FORMULAS]
+    formulas += [random_formula(rng, ("a", "b"), depth=3) for _ in range(12)]
+    expected = _labelled_witnesses(budget, formulas)
+    narrower = 0
+    for f, want in zip(formulas, expected):
+        m, s, checked = oracle._witness(f, budget)
+        assert (m and model_to_doc(m), s, checked) == want, print_formula(f)
+        narrower += oracle._cone(f, budget) != oracle._everything(budget)
+    assert narrower >= 10
+    assert {w[0] is None for w in expected} == {True, False}

@@ -16,12 +16,23 @@ conclusion is over another body, or a premise is left out.  Whenever the
 evaluator falsifies a near miss on a model where its hypotheses hold,
 `check` must reject it.  The premise bodies are written here from the
 paper's rules, not read from the checker's table.
+
+(c) Every formula of `tests/golden/axiom_matches.txt` that `match_axiom`
+accepts holds at every state of every model of a seeded set, under every
+valuation, where it is measurable.  An instance of a class axiom (CON,
+OBJ, SDP-A, UNIF-A) counts only on the models of its class.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
-from pckfo import oracle
-from pckfo.oracle import SearchBudget, random_models, value_or_raise
+from pckfo import axioms as ax, oracle
+from pckfo.errors import NotMeasurable
+from pckfo.model import Model, classify
+from pckfo.oracle import (
+    SearchBudget, random_models, targeted_class_models, value_or_raise,
+)
+from pckfo.parser import parse_formula
 from pckfo.proofcheck import (
     Certificate, HypJust, Proof, RAJust, RCJust, REJust, RPCJust, RPEJust,
     Step, check, deduction_transform, strong_necessitation_transform,
@@ -173,3 +184,54 @@ def test_falsified_near_misses_are_rejected():
     assert caught == {"other body": set(_RULES),
                       "wrong premise": set(_RULES) - {"RPC"},
                       "left out": set(_RULES) - {"RPC"}}
+
+
+AXIOM_MATCHES = Path(__file__).resolve().parent / "golden" \
+    / "axiom_matches.txt"
+
+# The class each class axiom is sound over, as `classify` flags it.
+_AXIOM_CLASS = {ax.CON: "CON", ax.OBJ: "OBJ", ax.SDP_A: "SDP",
+                ax.UNIF_A: "UNIF"}
+
+# The corpus's signature: agents a, b, c, and the symbols below; the
+# functions c, f and g get seeded tables.
+_AXIOM_BUDGET = SearchBudget(
+    max_states=3, max_domain=2, max_agents=3,
+    relation_symbols=(("p", 0), ("q", 0), ("R", 1), ("S", 2), ("Q", 1)),
+    seed=7)
+
+
+def _axiom_models() -> list:
+    """60 random models and 15 of each class, each with the function
+    tables of the corpus."""
+    models = random_models(_AXIOM_BUDGET, 60, tag="axiom-semantics")
+    for flag in _AXIOM_CLASS.values():
+        models += targeted_class_models(_AXIOM_BUDGET, flag, 15)
+    d0, d1 = _AXIOM_BUDGET.domain
+    functions = {"c": (0, {(): d0}), "f": (1, {(d0,): d1, (d1,): d1}),
+                 "g": (1, {(d0,): d1, (d1,): d0})}
+    return [Model.compiled(m.states, m.domain, m.agents, functions,
+                           m.relations, m.groups, m.names, m.pred, m.spaces)
+            for m in models]
+
+
+def test_accepted_axiom_instances_hold_on_random_models():
+    accepted = {}   # formula -> the classes it is sound over, None for all
+    for line in AXIOM_MATCHES.read_text().splitlines():
+        f = parse_formula(line.split("\t")[0])
+        for match in ax.match_axiom(f, ax.ALL_AXIOMS):
+            accepted.setdefault(f, set()).add(_AXIOM_CLASS.get(match.name))
+    formulas = list(accepted)
+    assert len(formulas) >= 900
+    checked = 0
+    models = _axiom_models()
+    for m, masks in oracle._scan(models, formulas):
+        flags = classify(m) | {None}
+        full = (1 << len(m.states)) - 1
+        for f, out in zip(formulas, masks):
+            if isinstance(out, NotMeasurable) or not accepted[f] & flags:
+                continue
+            checked += 1
+            assert value_or_raise(out) == full, f
+    assert checked >= 0.8 * len(formulas) * len(models)
+
