@@ -183,6 +183,114 @@ class TestValidate:
                 for d in validate(again).details] == problems
 
 
+def _space_doc(sample, atoms, *weights):
+    return {"sample": sample, "atoms": atoms,
+            "weights": {str(k): w for k, w in enumerate(weights)}}
+
+
+def _report_doc(**changes):
+    doc = {"states": ["s0", "s1", "s2", "s3"], "domain": ["d0", "d1"],
+           "agents": ["a", "b"]}
+    doc.update(changes)
+    return doc
+
+
+_FOUR = ["s0", "s1", "s2", "s3"]
+_NOT_NORMALIZED = "measure not normalized: weights must sum to 1"
+_OUT_OF_RANGE = "weights must lie in [0, 1]"
+_NOT_PARTITION = "atoms must partition the sample set"
+_OVERLAP = "atoms must be pairwise disjoint"
+
+# (document, the details of its report in order)
+_REPORTS = {
+    # spaces that share a bad run of weights each report it, at its place
+    "shared-bad-weight-runs": (_report_doc(prob={
+        "a": {"s0": _space_doc(["s0", "s1"], [["s0"], ["s1"]], "1/2", "1/3"),
+              "s1": _space_doc(["s1", "s2"], [["s1"], ["s2"]], "1/2", "1/3"),
+              "s2": _space_doc(["s2", "s3"], [["s2"], ["s3"]], "1/2", "1/2"),
+              "s3": _space_doc(["s0", "s3"], [["s0"], ["s3"]], "3/2",
+                               "-1/2")},
+        "b": {"s0": _space_doc(["s0", "s1"], [["s0"], ["s1"]], "1/2", "1/3"),
+              "s2": _space_doc(["s1", "s2"], [["s1"], ["s2"]], "3/2",
+                               "-1/2"),
+              "s3": _space_doc(["s3", "s2"], [["s2"], ["s3"]], "-1", "3")}}),
+        [("prob.a@s0", _NOT_NORMALIZED), ("prob.a@s1", _NOT_NORMALIZED),
+         ("prob.a@s3", _OUT_OF_RANGE), ("prob.b@s0", _NOT_NORMALIZED),
+         ("prob.b@s2", _OUT_OF_RANGE), ("prob.b@s3", _OUT_OF_RANGE),
+         ("prob.b@s3", _NOT_NORMALIZED)]),
+    # bad partitions, good weights but for the last space
+    "bad-partitions": (_report_doc(prob={
+        "a": {"s0": _space_doc(_FOUR, [["s0"], ["s1", "s0"], ["s2"]],
+                               "1/4", "1/4", "1/2"),
+              "s1": _space_doc(["s0", "s1"], [["s0"], []], "1", "0"),
+              "s2": _space_doc(["s2"], [["s2"], ["s3"]], "1/2", "1/2"),
+              "s3": _space_doc(["s0", "s3"], [["s3"]], "1")},
+        "b": {"s1": _space_doc(["s1", "zz"], [["s1"], ["zz"]], "1/2", "1/2"),
+              "s2": _space_doc(_FOUR, [["s0", "s1"], ["s1", "s2"]],
+                               "2/3", "1/2")}}),
+        [("prob.a@s0", _OVERLAP), ("prob.a@s0", _NOT_PARTITION),
+         ("prob.a@s1", "empty atom in the partition"),
+         ("prob.a@s1", _NOT_PARTITION), ("prob.a@s2", _NOT_PARTITION),
+         ("prob.a@s3", _NOT_PARTITION),
+         ("prob.b@s1", "sample set must be a subset of the states"),
+         ("prob.b@s2", _OVERLAP), ("prob.b@s2", _NOT_PARTITION),
+         ("prob.b@s2", _NOT_NORMALIZED)]),
+    # by relation, state and tuple, each sorted
+    "relation-tuples": (_report_doc(relations=[
+        {"symbol": "R", "arity": 2, "table": {
+            "s3": [["d0", "d1"], ["d0"], ["dX", "d0"], ["d1", "d1", "d1"]],
+            "s1": [["d1", "d9"], [], ["d0", "d1"], ["d0"]],
+            "s0": [["d0", "d0"]]}},
+        {"symbol": "Q", "arity": 1, "table": {
+            "s2": [["d0", "d0"], ["d2"]], "s0": [["d0"], ["d1"]],
+            "s1": [["d0"], ["d7"]]}},
+        {"symbol": "p", "arity": 0, "table": {"s0": [[]], "s1": [["d0"]]}}]),
+        [("relations.Q@s1", "tuple ('d7',) outside domain"),
+         ("relations.Q@s2", "tuple ('d0', 'd0') has wrong arity"),
+         ("relations.Q@s2", "tuple ('d2',) outside domain"),
+         ("relations.R@s1", "tuple () has wrong arity"),
+         ("relations.R@s1", "tuple ('d0',) has wrong arity"),
+         ("relations.R@s1", "tuple ('d1', 'd9') outside domain"),
+         ("relations.R@s3", "tuple ('d0',) has wrong arity"),
+         ("relations.R@s3", "tuple ('d1', 'd1', 'd1') has wrong arity"),
+         ("relations.R@s3", "tuple ('dX', 'd0') outside domain"),
+         ("relations.p@s1", "tuple ('d0',) has wrong arity")]),
+    # an unknown state key reports among the states, in sorted order
+    "relation-unknown-states": (_report_doc(relations=[
+        {"symbol": "R", "arity": 1, "table": {
+            "zz": [["d0"]], "s1": [["d0"], ["dX"]], "a0": [["d9"]],
+            "s0": [["d0"]]}},
+        {"symbol": "T", "arity": 1, "table": {"s4": [["d0"]],
+                                              "s0": [["d1"]]}}]),
+        [("relations.R", "table keyed by unknown state 'a0'"),
+         ("relations.R@s1", "tuple ('dX',) outside domain"),
+         ("relations.R", "table keyed by unknown state 'zz'"),
+         ("relations.T", "table keyed by unknown state 's4'")]),
+}
+
+
+class TestValidateReports:
+    """The details of `validate` on invalid models, in order, for loaded
+    documents and for the same models built as `Model`s."""
+
+    @pytest.mark.parametrize("name", sorted(_REPORTS))
+    def test_loaded_model_report(self, name):
+        doc, expected = _REPORTS[name]
+        assert [(d["where"], d["problem"])
+                for d in validate(load_model(doc)).details] == expected
+
+    @pytest.mark.parametrize("name", sorted(_REPORTS))
+    def test_built_model_report(self, name):
+        # a built model shares no weight run between its spaces
+        m = load_model(_REPORTS[name][0])
+        built = Model(m.states, m.domain, m.agents, m.functions, m.relations,
+                      groups=m.groups, prob={
+                          (agent, state): m.space(agent, state)
+                          for agent in m.agents for state in m.states})
+        assert [(d["where"], d["problem"])
+                for d in validate(built).details] == _REPORTS[name][1]
+
+
 def _naive_measure(sp, event):
     ev = frozenset(event) & sp.sample
     total = Fraction(0)

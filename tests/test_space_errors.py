@@ -159,6 +159,36 @@ def _cases():
         "access-unknown-then-space": {
             **_doc(s0=_space(WHOLE, [["s2"], ["s0", "s1"]], HALVES)),
             "access": {"a": [["zz", "s1"]]}},
+        # the first fault of an agent's edges after well-formed ones
+        "access-unknown-after-pairs": {**_doc(), "access": {
+            "a": [["s0", "s1"], ["s1", "s2"], ["s2", "zz"], ["s0", "s2"]]}},
+        "access-triple-last": {**_doc(), "access": {
+            "a": [["s0", "s1"], ["s1", "s2"], ["s0", "s1", "s2"]]}},
+        "access-single-last": {**_doc(), "access": {
+            "a": [["s0", "s1"], ["s1"]]}},
+        "access-string-after-pairs": {**_doc(), "access": {
+            "a": [["s0", "s1"], "s1"]}},
+        "access-unhashable-after-pairs": {**_doc(), "access": {
+            "a": [["s0", "s1"], [["s0"], "s1"]]}},
+        "access-unknown-then-bad": {**_doc(), "access": {
+            "a": [["s0", "s1"], ["yy", "s1"], ["s1", 2]]}},
+        "access-second-agent-after-stray": {**_doc(), "access": {
+            "a": [["s0", "zz"], ["s1", "s2"]],
+            "b": [["s1", "s0"], ["zz", "s2"], ["s2", "yy"], ["yy", "zz"]]}},
+        # the first fault of a space's atoms after one-name atoms
+        "atom-pair-after-singletons": _at_s1(_space(
+            WHOLE, [["s0"], ["s1", "s2"]], HALVES)),
+        "atom-pair-out-of-order-after-singletons": _at_s1(_space(
+            WHOLE, [["s1"], ["s2", "s0"]], HALVES)),
+        "atom-state-as-string": _at_s1(_space(two, [["s0"], "s1"], HALVES)),
+        "atom-one-list-member": _at_s1(_space(two, [["s0"], [["s1"]]],
+                                              HALVES)),
+        "atom-one-int-member": _at_s1(_space(two, [["s0"], [1]], HALVES)),
+        "atom-one-unknown-name": _at_s1(_space(["s0", "zz"],
+                                               [["s0"], ["zz"]], HALVES)),
+        "atom-one-letter-state-as-string": {
+            "states": ["x", "y"], "domain": ["d0"], "agents": ["a"],
+            "prob": {"a": {"x": _space(["x", "y"], ["x", ["y"]], HALVES)}}},
         "relation-rows-not-list": {**_doc(), "relations": [
             {"symbol": "R", "arity": 1, "table": {"s1": "d0"}}]},
         "relation-row-non-string": {**_doc(), "relations": [
