@@ -357,6 +357,12 @@ def validate(m: Model) -> CheckReport:
         if arity < 0:
             bad(f"relations.{rel}", f"negative arity {arity}")
             continue
+        # the state keys and each distinct tuple at once; only a relation
+        # that fails is walked in the report's order
+        if states.issuperset(percol) and all(
+                len(tup) == arity and domain.issuperset(tup)
+                for tup in frozenset().union(*percol.values())):
+            continue
         for state, tuples in sorted(percol.items()):
             if state not in states:
                 bad(f"relations.{rel}", f"table keyed by unknown state {state!r}")
@@ -382,36 +388,50 @@ def validate(m: Model) -> CheckReport:
                                                 else into & ~full)):
             bad(f"access.{agent}", f"edge ({s!r}, {t!r}) outside state set")
 
+    runs = {}   # (nums, den) -> the problems of that run of weights
     for agent in m.agents:
         for state, entry in zip(m.states, m.spaces[agent]):
             if entry is None:
                 bad(f"prob.{agent}@{state}", "missing probability space")
                 continue
             sample, atoms, nums, den = entry
-            where = f"prob.{agent}@{state}"
+            problems = []
             if not sample:
-                bad(where, "sample set must be nonempty")
+                problems.append("sample set must be nonempty")
             if sample & ~full:
-                bad(where, "sample set must be a subset of the states")
+                problems.append("sample set must be a subset of the states")
             union = 0
             for atom in atoms:
                 if not atom:
-                    bad(where, "empty atom in the partition")
+                    problems.append("empty atom in the partition")
                 if atom & union:
-                    bad(where, "atoms must be pairwise disjoint")
+                    problems.append("atoms must be pairwise disjoint")
                 union |= atom
             if union != sample:
-                bad(where, "atoms must partition the sample set")
-            if any(x < 0 or x > den for x in nums):
-                bad(where, "weights must lie in [0, 1]")
-            if sum(nums) != den:
-                bad(where, "measure not normalized: weights must sum to 1")
+                problems.append("atoms must partition the sample set")
+            weights = runs.get((nums, den))
+            if weights is None:
+                weights = runs[nums, den] = _weight_problems(nums, den)
+            if problems or weights:
+                where = f"prob.{agent}@{state}"
+                for problem in problems + weights:
+                    bad(where, problem)
     for (agent, state), _ in m.strays:
         bad(f"prob.{agent}@{state}", "space keyed by unknown agent or state")
 
     if rep.details:
         rep.verdict = INVALID
     return rep
+
+
+def _weight_problems(nums, den) -> list:
+    """The problems of a space's weights, numerators over den."""
+    problems = []
+    if any(x < 0 or x > den for x in nums):
+        problems.append("weights must lie in [0, 1]")
+    if sum(nums) != den:
+        problems.append("measure not normalized: weights must sum to 1")
+    return problems
 
 
 def measure(m: Model, agent: str, state: str, event) -> Fraction:

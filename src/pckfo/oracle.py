@@ -134,6 +134,36 @@ def _set_partitions(items: list, counts=None):
         todo += [(left - 1, kid) for kid in reversed(kids)]
 
 
+def _completions(size) -> list:
+    """How many partitions `_set_partitions` makes under a partial one:
+    f[l][b] for b blocks so far and l items still to place, where f[0][b] =
+    1 and f[l][b] = b * f[l - 1][b] + f[l - 1][b + 1] (the head goes into
+    each of the b blocks, then into one of its own).  f[size][0] is the
+    Bell number of size."""
+    f = [[1] * (size + 1)]
+    for left in range(1, size + 1):
+        below = f[-1]
+        f.append([b * below[b] + below[b + 1]
+                  for b in range(size + 1 - left)])
+    return f
+
+
+def _nth_partition(items: list, i: int, f) -> list:
+    """The i-th partition of items in `_set_partitions` order, unranked
+    with f = `_completions(len(items))` instead of listing those before."""
+    part = []
+    for left in range(len(items), 0, -1):
+        head, below = items[left - 1], f[left - 1][len(part)]
+        for ix in range(len(part)):
+            if i < below:
+                part[ix] = [head] + part[ix]
+                break
+            i -= below
+        else:
+            part.insert(0, [head])
+    return part
+
+
 def _step(sums, nums, den) -> dict:
     """The sums up to den of one numerator more than the sums given, each
     with how many tuples of numerators add up to it."""
@@ -735,10 +765,13 @@ def _random_space(budget, rng, states, rows) -> tuple:
     elif budget.atom_mode == "singleton":
         part = [[s] for s in sample]
     else:
+        # the partition of the sorted sample that a choice from the list of
+        # them all, in `_set_partitions` order, would draw, unlisted
         key = tuple(sorted(sample))
         if key not in rows:
-            rows[key] = list(_set_partitions(list(key)))
-        part = rng.choice(rows[key])
+            rows[key] = _completions(len(key))
+        f = rows[key]
+        part = _nth_partition(list(key), rng.randrange(f[-1][0]), f)
     options = rows.get(len(part))
     if options is None:
         options = rows[len(part)] = list(_weight_rows(budget.weight_grid,

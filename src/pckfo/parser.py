@@ -678,6 +678,17 @@ def load_model(doc: dict) -> Model:
         if not isinstance(pairs, list):
             raise SchemaError(f"access.{agent}: must be a list of [s, t] pairs")
         row = [0] * n
+        try:    # every pair [s, t] of states, read in one loop
+            if not all(map(list.__instancecheck__, pairs)):
+                raise TypeError
+            for s, t in pairs:
+                row[index[t]] |= bit[s]
+            pred[agent] = tuple(row)
+            continue
+        except (KeyError, IndexError, TypeError, ValueError):
+            # a fault, or a name past the states: the row is read again
+            # pair by pair, so the first error and the positions are kept
+            row = [0] * n
         for pair in pairs:
             if isinstance(pair, list) and len(pair) == 2:
                 s, t = pair
@@ -758,9 +769,12 @@ def _load_space(doc, agent, state, index, n, parsed) -> tuple:
         try:
             if type(names) is not list:
                 raise TypeError
-            m = 0
-            for s in names:
-                m |= bit[s]
+            if len(names) == 1:
+                m = bit[names[0]]
+            else:
+                m = 0
+                for s in names:
+                    m |= bit[s]
         except (KeyError, TypeError):
             # not a list, or a member that is no state
             if not _is_names(names):

@@ -463,6 +463,21 @@ class TestFindFuzzDemo:
                 outs.add(proc.stdout)
             assert len(outs) == 1, argv
 
+    def test_fuzz_samples_of_many_states(self):
+        # a sample of 12 states has Bell(12) = 4 213 597 partitions; a
+        # space draws one without listing them
+        src = str(Path(pckfo.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pckfo.cli", "fuzz", "--n", "120",
+             "--budget-states", "12", "--json"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=60)
+        assert time.perf_counter() - start < 30
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        assert json.loads(proc.stdout)["verdict"] == "valid-in-suite"
+
     def test_fuzz_at_criterion_1_shape(self):
         code, out = run("fuzz", "--budget-states", "3", "--budget-domain", "2",
                         "--budget-agents", "2", "--atom-mode", "singleton",

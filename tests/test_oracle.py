@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from pckfo.errors import BudgetError, NonSentenceError
 from pckfo.evaluator import satisfies
 from pckfo.model import classify, validate
 from pckfo.oracle import (
-    DEFAULT_GRID, SearchBudget, _all_models, enumerate_models,
+    DEFAULT_GRID, SearchBudget, _all_models, _completions, _nth_partition,
+    _set_partitions, enumerate_models,
     enumeration_size, expected_invalid_counterexample, find_model, fuzz_soundness,
     holds_everywhere, noncompactness_demo, random_models,
     targeted_class_models, validity_suite,
@@ -130,6 +132,21 @@ class TestFindModel:
         with pytest.raises(BudgetError, match="function symbols"):
             find_model(parse_formula("R(c)"),
                        tiny_budget(relation_symbols=(("R", 1),)))
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_nth_partition_is_the_listed_one(size):
+    # unranking stands for the list of every partition: the same blocks in
+    # the same order, and a draw below Bell(size) picks what a choice from
+    # the list would
+    items = [f"s{k}" for k in range(size)]
+    listed = list(_set_partitions(items))
+    f = _completions(size)
+    assert f[-1][0] == len(listed)
+    assert [_nth_partition(items, i, f) for i in range(len(listed))] == listed
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert listed[b.randrange(len(listed))] == a.choice(listed)
 
 
 class TestFuzz:
