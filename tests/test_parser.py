@@ -304,6 +304,70 @@ class TestModelDocuments:
         assert [d["problem"] for d in validate(m).details] == \
             ["measure not normalized: weights must sum to 1"]
 
+    @staticmethod
+    def _relations(*tables):
+        """Three states and two elements, with one relation entry per
+        table given: R, then S, R, ..."""
+        return {"states": ["s0", "s1", "s2"], "domain": ["d0", "d1"],
+                "agents": ["a"],
+                "relations": [{"symbol": "RS"[k % 2], "arity": 1,
+                               "table": table}
+                              for k, table in enumerate(tables)]}
+
+    @pytest.mark.parametrize("fault, message", [
+        (["d0", 1], "relations.R.s2: expected a list of names,"
+                    " got ['d0', 1]"),
+        ("d0", "relations.R.s2: expected a list of names, got 'd0'"),
+        ({}, "relations.R.s2: expected a list of names, got {}"),
+        ([["d0"]], "relations.R.s2: expected a list of names,"
+                   " got [['d0']]"),
+        ([True], "relations.R.s2: expected a list of names, got [True]"),
+    ], ids=["int-name", "string-row", "object-row", "nested-row",
+            "bool-name"])
+    def test_relation_row_faults(self, fault, message):
+        # the fault comes after well-formed states and a well-formed row
+        table = {"s0": [["d0"]], "s1": [["d0"], ["d1"]],
+                 "s2": [["d1"], fault]}
+        with pytest.raises(SchemaError) as exc:
+            load_model(self._relations(table))
+        assert str(exc.value) == message
+
+    def test_relation_rows_not_a_list(self):
+        table = {"s0": [["d0"]], "s1": [], "s2": "d0"}
+        with pytest.raises(SchemaError) as exc:
+            load_model(self._relations(table))
+        assert str(exc.value) == "relations.R.s2: rows must be a list"
+
+    def test_first_relation_fault_is_reported(self):
+        # two faulty states: the first in document order is named
+        table = {"s0": [["d0"]], "s2": [[True]], "s1": "d0"}
+        with pytest.raises(SchemaError) as exc:
+            load_model(self._relations(table))
+        assert str(exc.value) == \
+            "relations.R.s2: expected a list of names, got [True]"
+
+    def test_duplicate_relation_after_a_valid_table(self):
+        good = {"s0": [["d0"]], "s1": [["d1"]]}
+        with pytest.raises(SchemaError) as exc:
+            load_model(self._relations(good, good, {"s2": [["d0"]]}))
+        assert str(exc.value) == "relations.R: duplicate symbol"
+
+    def test_repeated_row_sets_load_equal(self):
+        # equal row sets at several states, written in different orders,
+        # load as the table that lists each state's distinct rows once
+        table = {"s0": [["d0"], ["d1"]], "s1": [["d1"], ["d0"]],
+                 "s2": [["d0"], ["d1"], ["d0"]]}
+        other = {"s0": [], "s1": [["d1"]], "s2": []}
+        m = load_model(self._relations(table, other))
+        both = frozenset({("d0",), ("d1",)})
+        assert m.relations == {
+            "R": (1, {"s0": both, "s1": both, "s2": both}),
+            "S": (1, {"s0": frozenset(), "s1": frozenset({("d1",)}),
+                      "s2": frozenset()})}
+        rows = [["d0"], ["d1"]]
+        assert m == load_model(self._relations(
+            {"s0": rows, "s1": rows, "s2": rows}, other))
+
     def test_order_insensitive(self, fixtures_dir):
         text = (fixtures_dir / "models" / "functions.json").read_text()
         doc = json.loads(text)
