@@ -28,7 +28,6 @@ messages and exit 2 are argparse's own.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,7 @@ from .parser import load_document, load_model, parse_formula, parse_proof
 from .proofcheck import Proof, check
 from .report import (
     ACCEPTED, ACCEPTED_BOUNDED, CheckReport, INVALID, NOT_FOUND, OK, REJECTED,
-    SAT, UNSAT_AT_STATE, VALID_IN_SUITE,
+    SAT, UNSAT_AT_STATE, VALID_IN_SUITE, json_text,
 )
 from .syntax import free_vars
 
@@ -129,12 +128,12 @@ def _write_artifacts(report: CheckReport, out_path) -> None:
     try:
         if len(docs) == 1:
             (_, payload), = docs.items()
-            out.write_text(json.dumps(payload, indent=2) + "\n")
+            out.write_text(json_text(payload) + "\n")
             return
         out.mkdir(parents=True, exist_ok=True)
         for name, payload in sorted(docs.items()):
             (out / f"{name}.json").write_text(
-                json.dumps(payload, indent=2) + "\n")
+                json_text(payload) + "\n")
     except OSError as exc:
         raise _UsageError(f"cannot write {out_path}: {exc}") from None
 

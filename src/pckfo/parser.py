@@ -37,6 +37,7 @@ from .model import (
     Model, Positions, over_common_denominator, point_entry, positions,
     space_entry, validate,
 )
+from .report import json_text
 from .syntax import (
     And, App, Atom, CommonKnows, CommonProb, EveryoneKnows, EveryoneProb,
     Forall, Guard, Knows, NestedImplicationSpec, Not, ProbAtLeast, Var,
@@ -653,18 +654,25 @@ def load_model(doc: dict) -> Model:
         functions[sym] = (arity, table)
 
     relations = {}
+    sets = {}   # each distinct row set of the document, kept once
+    flat = itertools.chain.from_iterable
     for entry in _need_opt(doc, "relations", list, "model"):
         sym = _need(entry, "symbol", str, "relations[]")
         arity = _need(entry, "arity", int, f"relations.{sym}")
-        table = {}
-        for state, rows in _need(entry, "table", dict, f"relations.{sym}").items():
-            if not (isinstance(rows, list) and all(map(_is_names, rows))):
+        table = _need(entry, "table", dict, f"relations.{sym}")
+        rows = table.values()
+        # every state's rows, every row and every name, each in one pass
+        if not (all(map(list.__instancecheck__, rows))
+                and all(map(list.__instancecheck__, flat(rows)))
+                and all(map(str.__instancecheck__, flat(flat(rows))))):
+            for state, given in table.items():  # the first fault is raised
                 where = f"relations.{sym}.{state}"
-                if not isinstance(rows, list):
+                if not isinstance(given, list):
                     raise SchemaError(f"{where}: rows must be a list")
-                for row in rows:
+                for row in given:
                     _strings(row, where)
-            table[state] = frozenset(map(tuple, rows))
+        found = list(map(frozenset, map(map, itertools.repeat(tuple), rows)))
+        table = dict(zip(table, map(sets.setdefault, found, found)))
         if sym in relations:
             raise SchemaError(f"relations.{sym}: duplicate symbol")
         relations[sym] = (arity, table)
@@ -933,7 +941,7 @@ def model_to_doc(m: Model) -> dict:
 
 
 def model_to_json(m: Model) -> str:
-    return json.dumps(model_to_doc(m), indent=2) + "\n"
+    return json_text(model_to_doc(m)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1115,4 +1123,4 @@ def proof_to_doc(p: pc.Proof) -> dict:
 
 
 def proof_to_json(p: pc.Proof) -> str:
-    return json.dumps(proof_to_doc(p), indent=2) + "\n"
+    return json_text(proof_to_doc(p)) + "\n"
