@@ -52,7 +52,7 @@ def test_one_indent_writer(path):
     assert calls == [], f"{path.name} writes indented JSON at {calls}"
 
 
-def test_fallback_is_the_writer_s():
+def test_the_writer_falls_back_to_json_dumps():
     calls = indented_dumps((Path(pckfo.__file__).parent
                             / "report.py").read_text())
     assert [fn for fn, _ in calls] == ["json_text"]
